@@ -29,7 +29,7 @@ func (w *discardResponseWriter) WriteHeader(int)             {}
 // BenchmarkHandleConnected measures the warm batch-probe pipeline at the
 // handler level — JSON decode, canonicalize+hash, one cache stab, batch
 // answer, JSON encode — with allocs/op as the tracked number. The pooled
-// probeScratch keeps the steady state at a handful of small allocations
+// jsonScratch keeps the steady state at a handful of small allocations
 // (the JSON decoder, the per-iteration request body plumbing) regardless
 // of batch size; before the pooling it was one allocation per slice per
 // request plus the encoder's buffer.

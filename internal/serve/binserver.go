@@ -3,33 +3,31 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/serve/wire"
 )
 
 // The binary protocol surface: the same Server that answers JSON over
 // HTTP also accepts persistent framed connections (wire package), sharing
-// the sharded fault-set cache, the generation-aware retry, and the update
-// path. One connection is one goroutine reading frames in order and
-// writing responses in the same order — which is what lets clients
+// the query executor, the sharded fault-set cache, and the update path.
+// One connection is one goroutine reading frames in order and writing
+// responses in the same order — which is what lets clients
 // pipeline: responses match requests FIFO, so a client may keep any
 // number of batches in flight per connection.
 //
 // The frame hot path allocates nothing at steady state: the wire.Reader
 // peeks frames zero-copy out of the connection buffer, DecodeProbe
 // refills a per-connection FrameScratch in place (computing the cache key
-// incrementally from the canonical on-the-wire fault edges), the probe
-// rides the same compiled-FaultSet path as HTTP, and the response is
+// incrementally from the canonical on-the-wire fault edges), the query
+// runs through the same executor as HTTP, and the response is
 // encoded into a reused buffer and handed to a buffered writer that only
 // flushes when the inbound queue is drained (so a pipelined burst of k
 // frames costs one syscall pair, not k).
@@ -40,20 +38,18 @@ import (
 const binFlushEvery = 64
 
 // FrameScratch is the reusable per-connection (or per-benchmark) state of
-// the binary probe path: the decoded request, the answer slice, and the
+// the binary surface: the decoded request, the executor state, and the
 // response encode buffer. A zero value is usable; reuse across calls is
 // what makes HandleFrame allocation-free at steady state.
 type FrameScratch struct {
-	req   wire.ProbeReq
-	out   []bool
-	reach []bool
-	paths [][]int
-	resp  []byte
+	req  wire.ProbeReq
+	x    execState
+	resp []byte
 }
 
 // HandleFrame processes one frame payload against the server: decode,
-// probe (with the same one-retry ErrStaleLabel semantics as the HTTP
-// handler), encode. The returned response bytes alias sc.resp and are
+// execute (with the same one-retry ErrStaleLabel semantics as the HTTP
+// surface), encode. The returned response bytes alias sc.resp and are
 // valid until the next call with the same scratch. fatal reports a
 // protocol violation after which the connection must be closed (the
 // response, if any, should still be written first). It is exported so
@@ -61,94 +57,54 @@ type FrameScratch struct {
 // socket.
 func (s *Server) HandleFrame(sc *FrameScratch, op byte, payload []byte) (resp []byte, fatal bool) {
 	s.binRequests.Add(1)
-	// Decode per opcode; the three request frames share one payload layout
-	// but differ in cache-key namespace (DecodeVProbe hashes with the
-	// vertex seed) and in what the fault indices mean.
-	var decErr error
-	var once func(*Server, *FrameScratch) (uint16, error)
-	var counter *atomic.Uint64
+	// The three request frames share one payload layout but differ in
+	// cache-key namespace (DecodeVProbe hashes with the vertex seed) and in
+	// what the fault indices mean.
+	var p product
+	var err error
 	switch op {
 	case wire.OpProbe:
-		decErr = wire.DecodeProbe(payload, &sc.req)
-		once = (*Server).probeFrameOnce
-		counter = &s.probes
+		p, err = productProbe, wire.DecodeProbe(payload, &sc.req)
 	case wire.OpRoute:
-		decErr = wire.DecodeRoute(payload, &sc.req)
-		once = (*Server).routeFrameOnce
-		counter = &s.routePlans
+		p, err = productRoute, wire.DecodeRoute(payload, &sc.req)
 	case wire.OpVProbe:
-		decErr = wire.DecodeVProbe(payload, &sc.req)
-		once = (*Server).vprobeFrameOnce
-		counter = &s.vprobes
+		p, err = productVProbe, wire.DecodeVProbe(payload, &sc.req)
 	default:
+		err = fmt.Errorf("unknown opcode 0x%02x", op)
+	}
+	if err != nil {
+		// sc.req may still hold the previous frame: answer with the ID this
+		// frame carries, so the client sees the 400 instead of a desync.
 		s.frameErrors.Add(1)
-		sc.resp = wire.AppendError(sc.resp[:0], 0, wire.CodeBadRequest, fmt.Sprintf("unknown opcode 0x%02x", op))
+		id, _ := wire.PeekRequest(op, payload)
+		sc.resp = wire.AppendError(sc.resp[:0], id, wire.CodeBadRequest, err.Error())
 		return sc.resp, true
 	}
-	if decErr != nil {
-		s.frameErrors.Add(1)
-		sc.resp = wire.AppendError(sc.resp[:0], sc.req.ID, wire.CodeBadRequest, decErr.Error())
-		return sc.resp, true
+	x := &sc.x
+	x.q = query{product: p, genPin: sc.req.GenPin, pairs: sc.req.Pairs, faults: sc.req.Faults, canonical: true, key: sc.req.Key}
+	status, err := s.execute(x)
+	if err == nil {
+		switch p {
+		case productProbe:
+			sc.resp = wire.AppendProbeResp(sc.resp[:0], sc.req.ID, x.hit, x.gen, x.faults, x.out)
+		case productVProbe:
+			sc.resp = wire.AppendVProbeResp(sc.resp[:0], sc.req.ID, x.hit, x.approx, x.gen, x.faults, x.out)
+		case productRoute:
+			// Route paths, unlike bitmaps, can outgrow the frame cap on huge
+			// graphs; the client is pointed at the HTTP surface.
+			if wire.RouteRespSize(x.paths) > wire.MaxFrameBytes {
+				status, err = http.StatusUnprocessableEntity, errors.New("route response exceeds the binary frame cap; use the HTTP surface")
+			} else {
+				sc.resp = wire.AppendRouteResp(sc.resp[:0], sc.req.ID, x.hit, x.approx, x.gen, x.faults, x.out, x.paths)
+			}
+		}
 	}
-	// Same race rule as the HTTP path: a probe that straddles a commit can
-	// observe two generations and fails fast with ErrStaleLabel; one retry
-	// against a fresh snapshot settles it.
-	for attempt := 0; ; attempt++ {
-		code, err := once(s, sc)
-		if err != nil && errors.Is(err, core.ErrStaleLabel) && attempt == 0 {
-			continue
-		}
-		if err != nil {
-			sc.resp = wire.AppendError(sc.resp[:0], sc.req.ID, code, err.Error())
-			return sc.resp, false
-		}
-		counter.Add(uint64(len(sc.req.Pairs)))
+	if err != nil {
+		sc.resp = wire.AppendError(sc.resp[:0], sc.req.ID, uint16(status), err.Error())
 		return sc.resp, false
 	}
-}
-
-// probeFrameOnce answers one decoded probe frame against one consistent
-// snapshot, encoding the response into sc.resp. The fault edges arrived
-// canonical (wire.DecodeProbe enforces strictly ascending) with the cache
-// key already computed, so this is one cache stab and a batch of
-// zero-alloc probes.
-func (s *Server) probeFrameOnce(sc *FrameScratch) (uint16, error) {
-	sch := s.view()
-	n := sch.Graph().N()
-	if sc.req.GenPin != 0 && sc.req.GenPin != sch.Generation() {
-		return wire.CodeConflict, fmt.Errorf("request pinned to generation %d, server at %d (edge indices may have shifted)",
-			sc.req.GenPin, sch.Generation())
-	}
-	for _, p := range sc.req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return wire.CodeBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
-		}
-	}
-	fs, hit, err := s.faultSetCanonKey(sch, sc.req.Faults, sc.req.Key)
-	if err != nil {
-		code := wire.CodeUnprocessable
-		if errors.Is(err, core.ErrDecode) {
-			code = wire.CodeInternal
-		}
-		if errors.Is(err, core.ErrStaleLabel) {
-			code = wire.CodeConflict
-		}
-		return code, err
-	}
-	sc.out = sc.out[:0]
-	for i, p := range sc.req.Pairs {
-		ok, err := fs.Connected(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
-		if err != nil {
-			code := wire.CodeInternal
-			if errors.Is(err, core.ErrStaleLabel) {
-				code = wire.CodeConflict
-			}
-			return code, fmt.Errorf("pair %d: %w", i, err)
-		}
-		sc.out = append(sc.out, ok)
-	}
-	sc.resp = wire.AppendProbeResp(sc.resp[:0], sc.req.ID, hit, sch.Generation(), fs.Faults(), sc.out)
-	return 0, nil
+	s.answered[p].Add(uint64(len(sc.req.Pairs)))
+	return sc.resp, false
 }
 
 // ServeBin accepts framed-protocol connections until the listener is
@@ -303,30 +259,6 @@ func (s *Server) streamLog(conn net.Conn, bw *bufio.Writer, payload []byte) {
 // binScratchPool recycles per-connection scratch across connection churn.
 var binScratchPool = sync.Pool{New: func() any { return &FrameScratch{} }}
 
-// binReqID extracts the request ID from a probe-like payload without a
-// full decode, so shed responses still correlate FIFO with their request.
-func binReqID(payload []byte) uint64 {
-	if len(payload) >= 8 {
-		return binary.LittleEndian.Uint64(payload)
-	}
-	return 0
-}
-
-// binReqBudgetMS extracts the deadline budget (milliseconds, 0 = none)
-// from a probe-like payload without a full decode, so an already-expired
-// frame is shed before any per-frame work.
-func binReqBudgetMS(op byte, payload []byte) uint32 {
-	switch op {
-	case wire.OpProbe, wire.OpRoute, wire.OpVProbe:
-	default:
-		return 0
-	}
-	if len(payload) < 28 {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(payload[24:28])
-}
-
 // serveBinConn runs one framed connection: handshake, then the frame
 // loop. Responses are flushed when the inbound buffer drains (or every
 // binFlushEvery frames), so pipelined bursts amortize syscalls.
@@ -401,6 +333,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 		inflight := s.binInflight.Add(1)
 		var resp []byte
 		var fatal bool
+		id, budgetMS := wire.PeekRequest(op, payload)
 		// Admission gate: shed (never queue unboundedly) when the server
 		// is over its in-flight cap, when this connection's pipelined
 		// backlog exceeds its byte bound, or when the frame's deadline
@@ -408,22 +341,22 @@ func (s *Server) serveBinConn(conn net.Conn) {
 		// order and the connection stays up — the client retries elsewhere.
 		if max := s.admitMax.Load(); max > 0 && inflight+s.httpInflight.Load() > max {
 			s.shedBin.Add(1)
-			sc.resp = wire.AppendError(sc.resp[:0], binReqID(payload), wire.CodeUnavailable, "overloaded: probe shed, retry later")
+			sc.resp = wire.AppendError(sc.resp[:0], id, wire.CodeUnavailable, "overloaded: probe shed, retry later")
 			resp = sc.resp
 		} else if qmax := s.connQueueMax.Load(); qmax > 0 && int64(rd.Buffered()) > qmax {
 			s.shedBin.Add(1)
-			sc.resp = wire.AppendError(sc.resp[:0], binReqID(payload), wire.CodeUnavailable, "connection queue over limit: probe shed")
+			sc.resp = wire.AppendError(sc.resp[:0], id, wire.CodeUnavailable, "connection queue over limit: probe shed")
 			resp = sc.resp
-		} else if b := binReqBudgetMS(op, payload); b > 0 && time.Since(lastIdle) > time.Duration(b)*time.Millisecond {
+		} else if budgetMS > 0 && time.Since(lastIdle) > time.Duration(budgetMS)*time.Millisecond {
 			s.shedDeadline.Add(1)
-			sc.resp = wire.AppendError(sc.resp[:0], binReqID(payload), wire.CodeUnavailable, "deadline budget exhausted before service")
+			sc.resp = wire.AppendError(sc.resp[:0], id, wire.CodeUnavailable, "deadline budget exhausted before service")
 			resp = sc.resp
 		} else if ferr := faultinject.Fire("binserver.handle"); ferr != nil {
 			// Failpoint "binserver.handle": a slow or failing server —
 			// latency here holds the admission slot and queues the
 			// pipeline, which is how deadline/overload tests make
 			// shedding deterministic.
-			sc.resp = wire.AppendError(sc.resp[:0], binReqID(payload), wire.CodeInternal, ferr.Error())
+			sc.resp = wire.AppendError(sc.resp[:0], id, wire.CodeInternal, ferr.Error())
 			resp = sc.resp
 		} else {
 			resp, fatal = s.HandleFrame(sc, op, payload)

@@ -403,31 +403,79 @@ func TestMetricsEndpoint(t *testing.T) {
 // warm-cache steady state one pipelined batch-16 probe must cost at most 4
 // allocations end to end through the serving path (the JSON path costs 16;
 // see BenchmarkHandleConnected). In practice the frame path is
-// allocation-free once scratch is warm.
+// allocation-free once scratch is warm, for edge probes and for exact
+// vertex probes alike.
 func TestHandleFrameAllocs(t *testing.T) {
-	sch := buildScheme(t, 1024, 4, 21)
+	const n, f = 1024, 4
+	sch := buildScheme(t, n, f, 21)
 	srv := serve.New(sch, 64)
 
-	faults := []int{3, 99, 512}
 	pairs := make([][2]int, 16)
 	rng := rand.New(rand.NewSource(4))
 	for i := range pairs {
-		pairs[i] = [2]int{rng.Intn(1024), rng.Intn(1024)}
+		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 	}
-	frame := wire.AppendProbe(nil, 1, 0, faults, pairs)
-	payload := frame[5:]
-	var sc serve.FrameScratch
-	if resp, fatal := srv.HandleFrame(&sc, wire.OpProbe, payload); fatal || len(resp) == 0 {
-		t.Fatalf("warmup frame failed (fatal=%v)", fatal)
+	// A vertex whose incident edges fit the budget takes the exact path.
+	v := 0
+	for sch.Graph().Degree(v) == 0 || sch.Graph().Degree(v) > f {
+		v++
 	}
-
-	n := testing.AllocsPerRun(500, func() {
-		if _, fatal := srv.HandleFrame(&sc, wire.OpProbe, payload); fatal {
-			t.Fatal("frame rejected")
+	for _, tc := range []struct {
+		name   string
+		op     byte
+		faults []int
+	}{
+		{"probe", wire.OpProbe, []int{3, 99, 512}},
+		{"exact vprobe", wire.OpVProbe, []int{v}},
+	} {
+		payload := wire.AppendRequest(nil, tc.op, 1, 0, 0, tc.faults, pairs)[5:]
+		var sc serve.FrameScratch
+		if resp, fatal := srv.HandleFrame(&sc, tc.op, payload); fatal || len(resp) < 5 || resp[4] == wire.OpError {
+			t.Fatalf("%s: warmup frame failed (fatal=%v)", tc.name, fatal)
 		}
-	})
-	if n > 4 {
-		t.Fatalf("warm frame probe allocates %v/op, acceptance bar is 4", n)
+		var resp wire.ProbeResp
+		allocs := testing.AllocsPerRun(500, func() {
+			out, fatal := srv.HandleFrame(&sc, tc.op, payload)
+			if fatal || wire.DecodeProbeResp(out[5:], resp.Connected, &resp) != nil || resp.Approx {
+				t.Fatalf("%s: frame rejected or not exact", tc.name)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("warm %s frame allocates %v/op, acceptance bar is 4", tc.name, allocs)
+		}
+		t.Logf("warm batch-16 %s frame: %v allocs/op", tc.name, allocs)
 	}
-	t.Logf("warm batch-16 frame probe: %v allocs/op", n)
+}
+
+// TestHandleFrameDecodeErrorID: an undecodable frame is answered with the
+// ID it carries (0 when it is too short to carry one), never with the ID
+// the scratch kept from the previous frame — a client matching responses
+// FIFO would otherwise report a pipeline desync instead of the 400.
+func TestHandleFrameDecodeErrorID(t *testing.T) {
+	sch := buildScheme(t, 40, 2, 5)
+	srv := serve.New(sch, 16)
+	for _, op := range []byte{wire.OpProbe, wire.OpRoute, wire.OpVProbe} {
+		var sc serve.FrameScratch
+		valid := wire.AppendRequest(nil, op, 7777, 0, 0, []int{1}, [][2]int{{0, 1}})[5:]
+		for _, tc := range []struct {
+			name    string
+			payload []byte
+			wantID  uint64
+		}{
+			{"truncated header", wire.AppendRequest(nil, op, 42, 0, 0, nil, nil)[5 : 5+20], 42},
+			{"shorter than an ID", []byte{1, 2, 3}, 0},
+		} {
+			if resp, fatal := srv.HandleFrame(&sc, op, valid); fatal || resp[4] == wire.OpError {
+				t.Fatalf("op %#x: valid frame rejected", op)
+			}
+			resp, fatal := srv.HandleFrame(&sc, op, tc.payload)
+			if !fatal || resp[4] != wire.OpError {
+				t.Fatalf("op %#x %s: want a fatal error frame, got op %#x fatal=%v", op, tc.name, resp[4], fatal)
+			}
+			id, code, msg, err := wire.DecodeError(resp[5:])
+			if err != nil || code != wire.CodeBadRequest || id != tc.wantID {
+				t.Fatalf("op %#x %s: error frame id %d code %d (%s), want id %d code 400", op, tc.name, id, code, msg, tc.wantID)
+			}
+		}
+	}
 }

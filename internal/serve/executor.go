@@ -1,0 +1,288 @@
+package serve
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/serve/products"
+	"repro/internal/serve/wire"
+)
+
+// The query executor (DESIGN.md §3.15): both protocol surfaces decode a
+// request into one query and answer it here, so the pipeline — generation
+// pin, canonical fault set, pair validation, one cache stab, exact or
+// degraded answer, one retry on a generation race — exists once for all
+// three products. Outcomes are HTTP statuses, which the wire error codes
+// equal, so a surface only decodes and encodes.
+
+// product is one of the three query products.
+type product uint8
+
+const (
+	productProbe  product = iota // edge-fault s–t connectivity: /connected, OpProbe
+	productRoute                 // forbidden-set route plans: /route, OpRoute
+	productVProbe                // vertex-fault s–t connectivity: /vconnected, OpVProbe
+	numProducts
+)
+
+// query is one decoded request of either surface. Wire frames arrive
+// canonical with their cache key. JSON requests carry fault indices as
+// sent plus edges named by endpoint pair; every attempt canonicalizes them
+// into the executor's own buffer, never over the decoded request, because
+// a retry re-resolves the endpoints against a fresh snapshot starting from
+// the request as sent.
+type query struct {
+	product   product
+	genPin    uint64 // 0 = unpinned
+	pairs     [][2]int
+	faults    []int    // edge indices, or vertex indices for productVProbe
+	endpoints [][2]int // edge faults named by [u,v] (JSON only)
+	canonical bool     // faults is strictly ascending and key is its cache key
+	key       uint64
+}
+
+// execState is the per-request state of the executor, pooled by each
+// surface: the query, the canonicalization buffer, and the answer the
+// surface encodes.
+type execState struct {
+	q     query
+	canon []int
+
+	gen        uint64
+	hit        bool
+	approx     bool
+	faults     int     // fault count reported to the client
+	faultEdges int     // incident edges compiled for an exact vertex answer
+	out        []bool  // per pair: connected, or reachable for routes
+	paths      [][]int // per route pair: the path, nil when unreachable
+}
+
+// execute answers x.q into x and returns the outcome's HTTP status. A
+// query that races a commit can observe labels from two generations (the
+// cache entry from one, vertex labels from the next) and fails fast with
+// core.ErrStaleLabel; one retry against a fresh snapshot settles it on the
+// new generation.
+func (s *Server) execute(x *execState) (int, error) {
+	status, err := s.attempt(x)
+	if errors.Is(err, core.ErrStaleLabel) {
+		status, err = s.attempt(x)
+	}
+	return status, err
+}
+
+// attempt answers x.q against one consistent snapshot: the fault set is
+// canonicalized and hashed at most once, the cache is stabbed once, and
+// the whole batch of pairs is answered off that one compiled FaultSet.
+func (s *Server) attempt(x *execState) (int, error) {
+	q := &x.q
+	sch := s.view()
+	g := sch.Graph()
+	n := g.N()
+	x.gen = sch.Generation()
+	if q.genPin != 0 && q.genPin != x.gen {
+		return http.StatusConflict, fmt.Errorf("request pinned to generation %d, server at %d", q.genPin, x.gen)
+	}
+	canon, key := q.faults, q.key
+	if !q.canonical {
+		x.canon = append(x.canon[:0], q.faults...)
+		for _, uv := range q.endpoints {
+			e := -1
+			if uv[0] >= 0 && uv[0] < n && uv[1] >= 0 && uv[1] < n {
+				e = g.EdgeIndex(uv[0], uv[1])
+			}
+			if e < 0 {
+				return http.StatusBadRequest, fmt.Errorf("no edge (%d,%d)", uv[0], uv[1])
+			}
+			x.canon = append(x.canon, e)
+		}
+		x.canon = canonicalize(x.canon)
+		canon = x.canon
+		if q.product == productVProbe {
+			key = wire.VertexFaultKey(canon)
+		} else {
+			key = wire.FaultKey(canon)
+		}
+	}
+	for _, p := range q.pairs {
+		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+			return http.StatusBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
+		}
+	}
+
+	fs, hit, err := s.resolve(sch, q.product == productVProbe, canon, key)
+	x.hit, x.approx, x.faults, x.faultEdges = hit, false, len(canon), 0
+	x.out, x.paths = x.out[:0], x.paths[:0]
+	if errors.Is(err, core.ErrTooManyFaults) && q.product != productProbe {
+		return s.approximate(x, sch, canon)
+	}
+	if err != nil {
+		return statusOf(err, http.StatusUnprocessableEntity), err
+	}
+	if q.product == productVProbe {
+		x.faultEdges = fs.Faults()
+	} else {
+		x.faults = fs.Faults()
+	}
+	if q.product == productRoute {
+		// Plans execute through the generation's routing tables, so each
+		// returned path is the simulator's actual trajectory.
+		net := s.products.For(sch, x.gen).Net()
+		forbidden := forbiddenCanon(canon)
+		for i, p := range q.pairs {
+			plan, ok, err := fs.RoutePlan(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
+			if err != nil {
+				return statusOf(err, http.StatusInternalServerError), fmt.Errorf("pair %d: %w", i, err)
+			}
+			var path []int
+			if ok {
+				var reached bool
+				path, reached, err = net.Execute(p[0], p[1], plan, forbidden)
+				if err != nil || !reached {
+					return http.StatusInternalServerError, fmt.Errorf("pair %d: route execution failed: %v", i, err)
+				}
+			}
+			x.out = append(x.out, ok)
+			x.paths = append(x.paths, path)
+		}
+		return http.StatusOK, nil
+	}
+	for i, p := range q.pairs {
+		// A failed endpoint is disconnected from everything, including
+		// itself (the root package's VertexFaultSet semantics).
+		if q.product == productVProbe && (products.HasVertex(canon, p[0]) || products.HasVertex(canon, p[1])) {
+			x.out = append(x.out, false)
+			continue
+		}
+		ok, err := fs.Connected(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
+		if err != nil {
+			return statusOf(err, http.StatusInternalServerError), fmt.Errorf("pair %d: %w", i, err)
+		}
+		x.out = append(x.out, ok)
+	}
+	return http.StatusOK, nil
+}
+
+// approximate is the degraded mode of routes and vertex probes: a fault
+// set over the f budget is answered from the generation's spanner
+// (products package) and marked approx instead of refused.
+func (s *Server) approximate(x *execState, sch Scheme, canon []int) (int, error) {
+	view := s.products.For(sch, x.gen)
+	x.approx = true
+	if x.q.product == productVProbe {
+		out, err := view.ApproxConnectedVertices(canon, x.q.pairs, x.out)
+		if err != nil {
+			return http.StatusInternalServerError, err
+		}
+		x.out = out
+	} else {
+		for _, p := range x.q.pairs {
+			path, ok, err := view.ApproxRoute(canon, p[0], p[1])
+			if err != nil {
+				return http.StatusInternalServerError, err
+			}
+			x.out = append(x.out, ok)
+			x.paths = append(x.paths, path)
+		}
+	}
+	s.approxAnswers.Add(uint64(len(x.q.pairs)))
+	return http.StatusOK, nil
+}
+
+// resolve returns the compiled FaultSet of a canonical (sorted,
+// deduplicated) fault slice from its namespace's cache: edges, or
+// vertices through the paper §1.4 reduction (a vertex failure is the
+// failure of all its incident edges). hit reports whether the cache
+// already held the compiled set. For a fixed generation the canonical
+// indices determine the fault labels one-to-one, so a hit touches no
+// labels at all. canon is not retained (the cache copies it on insert),
+// so callers may pool it.
+//
+// Out-of-range indices and over-budget edge sets are refused before the
+// cache is touched, so invalid events never evict compiled valid ones. A
+// vertex set's size is known only once its incident edges are gathered,
+// so its ErrTooManyFaults is cached deliberately: the set is a servable
+// degraded query, and the memoized classification sends warm repeats
+// straight to the degraded path.
+func (s *Server) resolve(sch Scheme, vertices bool, canon []int, key uint64) (*core.FaultSet, bool, error) {
+	g := sch.Graph()
+	cache, kind, bound, limit := s.cache, "edge", "m", g.M()
+	if vertices {
+		cache, kind, bound, limit = s.vcache, "vertex", "n", g.N()
+	}
+	for _, v := range canon {
+		if v < 0 || v >= limit {
+			return nil, false, fmt.Errorf("fault %s index %d out of range (%s=%d)", kind, v, bound, limit)
+		}
+	}
+	// Distinct edges are distinct faults in every scheme kind, so this
+	// budget check is exact and CompileFaults would reject too.
+	budget := sch.MaxFaults()
+	if !vertices && len(canon) > budget {
+		return nil, false, fmt.Errorf("%w: %d faults, budget %d", core.ErrTooManyFaults, len(canon), budget)
+	}
+	compile := func() (*core.FaultSet, error) {
+		edges := canon
+		if vertices {
+			edges = products.VertexFaultEdges(g, canon)
+			if len(edges) > budget {
+				return nil, fmt.Errorf("%w: %d incident fault edges, budget %d", core.ErrTooManyFaults, len(edges), budget)
+			}
+		}
+		labels := make([]core.EdgeLabel, len(edges))
+		for i, e := range edges {
+			labels[i] = sch.EdgeLabelByIndex(e)
+		}
+		return core.CompileFaults(labels)
+	}
+	ent, hit := cache.get(key, canon, sch.Generation())
+	if ent == nil {
+		// Key collision with a different fault set: serve correctness over
+		// caching and compile a one-off set.
+		fs, err := compile()
+		return fs, false, err
+	}
+	ent.once.Do(func() {
+		ent.fs, ent.err = compile()
+		ent.compiled.Store(true)
+	})
+	return ent.fs, hit, ent.err
+}
+
+// statusOf maps an error from compiling or probing a fault set to its
+// HTTP status: a generation race is a conflict, an AGM whp decode failure
+// is a server-side limitation of the scheme rather than a client error,
+// and anything else takes def.
+func statusOf(err error, def int) int {
+	switch {
+	case errors.Is(err, core.ErrStaleLabel):
+		return http.StatusConflict
+	case errors.Is(err, core.ErrDecode):
+		return http.StatusInternalServerError
+	}
+	return def
+}
+
+// canonicalize sorts and deduplicates a fault slice in place — the
+// canonical form every cache key, collision check, and compile works from.
+func canonicalize(xs []int) []int {
+	sort.Ints(xs)
+	out := xs[:0]
+	for i, x := range xs {
+		if i == 0 || x != xs[i-1] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// forbiddenCanon returns the Execute-forbidden predicate over a sorted
+// canonical edge slice: one binary search per hop, no map allocation.
+func forbiddenCanon(canon []int) func(e int) bool {
+	return func(e int) bool {
+		i := sort.SearchInts(canon, e)
+		return i < len(canon) && canon[i] == e
+	}
+}

@@ -43,7 +43,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("route_plans_total", "Route-plan legs answered (both protocols, either confidence).", st.RoutePlans)
 	counter("vprobes_total", "Vertex-fault probes answered (pairs, both protocols, either confidence).", st.VProbes)
 	counter("approx_answers_total", "Degraded-mode (spanner-backed) answers across all query products.", st.ApproxAnswers)
-	counter("http_requests_total", "POST /connected requests received.", st.Requests)
+	counter("http_requests_total", "Query requests received over HTTP (POST /connected, /route, /vconnected).", st.Requests)
 	counter("bin_requests_total", "Binary-protocol frames received.", st.BinRequests)
 	counter("updates_total", "POST /update batches committed.", st.Updates)
 	counter("frame_decode_errors_total", "Binary frames rejected as malformed.", st.FrameErrors)
@@ -87,38 +87,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Per-shard cache series: hit-rate collapse or occupancy skew across
 	// shards is the first thing to look at when latency regresses after an
-	// /update storm.
-	perShard := func(name, help, typ string, get func(ShardStats) float64) {
+	// /update storm. The vertex-fault cache gets its own series (not a
+	// label on the edge cache's) so existing dashboards and scrape checks
+	// keep their shapes.
+	perShard := func(name, help, typ string, shards []ShardStats, get func(ShardStats) float64) {
 		fmt.Fprintf(&b, "# HELP %s_%s %s\n# TYPE %s_%s %s\n",
 			metricsNamespace, name, help, metricsNamespace, name, typ)
-		for i, sh := range st.CacheShards {
+		for i, sh := range shards {
 			fmt.Fprintf(&b, "%s_%s{shard=\"%d\"} %s\n",
 				metricsNamespace, name, i, strconv.FormatFloat(get(sh), 'g', -1, 64))
 		}
 	}
-	perShard("cache_hits_total", "Fault-set cache hits per shard.", "counter",
-		func(sh ShardStats) float64 { return float64(sh.Hits) })
-	perShard("cache_misses_total", "Fault-set cache misses per shard.", "counter",
-		func(sh ShardStats) float64 { return float64(sh.Misses) })
-	perShard("cache_entries", "Compiled fault sets held per shard.", "gauge",
-		func(sh ShardStats) float64 { return float64(sh.Size) })
-
-	// The vertex-fault cache gets its own series (not a label on the edge
-	// cache's) so existing dashboards and scrape checks keep their shapes.
-	perVShard := func(name, help, typ string, get func(ShardStats) float64) {
-		fmt.Fprintf(&b, "# HELP %s_%s %s\n# TYPE %s_%s %s\n",
-			metricsNamespace, name, help, metricsNamespace, name, typ)
-		for i, sh := range st.VCacheShards {
-			fmt.Fprintf(&b, "%s_%s{shard=\"%d\"} %s\n",
-				metricsNamespace, name, i, strconv.FormatFloat(get(sh), 'g', -1, 64))
-		}
-	}
-	perVShard("vcache_hits_total", "Vertex-fault-set cache hits per shard.", "counter",
-		func(sh ShardStats) float64 { return float64(sh.Hits) })
-	perVShard("vcache_misses_total", "Vertex-fault-set cache misses per shard.", "counter",
-		func(sh ShardStats) float64 { return float64(sh.Misses) })
-	perVShard("vcache_entries", "Compiled vertex-fault sets held per shard.", "gauge",
-		func(sh ShardStats) float64 { return float64(sh.Size) })
+	hits := func(sh ShardStats) float64 { return float64(sh.Hits) }
+	misses := func(sh ShardStats) float64 { return float64(sh.Misses) }
+	size := func(sh ShardStats) float64 { return float64(sh.Size) }
+	perShard("cache_hits_total", "Fault-set cache hits per shard.", "counter", st.CacheShards, hits)
+	perShard("cache_misses_total", "Fault-set cache misses per shard.", "counter", st.CacheShards, misses)
+	perShard("cache_entries", "Compiled fault sets held per shard.", "gauge", st.CacheShards, size)
+	perShard("vcache_hits_total", "Vertex-fault-set cache hits per shard.", "counter", st.VCacheShards, hits)
+	perShard("vcache_misses_total", "Vertex-fault-set cache misses per shard.", "counter", st.VCacheShards, misses)
+	perShard("vcache_entries", "Compiled vertex-fault sets held per shard.", "gauge", st.VCacheShards, size)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

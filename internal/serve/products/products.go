@@ -145,20 +145,6 @@ func (v *View) forbiddenH(sp *spanner.Spanner, faultEdges []int) []bool {
 	return blocked
 }
 
-// ApproxConnectedEdges answers s–t connectivity pairs under an over-budget
-// EDGE fault set from the spanner: BFS on H − F. Appends onto out.
-func (v *View) ApproxConnectedEdges(faultEdges []int, pairs [][2]int, out []bool) ([]bool, error) {
-	sp, err := v.Spanner()
-	if err != nil {
-		return nil, err
-	}
-	blocked := v.forbiddenH(sp, faultEdges)
-	for _, p := range pairs {
-		out = append(out, bfsConnected(sp.H, blocked, nil, p[0], p[1]))
-	}
-	return out, nil
-}
-
 // ApproxConnectedVertices answers s–t connectivity pairs under an
 // over-budget VERTEX fault set from the spanner: BFS on H minus the failed
 // vertices. canonVerts must be sorted ascending. Appends onto out.
@@ -176,7 +162,7 @@ func (v *View) ApproxConnectedVertices(canonVerts []int, pairs [][2]int, out []b
 			out = append(out, false)
 			continue
 		}
-		out = append(out, bfsConnected(sp.H, nil, dead, p[0], p[1]))
+		out = append(out, bfsConnected(sp.H, dead, p[0], p[1]))
 	}
 	return out, nil
 }
@@ -227,11 +213,10 @@ func (v *View) ApproxRoute(faultEdges []int, s, t int) ([]int, bool, error) {
 	return path, true, nil
 }
 
-// bfsConnected is plain BFS over h with blocked edges and/or dead vertices
-// (either may be nil). The degraded path allocates freely — it only runs
-// for over-budget fault sets, which are off the zero-alloc steady state by
-// definition.
-func bfsConnected(h *graph.Graph, blockedEdge []bool, dead []bool, s, t int) bool {
+// bfsConnected is plain BFS over h minus the dead vertices. The degraded
+// path allocates freely — it only runs for over-budget fault sets, which
+// are off the zero-alloc steady state by definition.
+func bfsConnected(h *graph.Graph, dead []bool, s, t int) bool {
 	if s == t {
 		return true
 	}
@@ -242,10 +227,7 @@ func bfsConnected(h *graph.Graph, blockedEdge []bool, dead []bool, s, t int) boo
 		cur := queue[0]
 		queue = queue[1:]
 		for _, half := range h.Adj(cur) {
-			if blockedEdge != nil && blockedEdge[half.Edge] {
-				continue
-			}
-			if visited[half.To] || (dead != nil && dead[half.To]) {
+			if visited[half.To] || dead[half.To] {
 				continue
 			}
 			if half.To == t {

@@ -3,29 +3,22 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/serve/products"
-	"repro/internal/serve/wire"
+	"repro/internal/faultinject"
 )
 
-// The query-product endpoints (DESIGN.md §3.15): POST /route answers
+// The JSON surface of the three query products (DESIGN.md §3.15): POST
+// /connected answers s–t probes under edge faults, POST /route answers
 // forbidden-set route plans, POST /vconnected answers s–t probes under
-// vertex faults. Both ride the serving layer's existing disciplines —
-// compile-once fault sets behind the sharded cache (the route product
-// shares the edge namespace with /connected, since a route plan lives on
-// the same compiled FaultSet; the vertex product gets its own key
-// namespace), generation stamping with the ErrStaleLabel retry-once, and
-// pooled per-request scratch.
+// vertex faults. One handler decodes each body into the executor's query
+// and encodes its answer; the pipeline itself lives in executor.go.
 //
-// Degraded mode: a fault set beyond the scheme's f budget flips the
-// answer source to the per-generation spanner view (products package) and
-// marks the response "confidence": "approx" instead of refusing with 422.
+// Degraded mode: a route or vertex fault set beyond the scheme's f budget
+// flips the answer source to the per-generation spanner view (products
+// package) and marks the response "confidence": "approx" instead of
+// refusing with 422.
 
 // Confidence markers carried by query-product responses.
 const (
@@ -85,461 +78,107 @@ type VConnectedResponse struct {
 	Generation uint64 `json:"generation"`
 }
 
-// vertexFaultSetCanonKey is the vertex-namespace twin of faultSetCanonKey:
-// resolve a canonical (sorted, deduplicated) failed-vertex slice to a
-// compiled FaultSet via the §1.4 reduction (a vertex failure is the
-// failure of all its incident edges), serving repeats from the vertex
-// cache. Over-budget sets compile to an ErrTooManyFaults entry — cached
-// deliberately, because unlike an invalid request it is a legitimate,
-// serveable query: the memoized classification routes warm repeats
-// straight to the degraded path without re-walking adjacencies.
-func (s *Server) vertexFaultSetCanonKey(sch Scheme, canon []int, key uint64) (*core.FaultSet, bool, error) {
-	g := sch.Graph()
-	n := g.N()
-	// Range-validate before touching the cache, mirroring the edge path.
-	for _, v := range canon {
-		if v < 0 || v >= n {
-			return nil, false, fmt.Errorf("fault vertex index %d out of range (n=%d)", v, n)
-		}
-	}
-	compile := func() (*core.FaultSet, error) {
-		edges := products.VertexFaultEdges(g, canon)
-		if budget := sch.MaxFaults(); len(edges) > budget {
-			return nil, fmt.Errorf("%w: %d incident fault edges, budget %d", core.ErrTooManyFaults, len(edges), budget)
-		}
-		labels := make([]core.EdgeLabel, len(edges))
-		for i, e := range edges {
-			labels[i] = sch.EdgeLabelByIndex(e)
-		}
-		return core.CompileFaults(labels)
-	}
-	ent, hit := s.vcache.get(key, canon, sch.Generation())
-	if ent == nil {
-		fs, err := compile()
-		return fs, false, err
-	}
-	ent.once.Do(func() {
-		ent.fs, ent.err = compile()
-		ent.compiled.Store(true)
-	})
-	return ent.fs, hit, ent.err
+// jsonScratch is the pooled per-request state of the JSON surface: the
+// decoded request (whose slices the JSON decoder refills in place), the
+// executor state, the response of each product, and the encode buffer.
+// Pooling these leaves the JSON decoder and net/http's own bookkeeping as
+// the warm path's only allocations (see BenchmarkHandleConnected).
+type jsonScratch struct {
+	edges ConnectedRequest // /connected and /route bodies share this shape
+	verts VConnectedRequest
+	x     execState
+
+	probe  ConnectedResponse
+	route  RouteResponse
+	legs   []RouteLeg
+	vprobe VConnectedResponse
+	enc    bytes.Buffer
 }
 
-// forbiddenCanon returns the Execute-forbidden predicate over a sorted
-// canonical edge slice: one binary search per hop, no map allocation.
-func forbiddenCanon(canon []int) func(e int) bool {
-	return func(e int) bool {
-		i := sort.SearchInts(canon, e)
-		return i < len(canon) && canon[i] == e
-	}
-}
-
-// routeScratch is the pooled per-request state of the /route pipeline,
-// mirroring probeScratch.
-type routeScratch struct {
-	req   RouteRequest
-	resp  RouteResponse
-	canon []int
-	legs  []RouteLeg
-	enc   bytes.Buffer
-}
-
-var routeScratchPool = sync.Pool{New: func() any { return &routeScratch{} }}
-
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if !s.admitHTTP(w) {
-		return
-	}
-	defer s.releaseHTTP()
-	sc := routeScratchPool.Get().(*routeScratch)
-	defer routeScratchPool.Put(sc)
-	sc.req.Faults = sc.req.Faults[:0]
-	sc.req.FaultEdges = sc.req.FaultEdges[:0]
-	sc.req.Pairs = sc.req.Pairs[:0]
-	sc.req.Generation = 0
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc.req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	for attempt := 0; ; attempt++ {
-		status, err := s.routeOnce(sc)
-		if err != nil && errors.Is(err, core.ErrStaleLabel) && attempt == 0 {
-			continue
-		}
-		if err != nil {
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-			return
-		}
-		s.routePlans.Add(uint64(len(sc.req.Pairs)))
-		writeJSONBuf(w, http.StatusOK, &sc.resp, &sc.enc)
-		return
-	}
-}
-
-// routeOnce answers one batch of route queries against one consistent
-// snapshot into sc.resp. Exact mode plans on the cached FaultSet (edge
-// namespace, shared with /connected) and executes each plan through the
-// per-generation routing tables; the response path is the simulator's
-// actual trajectory. Over-budget forbidden sets take the degraded path.
-func (s *Server) routeOnce(sc *routeScratch) (int, error) {
-	req := &sc.req
-	sch := s.view()
-	g := sch.Graph()
-	n := g.N()
-	if req.Generation != 0 && req.Generation != sch.Generation() {
-		return http.StatusConflict, fmt.Errorf("request pinned to generation %d, server at %d (edge indices may have shifted)",
-			req.Generation, sch.Generation())
-	}
-	sc.canon = append(sc.canon[:0], req.FaultEdges...)
-	for _, uv := range req.Faults {
-		e := -1
-		if uv[0] >= 0 && uv[0] < n && uv[1] >= 0 && uv[1] < n {
-			e = g.EdgeIndex(uv[0], uv[1])
-		}
-		if e < 0 {
-			return http.StatusBadRequest, fmt.Errorf("no edge (%d,%d)", uv[0], uv[1])
-		}
-		sc.canon = append(sc.canon, e)
-	}
-	for _, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return http.StatusBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
-		}
-	}
-	sc.canon = canonicalize(sc.canon)
-	m := g.M()
-	for _, e := range sc.canon {
-		if e < 0 || e >= m {
-			return http.StatusUnprocessableEntity, fmt.Errorf("fault edge index %d out of range (m=%d)", e, m)
-		}
-	}
-	view := s.products.For(sch, sch.Generation())
-	sc.legs = sc.legs[:0]
-	if len(sc.canon) > sch.MaxFaults() {
-		// Degraded mode: plan on the spanner instead of refusing.
-		for _, p := range req.Pairs {
-			path, ok, err := view.ApproxRoute(sc.canon, p[0], p[1])
-			if err != nil {
-				return http.StatusInternalServerError, err
-			}
-			sc.legs = append(sc.legs, RouteLeg{Reachable: ok, Path: path})
-		}
-		s.approxAnswers.Add(uint64(len(req.Pairs)))
-		sc.resp = RouteResponse{
-			Routes:     sc.legs,
-			Faults:     len(sc.canon),
-			CacheHit:   false,
-			Confidence: ConfidenceApprox,
-			Generation: sch.Generation(),
-		}
-		return http.StatusOK, nil
-	}
-	fs, hit, err := s.faultSetCanon(sch, sc.canon)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, core.ErrDecode) {
-			status = http.StatusInternalServerError
-		}
-		if errors.Is(err, core.ErrStaleLabel) {
-			status = http.StatusConflict
-		}
-		return status, err
-	}
-	net := view.Net()
-	forbidden := forbiddenCanon(sc.canon)
-	for i, p := range req.Pairs {
-		plan, ok, err := fs.RoutePlan(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, core.ErrStaleLabel) {
-				status = http.StatusConflict
-			}
-			return status, fmt.Errorf("pair %d: %w", i, err)
-		}
-		if !ok {
-			sc.legs = append(sc.legs, RouteLeg{})
-			continue
-		}
-		path, reached, err := net.Execute(p[0], p[1], plan, forbidden)
-		if err != nil || !reached {
-			return http.StatusInternalServerError, fmt.Errorf("pair %d: route execution failed: %v", i, err)
-		}
-		sc.legs = append(sc.legs, RouteLeg{Reachable: true, Path: path})
-	}
-	sc.resp = RouteResponse{
-		Routes:     sc.legs,
-		Faults:     fs.Faults(),
-		CacheHit:   hit,
-		Confidence: ConfidenceExact,
-		Generation: sch.Generation(),
-	}
-	return http.StatusOK, nil
-}
-
-// vprobeScratch is the pooled per-request state of the /vconnected
-// pipeline.
-type vprobeScratch struct {
-	req   VConnectedRequest
-	resp  VConnectedResponse
-	canon []int
-	out   []bool
-	enc   bytes.Buffer
-}
-
-var vprobeScratchPool = sync.Pool{New: func() any {
-	return &vprobeScratch{out: make([]bool, 0, 16)}
+// The answer slice starts non-nil so an empty connectivity batch encodes
+// as [], not null.
+var jsonScratchPool = sync.Pool{New: func() any {
+	return &jsonScratch{x: execState{out: make([]bool, 0, 16)}}
 }}
 
-func (s *Server) handleVConnected(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if !s.admitHTTP(w) {
-		return
-	}
-	defer s.releaseHTTP()
-	sc := vprobeScratchPool.Get().(*vprobeScratch)
-	defer vprobeScratchPool.Put(sc)
-	sc.req.FaultVertices = sc.req.FaultVertices[:0]
-	sc.req.Pairs = sc.req.Pairs[:0]
-	sc.req.Generation = 0
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc.req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	for attempt := 0; ; attempt++ {
-		status, err := s.vprobeOnce(sc)
-		if err != nil && errors.Is(err, core.ErrStaleLabel) && attempt == 0 {
-			continue
+// handleQuery returns the JSON handler of one query product: admit,
+// decode, execute, encode.
+func (s *Server) handleQuery(p product) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.requests.Add(1)
+		if !s.admitHTTP(w) {
+			return
 		}
-		if err != nil {
+		defer s.releaseHTTP()
+		// Failpoint "serve.probe": slow (or fail) the admitted query while
+		// it holds its admission slot — how overload tests occupy the gate.
+		if err := faultinject.Fire("serve.probe"); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			return
+		}
+		sc := jsonScratchPool.Get().(*jsonScratch)
+		defer jsonScratchPool.Put(sc)
+		if err := sc.decode(p, w, r); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+			return
+		}
+		if status, err := s.execute(&sc.x); err != nil {
 			writeJSON(w, status, errorResponse{Error: err.Error()})
 			return
 		}
-		s.vprobes.Add(uint64(len(sc.req.Pairs)))
-		writeJSONBuf(w, http.StatusOK, &sc.resp, &sc.enc)
-		return
+		s.answered[p].Add(uint64(len(sc.x.q.pairs)))
+		writeJSONBuf(w, http.StatusOK, sc.response(), &sc.enc)
 	}
 }
 
-// vprobeOnce answers one batch vertex-fault probe against one consistent
-// snapshot into sc.resp: one vertex-cache stab, then either the compiled
-// exact path (failed-endpoint check + FaultSet probes) or the degraded
-// spanner path when the incident edge set exceeds the budget.
-func (s *Server) vprobeOnce(sc *vprobeScratch) (int, error) {
-	req := &sc.req
-	sch := s.view()
-	n := sch.Graph().N()
-	if req.Generation != 0 && req.Generation != sch.Generation() {
-		return http.StatusConflict, fmt.Errorf("request pinned to generation %d, server at %d",
-			req.Generation, sch.Generation())
+// decode reads a request body of product p into the scratch and points
+// the executor's query at it.
+func (sc *jsonScratch) decode(p product, w http.ResponseWriter, r *http.Request) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if p == productVProbe {
+		v := &sc.verts
+		v.FaultVertices, v.Pairs, v.Generation = v.FaultVertices[:0], v.Pairs[:0], 0
+		err := dec.Decode(v)
+		sc.x.q = query{product: p, genPin: v.Generation, pairs: v.Pairs, faults: v.FaultVertices}
+		return err
 	}
-	for _, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return http.StatusBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
-		}
+	e := &sc.edges
+	e.Faults, e.FaultEdges, e.Pairs, e.Generation = e.Faults[:0], e.FaultEdges[:0], e.Pairs[:0], 0
+	var dst any = e
+	if p == productRoute {
+		// Same shape; decoding through the product's own type keeps its
+		// name in decode errors.
+		dst = (*RouteRequest)(e)
 	}
-	sc.canon = canonicalize(append(sc.canon[:0], req.FaultVertices...))
-	fs, hit, err := s.vertexFaultSetCanonKey(sch, sc.canon, wire.VertexFaultKey(sc.canon))
-	if err != nil {
-		if errors.Is(err, core.ErrTooManyFaults) {
-			// Degraded mode: answer from the spanner with the failed
-			// vertices deleted, marked approx.
-			view := s.products.For(sch, sch.Generation())
-			out, aerr := view.ApproxConnectedVertices(sc.canon, req.Pairs, sc.out[:0])
-			if aerr != nil {
-				return http.StatusInternalServerError, aerr
-			}
-			sc.out = out
-			s.approxAnswers.Add(uint64(len(req.Pairs)))
-			sc.resp = VConnectedResponse{
-				Connected:  sc.out,
-				Faults:     len(sc.canon),
-				CacheHit:   hit,
-				Confidence: ConfidenceApprox,
-				Generation: sch.Generation(),
-			}
-			return http.StatusOK, nil
-		}
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, core.ErrDecode) {
-			status = http.StatusInternalServerError
-		}
-		if errors.Is(err, core.ErrStaleLabel) {
-			status = http.StatusConflict
-		}
-		return status, err
-	}
-	sc.out = sc.out[:0]
-	for i, p := range req.Pairs {
-		// A failed endpoint is disconnected from everything, including
-		// itself (matching the root package's VertexFaultSet semantics).
-		if products.HasVertex(sc.canon, p[0]) || products.HasVertex(sc.canon, p[1]) {
-			sc.out = append(sc.out, false)
-			continue
-		}
-		ok, err := fs.Connected(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, core.ErrStaleLabel) {
-				status = http.StatusConflict
-			}
-			return status, fmt.Errorf("pair %d: %w", i, err)
-		}
-		sc.out = append(sc.out, ok)
-	}
-	sc.resp = VConnectedResponse{
-		Connected:  sc.out,
-		Faults:     len(sc.canon),
-		FaultEdges: fs.Faults(),
-		CacheHit:   hit,
-		Confidence: ConfidenceExact,
-		Generation: sch.Generation(),
-	}
-	return http.StatusOK, nil
+	err := dec.Decode(dst)
+	sc.x.q = query{product: p, genPin: e.Generation, pairs: e.Pairs, faults: e.FaultEdges, endpoints: e.Faults}
+	return err
 }
 
-// routeFrameOnce is routeOnce for the binary surface: the forbidden set
-// arrived canonical with the edge-namespace key precomputed
-// (wire.DecodeRoute). The response is size-checked against the frame cap
-// — route paths, unlike bitmaps, can outgrow it on huge graphs, in which
-// case the client is pointed at the HTTP surface.
-func (s *Server) routeFrameOnce(sc *FrameScratch) (uint16, error) {
-	sch := s.view()
-	g := sch.Graph()
-	n := g.N()
-	if sc.req.GenPin != 0 && sc.req.GenPin != sch.Generation() {
-		return wire.CodeConflict, fmt.Errorf("request pinned to generation %d, server at %d (edge indices may have shifted)",
-			sc.req.GenPin, sch.Generation())
+// response fills the executed query's JSON response from pooled scratch.
+func (sc *jsonScratch) response() any {
+	x := &sc.x
+	confidence := ConfidenceExact
+	if x.approx {
+		confidence = ConfidenceApprox
 	}
-	for _, p := range sc.req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return wire.CodeBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
+	switch x.q.product {
+	case productRoute:
+		sc.legs = sc.legs[:0]
+		for i, ok := range x.out {
+			sc.legs = append(sc.legs, RouteLeg{Reachable: ok, Path: x.paths[i]})
 		}
+		sc.route = RouteResponse{
+			Routes: sc.legs, Faults: x.faults, CacheHit: x.hit, Confidence: confidence, Generation: x.gen,
+		}
+		return &sc.route
+	case productVProbe:
+		sc.vprobe = VConnectedResponse{
+			Connected: x.out, Faults: x.faults, FaultEdges: x.faultEdges, CacheHit: x.hit, Confidence: confidence, Generation: x.gen,
+		}
+		return &sc.vprobe
 	}
-	m := g.M()
-	for _, e := range sc.req.Faults {
-		if e >= m {
-			return wire.CodeUnprocessable, fmt.Errorf("fault edge index %d out of range (m=%d)", e, m)
-		}
-	}
-	view := s.products.For(sch, sch.Generation())
-	sc.reach = sc.reach[:0]
-	sc.paths = sc.paths[:0]
-	approx := len(sc.req.Faults) > sch.MaxFaults()
-	hit := false
-	faults := len(sc.req.Faults)
-	if approx {
-		for _, p := range sc.req.Pairs {
-			path, ok, err := view.ApproxRoute(sc.req.Faults, p[0], p[1])
-			if err != nil {
-				return wire.CodeInternal, err
-			}
-			sc.reach = append(sc.reach, ok)
-			sc.paths = append(sc.paths, path)
-		}
-		s.approxAnswers.Add(uint64(len(sc.req.Pairs)))
-	} else {
-		fs, cacheHit, err := s.faultSetCanonKey(sch, sc.req.Faults, sc.req.Key)
-		if err != nil {
-			code := wire.CodeUnprocessable
-			if errors.Is(err, core.ErrDecode) {
-				code = wire.CodeInternal
-			}
-			if errors.Is(err, core.ErrStaleLabel) {
-				code = wire.CodeConflict
-			}
-			return code, err
-		}
-		hit = cacheHit
-		faults = fs.Faults()
-		net := view.Net()
-		forbidden := forbiddenCanon(sc.req.Faults)
-		for i, p := range sc.req.Pairs {
-			plan, ok, err := fs.RoutePlan(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
-			if err != nil {
-				code := wire.CodeInternal
-				if errors.Is(err, core.ErrStaleLabel) {
-					code = wire.CodeConflict
-				}
-				return code, fmt.Errorf("pair %d: %w", i, err)
-			}
-			if !ok {
-				sc.reach = append(sc.reach, false)
-				sc.paths = append(sc.paths, nil)
-				continue
-			}
-			path, reached, err := net.Execute(p[0], p[1], plan, forbidden)
-			if err != nil || !reached {
-				return wire.CodeInternal, fmt.Errorf("pair %d: route execution failed: %v", i, err)
-			}
-			sc.reach = append(sc.reach, true)
-			sc.paths = append(sc.paths, path)
-		}
-	}
-	if wire.RouteRespSize(sc.paths) > wire.MaxFrameBytes {
-		return wire.CodeUnprocessable, errors.New("route response exceeds the binary frame cap; use the HTTP surface")
-	}
-	sc.resp = wire.AppendRouteResp(sc.resp[:0], sc.req.ID, hit, approx, sch.Generation(), faults, sc.reach, sc.paths)
-	return 0, nil
-}
-
-// vprobeFrameOnce is vprobeOnce for the binary surface: the failed
-// vertices arrived canonical with the vertex-namespace key precomputed
-// (wire.DecodeVProbe).
-func (s *Server) vprobeFrameOnce(sc *FrameScratch) (uint16, error) {
-	sch := s.view()
-	n := sch.Graph().N()
-	if sc.req.GenPin != 0 && sc.req.GenPin != sch.Generation() {
-		return wire.CodeConflict, fmt.Errorf("request pinned to generation %d, server at %d",
-			sc.req.GenPin, sch.Generation())
-	}
-	for _, p := range sc.req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return wire.CodeBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
-		}
-	}
-	fs, hit, err := s.vertexFaultSetCanonKey(sch, sc.req.Faults, sc.req.Key)
-	if err != nil {
-		if errors.Is(err, core.ErrTooManyFaults) {
-			view := s.products.For(sch, sch.Generation())
-			out, aerr := view.ApproxConnectedVertices(sc.req.Faults, sc.req.Pairs, sc.out[:0])
-			if aerr != nil {
-				return wire.CodeInternal, aerr
-			}
-			sc.out = out
-			s.approxAnswers.Add(uint64(len(sc.req.Pairs)))
-			sc.resp = wire.AppendVProbeResp(sc.resp[:0], sc.req.ID, hit, true, sch.Generation(), len(sc.req.Faults), sc.out)
-			return 0, nil
-		}
-		code := wire.CodeUnprocessable
-		if errors.Is(err, core.ErrDecode) {
-			code = wire.CodeInternal
-		}
-		if errors.Is(err, core.ErrStaleLabel) {
-			code = wire.CodeConflict
-		}
-		return code, err
-	}
-	sc.out = sc.out[:0]
-	for i, p := range sc.req.Pairs {
-		if products.HasVertex(sc.req.Faults, p[0]) || products.HasVertex(sc.req.Faults, p[1]) {
-			sc.out = append(sc.out, false)
-			continue
-		}
-		ok, err := fs.Connected(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
-		if err != nil {
-			code := wire.CodeInternal
-			if errors.Is(err, core.ErrStaleLabel) {
-				code = wire.CodeConflict
-			}
-			return code, fmt.Errorf("pair %d: %w", i, err)
-		}
-		sc.out = append(sc.out, ok)
-	}
-	sc.resp = wire.AppendVProbeResp(sc.resp[:0], sc.req.ID, hit, false, sch.Generation(), len(sc.req.Faults), sc.out)
-	return 0, nil
+	sc.probe = ConnectedResponse{Connected: x.out, Faults: x.faults, CacheHit: x.hit, Generation: x.gen}
+	return &sc.probe
 }

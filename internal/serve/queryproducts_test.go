@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -389,6 +390,84 @@ func TestMetricsQueryProducts(t *testing.T) {
 	} {
 		if !strings.Contains(body, series) {
 			t.Fatalf("metrics missing %q", series)
+		}
+	}
+}
+
+// TestQueryErrorCodesBothSurfaces pins the error contract of the one
+// executor: for every product on both surfaces the same failure yields the
+// same HTTP status and wire code, and an over-budget fault set is refused
+// by edge probes but answered approx by routes and vertex probes.
+func TestQueryErrorCodesBothSurfaces(t *testing.T) {
+	const n, f = 60, 2
+	sch := buildScheme(t, n, f, 3)
+	g := sch.Graph()
+	srv := serve.New(sch, 16)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl, err := wireclient.Dial(binListener(t, srv), wireclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	hub := 0
+	for v := 0; v < n; v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	if g.Degree(hub) <= f {
+		t.Fatalf("test graph: max degree %d not over budget %d", g.Degree(hub), f)
+	}
+	valid := [][2]int{{0, 1}}
+	for _, tc := range []struct {
+		name         string
+		edges, verts []int
+		pairs        [][2]int
+		pin          uint64
+		want         [3]int // probe, route, vprobe; 200 is an approx answer
+	}{
+		{"pair out of range", nil, nil, [][2]int{{0, n}}, 0, [3]int{400, 400, 400}},
+		{"fault index out of range", []int{g.M()}, []int{n}, valid, 0, [3]int{422, 422, 422}},
+		{"generation pin mismatch", nil, nil, valid, sch.Generation() + 7, [3]int{409, 409, 409}},
+		{"over budget", []int{0, 1, 2}, []int{hub}, valid, 0, [3]int{422, 200, 200}},
+	} {
+		for p, name := range []string{"probe", "route", "vprobe"} {
+			var status int
+			var httpApprox, wireApprox bool
+			var werr error
+			switch name {
+			case "probe":
+				var out serve.ConnectedResponse
+				status = postProduct(t, ts.URL+"/connected", serve.ConnectedRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
+				_, _, _, werr = cl.ProbeInto(tc.edges, tc.pairs, nil, tc.pin)
+			case "route":
+				var out serve.RouteResponse
+				status = postProduct(t, ts.URL+"/route", serve.RouteRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
+				httpApprox = out.Confidence == serve.ConfidenceApprox
+				var rresp wire.RouteResp
+				werr = cl.Route(tc.edges, tc.pairs, &rresp, tc.pin)
+				wireApprox = rresp.Approx
+			case "vprobe":
+				var out serve.VConnectedResponse
+				status = postProduct(t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: tc.verts, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
+				httpApprox = out.Confidence == serve.ConfidenceApprox
+				_, _, wireApprox, _, werr = cl.VProbeInto(tc.verts, tc.pairs, nil, tc.pin)
+			}
+			code := http.StatusOK
+			if werr != nil {
+				var se *wireclient.ServerError
+				if !errors.As(werr, &se) {
+					t.Fatalf("%s %s: wire transport failure: %v", name, tc.name, werr)
+				}
+				code = int(se.Code)
+			}
+			if want := tc.want[p]; status != want || code != want {
+				t.Errorf("%s %s: HTTP %d, wire %d, want both %d", name, tc.name, status, code, want)
+			} else if want == http.StatusOK && (!httpApprox || !wireApprox) {
+				t.Errorf("%s %s: answer not marked approx (HTTP %v, wire %v)", name, tc.name, httpApprox, wireApprox)
+			}
 		}
 	}
 }

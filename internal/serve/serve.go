@@ -5,9 +5,10 @@
 // re-compiling the fault labels per request (the "one failure event, many
 // probes" deployment pattern of §7), and so that concurrent probes of
 // different events scale with cores instead of funneling through one
-// global mutex (shardedCache). The request pipeline canonicalizes and
-// hashes each request body exactly once into pooled scratch and answers
-// the whole batch per cache stab (probeScratch).
+// global mutex (shardedCache). Both protocol surfaces and all three query
+// products share one executor (executor.go), which canonicalizes and
+// hashes each request body at most once into pooled scratch and answers
+// the whole batch per cache stab.
 //
 // A server can also be generation-aware: opened over a mutable network
 // (ftc.Network) it additionally serves POST /update, committing a batch of
@@ -32,7 +33,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +42,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/serve/genlog"
 	"repro/internal/serve/products"
+	"repro/internal/serve/wire"
 )
 
 // Scheme is the read-side surface the server needs: label access plus the
@@ -139,14 +140,12 @@ type Server struct {
 	// generation order.
 	updMu sync.Mutex
 
-	probes   atomic.Uint64
 	requests atomic.Uint64
 	updates  atomic.Uint64
 
-	// Per-product counters: route legs and vertex-fault pairs answered
-	// (either mode), and degraded-mode pairs across both products.
-	routePlans    atomic.Uint64
-	vprobes       atomic.Uint64
+	// Per-product counters: pairs answered by each product (either mode,
+	// both surfaces), and degraded-mode pairs across all products.
+	answered      [numProducts]atomic.Uint64
 	approxAnswers atomic.Uint64
 
 	// Replication surface: the generation log this (primary) server
@@ -362,83 +361,13 @@ func (s *Server) ApplyReplicatedCommit(rep *core.CommitReport) (evicted, rebased
 // FaultSet resolves the given fault edge indices against the current
 // snapshot to a compiled FaultSet, serving it from the cache when the same
 // failure event was compiled before at the same generation. The cache key
-// is a hash of the canonical (sorted, deduplicated) fault edge indices —
-// for a fixed generation these determine the fault labels one-to-one, so
+// is a hash of the canonical (sorted, deduplicated) fault edge indices, so
 // any client-side ordering or duplication of one failure event maps to one
-// entry, and a cache hit touches no labels at all. The hit flag reports
-// whether the cache already held the compiled set.
+// entry. The hit flag reports whether the cache already held the compiled
+// set.
 func (s *Server) FaultSet(faultEdges []int) (*core.FaultSet, bool, error) {
-	return s.faultSetFor(s.view(), faultEdges)
-}
-
-// faultSetFor is FaultSet against one explicit snapshot, so a probe
-// resolves fault labels and vertex labels from the same generation.
-func (s *Server) faultSetFor(sch Scheme, faultEdges []int) (*core.FaultSet, bool, error) {
-	return s.faultSetCanon(sch, canonicalize(append([]int(nil), faultEdges...)))
-}
-
-// canonicalize sorts and deduplicates a fault-edge slice in place — the
-// canonical form every cache key, collision check, and compile works from.
-func canonicalize(edges []int) []int {
-	sort.Ints(edges)
-	return dedupeSorted(edges)
-}
-
-// faultSetCanon resolves an already-canonicalized fault-edge slice: the
-// request pipeline canonicalizes (and hashes) each request body exactly
-// once into pooled scratch, then answers the whole batch off this one
-// cache stab. canon is not retained — the cache copies it on insert — so
-// callers may pool it.
-func (s *Server) faultSetCanon(sch Scheme, canon []int) (*core.FaultSet, bool, error) {
-	return s.faultSetCanonKey(sch, canon, cacheKey(canon))
-}
-
-// faultSetCanonKey is faultSetCanon with the cache key precomputed — the
-// binary protocol hashes the canonical fault edges while decoding the
-// frame (wire.DecodeProbe), so the serving path never hashes twice.
-func (s *Server) faultSetCanonKey(sch Scheme, canon []int, key uint64) (*core.FaultSet, bool, error) {
-	m := sch.Graph().M()
-	// Validate before touching the cache: invalid events must not insert
-	// permanently-erroring entries that evict compiled valid fault sets.
-	for _, e := range canon {
-		if e < 0 || e >= m {
-			return nil, false, fmt.Errorf("fault edge index %d out of range (m=%d)", e, m)
-		}
-	}
-	// Distinct edges are distinct faults in every scheme kind, so the
-	// budget check is exact here and CompileFaults would reject too.
-	if budget := sch.MaxFaults(); len(canon) > budget {
-		return nil, false, fmt.Errorf("%w: %d faults, budget %d", core.ErrTooManyFaults, len(canon), budget)
-	}
-	compile := func() (*core.FaultSet, error) {
-		labels := make([]core.EdgeLabel, len(canon))
-		for i, e := range canon {
-			labels[i] = sch.EdgeLabelByIndex(e)
-		}
-		return core.CompileFaults(labels)
-	}
-	ent, hit := s.cache.get(key, canon, sch.Generation())
-	if ent == nil {
-		// Key collision with a different fault set: serve correctness over
-		// caching and compile a one-off set.
-		fs, err := compile()
-		return fs, false, err
-	}
-	ent.once.Do(func() {
-		ent.fs, ent.err = compile()
-		ent.compiled.Store(true)
-	})
-	return ent.fs, hit, ent.err
-}
-
-func dedupeSorted(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	canon := canonicalize(append([]int(nil), faultEdges...))
+	return s.resolve(s.view(), false, canon, wire.FaultKey(canon))
 }
 
 // ConnectedRequest is the wire form of a POST /connected batch probe: one
@@ -503,9 +432,9 @@ const maxRequestBytes = 1 << 20
 //	GET  /metrics    — the same counters in Prometheus text format
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /connected", s.handleConnected)
-	mux.HandleFunc("POST /route", s.handleRoute)
-	mux.HandleFunc("POST /vconnected", s.handleVConnected)
+	mux.HandleFunc("POST /connected", s.handleQuery(productProbe))
+	mux.HandleFunc("POST /route", s.handleQuery(productRoute))
+	mux.HandleFunc("POST /vconnected", s.handleQuery(productVProbe))
 	if s.upd != nil {
 		mux.HandleFunc("POST /update", s.handleUpdate)
 	}
@@ -572,132 +501,6 @@ func (s *Server) abortSnapshotStream(w http.ResponseWriter, gen uint64, err erro
 		}
 	}
 	panic(http.ErrAbortHandler)
-}
-
-// probeScratch is the pooled per-request state of the /connected pipeline:
-// the decoded request (whose slices the JSON decoder refills in place), the
-// canonical fault slice reused across the batch, the answer slice, and the
-// response-encoding buffer. Pooling these drops the steady-state probe path
-// from one allocation per field per request to near-zero — the remaining
-// allocations are the JSON decoder itself and net/http's own bookkeeping
-// (see BenchmarkHandleConnected).
-type probeScratch struct {
-	req   ConnectedRequest
-	resp  ConnectedResponse
-	canon []int
-	out   []bool
-	enc   bytes.Buffer // encoded response bytes
-}
-
-var probeScratchPool = sync.Pool{New: func() any {
-	return &probeScratch{out: make([]bool, 0, 16)}
-}}
-
-func (s *Server) handleConnected(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if !s.admitHTTP(w) {
-		return
-	}
-	defer s.releaseHTTP()
-	// Failpoint "serve.probe": slow (or fail) the admitted probe while it
-	// holds its admission slot — how overload tests occupy the gate.
-	if err := faultinject.Fire("serve.probe"); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	sc := probeScratchPool.Get().(*probeScratch)
-	defer probeScratchPool.Put(sc)
-	sc.req.Faults = sc.req.Faults[:0]
-	sc.req.FaultEdges = sc.req.FaultEdges[:0]
-	sc.req.Pairs = sc.req.Pairs[:0]
-	sc.req.Generation = 0
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc.req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return
-	}
-	// A probe that races a commit can observe labels from two generations
-	// (the cache entry from one, vertex labels from the next) and fails
-	// fast with ErrStaleLabel; one retry against a fresh snapshot settles
-	// it on the new generation.
-	for attempt := 0; ; attempt++ {
-		status, err := s.probeOnce(sc)
-		if err != nil && errors.Is(err, core.ErrStaleLabel) && attempt == 0 {
-			continue
-		}
-		if err != nil {
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-			return
-		}
-		s.probes.Add(uint64(len(sc.req.Pairs)))
-		writeJSONBuf(w, http.StatusOK, &sc.resp, &sc.enc)
-		return
-	}
-}
-
-// probeOnce answers one batch probe against one consistent snapshot into
-// sc.resp: the request body is canonicalized and hashed exactly once, the
-// cache is stabbed exactly once, and the whole batch of pairs is answered
-// against that one compiled FaultSet over the pooled answer slice.
-func (s *Server) probeOnce(sc *probeScratch) (int, error) {
-	req := &sc.req
-	sch := s.view()
-	g := sch.Graph()
-	n := g.N()
-	if req.Generation != 0 && req.Generation != sch.Generation() {
-		return http.StatusConflict, fmt.Errorf("request pinned to generation %d, server at %d (edge indices may have shifted)",
-			req.Generation, sch.Generation())
-	}
-	sc.canon = append(sc.canon[:0], req.FaultEdges...)
-	for _, uv := range req.Faults {
-		e := -1
-		if uv[0] >= 0 && uv[0] < n && uv[1] >= 0 && uv[1] < n {
-			e = g.EdgeIndex(uv[0], uv[1])
-		}
-		if e < 0 {
-			return http.StatusBadRequest, fmt.Errorf("no edge (%d,%d)", uv[0], uv[1])
-		}
-		sc.canon = append(sc.canon, e)
-	}
-	for _, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			return http.StatusBadRequest, fmt.Errorf("vertex pair (%d,%d) out of range (n=%d)", p[0], p[1], n)
-		}
-	}
-	sc.canon = canonicalize(sc.canon)
-	fs, hit, err := s.faultSetCanon(sch, sc.canon)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, core.ErrDecode) {
-			// AGM whp decode failure: a server-side limitation of the
-			// scheme, not a client error.
-			status = http.StatusInternalServerError
-		}
-		if errors.Is(err, core.ErrStaleLabel) {
-			status = http.StatusConflict
-		}
-		return status, err
-	}
-	sc.out = sc.out[:0]
-	for i, p := range req.Pairs {
-		ok, err := fs.Connected(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
-		if err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(err, core.ErrStaleLabel) {
-				status = http.StatusConflict
-			}
-			return status, fmt.Errorf("pair %d: %w", i, err)
-		}
-		sc.out = append(sc.out, ok)
-	}
-	sc.resp = ConnectedResponse{
-		Connected:  sc.out,
-		Faults:     fs.Faults(),
-		CacheHit:   hit,
-		Generation: sch.Generation(),
-	}
-	return http.StatusOK, nil
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -895,7 +698,7 @@ func (s *Server) Stats() Stats {
 		BinConns:      s.binConns.Load(),
 		BinInflight:   s.binInflight.Load(),
 		FrameErrors:   s.frameErrors.Load(),
-		Probes:        s.probes.Load(),
+		Probes:        s.answered[productProbe].Load(),
 		Updates:       s.updates.Load(),
 		Commits:       s.commits.Load(),
 		LogAppended:   s.logAppended.Load(),
@@ -913,8 +716,8 @@ func (s *Server) Stats() Stats {
 		CacheCapacity: capacity,
 		CacheShards:   per,
 
-		RoutePlans:     s.routePlans.Load(),
-		VProbes:        s.vprobes.Load(),
+		RoutePlans:     s.answered[productRoute].Load(),
+		VProbes:        s.answered[productVProbe].Load(),
 		ApproxAnswers:  s.approxAnswers.Load(),
 		VCacheHits:     vhits,
 		VCacheMisses:   vmisses,

@@ -300,6 +300,25 @@ func AppendVProbe(b []byte, id, genPin uint64, vertices []int, pairs [][2]int) [
 	return AppendRequest(b, OpVProbe, id, genPin, 0, vertices, pairs)
 }
 
+// PeekRequest reads a request frame's ID and deadline budget without a
+// full decode, so a shed or decode-error response still correlates FIFO
+// with its request and an expired frame is shed before any per-frame
+// work. id is 0 when the payload is shorter than 8 bytes; budgetMS is 0
+// when the payload is too short to carry it or op is not one of the
+// probe-layout request opcodes (OpProbe, OpRoute, OpVProbe).
+func PeekRequest(op byte, payload []byte) (id uint64, budgetMS uint32) {
+	if len(payload) >= 8 {
+		id = binary.LittleEndian.Uint64(payload)
+	}
+	switch op {
+	case OpProbe, OpRoute, OpVProbe:
+		if len(payload) >= probeFixedLen {
+			budgetMS = binary.LittleEndian.Uint32(payload[24:])
+		}
+	}
+	return id, budgetMS
+}
+
 // decodeProbeLike decodes a probe-layout payload into req, hashing the
 // fault indices incrementally from seed (the cache-key namespace).
 func decodeProbeLike(payload []byte, req *ProbeReq, seed uint64) error {

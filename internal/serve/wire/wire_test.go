@@ -358,6 +358,7 @@ func FuzzWireFrame(f *testing.F) {
 	// seeds for each.
 	f.Add(AppendRoute(nil, 2, 1, []int{0, 3}, [][2]int{{1, 2}}))
 	f.Add(AppendVProbe(nil, 3, 0, []int{4}, [][2]int{{0, 5}, {6, 6}}))
+	f.Add(AppendRequest(nil, OpRoute, 6, 0, 250, []int{1}, [][2]int{{0, 1}}))
 	f.Add(AppendVProbeResp(nil, 4, false, true, 3, 1, []bool{false, true}))
 	routeResp := AppendRouteResp(nil, 5, true, false, 2, 1, []bool{true, false}, [][]int{{0, 1, 2}, nil})
 	f.Add(routeResp)
@@ -379,21 +380,31 @@ func FuzzWireFrame(f *testing.F) {
 			if len(payload) > MaxFrameBytes {
 				t.Fatalf("payload of %d bytes escaped MaxFrameBytes", len(payload))
 			}
+			// The peek must agree with every successful decode: shed and
+			// decode-error frames answer with the peeked ID and budget.
+			peekAgrees := func() {
+				if id, budget := PeekRequest(op, payload); id != req.ID || budget != req.BudgetMS {
+					t.Fatalf("peek (%d, %d) disagrees with decode (%d, %d)", id, budget, req.ID, req.BudgetMS)
+				}
+			}
 			switch op {
 			case OpProbe:
 				if err := DecodeProbe(payload, &req); err == nil {
+					peekAgrees()
 					if FaultKey(req.Faults) != req.Key {
 						t.Fatalf("incremental key mismatch for %v", req.Faults)
 					}
 				}
 			case OpRoute:
 				if err := DecodeRoute(payload, &req); err == nil {
+					peekAgrees()
 					if FaultKey(req.Faults) != req.Key {
 						t.Fatalf("route key mismatch for %v", req.Faults)
 					}
 				}
 			case OpVProbe:
 				if err := DecodeVProbe(payload, &req); err == nil {
+					peekAgrees()
 					if VertexFaultKey(req.Faults) != req.Key {
 						t.Fatalf("vertex key mismatch for %v", req.Faults)
 					}

@@ -1,6 +1,7 @@
 package wireclient
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	ftc "repro"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
@@ -253,5 +255,30 @@ func TestBackoffResetAfterRecovery(t *testing.T) {
 	}
 	if d := time.Since(start); d > 150*time.Millisecond {
 		t.Fatalf("first redial after recovery took %v; backoff was not reset by the completed exchange", d)
+	}
+}
+
+// TestCallOnDrainedConnectionFails: a call enqueued after the reader
+// drained the FIFO and exited — the connection died between pick and the
+// enqueue — must fail instead of waiting forever for a handoff.
+func TestCallOnDrainedConnectionFails(t *testing.T) {
+	c, peer := net.Pipe()
+	peer.Close()
+	cn := &conn{c: c, bw: bufio.NewWriter(c), pending: make(chan *call, 4), dead: make(chan struct{})}
+	cn.fail(errors.New("severed")) // no reader runs: it already drained and exited
+	for i := 0; i < 100; i++ {
+		ca := &call{done: make(chan struct{}, 1)}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if err := cn.roundTrip(ca, wire.OpProbe, 0, 0, [][2]int{{0, 1}}); err == nil && ca.err == nil {
+				t.Error("call on a dead connection succeeded")
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("call %d on a drained connection never completed", i)
+		}
 	}
 }

@@ -499,6 +499,17 @@ func (cl *Client) exchange(op byte, faults []int, pairs [][2]int, out []bool, ro
 	}
 	ca.canon = ca.canon[:w]
 
+	if err := cn.roundTrip(ca, op, genPin, budgetMS, pairs); err != nil {
+		putCall(ca)
+		return nil, err
+	}
+	return ca, nil
+}
+
+// roundTrip frames ca, enqueues it, writes it, and waits for the reader's
+// handoff. It returns the connection's failure when the call never made
+// it into the FIFO.
+func (cn *conn) roundTrip(ca *call, op byte, genPin uint64, budgetMS uint32, pairs [][2]int) error {
 	cn.wmu.Lock()
 	cn.nextID++
 	ca.id = cn.nextID
@@ -510,9 +521,7 @@ func (cl *Client) exchange(op byte, faults []int, pairs [][2]int, out []bool, ro
 	case cn.pending <- ca:
 	case <-cn.dead:
 		cn.wmu.Unlock()
-		err := cn.failure()
-		putCall(ca)
-		return nil, err
+		return cn.failure()
 	}
 	_, werr := cn.bw.Write(ca.frame)
 	if werr == nil {
@@ -522,9 +531,17 @@ func (cl *Client) exchange(op byte, faults []int, pairs [][2]int, out []bool, ro
 	if werr != nil {
 		cn.fail(werr)
 	}
-
+	// The reader drains the FIFO once, as it exits. When the connection
+	// died between pick and the enqueue above, select may still have taken
+	// the enqueue branch after that drain: drain again, or the call would
+	// wait forever.
+	select {
+	case <-cn.dead:
+		cn.drainPending()
+	default:
+	}
 	<-ca.done
-	return ca, nil
+	return nil
 }
 
 // failure returns the connection's terminal error.
