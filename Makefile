@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-build bench-query bench-serve bench-update bench-load bench-load-full chaos fuzz clean
+.PHONY: build test vet bench bench-build bench-query bench-update chaos fuzz clean
 
 build:
 	$(GO) build ./...
@@ -23,27 +23,10 @@ bench-build:
 bench-query:
 	$(GO) run ./cmd/ftcbench query -json
 
-# Serving path (snapshot load + ftcserve handler, LRU cold vs warm) +
-# BENCH_serve.json (E16).
-bench-serve:
-	$(GO) run ./cmd/ftcbench serve -json
-
-# Dynamic-network update path (incremental Commit vs full rebuild, plus the
-# served POST /update smoke) + BENCH_update.json (E17).
+# Dynamic-network update path (incremental Commit vs full rebuild) +
+# BENCH_update.json (E17).
 bench-update:
 	$(GO) run ./cmd/ftcbench update -json
-
-# Closed-loop serving load in smoke mode, both protocol surfaces (E18 cache
-# grid + E19 json-vs-bin protocol grid) — seconds, suitable for CI and quick
-# local sanity. Writes a smoke-sized BENCH_load.json; use bench-load-full to
-# regenerate the checked-in one.
-bench-load:
-	$(GO) run ./cmd/ftcbench load -smoke -proto both -json
-
-# The full E18+E19 load run that regenerates the checked-in BENCH_load.json
-# (1M warm ops, 10k requests per protocol cell; minutes, not seconds).
-bench-load-full:
-	$(GO) run ./cmd/ftcbench load -proto both -json
 
 # Chaos drill (E22): seeded fault injection over the full serving tier —
 # conn resets, snapshot failures, a replica kill/restart — with every

@@ -40,7 +40,7 @@ import (
 
 // chaosSeed drives the whole schedule: workload, fault points, kill
 // timing. CI runs two fixed seeds.
-var chaosSeed int64 = 1
+var chaosSeed int64
 
 func chaosFatalf(format string, a ...any) {
 	fmt.Fprintf(os.Stderr, "ftcbench: chaos: "+format+"\n", a...)
@@ -527,7 +527,7 @@ func chaosBench() {
 		TimeToReadmitMs: timeToReadmit.Milliseconds(),
 		TornWriteRecs:   tornRecs,
 	}
-	mergeBenchServe(func(doc map[string]json.RawMessage) {
+	mergeBenchJSON("BENCH_serve.json", func(doc map[string]json.RawMessage) {
 		raw, err := json.Marshal(rec)
 		if err != nil {
 			chaosFatalf("marshal chaos record: %v", err)

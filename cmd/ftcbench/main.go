@@ -12,25 +12,14 @@
 //	ftcbench routing    — E9: Corollary 2 delivery, stretch, table sizes
 //	ftcbench congest    — E10: Theorem 3 round counts vs √m·D + f²
 //	ftcbench hierarchy  — E11/E12: ε-net and hierarchy quality
+//	ftcbench ablation   — the threshold-multiplier and AGM-repetition sweeps
 //	ftcbench build      — E14: construction hot-path grid (kind × n × f)
-//	ftcbench serve      — E16: HTTP serving path (snapshot load + ftcserve
-//	                      handler + fault-set LRU, cold vs warm)
 //	ftcbench update     — E17: dynamic network updates (incremental commit
-//	                      vs full rebuild, plus the /update HTTP path)
-//	ftcbench load       — E18: closed-loop serving load (concurrent-client
-//	                      probe QPS and latency, single-lock vs sharded
-//	                      cache; v2-eager vs v3-lazy snapshot load)
-//	                      + E19: the protocol grid (JSON HTTP vs the binary
-//	                      frame protocol, pipelined, at 1/4/16 clients, with
-//	                      allocs/op and a mutex-wait contention proxy)
-//	ftcbench replicate  — E20: the replicated tier (generation-log shipping
-//	                      to tailing replicas, kill/restart catch-up from
-//	                      the log alone, hedged-front p99 vs a straggler)
+//	                      vs full rebuild)
 //	ftcbench chaos      — E22: deterministic fault injection over the full
 //	                      tier (conn resets, snapshot failures, a replica
 //	                      kill/restart) with every answer verified against
-//	                      a per-generation oracle; -seed=N picks the
-//	                      schedule, -smoke shrinks it for CI
+//	                      a per-generation oracle
 //	ftcbench binsmoke   — CI gate: drive a live ftcserve's binary listener
 //	                      (FTCSERVE_HTTP / FTCSERVE_BIN env) with pipelined
 //	                      probes and verify the /metrics counters moved
@@ -38,14 +27,20 @@
 //	                      fleet (FTC_FRONT_REPLICAS env, comma-separated bin
 //	                      addresses) and cross-check answers against the
 //	                      primary's JSON surface (FTCSERVE_HTTP)
-//	ftcbench all        — everything above
+//	ftcbench all        — the measurement sections, table1 through update
+//	                      (the default)
 //
-// The -json flag makes the build section additionally write BENCH_build.json
-// (one record per grid cell, plus the recorded pre-overhaul baselines), the
-// query section write BENCH_query.json (the probe-path grid), the serve
-// section write BENCH_serve.json, and the load section write
-// BENCH_load.json: the machine-readable perf trajectories tracked PR over
-// PR. -smoke shrinks the load grid so CI can run it in seconds.
+// The serving tier (both protocol surfaces, the fault-set cache,
+// replication, hedging) is measured by the repository benchmark instead:
+// `bash perfbench/run.sh` (see BENCHMARK.json).
+//
+// Flags may come before or after the section name:
+//
+//	-json    also write the section's record: BENCH_build.json (build),
+//	         BENCH_query.json (query), BENCH_update.json (update), or the
+//	         chaos_seedN key of BENCH_serve.json (chaos)
+//	-smoke   shrink the chaos schedule so CI can run it in seconds
+//	-seed N  the chaos schedule's seed (default 1)
 //
 // All randomness is seeded; output is deterministic modulo wall-clock
 // timings.
@@ -53,22 +48,18 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"runtime"
-	"runtime/metrics"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
-	"testing"
 	"time"
 
 	ftc "repro"
@@ -83,112 +74,94 @@ import (
 	"repro/internal/routing"
 	"repro/internal/serve"
 	"repro/internal/serve/front"
-	"repro/internal/serve/genlog"
 	"repro/internal/serve/wire"
 	"repro/internal/serve/wireclient"
 	"repro/internal/workload"
 )
 
-func main() {
-	which := "all"
-	args := os.Args[1:]
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		if arg == "-json" || arg == "--json" {
-			jsonOut = true
-			continue
-		}
-		if arg == "-smoke" || arg == "--smoke" {
-			smokeMode = true
-			continue
-		}
-		if v, ok := strings.CutPrefix(arg, "-proto="); ok {
-			protoMode = v
-			continue
-		}
-		if v, ok := strings.CutPrefix(arg, "--proto="); ok {
-			protoMode = v
-			continue
-		}
-		if (arg == "-proto" || arg == "--proto") && i+1 < len(args) {
-			i++
-			protoMode = args[i]
-			continue
-		}
-		if v, ok := strings.CutPrefix(arg, "-product="); ok {
-			productMode = v
-			continue
-		}
-		if v, ok := strings.CutPrefix(arg, "--product="); ok {
-			productMode = v
-			continue
-		}
-		if (arg == "-product" || arg == "--product") && i+1 < len(args) {
-			i++
-			productMode = args[i]
-			continue
-		}
-		if v, ok := strings.CutPrefix(arg, "-seed="); ok {
-			fmt.Sscanf(v, "%d", &chaosSeed)
-			continue
-		}
-		if v, ok := strings.CutPrefix(arg, "--seed="); ok {
-			fmt.Sscanf(v, "%d", &chaosSeed)
-			continue
-		}
-		which = arg
-	}
-	if protoMode != "json" && protoMode != "bin" && protoMode != "both" {
-		fmt.Fprintf(os.Stderr, "ftcbench: -proto must be json, bin, or both (got %q)\n", protoMode)
-		os.Exit(2)
-	}
-	if productMode != "" && productMode != "route" && productMode != "vertex" && productMode != "edge" {
-		fmt.Fprintf(os.Stderr, "ftcbench: -product must be route, vertex, or edge (got %q)\n", productMode)
-		os.Exit(2)
-	}
-	sections := map[string]func(){
-		"table1":     table1,
-		"labelsize":  labelSize,
-		"query":      queryTime,
-		"construct":  constructTime,
-		"support":    support,
-		"distance":   distance,
-		"routing":    routingBench,
-		"congest":    congestBench,
-		"hierarchy":  hierarchyBench,
-		"ablation":   ablation,
-		"build":      buildGrid,
-		"serve":      serveBench,
-		"update":     updateBench,
-		"load":       loadBench,
-		"binsmoke":   binSmoke,
-		"frontsmoke": frontSmoke,
-		"replicate":  replicateBench,
-		"chaos":      chaosBench,
-	}
-	if which == "all" {
-		for _, name := range []string{"table1", "labelsize", "query", "construct", "support", "distance", "routing", "congest", "hierarchy", "ablation", "build", "serve", "update", "load"} {
-			sections[name]()
-			fmt.Println()
-		}
-		return
-	}
-	fn, ok := sections[which]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "usage: ftcbench [-json] [-smoke] [-seed=N] [-proto json|bin|both] [table1|labelsize|query|construct|support|distance|routing|congest|hierarchy|build|serve|update|load|binsmoke|frontsmoke|replicate|chaos|all]\n")
-		os.Exit(2)
-	}
-	fn()
+// sections maps each section name to its runner.
+var sections = map[string]func(){
+	"table1":     table1,
+	"labelsize":  labelSize,
+	"query":      queryTime,
+	"construct":  constructTime,
+	"support":    support,
+	"distance":   distance,
+	"routing":    routingBench,
+	"congest":    congestBench,
+	"hierarchy":  hierarchyBench,
+	"ablation":   ablation,
+	"build":      buildGrid,
+	"update":     updateBench,
+	"binsmoke":   binSmoke,
+	"frontsmoke": frontSmoke,
+	"chaos":      chaosBench,
 }
 
-// jsonOut makes the build section write BENCH_build.json.
+// allSections is what `ftcbench all` runs, in order.
+var allSections = []string{"table1", "labelsize", "query", "construct", "support", "distance", "routing", "congest", "hierarchy", "ablation", "build", "update"}
+
+func main() {
+	section, opts, err := parseArgs(os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ftcbench: %v\n%s\n", err, usage())
+		os.Exit(2)
+	}
+	jsonOut, smokeMode, chaosSeed = opts.json, opts.smoke, opts.seed
+	if section != "all" {
+		sections[section]()
+		return
+	}
+	for _, name := range allSections {
+		sections[name]()
+		fmt.Println()
+	}
+}
+
+// options are the flags every section shares.
+type options struct {
+	json, smoke bool
+	seed        int64
+}
+
+// parseArgs reads the flags and the optional section name (default
+// "all"). Flags may come before or after the section, so both
+// `ftcbench -json build` and `ftcbench chaos -smoke -seed 2` work.
+func parseArgs(args []string) (string, options, error) {
+	var opts options
+	fs := flag.NewFlagSet("ftcbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.BoolVar(&opts.json, "json", false, "also write the section's BENCH_*.json record")
+	fs.BoolVar(&opts.smoke, "smoke", false, "shrink the chaos schedule for CI")
+	fs.Int64Var(&opts.seed, "seed", 1, "chaos schedule seed")
+	if err := fs.Parse(args); err != nil {
+		return "", opts, err
+	}
+	section := "all"
+	if fs.NArg() > 0 {
+		section = fs.Arg(0)
+		if err := fs.Parse(fs.Args()[1:]); err != nil {
+			return "", opts, err
+		}
+		if fs.NArg() > 0 {
+			return "", opts, fmt.Errorf("unexpected argument %q after section %q", fs.Arg(0), section)
+		}
+	}
+	if _, ok := sections[section]; !ok && section != "all" {
+		return "", opts, fmt.Errorf("unknown section %q", section)
+	}
+	return section, opts, nil
+}
+
+func usage() string {
+	return "usage: ftcbench [-json] [-smoke] [-seed N] [" + strings.Join(slices.Sorted(maps.Keys(sections)), "|") + "|all]"
+}
+
+// jsonOut makes a section also write its BENCH_*.json record.
 var jsonOut bool
 
-// smokeMode shrinks the load section's grid so CI can run it in seconds.
+// smokeMode shrinks the chaos schedule so CI can run it in seconds.
 var smokeMode bool
-
-// protoMode restricts the load section's protocol grid: json, bin, or both.
-var protoMode = "both"
 
 // ---------------------------------------------------------------- table1
 
@@ -339,10 +312,6 @@ func labelSize() {
 // ------------------------------------------------------------- queryTime
 
 func queryTime() {
-	if productMode != "" {
-		productBench(productMode)
-		return
-	}
 	fmt.Println("E5 / Theorem 1 + E13 / Appendix B — query time vs |F|")
 	const n, f = 400, 8
 	rng := rand.New(rand.NewSource(11))
@@ -510,20 +479,7 @@ func probeGrid() {
 			"compare like-for-like runs.",
 		Results: records,
 	}
-	// Merge rather than overwrite: `ftcbench query -product ...` owns the
-	// sibling "products" key in the same file.
-	mergeBenchJSON("BENCH_query.json", func(out map[string]json.RawMessage) {
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: marshal BENCH_query.json: %v\n", err)
-			os.Exit(1)
-		}
-		var top map[string]json.RawMessage
-		_ = json.Unmarshal(raw, &top)
-		for k, v := range top {
-			out[k] = v
-		}
-	})
+	writeBenchJSON("BENCH_query.json", doc)
 }
 
 // ----------------------------------------------------------- constructTime
@@ -960,730 +916,10 @@ func buildGrid() {
 		Baseline: buildBaselines,
 		Results:  records,
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: marshal BENCH_build.json: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("BENCH_build.json", data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: write BENCH_build.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("   wrote BENCH_build.json")
+	writeBenchJSON("BENCH_build.json", doc)
 }
 
-// ----------------------------------------------------------------- serve
-
-// serveRecord is one cell of the serving-path grid (E16): the full fleet
-// pipeline — build, snapshot, load, then batched HTTP probes against the
-// ftcserve handler — with the fault-set LRU cold vs warm.
-type serveRecord struct {
-	Scheme        string  `json:"scheme"`
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	F             int     `json:"f"`
-	SnapshotBytes int     `json:"snapshot_bytes"`
-	LoadNs        int64   `json:"load_ns"`
-	Events        int     `json:"events"`
-	Batch         int     `json:"batch"`
-	WarmRequests  int     `json:"warm_requests"`
-	ColdNsPerReq  int64   `json:"cold_ns_per_req"`
-	WarmNsPerReq  int64   `json:"warm_ns_per_req"`
-	WarmQPS       float64 `json:"warm_qps"`
-	CacheHits     uint64  `json:"cache_hits"`
-	CacheMisses   uint64  `json:"cache_misses"`
-}
-
-// serveBench measures the serving daemon end to end (E16) and, with -json,
-// writes BENCH_serve.json for PR-over-PR tracking. Cold requests are the
-// first probe of each failure event (LRU miss: compile + closure); warm
-// requests replay the same events round-robin and ride the cached
-// FaultSets' zero-alloc probe path.
-func serveBench() {
-	const (
-		f        = 3
-		events   = 16
-		batch    = 16
-		warmReqs = 400
-	)
-	fmt.Println("E16 — serving path: ftcserve handler, fault-set LRU cold vs warm (batched HTTP probes)")
-	fmt.Printf("   %-12s %6s %6s %3s %10s %10s %12s %12s %10s %10s\n",
-		"scheme", "n", "m", "f", "snapshot", "load", "cold/req", "warm/req", "warm qps", "hit rate")
-	var records []serveRecord
-	for _, n := range []int{256, 1024} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := workload.ErdosRenyi(n, 8/float64(n), true, rng)
-		sch, err := ftc.NewFromGraph(g, ftc.WithMaxFaults(f))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: serve build n=%d: %v\n", n, err)
-			os.Exit(1)
-		}
-		var snap bytes.Buffer
-		if err := sch.Save(&snap); err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: serve snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		// LoadBytes is the daemon's load path (ftcserve reads the file and
-		// hands the buffer over zero-copy): with the v3 lazy arena this is
-		// O(1) in label bytes.
-		t0 := time.Now()
-		loaded, err := ftc.LoadBytes(snap.Bytes())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: serve load: %v\n", err)
-			os.Exit(1)
-		}
-		loadDur := time.Since(t0)
-
-		srv := serve.New(loaded, events)
-		ts := httptest.NewServer(srv.Handler())
-		faultSets := make([][]int, events)
-		erng := rand.New(rand.NewSource(int64(n) + 1))
-		for i := range faultSets {
-			faultSets[i] = workload.TreeEdgeFaults(g, loaded.Inner().Forest, 1+erng.Intn(f), erng)
-		}
-		post := func(ev int) {
-			req := serve.ConnectedRequest{FaultEdges: faultSets[ev]}
-			for q := 0; q < batch; q++ {
-				req.Pairs = append(req.Pairs, [2]int{erng.Intn(n), erng.Intn(n)})
-			}
-			body, err := json.Marshal(req)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ftcbench: serve request: %v\n", err)
-				os.Exit(1)
-			}
-			resp, err := http.Post(ts.URL+"/connected", "application/json", bytes.NewReader(body))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ftcbench: serve post: %v\n", err)
-				os.Exit(1)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				fmt.Fprintf(os.Stderr, "ftcbench: serve post: status %d\n", resp.StatusCode)
-				os.Exit(1)
-			}
-		}
-		t1 := time.Now()
-		for ev := range faultSets {
-			post(ev)
-		}
-		cold := time.Since(t1) / events
-		t2 := time.Now()
-		for i := 0; i < warmReqs; i++ {
-			post(i % events)
-		}
-		warmTotal := time.Since(t2)
-		warm := warmTotal / warmReqs
-		ts.Close()
-
-		st := srv.Stats()
-		rec := serveRecord{
-			Scheme:        "det-netfind",
-			N:             n,
-			M:             g.M(),
-			F:             f,
-			SnapshotBytes: snap.Len(),
-			LoadNs:        loadDur.Nanoseconds(),
-			Events:        events,
-			Batch:         batch,
-			WarmRequests:  warmReqs,
-			ColdNsPerReq:  cold.Nanoseconds(),
-			WarmNsPerReq:  warm.Nanoseconds(),
-			WarmQPS:       float64(warmReqs) / warmTotal.Seconds(),
-			CacheHits:     st.CacheHits,
-			CacheMisses:   st.CacheMisses,
-		}
-		records = append(records, rec)
-		fmt.Printf("   %-12s %6d %6d %3d %9dB %10s %12s %12s %10.0f %9.2f%%\n",
-			rec.Scheme, rec.N, rec.M, rec.F, rec.SnapshotBytes, round(loadDur),
-			round(cold), round(warm), rec.WarmQPS,
-			100*float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses))
-	}
-	fmt.Println("   (cold = first probe of each failure event: LRU miss, CompileFaults + closure;")
-	fmt.Println("    warm = same events replayed: cached FaultSet, zero-alloc probe path)")
-	if !jsonOut {
-		return
-	}
-	doc := struct {
-		Benchmark string        `json:"benchmark"`
-		Note      string        `json:"note"`
-		Results   []serveRecord `json:"results"`
-	}{
-		Benchmark: "serve.Server (ftcserve handler)",
-		Note: "End-to-end serving path: build → Save → Load → batched POST /connected against " +
-			"the ftcserve handler over HTTP. cold_ns_per_req is the first probe of each failure " +
-			"event (fault-set LRU miss: compile + closure); warm_ns_per_req replays the same " +
-			"events against cached FaultSets. Regenerated by `ftcbench serve -json`. Wall times " +
-			"on shared hardware are noisy — compare like-for-like runs.",
-		Results: records,
-	}
-	mergeBenchServe(func(out map[string]json.RawMessage) {
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: marshal BENCH_serve.json: %v\n", err)
-			os.Exit(1)
-		}
-		var top map[string]json.RawMessage
-		_ = json.Unmarshal(raw, &top)
-		for k, v := range top {
-			out[k] = v
-		}
-	})
-}
-
-// mergeBenchServe read-modify-writes BENCH_serve.json as a generic JSON
-// object, so sections that own different top-level keys (serve → results,
-// replicate → replication) never clobber each other's data.
-func mergeBenchServe(update func(doc map[string]json.RawMessage)) {
-	mergeBenchJSON("BENCH_serve.json", update)
-}
-
-// ------------------------------------------------------------------- load
-
-// loadCacheCell is one cell of the serving-load grid (E18): one cache
-// variant at one client count, closed-loop.
-type loadCacheCell struct {
-	Cache        string  `json:"cache"`
-	Shards       int     `json:"shards"`
-	Clients      int     `json:"clients"`
-	WarmOps      int     `json:"warm_ops"`
-	WarmQPS      float64 `json:"warm_probe_qps"`
-	WarmP50Ns    int64   `json:"warm_p50_ns"`
-	WarmP99Ns    int64   `json:"warm_p99_ns"`
-	WarmMutexNs  int64   `json:"warm_mutex_wait_ns"`
-	ColdEvents   int     `json:"cold_events"`
-	ColdQPS      float64 `json:"cold_probe_qps"`
-	HTTPRequests int     `json:"http_requests"`
-	HTTPBatch    int     `json:"http_batch"`
-	HTTPQPS      float64 `json:"http_qps"`
-	HTTPP50Ns    int64   `json:"http_p50_ns"`
-	HTTPP99Ns    int64   `json:"http_p99_ns"`
-}
-
-// loadProtoCell is one cell of the protocol grid (E19): one protocol
-// surface at one client count, batch-16 probes against the same warm
-// sharded server end to end over loopback TCP.
-type loadProtoCell struct {
-	Proto    string  `json:"proto"`
-	Clients  int     `json:"clients"`
-	Conns    int     `json:"conns,omitempty"`    // bin: pipelined connections
-	Inflight int     `json:"inflight,omitempty"` // bin: in-flight bound per connection
-	Requests int     `json:"requests"`
-	Batch    int     `json:"batch"`
-	QPS      float64 `json:"qps"`
-	P50Ns    int64   `json:"p50_ns"`
-	P99Ns    int64   `json:"p99_ns"`
-}
-
-// loadProtoSpeedup is one bin-vs-json summary row of the protocol grid.
-type loadProtoSpeedup struct {
-	Clients int     `json:"clients"`
-	JSONQPS float64 `json:"json_qps"`
-	BinQPS  float64 `json:"bin_qps"`
-	Speedup float64 `json:"bin_vs_json_speedup"`
-}
-
-// loadShardSpeedup is one sharded-vs-single-lock summary row — emitted
-// only on multicore hosts, where the comparison measures contention.
-type loadShardSpeedup struct {
-	Clients   int     `json:"clients"`
-	SingleQPS float64 `json:"single_lock_qps"`
-	ShardQPS  float64 `json:"sharded_qps"`
-	Speedup   float64 `json:"sharded_vs_single_speedup"`
-}
-
-// loadContentionRow is the single-CPU stand-in for loadShardSpeedup: with
-// one core goroutines never truly contend, so instead of an unmeasurable
-// speedup the benchmark reports how long the process spent blocked on
-// mutexes during each cache variant's 16-client warm run.
-type loadContentionRow struct {
-	Cache       string `json:"cache"`
-	Clients     int    `json:"clients"`
-	MutexWaitNs int64  `json:"mutex_wait_ns"`
-}
-
-// loadSnapshotRecord compares v2 (eager) against v3 (lazy arena) snapshot
-// loading of the same scheme.
-type loadSnapshotRecord struct {
-	N              int     `json:"n"`
-	M              int     `json:"m"`
-	F              int     `json:"f"`
-	V2Bytes        int     `json:"v2_bytes"`
-	V3Bytes        int     `json:"v3_bytes"`
-	V2LoadNs       int64   `json:"v2_load_ns"`
-	V3LoadNs       int64   `json:"v3_load_ns"`
-	Speedup        float64 `json:"load_speedup_v3_vs_v2"`
-	LabelsVerified bool    `json:"labels_verified_lazily_equal"`
-}
-
-// loadBench is the closed-loop serving load generator (E18): concurrent
-// clients drive the serve layer's probe path (fault-set resolution through
-// the cache plus a connectivity probe) and the full HTTP handler, warm and
-// cold, against the historical single-lock cache and the sharded cache, at
-// 1/4/16 clients; plus the snapshot-load comparison (v2 eager vs v3 lazy
-// arena). With -json it writes BENCH_load.json.
-//
-// The probe-path op is one Server.FaultSet resolution (canonicalize, hash,
-// cache stab) plus one FaultSet.Connected probe; warm cells first compile
-// AND close every event (the first probe of a component pays the §7.6
-// closure, ~ms — leaving it inside the timed region would measure compile
-// churn, not the cache). Cold cells measure exactly that first-touch cost:
-// every op is a distinct never-seen event.
-func loadBench() {
-	n, events, cacheCap, newShards := 1024, 256, 1024, 64
-	warmOps, httpReqs := 1_000_000, 10_000
-	snapN := 4096
-	if smokeMode {
-		n, events, cacheCap, newShards = 256, 64, 256, 16
-		warmOps, httpReqs = 100_000, 2_000
-		snapN = 1024
-	}
-	const f = 3
-	const httpBatch = 16
-	fmt.Printf("E18 — serving load: closed-loop probe QPS, old vs new cache (det-netfind n=%d f=%d, %d events)\n", n, f, events)
-
-	rng := rand.New(rand.NewSource(int64(n)))
-	g := workload.ErdosRenyi(n, 8/float64(n), true, rng)
-	sch, err := ftc.NewFromGraph(g, ftc.WithMaxFaults(f))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: load build: %v\n", err)
-		os.Exit(1)
-	}
-	labels := make([]ftc.VertexLabel, n)
-	for i := range labels {
-		labels[i] = sch.VertexLabel(i)
-	}
-	erng := rand.New(rand.NewSource(int64(n) + 1))
-	faultSets := make([][]int, events)
-	for i := range faultSets {
-		faultSets[i] = workload.TreeEdgeFaults(g, sch.Inner().Forest, 1+erng.Intn(f), erng)
-	}
-	// The same per-event batch drives both protocol surfaces: JSON bodies
-	// for HTTP, (faults, pairs) for the frame client — identical probes, so
-	// the E19 grid compares serialization, not workload.
-	bodies := make([][]byte, events)
-	pairsPerEvent := make([][][2]int, events)
-	for i, fe := range faultSets {
-		req := serve.ConnectedRequest{FaultEdges: fe}
-		for q := 0; q < httpBatch; q++ {
-			req.Pairs = append(req.Pairs, [2]int{erng.Intn(n), erng.Intn(n)})
-		}
-		pairsPerEvent[i] = req.Pairs
-		if bodies[i], err = json.Marshal(req); err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: load request: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	fmt.Printf("   %-12s %8s %10s %10s %10s %10s %10s %10s %10s\n",
-		"cache", "clients", "warm qps", "warm p50", "warm p99", "cold qps", "http qps", "http p50", "http p99")
-	var cells []loadCacheCell
-	for _, variant := range []struct {
-		name   string
-		shards int
-	}{
-		{"single-lock", 1},
-		{fmt.Sprintf("sharded-%d", newShards), newShards},
-	} {
-		for _, clients := range []int{1, 4, 16} {
-			cell := loadCacheCell{
-				Cache: variant.name, Shards: variant.shards, Clients: clients,
-				WarmOps: warmOps, ColdEvents: events,
-				HTTPRequests: httpReqs, HTTPBatch: httpBatch,
-			}
-
-			// Warm: every event compiled and closed before the clock starts.
-			srv := serve.NewWithShards(sch, cacheCap, variant.shards)
-			for _, fe := range faultSets {
-				fs, _, err := srv.FaultSet(fe)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: load warmup: %v\n", err)
-					os.Exit(1)
-				}
-				for q := 0; q < 32; q++ {
-					if _, err := fs.Connected(labels[(q*31)%n], labels[(q*17+5)%n]); err != nil {
-						fmt.Fprintf(os.Stderr, "ftcbench: load warmup probe: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			var lat [][]int64
-			mutexBefore := mutexWaitNs()
-			cell.WarmQPS, lat = closedLoop(clients, warmOps, func(client, i int, prng *rand.Rand) {
-				fs, _, err := srv.FaultSet(faultSets[prng.Intn(events)])
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: load probe: %v\n", err)
-					os.Exit(1)
-				}
-				if _, err := fs.Connected(labels[prng.Intn(n)], labels[prng.Intn(n)]); err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: load probe: %v\n", err)
-					os.Exit(1)
-				}
-			})
-			cell.WarmMutexNs = mutexWaitNs() - mutexBefore
-			cell.WarmP50Ns, cell.WarmP99Ns = latPercentiles(lat)
-
-			// Cold: a fresh cache; every op is the first touch of a distinct
-			// event (compile + closure), clients draining disjoint slices.
-			cold := serve.NewWithShards(sch, cacheCap, variant.shards)
-			per := events / clients
-			coldQPS, _ := closedLoop(clients, per*clients, func(client, i int, _ *rand.Rand) {
-				fe := faultSets[client*per+i]
-				fs, _, err := cold.FaultSet(fe)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: load cold: %v\n", err)
-					os.Exit(1)
-				}
-				if _, err := fs.Connected(labels[3], labels[11%n]); err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: load cold probe: %v\n", err)
-					os.Exit(1)
-				}
-			})
-			cell.ColdQPS = coldQPS
-
-			// HTTP: the full handler end to end over loopback TCP, warm.
-			ts := httptest.NewServer(srv.Handler())
-			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients * 2}}
-			cell.HTTPQPS, lat = closedLoop(clients, httpReqs, func(c, i int, prng *rand.Rand) {
-				resp, err := client.Post(ts.URL+"/connected", "application/json",
-					bytes.NewReader(bodies[prng.Intn(events)]))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: load http: %v\n", err)
-					os.Exit(1)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					fmt.Fprintf(os.Stderr, "ftcbench: load http: status %d\n", resp.StatusCode)
-					os.Exit(1)
-				}
-			})
-			cell.HTTPP50Ns, cell.HTTPP99Ns = latPercentiles(lat)
-			ts.Close()
-			client.CloseIdleConnections()
-
-			cells = append(cells, cell)
-			fmt.Printf("   %-12s %8d %10.0f %10s %10s %10.0f %10.0f %10s %10s\n",
-				cell.Cache, cell.Clients, cell.WarmQPS,
-				round(time.Duration(cell.WarmP50Ns)), round(time.Duration(cell.WarmP99Ns)),
-				cell.ColdQPS, cell.HTTPQPS,
-				round(time.Duration(cell.HTTPP50Ns)), round(time.Duration(cell.HTTPP99Ns)))
-		}
-	}
-	// The sharded-vs-single comparison only measures what it claims to —
-	// lock contention — when goroutines actually run in parallel. On a
-	// single-CPU host the numbers would be noise presented as a speedup, so
-	// the benchmark refuses to emit them and reports the mutex-wait
-	// contention proxy instead (how long the warm runs actually sat blocked
-	// on locks).
-	var shardRows []loadShardSpeedup
-	var contentionRows []loadContentionRow
-	if runtime.NumCPU() >= 2 {
-		for _, clients := range []int{1, 4, 16} {
-			row := loadShardSpeedup{Clients: clients}
-			for _, c := range cells {
-				if c.Clients == clients {
-					if c.Shards == 1 {
-						row.SingleQPS = c.WarmQPS
-					} else {
-						row.ShardQPS = c.WarmQPS
-					}
-				}
-			}
-			row.Speedup = row.ShardQPS / row.SingleQPS
-			shardRows = append(shardRows, row)
-			fmt.Printf("   warm speedup at %2d clients: %.2fx (sharded vs single-lock)\n", clients, row.Speedup)
-		}
-	} else {
-		for _, c := range cells {
-			if c.Clients == 16 {
-				contentionRows = append(contentionRows, loadContentionRow{
-					Cache: c.Cache, Clients: c.Clients, MutexWaitNs: c.WarmMutexNs,
-				})
-				fmt.Printf("   contention proxy (%s, 16 clients): %s mutex wait over %d warm ops\n",
-					c.Cache, round(time.Duration(c.WarmMutexNs)), c.WarmOps)
-			}
-		}
-		fmt.Printf("   (single CPU: goroutines serialize, the global mutex never truly contends, and a\n")
-		fmt.Println("    sharded-vs-single speedup would be noise — reporting mutex-wait instead)")
-	}
-
-	protoCells, protoSpeedups, jsonAllocs, binAllocs := protocolGrid(sch, faultSets, pairsPerEvent, bodies, cacheCap, newShards, httpReqs, httpBatch)
-
-	snap := snapshotLoadBench(snapN, f)
-	fmt.Printf("   snapshot load (n=%d m=%d f=%d): v2 eager %s (%d MB) vs v3 lazy %s (%d MB) — %.0fx, labels lazily-equal: %v\n",
-		snap.N, snap.M, snap.F,
-		round(time.Duration(snap.V2LoadNs)), snap.V2Bytes>>20,
-		round(time.Duration(snap.V3LoadNs)), snap.V3Bytes>>20,
-		snap.Speedup, snap.LabelsVerified)
-
-	if !jsonOut {
-		return
-	}
-	doc := struct {
-		Benchmark       string              `json:"benchmark"`
-		Note            string              `json:"note"`
-		NumCPU          int                 `json:"num_cpu"`
-		GoMaxProcs      int                 `json:"gomaxprocs"`
-		N               int                 `json:"n"`
-		M               int                 `json:"m"`
-		F               int                 `json:"f"`
-		Events          int                 `json:"events"`
-		CacheCap        int                 `json:"cache_capacity"`
-		Smoke           bool                `json:"smoke,omitempty"`
-		Cache           []loadCacheCell     `json:"cache"`
-		ShardedVsSingle []loadShardSpeedup  `json:"sharded_vs_single,omitempty"`
-		ContentionProxy []loadContentionRow `json:"contention_proxy,omitempty"`
-		Protocols       []loadProtoCell     `json:"protocols,omitempty"`
-		BinVsJSON       []loadProtoSpeedup  `json:"bin_vs_json,omitempty"`
-		JSONAllocsPerOp float64             `json:"json_allocs_per_op"`
-		BinAllocsPerOp  float64             `json:"bin_allocs_per_op"`
-		SnapshotLoad    loadSnapshotRecord  `json:"snapshot_load"`
-	}{
-		Benchmark: "serve load (closed loop)",
-		Note: "warm_probe_qps is the steady-state probe path (Server.FaultSet cache stab + one " +
-			"FaultSet.Connected) under closed-loop concurrent clients; cold_probe_qps is the " +
-			"first touch of each event (compile + closure); http_* drives the full POST " +
-			"/connected handler over loopback TCP. cache=single-lock is the pre-sharding LRU " +
-			"(one global mutex); sharded-N is the new cache. sharded_vs_single is emitted only " +
-			"on multicore hosts (num_cpu>=2): with one CPU goroutines time-share a core, the " +
-			"global mutex never actually contends, and the comparison would be noise — " +
-			"contention_proxy (process mutex-wait during each 16-client warm run, from " +
-			"runtime/metrics /sync/mutex/wait/total) is recorded instead. protocols is the E19 " +
-			"grid: the same warm sharded server probed end to end over loopback TCP through " +
-			"the JSON HTTP surface and the binary frame protocol (persistent pipelined " +
-			"connections, internal/serve/wire); bin_vs_json summarizes the QPS ratio per " +
-			"client count, and *_allocs_per_op counts server-side allocations per batch-16 " +
-			"probe through each surface (testing.AllocsPerRun over the handler itself). " +
-			"snapshot_load compares ftc.Load of the same scheme written as v2 (eager per-label " +
-			"decode) and v3 (lazy zero-copy arena; O(1) in label bytes), with every label then " +
-			"decoded and verified byte-identical. Regenerated by `ftcbench load -json` (smoke: " +
-			"`-smoke`; one surface only: `-proto json|bin`). Wall times on shared hardware are " +
-			"noisy — compare like-for-like runs.",
-		NumCPU:          runtime.NumCPU(),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		N:               n,
-		M:               g.M(),
-		F:               f,
-		Events:          events,
-		CacheCap:        cacheCap,
-		Smoke:           smokeMode,
-		Cache:           cells,
-		ShardedVsSingle: shardRows,
-		ContentionProxy: contentionRows,
-		Protocols:       protoCells,
-		BinVsJSON:       protoSpeedups,
-		JSONAllocsPerOp: jsonAllocs,
-		BinAllocsPerOp:  binAllocs,
-		SnapshotLoad:    snap,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: marshal BENCH_load.json: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("BENCH_load.json", data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: write BENCH_load.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("   wrote BENCH_load.json")
-}
-
-// mutexWaitNs reads the process-cumulative time goroutines have spent
-// blocked on sync.Mutex/RWMutex, from runtime/metrics — the contention
-// proxy reported when a single-CPU host makes speedup comparisons
-// meaningless.
-func mutexWaitNs() int64 {
-	sample := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindFloat64 {
-		return 0
-	}
-	return int64(sample[0].Value.Float64() * 1e9)
-}
-
-// protocolGrid is the E19 measurement: the same warm sharded server probed
-// end to end over loopback TCP through both protocol surfaces — the JSON
-// HTTP handler and the binary frame listener (persistent pipelined
-// connections) — at 1/4/16 closed-loop clients, plus server-side
-// allocs/op through each surface. Returns the cells, the per-client-count
-// bin-vs-json summary (when both surfaces ran), and the two allocs/op
-// numbers (always measured; they need no concurrency).
-func protocolGrid(sch *ftc.Scheme, faultSets [][]int, pairsPerEvent [][][2]int, bodies [][]byte, cacheCap, shards, reqs, batch int) ([]loadProtoCell, []loadProtoSpeedup, float64, float64) {
-	events := len(faultSets)
-	clientCounts := []int{1, 4, 16}
-	const binInflight = 64
-
-	srv := serve.NewWithShards(sch, cacheCap, shards)
-	for _, fe := range faultSets {
-		fs, _, err := srv.FaultSet(fe)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: proto warmup: %v\n", err)
-			os.Exit(1)
-		}
-		for q := 0; q < 32; q++ {
-			if _, err := fs.Connected(sch.VertexLabel((q*31)%sch.Graph().N()), sch.VertexLabel((q*17+5)%sch.Graph().N())); err != nil {
-				fmt.Fprintf(os.Stderr, "ftcbench: proto warmup probe: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	fmt.Printf("   E19 — protocol grid: batch-%d probes end to end over loopback TCP (proto=%s)\n", batch, protoMode)
-	fmt.Printf("   %-6s %8s %6s %10s %10s %10s\n", "proto", "clients", "conns", "qps", "p50", "p99")
-	var cells []loadProtoCell
-
-	if protoMode != "bin" {
-		ts := httptest.NewServer(srv.Handler())
-		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
-		for _, clients := range clientCounts {
-			cell := loadProtoCell{Proto: "json", Clients: clients, Requests: reqs, Batch: batch}
-			var lat [][]int64
-			cell.QPS, lat = closedLoop(clients, reqs, func(c, i int, prng *rand.Rand) {
-				resp, err := client.Post(ts.URL+"/connected", "application/json",
-					bytes.NewReader(bodies[prng.Intn(events)]))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: proto json: %v\n", err)
-					os.Exit(1)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					fmt.Fprintf(os.Stderr, "ftcbench: proto json: status %d\n", resp.StatusCode)
-					os.Exit(1)
-				}
-			})
-			cell.P50Ns, cell.P99Ns = latPercentiles(lat)
-			cells = append(cells, cell)
-			fmt.Printf("   %-6s %8d %6s %10.0f %10s %10s\n", cell.Proto, cell.Clients, "-",
-				cell.QPS, round(time.Duration(cell.P50Ns)), round(time.Duration(cell.P99Ns)))
-		}
-		ts.Close()
-		client.CloseIdleConnections()
-	}
-
-	if protoMode != "json" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: proto bin listen: %v\n", err)
-			os.Exit(1)
-		}
-		go srv.ServeBin(ln)
-		for _, clients := range clientCounts {
-			// A few pipelined clients per connection: the point of the frame
-			// protocol is that one connection carries many in-flight batches,
-			// so connections grow slower than clients.
-			conns := (clients + 3) / 4
-			cl, err := wireclient.Dial(ln.Addr().String(), wireclient.Options{Conns: conns, Inflight: binInflight})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ftcbench: proto bin dial: %v\n", err)
-				os.Exit(1)
-			}
-			cell := loadProtoCell{Proto: "bin", Clients: clients, Conns: conns, Inflight: binInflight, Requests: reqs, Batch: batch}
-			outs := make([][]bool, clients)
-			var lat [][]int64
-			cell.QPS, lat = closedLoop(clients, reqs, func(c, i int, prng *rand.Rand) {
-				e := prng.Intn(events)
-				var perr error
-				outs[c], _, _, perr = cl.ProbeInto(faultSets[e], pairsPerEvent[e], outs[c], 0)
-				if perr != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: proto bin probe: %v\n", perr)
-					os.Exit(1)
-				}
-			})
-			cell.P50Ns, cell.P99Ns = latPercentiles(lat)
-			cl.Close()
-			cells = append(cells, cell)
-			fmt.Printf("   %-6s %8d %6d %10.0f %10s %10s\n", cell.Proto, cell.Clients, cell.Conns,
-				cell.QPS, round(time.Duration(cell.P50Ns)), round(time.Duration(cell.P99Ns)))
-		}
-		ln.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.ShutdownBin(ctx)
-		cancel()
-	}
-
-	var speedups []loadProtoSpeedup
-	if protoMode == "both" {
-		for _, clients := range clientCounts {
-			row := loadProtoSpeedup{Clients: clients}
-			for _, c := range cells {
-				if c.Clients != clients {
-					continue
-				}
-				if c.Proto == "json" {
-					row.JSONQPS = c.QPS
-				} else {
-					row.BinQPS = c.QPS
-				}
-			}
-			row.Speedup = row.BinQPS / row.JSONQPS
-			speedups = append(speedups, row)
-			fmt.Printf("   bin vs json at %2d clients: %.2fx\n", clients, row.Speedup)
-		}
-	}
-
-	jsonAllocs, binAllocs := protocolAllocs(srv, faultSets[0], pairsPerEvent[0], bodies[0])
-	fmt.Printf("   server-side allocs per batch-%d probe: json %.0f, bin %.0f\n", batch, jsonAllocs, binAllocs)
-	return cells, speedups, jsonAllocs, binAllocs
-}
-
-// discardRW swallows HTTP responses so the allocs measurement counts the
-// serving pipeline, not recorder bookkeeping.
-type discardRW struct{ h http.Header }
-
-func (w *discardRW) Header() http.Header {
-	if w.h == nil {
-		w.h = make(http.Header)
-	}
-	return w.h
-}
-func (w *discardRW) Write(p []byte) (int, error) { return len(p), nil }
-func (w *discardRW) WriteHeader(int)             {}
-
-// protocolAllocs measures server-side allocations per batch probe through
-// each surface, driving the handlers directly (no socket) the same way
-// BenchmarkHandleConnected does, so the numbers are comparable PR over PR.
-// This is the acceptance bar of the binary protocol: ≤4 allocs/op at batch
-// 16 against JSON's 16.
-func protocolAllocs(srv *serve.Server, faults []int, pairs [][2]int, body []byte) (jsonAllocs, binAllocs float64) {
-	h := srv.Handler()
-	proto := httptest.NewRequest(http.MethodPost, "/connected", http.NoBody)
-	var w discardRW
-	reader := bytes.NewReader(body)
-	jsonAllocs = testing.AllocsPerRun(200, func() {
-		reader.Reset(body)
-		r := proto.Clone(proto.Context())
-		r.Body = io.NopCloser(reader)
-		h.ServeHTTP(&w, r)
-	})
-
-	canon := append([]int(nil), faults...)
-	sort.Ints(canon)
-	w2 := 0
-	for i, e := range canon {
-		if i == 0 || e != canon[i-1] {
-			canon[w2] = e
-			w2++
-		}
-	}
-	frame := wire.AppendProbe(nil, 1, 0, canon[:w2], pairs)
-	payload := frame[5:] // skip the u32 length prefix + opcode header
-	var sc serve.FrameScratch
-	if _, fatal := srv.HandleFrame(&sc, wire.OpProbe, payload); fatal {
-		fmt.Fprintf(os.Stderr, "ftcbench: allocs warmup frame rejected\n")
-		os.Exit(1)
-	}
-	binAllocs = testing.AllocsPerRun(200, func() {
-		if _, fatal := srv.HandleFrame(&sc, wire.OpProbe, payload); fatal {
-			fmt.Fprintf(os.Stderr, "ftcbench: allocs frame rejected\n")
-			os.Exit(1)
-		}
-	})
-	return jsonAllocs, binAllocs
-}
+// ------------------------------------------------------------ smoke gates
 
 // binSmoke is the CI gate for the binary protocol: against a live ftcserve
 // (addresses from FTCSERVE_HTTP and FTCSERVE_BIN), it drives pipelined
@@ -1728,7 +964,7 @@ func binSmoke() {
 	if health.MaxFaults < 1 {
 		nFaults = 0
 	}
-	qps, _ := closedLoop(workers, workers*probesPer, func(c, i int, prng *rand.Rand) {
+	qps := closedLoop(workers, workers*probesPer, func(prng *rand.Rand) {
 		faults := make([]int, nFaults)
 		for j := range faults {
 			faults[j] = prng.Intn(health.M)
@@ -1922,12 +1158,10 @@ func frontSmoke() {
 		probes, f.Replicas(), st.P50, st.P99, st.Hedges, st.HedgeWins)
 }
 
-// closedLoop runs totalOps across the given number of client goroutines,
-// returning aggregate ops/sec and per-client latency samples (every 16th
-// op is timed, so the timer overhead does not distort throughput).
-func closedLoop(clients, totalOps int, op func(client, i int, prng *rand.Rand)) (float64, [][]int64) {
+// closedLoop runs totalOps split evenly across the given number of client
+// goroutines and returns the aggregate ops/sec.
+func closedLoop(clients, totalOps int, op func(prng *rand.Rand)) float64 {
 	per := totalOps / clients
-	lat := make([][]int64, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < clients; c++ {
@@ -1935,95 +1169,13 @@ func closedLoop(clients, totalOps int, op func(client, i int, prng *rand.Rand)) 
 		go func(c int) {
 			defer wg.Done()
 			prng := rand.New(rand.NewSource(int64(1000 + c)))
-			samples := make([]int64, 0, per/16+1)
 			for i := 0; i < per; i++ {
-				if i%16 == 0 {
-					t0 := time.Now()
-					op(c, i, prng)
-					samples = append(samples, time.Since(t0).Nanoseconds())
-				} else {
-					op(c, i, prng)
-				}
+				op(prng)
 			}
-			lat[c] = samples
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	return float64(per*clients) / elapsed.Seconds(), lat
-}
-
-// latPercentiles merges per-client latency samples and returns p50/p99,
-// sorting once (the sample counts here are far past what percentile()'s
-// small-slice insertion sort is for).
-func latPercentiles(lat [][]int64) (p50, p99 int64) {
-	var all []int64
-	for _, l := range lat {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
-		return 0, 0
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return all[int(0.5*float64(len(all)-1))], all[int(0.99*float64(len(all)-1))]
-}
-
-// snapshotLoadBench builds one scheme and times ftc.Load on its v2 (eager)
-// and v3 (lazy) snapshot encodings, then proves lazy equality: every label
-// of the v3-loaded scheme, decoded on first touch, marshals byte-identical
-// to the v2-loaded scheme's.
-func snapshotLoadBench(n, f int) loadSnapshotRecord {
-	rng := rand.New(rand.NewSource(int64(n)))
-	g := workload.ErdosRenyi(n, 8/float64(n), true, rng)
-	sch, err := ftc.NewFromGraph(g, ftc.WithMaxFaults(f))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: snapshot build: %v\n", err)
-		os.Exit(1)
-	}
-	v2, err := sch.Inner().MarshalBinaryVersion(2)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: marshal v2: %v\n", err)
-		os.Exit(1)
-	}
-	v3, err := sch.Inner().MarshalBinaryVersion(3)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: marshal v3: %v\n", err)
-		os.Exit(1)
-	}
-	timeLoad := func(data []byte, reps int) (*ftc.LoadedScheme, int64) {
-		var best int64
-		var loaded *ftc.LoadedScheme
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			l, err := ftc.LoadBytes(data)
-			d := time.Since(t0).Nanoseconds()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ftcbench: load: %v\n", err)
-				os.Exit(1)
-			}
-			if r == 0 || d < best {
-				best = d
-			}
-			loaded = l
-		}
-		return loaded, best
-	}
-	eager, v2ns := timeLoad(v2, 3)
-	lazy, v3ns := timeLoad(v3, 5)
-	verified := true
-	for v := 0; v < g.N() && verified; v++ {
-		verified = bytes.Equal(ftc.MarshalVertexLabel(eager.VertexLabel(v)), ftc.MarshalVertexLabel(lazy.VertexLabel(v)))
-	}
-	for e := 0; e < g.M() && verified; e++ {
-		verified = bytes.Equal(ftc.MarshalEdgeLabel(eager.EdgeLabelByIndex(e)), ftc.MarshalEdgeLabel(lazy.EdgeLabelByIndex(e)))
-	}
-	return loadSnapshotRecord{
-		N: n, M: g.M(), F: f,
-		V2Bytes: len(v2), V3Bytes: len(v3),
-		V2LoadNs: v2ns, V3LoadNs: v3ns,
-		Speedup:        float64(v2ns) / float64(v3ns),
-		LabelsVerified: verified,
-	}
+	return float64(per*clients) / time.Since(start).Seconds()
 }
 
 // ----------------------------------------------------------------- update
@@ -2032,18 +1184,16 @@ func snapshotLoadBench(n, f int) loadSnapshotRecord {
 // maintaining the labeling under topology churn, against the cost of
 // rebuilding the world.
 type updateRecord struct {
-	Scheme        string  `json:"scheme"`
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	F             int     `json:"f"`
-	RebuildNs     int64   `json:"full_rebuild_ns"`
-	AddCommitNs   int64   `json:"incremental_add_commit_ns"`
-	RemCommitNs   int64   `json:"incremental_remove_commit_ns"`
-	Batch8Ns      int64   `json:"incremental_batch8_commit_ns"`
-	RelabeledAvg  float64 `json:"relabeled_edges_avg"`
-	Speedup       float64 `json:"speedup_add_vs_rebuild"`
-	HTTPUpdateNs  int64   `json:"http_update_ns,omitempty"`
-	HTTPRebasedOK bool    `json:"http_cache_rebased,omitempty"`
+	Scheme       string  `json:"scheme"`
+	N            int     `json:"n"`
+	M            int     `json:"m"`
+	F            int     `json:"f"`
+	RebuildNs    int64   `json:"full_rebuild_ns"`
+	AddCommitNs  int64   `json:"incremental_add_commit_ns"`
+	RemCommitNs  int64   `json:"incremental_remove_commit_ns"`
+	Batch8Ns     int64   `json:"incremental_batch8_commit_ns"`
+	RelabeledAvg float64 `json:"relabeled_edges_avg"`
+	Speedup      float64 `json:"speedup_add_vs_rebuild"`
 }
 
 // addableEdges returns up to want absent same-component edges with
@@ -2070,10 +1220,9 @@ func addableEdges(sch *ftc.Scheme, want int, rng *rand.Rand) [][2]int {
 // updateBench measures the dynamic-network update path (E17): per-kind and
 // per-size, the latency of a single-edge incremental commit (insert and
 // delete) and of an 8-edge batch, against a full rebuild of the same
-// graph; then a smoke pass over the served POST /update path. With -json
-// it writes BENCH_update.json. The acceptance bar tracked PR over PR:
-// single-edge incremental commit ≥ 10× faster than full rebuild at
-// n=1024, f=3 for det-netfind.
+// graph. With -json it writes BENCH_update.json. The acceptance bar
+// tracked PR over PR: single-edge incremental commit ≥ 10× faster than
+// full rebuild at n=1024, f=3 for det-netfind.
 func updateBench() {
 	const f = 3
 	fmt.Println("E17 — dynamic updates: incremental commit vs full rebuild (seeded graphs p=8/n)")
@@ -2167,46 +1316,6 @@ func updateBench() {
 			}
 			rec.Speedup = float64(rec.RebuildNs) / float64(rec.AddCommitNs)
 
-			// Serve-path smoke at n=1024: one warm probe, one /update over
-			// HTTP (generation bump + selective cache sweep), one probe of
-			// the rebased cache entry.
-			if n == 1024 {
-				srv := serve.NewDynamic(func() serve.Scheme { return nw.Snapshot() }, nw, 16)
-				ts := httptest.NewServer(srv.Handler())
-				probeBody, _ := json.Marshal(serve.ConnectedRequest{
-					FaultEdges: []int{0, 1},
-					Pairs:      [][2]int{{0, 1}, {2, 3}},
-				})
-				postOK := func(path string, body []byte) []byte {
-					resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "ftcbench: update smoke %s: %v\n", path, err)
-						os.Exit(1)
-					}
-					data, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						fmt.Fprintf(os.Stderr, "ftcbench: update smoke %s: status %d: %s\n", path, resp.StatusCode, data)
-						os.Exit(1)
-					}
-					return data
-				}
-				postOK("/connected", probeBody)
-				extra := addableEdges(nw.Snapshot(), 1, rng)
-				upBody, _ := json.Marshal(serve.UpdateRequest{Add: extra})
-				t0 := time.Now()
-				raw := postOK("/update", upBody)
-				rec.HTTPUpdateNs = time.Since(t0).Nanoseconds()
-				var up serve.UpdateResponse
-				if err := json.Unmarshal(raw, &up); err != nil {
-					fmt.Fprintf(os.Stderr, "ftcbench: update smoke: %v\n", err)
-					os.Exit(1)
-				}
-				rec.HTTPRebasedOK = up.CacheRebased > 0
-				postOK("/connected", probeBody)
-				ts.Close()
-			}
-
 			records = append(records, rec)
 			fmt.Printf("   %-12s %6d %6d %3d %12s %12s %12s %12s %9.1f %8.0fx\n",
 				rec.Scheme, rec.N, rec.M, rec.F,
@@ -2229,23 +1338,12 @@ func updateBench() {
 		Note: "full_rebuild_ns is a from-scratch ftc.New of the mutated graph (what serving a " +
 			"topology change cost before the dynamic-network API); incremental_*_commit_ns is " +
 			"ftc.Network.Commit on the incremental path, including the copy-on-write publish of " +
-			"the new generation. http_update_ns is the served POST /update path (commit + " +
-			"selective fault-set cache sweep). Acceptance bar: speedup_add_vs_rebuild ≥ 10 at " +
+			"the new generation. Acceptance bar: speedup_add_vs_rebuild ≥ 10 at " +
 			"n=1024 f=3 det-netfind. Regenerated by `ftcbench update -json`. Wall times on " +
 			"shared hardware are noisy — compare like-for-like runs.",
 		Results: records,
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: marshal BENCH_update.json: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("BENCH_update.json", data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: write BENCH_update.json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("   wrote BENCH_update.json")
+	writeBenchJSON("BENCH_update.json", doc)
 }
 
 func median(ds []time.Duration) time.Duration {
@@ -2287,388 +1385,32 @@ func percentile(xs []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// -------------------------------------------------------------- replicate
-
-// replicateRecord is the "replication" entry of BENCH_serve.json: the
-// replicated-tier scenario — log shipping under load, replica kill/restart
-// catch-up, and the hedged probe front's tail latency against a straggler.
-type replicateRecord struct {
-	N              int   `json:"n"`
-	M              int   `json:"m"`
-	F              int   `json:"f"`
-	Replicas       int   `json:"replicas"`
-	GensShipped    int   `json:"generations_shipped"`
-	CatchupGens    int   `json:"catchup_generations"`
-	CatchupMs      int64 `json:"catchup_ms"`
-	SnapshotLoads  int64 `json:"snapshot_loads_during_catchup"`
-	FinalLagGens   int64 `json:"final_lag_generations"`
-	ProbesPerMode  int   `json:"probes_per_mode"`
-	UnhedgedP99Ns  int64 `json:"unhedged_p99_ns"`
-	HedgedP99Ns    int64 `json:"hedged_p99_ns"`
-	Hedges         int64 `json:"hedges"`
-	HedgeWins      int64 `json:"hedge_wins"`
-	StragglerStall int64 `json:"straggler_stall_ns"`
-
-	// Phase 4 — retention/compaction: the bounded-log scenario.
-	RetainedRecords  int    `json:"genlog_retained_records"`
-	GenlogFileBytes  int64  `json:"genlog_file_bytes"`
-	Compactions      uint64 `json:"genlog_compactions"`
-	BytesReclaimed   uint64 `json:"genlog_bytes_reclaimed"`
-	CheckpointGen    uint64 `json:"genlog_checkpoint_generation"`
-	CompactCatchupMs int64  `json:"compaction_catchup_ms"`
-	CompactRefetches int64  `json:"compaction_snapshot_refetches"`
+// writeBenchJSON writes doc to path as indented JSON.
+func writeBenchJSON(path string, doc any) {
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ftcbench: marshal %s: %v\n", path, err)
+		os.Exit(1)
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "ftcbench: write %s: %v\n", path, err)
+		os.Exit(1)
+	}
+	fmt.Printf("   wrote %s\n", path)
 }
 
-// replicateBench runs the replicated serving tier in-process: a dynamic
-// primary with a generation log, two tailing replicas, and the hedged
-// probe front. Phase 1 ships generations under concurrent probe load;
-// phase 2 kills one replica, commits more generations, restarts it, and
-// times log-only catch-up (no snapshot refetch); phase 3 measures the
-// front's p99 with one replica stalled behind a slow proxy, hedged vs
-// unhedged. With -json the record merges into BENCH_serve.json under
-// "replication", preserving the serve section's keys.
-func replicateBench() {
-	const (
-		n = 192
-		f = 3
-	)
-	gens, probes := 24, 300
-	if smokeMode {
-		gens, probes = 8, 60
-	}
-	fmt.Println("E20 — replicated tier: genlog shipping, replica catch-up, hedged front")
-
-	rng := rand.New(rand.NewSource(40))
-	g := workload.ErdosRenyi(n, 8.0/n, true, rng)
-	edges := make([][2]int, g.M())
-	for i, e := range g.Edges {
-		edges[i] = [2]int{e.U, e.V}
-	}
-	nw, err := ftc.Open(n, edges, ftc.WithMaxFaults(f), ftc.WithHeadroom(64))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate open: %v\n", err)
-		os.Exit(1)
-	}
-	primary := serve.NewDynamic(func() serve.Scheme { return nw.Snapshot() }, nw, 64)
-	dir, err := os.MkdirTemp("", "ftcbench-replicate")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate tmp: %v\n", err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	glog, err := genlog.Open(dir + "/gen.log")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate genlog: %v\n", err)
-		os.Exit(1)
-	}
-	defer glog.Close()
-	if err := primary.AttachGenLog(glog); err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate attach: %v\n", err)
-		os.Exit(1)
-	}
-	binLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate listen: %v\n", err)
-		os.Exit(1)
-	}
-	go primary.ServeBin(binLn)
-	defer binLn.Close()
-	primary.SetBinAddr(binLn.Addr().String())
-	ts := httptest.NewServer(primary.Handler())
-	defer ts.Close()
-
-	newReplica := func() *serve.Replicator {
-		rep, err := serve.NewReplicator(ts.URL, serve.ReplicatorOptions{
-			CacheSize:       64,
-			RedialBase:      2 * time.Millisecond,
-			RedialMax:       20 * time.Millisecond,
-			SnapRefetchBase: 10 * time.Millisecond,
-			SnapRefetchMax:  100 * time.Millisecond,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate replica: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rep.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate replica: %v\n", err)
-			os.Exit(1)
-		}
-		return rep
-	}
-	serveReplicaBin := func(rep *serve.Replicator) (string, net.Listener) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate listen: %v\n", err)
-			os.Exit(1)
-		}
-		go rep.Server().ServeBin(ln)
-		return ln.Addr().String(), ln
-	}
-	rep1, rep2 := newReplica(), newReplica()
-	defer rep1.Stop()
-	defer rep2.Stop()
-	addr1, ln1 := serveReplicaBin(rep1)
-	addr2, ln2 := serveReplicaBin(rep2)
-	defer ln1.Close()
-	defer ln2.Close()
-
-	commitOne := func() bool {
-		inner := nw.Snapshot().Inner()
-		cg, forest := inner.Graph(), inner.Forest
-		var add, remove [][2]int
-		for try := 0; try < 300; try++ {
-			u, v := rng.Intn(cg.N()), rng.Intn(cg.N())
-			if u != v && !cg.HasEdge(u, v) && forest.Comp[u] == forest.Comp[v] {
-				add = append(add, [2]int{u, v})
-				break
-			}
-		}
-		for try := 0; try < 300; try++ {
-			e := rng.Intn(cg.M())
-			if !forest.IsTreeEdge[e] {
-				remove = append(remove, [2]int{cg.Edges[e].U, cg.Edges[e].V})
-				break
-			}
-		}
-		if len(add) == 0 && len(remove) == 0 {
-			return false
-		}
-		// Commit through POST /update — the path that appends to the
-		// generation log — not the network directly.
-		body, _ := json.Marshal(serve.UpdateRequest{Add: add, Remove: remove})
-		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate commit: %v\n", err)
-			os.Exit(1)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate commit: status %d\n", resp.StatusCode)
-			os.Exit(1)
-		}
-		return true
-	}
-	waitReplica := func(rep *serve.Replicator) {
-		want := nw.Generation()
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if rep.Scheme().Generation() >= want {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate: replica stuck at %d, primary %d\n",
-			rep.Scheme().Generation(), want)
-		os.Exit(1)
-	}
-
-	// Phase 1: ship generations while the front keeps probing.
-	fr, err := front.Dial([]string{addr1, addr2}, front.Options{NoHedge: true})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate front: %v\n", err)
-		os.Exit(1)
-	}
-	shipped := 0
-	for i := 0; i < gens; i++ {
-		if commitOne() {
-			shipped++
-		}
-		cg := nw.Snapshot().Graph()
-		faults := workload.RandomFaults(cg, 1+rng.Intn(f), rng)
-		if _, _, err := fr.ConnectedBatch(faults, [][2]int{{rng.Intn(n), rng.Intn(n)}}); err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate probe: %v\n", err)
-			os.Exit(1)
+// mergeBenchJSON read-modify-writes path as a generic JSON object, so
+// runs that own different top-level keys (chaos_seedN) never clobber each
+// other.
+func mergeBenchJSON(path string, update func(doc map[string]json.RawMessage)) {
+	doc := map[string]json.RawMessage{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &doc); err != nil {
+			fmt.Fprintf(os.Stderr, "ftcbench: %s exists but is not a JSON object (%v); rewriting\n", path, err)
+			doc = map[string]json.RawMessage{}
 		}
 	}
-	waitReplica(rep1)
-	waitReplica(rep2)
-	fr.Close()
-	fmt.Printf("   shipped %d generations to 2 replicas (log %d records)\n", shipped, glog.Len())
-
-	// Phase 2: kill replica 2, drift the primary, restart, time catch-up.
-	// The incremental path has a churn budget (hierarchy.UpdateBudget):
-	// crossing it forces a full rebuild, which ships as a marker that
-	// legitimately sends replicas back to /snapshot. Phase 2 asserts
-	// log-only catch-up, so it stays inside the remaining budget.
-	budget := hierarchy.UpdateBudget(nw.Snapshot().Inner().Spec().K)
-	loadsBefore := rep2.Status().SnapshotLoads
-	rep2.Stop()
-	catchupGens := 0
-	for i := 0; i < gens/2 && nw.Churn()+2 <= budget; i++ {
-		if commitOne() {
-			catchupGens++
-		}
-	}
-	if catchupGens == 0 {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate: churn budget exhausted before the kill/restart phase (shrink gens)\n")
-		os.Exit(1)
-	}
-	t0 := time.Now()
-	if err := rep2.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate restart: %v\n", err)
-		os.Exit(1)
-	}
-	waitReplica(rep2)
-	catchup := time.Since(t0)
-	loadsAfter := rep2.Status().SnapshotLoads
-	if loadsAfter != loadsBefore {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate: restart refetched a snapshot (%d -> %d)\n",
-			loadsBefore, loadsAfter)
-		os.Exit(1)
-	}
-	fmt.Printf("   kill/restart: caught up %d generations in %s from the log alone (snapshot loads unchanged)\n",
-		catchupGens, round(catchup))
-
-	// Phase 3: tail latency with one replica stalled, hedged vs unhedged.
-	const stall = 25 * time.Millisecond
-	slowAddr := slowBinProxy(addr2, stall)
-	measure := func(opts front.Options) (p99 time.Duration, st front.Stats) {
-		fr, err := front.Dial([]string{slowAddr, addr1}, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: replicate front: %v\n", err)
-			os.Exit(1)
-		}
-		defer fr.Close()
-		cg := nw.Snapshot().Graph()
-		lats := make([]time.Duration, 0, probes)
-		prng := rand.New(rand.NewSource(41))
-		for i := 0; i < probes; i++ {
-			faults := workload.RandomFaults(cg, 1, prng)
-			t := time.Now()
-			if _, _, err := fr.ConnectedBatch(faults, [][2]int{{prng.Intn(n), prng.Intn(n)}}); err != nil {
-				fmt.Fprintf(os.Stderr, "ftcbench: replicate probe: %v\n", err)
-				os.Exit(1)
-			}
-			lats = append(lats, time.Since(t))
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return lats[len(lats)*99/100], fr.Stats()
-	}
-	unhedgedP99, _ := measure(front.Options{NoHedge: true})
-	hedgedP99, hst := measure(front.Options{HedgeAfter: 2 * time.Millisecond})
-	fmt.Printf("   straggler (%s stall): p99 unhedged %s vs hedged %s (%d hedges, %d wins)\n",
-		round(stall), round(unhedgedP99), round(hedgedP99), hst.Hedges, hst.HedgeWins)
-	fmt.Println("   (single-CPU caveat: hedging adds goroutines; its p99 win is only")
-	fmt.Println("    representative when replicas have their own cores — see README)")
-
-	// Phase 4: retention + compaction. Enable the policy, stop replica 1,
-	// churn the primary across at least two compaction boundaries (so the
-	// stopped replica falls below the retained window), restart it, and
-	// time convergence through checkpoint + CodeGone-triggered snapshot
-	// refetch — the bounded-log acceptance path.
-	glog.SetRetention(genlog.Retention{MaxRecords: 6, MinRetain: 2})
-	loads1Before := rep1.Status().SnapshotLoads
-	rep1.Stop()
-	genAtStop := rep1.Scheme().Generation()
-	compactBefore := glog.Stats().Compactions
-	for i := 0; i < 8*gens; i++ {
-		st := glog.Stats()
-		if st.Compactions >= compactBefore+2 && genAtStop+1 < st.FirstGen {
-			break
-		}
-		commitOne()
-	}
-	lst := glog.Stats()
-	if lst.Compactions < compactBefore+2 || genAtStop+1 >= lst.FirstGen {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate: could not push the stopped replica below the retained window (window [%d,%d], %d compactions)\n",
-			lst.FirstGen, lst.LastGen, lst.Compactions-compactBefore)
-		os.Exit(1)
-	}
-	t1 := time.Now()
-	if err := rep1.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate restart: %v\n", err)
-		os.Exit(1)
-	}
-	waitReplica(rep1)
-	compactCatchup := time.Since(t1)
-	compactRefetches := int64(rep1.Status().SnapshotLoads - loads1Before)
-	if compactRefetches == 0 {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate: replica below the retained window converged without a snapshot refetch\n")
-		os.Exit(1)
-	}
-	waitReplica(rep2) // rep2 tailed (or refetched) through the same churn
-	fmt.Printf("   compaction: %d compactions reclaimed %d bytes, window bounded at %d records (%d bytes on disk, checkpoint gen %d);\n",
-		lst.Compactions, lst.BytesReclaimed, lst.Records, lst.FileBytes, lst.CheckpointGen)
-	fmt.Printf("   fell-behind replica converged in %s via %d snapshot refetch(es)\n",
-		round(compactCatchup), compactRefetches)
-
-	if !jsonOut {
-		return
-	}
-	rec := replicateRecord{
-		N:              n,
-		M:              g.M(),
-		F:              f,
-		Replicas:       2,
-		GensShipped:    shipped,
-		CatchupGens:    catchupGens,
-		CatchupMs:      catchup.Milliseconds(),
-		SnapshotLoads:  int64(loadsAfter - loadsBefore),
-		FinalLagGens:   int64(rep2.Status().LagGenerations()),
-		ProbesPerMode:  probes,
-		UnhedgedP99Ns:  unhedgedP99.Nanoseconds(),
-		HedgedP99Ns:    hedgedP99.Nanoseconds(),
-		Hedges:         int64(hst.Hedges),
-		HedgeWins:      int64(hst.HedgeWins),
-		StragglerStall: stall.Nanoseconds(),
-
-		RetainedRecords:  lst.Records,
-		GenlogFileBytes:  lst.FileBytes,
-		Compactions:      lst.Compactions,
-		BytesReclaimed:   lst.BytesReclaimed,
-		CheckpointGen:    lst.CheckpointGen,
-		CompactCatchupMs: compactCatchup.Milliseconds(),
-		CompactRefetches: compactRefetches,
-	}
-	mergeBenchServe(func(doc map[string]json.RawMessage) {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftcbench: marshal replication record: %v\n", err)
-			os.Exit(1)
-		}
-		doc["replication"] = raw
-	})
-}
-
-// slowBinProxy forwards a TCP stream to backend, stalling every
-// backend-to-client write — an in-process straggling replica for the
-// hedging measurement.
-func slowBinProxy(backend string, stall time.Duration) string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ftcbench: replicate proxy: %v\n", err)
-		os.Exit(1)
-	}
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", backend)
-			if err != nil {
-				c.Close()
-				continue
-			}
-			go func() { io.Copy(up, c); up.Close() }()
-			go func() {
-				defer c.Close()
-				buf := make([]byte, 32<<10)
-				for {
-					n, err := up.Read(buf)
-					if n > 0 {
-						time.Sleep(stall)
-						if _, werr := c.Write(buf[:n]); werr != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
+	update(doc)
+	writeBenchJSON(path, doc)
 }

@@ -4,7 +4,7 @@
 // repeated probes of one failure event hit the zero-alloc steady-state
 // path and concurrent probes of different events scale with cores.
 //
-//	ftcserve -snapshot scheme.ftcsnap [-addr :8337] [-cache 256] [-cache-shards 16]
+//	ftcserve -snapshot scheme.ftcsnap [-addr :8337] [-cache 256]
 //	ftcserve -graph g.txt [-f 3] [-scheme det|greedy|rand|agm] [-seed 1] [-save scheme.ftcsnap]
 //	ftcserve -graph g.txt -dynamic [-headroom 8]
 //	ftcserve -snapshot scheme.ftcsnap -pprof localhost:6060
@@ -31,7 +31,8 @@
 // (internal/serve/wire) on a second listener: length-prefixed probe frames
 // over persistent pipelined connections, sharing the fault-set cache and
 // generation semantics with the HTTP surface while skipping JSON entirely —
-// the hot path for probe-heavy clients (see ftcbench load -proto bin).
+// the hot path for probe-heavy clients (perfbench's edge-hot workload
+// measures it).
 //
 // With -pprof the daemon additionally serves net/http/pprof on a separate
 // side listener (keep it bound to localhost), so CPU and heap profiles can
@@ -117,8 +118,7 @@ func main() {
 	schemeKind := flag.String("scheme", "det", "det|greedy|rand|agm (with -graph)")
 	seed := flag.Int64("seed", 1, "seed for randomized schemes (with -graph)")
 	savePath := flag.String("save", "", "write the built scheme's snapshot here (with -graph)")
-	cacheSize := flag.Int("cache", 256, "compiled fault-set cache capacity (spread over -cache-shards)")
-	cacheShards := flag.Int("cache-shards", 0, "fault-set cache shard count (power of two, max 64; 0 = auto from capacity, 1 = single-lock)")
+	cacheSize := flag.Int("cache", 256, "compiled fault-set cache capacity (sharded automatically by capacity and GOMAXPROCS)")
 	dynamic := flag.Bool("dynamic", false, "serve a mutable network with POST /update (with -graph)")
 	headroom := flag.Int("headroom", 0, "per-vertex incremental insertion headroom (with -dynamic; 0 = default)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
@@ -154,10 +154,7 @@ func main() {
 		if !strings.Contains(primary, "://") {
 			primary = "http://" + primary
 		}
-		rep, err := serve.NewReplicator(primary, serve.ReplicatorOptions{
-			CacheSize:   *cacheSize,
-			CacheShards: *cacheShards,
-		})
+		rep, err := serve.NewReplicator(primary, serve.ReplicatorOptions{CacheSize: *cacheSize})
 		if err != nil {
 			log.Fatalf("ftcserve: %v", err)
 		}
@@ -171,7 +168,7 @@ func main() {
 		}
 	} else {
 		var err error
-		srv, err = openServer(*snapshot, *graphPath, *f, *schemeKind, *seed, *savePath, *cacheSize, *cacheShards, *dynamic, *headroom)
+		srv, err = openServer(*snapshot, *graphPath, *f, *schemeKind, *seed, *savePath, *cacheSize, *dynamic, *headroom)
 		if err != nil {
 			log.Fatalf("ftcserve: %v", err)
 		}
@@ -330,7 +327,7 @@ func schemeOptions(f int, kind string, seed int64, headroom int) ([]ftc.Option, 
 	return opts, nil
 }
 
-func openServer(snapshot, graphPath string, f int, kind string, seed int64, savePath string, cacheSize, cacheShards int, dynamic bool, headroom int) (*serve.Server, error) {
+func openServer(snapshot, graphPath string, f int, kind string, seed int64, savePath string, cacheSize int, dynamic bool, headroom int) (*serve.Server, error) {
 	switch {
 	case snapshot != "" && graphPath != "":
 		return nil, fmt.Errorf("-snapshot and -graph are mutually exclusive")
@@ -351,7 +348,7 @@ func openServer(snapshot, graphPath string, f int, kind string, seed int64, save
 			return nil, err
 		}
 		banner(sch.Stats(), sch.Graph(), sch.MaxFaults(), false)
-		return serve.NewWithShards(sch, cacheSize, cacheShards), nil
+		return serve.New(sch, cacheSize), nil
 	case graphPath != "":
 		in, err := os.Open(graphPath)
 		if err != nil {
@@ -377,7 +374,7 @@ func openServer(snapshot, graphPath string, f int, kind string, seed int64, save
 				}
 			}
 			banner(nw.Stats(), nw.Graph(), nw.MaxFaults(), true)
-			return serve.NewDynamicWithShards(func() serve.Scheme { return nw.Snapshot() }, nw, cacheSize, cacheShards), nil
+			return serve.NewDynamic(func() serve.Scheme { return nw.Snapshot() }, nw, cacheSize), nil
 		}
 		sch, err := ftc.NewFromGraph(g, opts...)
 		if err != nil {
@@ -389,7 +386,7 @@ func openServer(snapshot, graphPath string, f int, kind string, seed int64, save
 			}
 		}
 		banner(sch.Stats(), sch.Graph(), sch.MaxFaults(), false)
-		return serve.NewWithShards(sch, cacheSize, cacheShards), nil
+		return serve.New(sch, cacheSize), nil
 	default:
 		return nil, fmt.Errorf("one of -snapshot or -graph is required")
 	}

@@ -39,11 +39,12 @@ type shardedCache struct {
 // the daemon targets.
 const maxCacheShards = 64
 
-// defaultCacheShards picks the shard count for a capacity when the caller
-// does not: the largest power of two that keeps at least 16 entries per
-// shard, capped by maxCacheShards. Small caches (tests, tiny deployments)
-// get one shard and behave exactly like the historical single-lock LRU;
-// the ftcserve default of 256 gets 16.
+// defaultCacheShards picks every server's shard count from its capacity:
+// the largest power of two that keeps at least 16 entries per shard,
+// capped by maxCacheShards and by 4×GOMAXPROCS. Small caches (tests, tiny
+// deployments) get one shard and behave exactly like the historical
+// single-lock LRU; the ftcserve default of 256 gets 16 on four or more
+// cores.
 func defaultCacheShards(capacity int) int {
 	want := capacity / 16
 	if want > maxCacheShards {

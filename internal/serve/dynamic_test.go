@@ -362,7 +362,7 @@ func TestShardedCacheChurnRace(t *testing.T) {
 		churnBase = 100 // updates only touch vertices >= churnBase
 	)
 	nw := openNetwork(t, n, f, 21)
-	srv := serve.NewDynamicWithShards(func() serve.Scheme { return nw.Snapshot() }, nw, 64, 8)
+	srv := serve.NewDynamicSharded(func() serve.Scheme { return nw.Snapshot() }, nw, 64, 8)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -63,8 +63,8 @@ type Options struct {
 	// double load; the upper stops a cold ring from never hedging.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// NoHedge disables hedging entirely (the unhedged baseline the
-	// replicate benchmark compares against).
+	// NoHedge disables hedging entirely (tests use it to make attempt
+	// counts and failover paths deterministic).
 	NoHedge bool
 
 	// FailThreshold is how many consecutive transport failures move a

@@ -62,10 +62,9 @@ func (r replicaScheme) Save(w io.Writer) error {
 
 // ReplicatorOptions tunes a Replicator. The zero value is usable.
 type ReplicatorOptions struct {
-	// CacheSize / CacheShards size the replica's fault-set cache
-	// (defaults: 256 entries, automatic sharding).
-	CacheSize   int
-	CacheShards int
+	// CacheSize sizes the replica's fault-set cache (default 256 entries,
+	// sharded automatically).
+	CacheSize int
 
 	// RedialBase / RedialMax bound the exponential backoff between tail
 	// sessions after a connection failure (defaults 50ms / 2s).
@@ -173,9 +172,9 @@ func NewReplicator(primaryURL string, opts ReplicatorOptions) (*Replicator, erro
 	opts.fill()
 	r := &Replicator{primary: primaryURL, opts: opts}
 	r.setState("syncing")
-	r.srv = NewDynamicWithShards(func() Scheme {
+	r.srv = NewDynamic(func() Scheme {
 		return replicaScheme{r.cur.Load()}
-	}, nil, opts.CacheSize, opts.CacheShards)
+	}, nil, opts.CacheSize)
 	r.srv.SetReplicaStatusFn(r.Status)
 	if err := r.bootstrap(); err != nil {
 		return nil, fmt.Errorf("replica bootstrap: %w", err)

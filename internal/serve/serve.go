@@ -19,9 +19,10 @@
 // fault set's subtree boundaries cannot change that fault set's
 // connectivity partition; DESIGN.md §3.10).
 //
-// The package lives below the commands so the daemon (cmd/ftcserve) and the
-// load generator (cmd/ftcbench serve) share one implementation, and so the
-// cache's concurrency can be exercised directly under -race.
+// The package lives below the commands so the daemon (cmd/ftcserve), the
+// repository benchmark (perfbench) and the chaos drill (cmd/ftcbench chaos)
+// share one implementation, and so the cache's concurrency can be
+// exercised directly under -race.
 package serve
 
 import (
@@ -188,16 +189,9 @@ type Server struct {
 
 // New returns a server over the static scheme sch with a sharded LRU
 // holding up to cacheSize compiled fault sets (minimum 1). The shard count
-// is picked from the capacity (defaultCacheShards); NewWithShards pins it.
+// is picked from the capacity and GOMAXPROCS (defaultCacheShards).
 func New(sch Scheme, cacheSize int) *Server {
-	return NewWithShards(sch, cacheSize, 0)
-}
-
-// NewWithShards is New with an explicit cache shard count (rounded down to
-// a power of two; 0 picks the default; 1 reproduces the historical
-// single-lock LRU, which is what the load benchmark compares against).
-func NewWithShards(sch Scheme, cacheSize, shards int) *Server {
-	return NewDynamicWithShards(func() Scheme { return sch }, nil, cacheSize, shards)
+	return NewDynamic(func() Scheme { return sch }, nil, cacheSize)
 }
 
 // NewDynamic returns a generation-aware server. view must return the
@@ -207,17 +201,11 @@ func NewWithShards(sch Scheme, cacheSize, shards int) *Server {
 // clients see either the old or the new topology, never an error from the
 // race itself.
 func NewDynamic(view func() Scheme, upd Updatable, cacheSize int) *Server {
-	return NewDynamicWithShards(view, upd, cacheSize, 0)
-}
-
-// NewDynamicWithShards is NewDynamic with an explicit cache shard count
-// (see NewWithShards).
-func NewDynamicWithShards(view func() Scheme, upd Updatable, cacheSize, shards int) *Server {
 	return &Server{
 		view:     view,
 		upd:      upd,
-		cache:    newShardedCache(cacheSize, shards),
-		vcache:   newShardedCache(cacheSize, shards),
+		cache:    newShardedCache(cacheSize, 0),
+		vcache:   newShardedCache(cacheSize, 0),
 		products: products.New(),
 		start:    time.Now(),
 	}

@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 
 	ftc "repro"
 	"repro/internal/graph"
 	"repro/internal/serve"
+	"repro/internal/serve/wireclient"
 	"repro/internal/workload"
 )
 
@@ -276,5 +278,68 @@ func TestFaultSetLRUConcurrent(t *testing.T) {
 	}
 	if st.CacheMisses < uint64(events) {
 		t.Fatalf("expected at least one miss per event: %+v", st)
+	}
+}
+
+// TestServeLazilyLoadedSnapshot serves the checked-in v3 snapshot fixture
+// the way `ftcserve -snapshot` does — ftc.LoadBytes (labels decoded lazily
+// from the arena on first probe) handed straight to serve.New — and checks
+// both surfaces against BFS on the fixture's graph.
+func TestServeLazilyLoadedSnapshot(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/golden_v3.ftcsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := ftc.LoadBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sch.Graph()
+	srv := serve.New(sch, 8)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl, err := wireclient.Dial(binListener(t, srv), wireclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var pairs [][2]int
+	for s := 0; s < g.N(); s++ {
+		for u := s + 1; u < g.N(); u++ {
+			pairs = append(pairs, [2]int{s, u})
+		}
+	}
+	// The fixture is a Petersen graph (3-edge-connected) plus a pendant
+	// path, so only the path's edges — the last two — disconnect anything
+	// within the f=2 budget: the first event cuts one, the rest are seeded.
+	events := [][]int{{g.M() - 1}}
+	rng := rand.New(rand.NewSource(3))
+	for len(events) < 6 {
+		events = append(events, rng.Perm(g.M())[:len(events)%(sch.MaxFaults()+1)])
+	}
+	disconnected := 0
+	for _, faults := range events {
+		resp, out := postConnected(t, ts.URL, serve.ConnectedRequest{FaultEdges: faults, Pairs: pairs})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("faults %v: /connected status %d", faults, resp.StatusCode)
+		}
+		bin, err := cl.Probe(faults, pairs)
+		if err != nil {
+			t.Fatalf("faults %v: OpProbe: %v", faults, err)
+		}
+		set := workload.FaultSet(faults)
+		for i, p := range pairs {
+			want := graph.ConnectedUnder(g, set, p[0], p[1])
+			if out.Connected[i] != want || bin[i] != want {
+				t.Fatalf("faults %v pair %v: json %v, bin %v, BFS %v", faults, p, out.Connected[i], bin[i], want)
+			}
+			if !want {
+				disconnected++
+			}
+		}
+	}
+	if disconnected == 0 {
+		t.Fatal("no fault set disconnected any pair; the test only checked true answers")
 	}
 }
