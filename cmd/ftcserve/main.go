@@ -21,8 +21,13 @@
 //
 //	POST /connected  {"faults":[[2,3]], "fault_edges":[7], "pairs":[[0,5],[1,4]]}
 //	                 → {"connected":[true,false], "faults":2, "cache_hit":false, "generation":1}
+//	POST /route      {"fault_edges":[0,2], "pairs":[[0,5]]}
+//	                 → {"routes":[{"reachable":true,"path":[0,3,5]}], "confidence":"exact", ...}
+//	POST /vconnected {"fault_vertices":[3,7], "pairs":[[0,5]]}
+//	                 → {"connected":[true], "faults":2, "fault_edges":6, "confidence":"exact", ...}
 //	POST /update     {"add":[[0,9]], "remove":[[2,3]]}   (-dynamic only)
 //	                 → {"generation":2, "incremental":true, "relabeled":5, ...}
+//	GET  /snapshot   the current generation as a binary snapshot (what replicas bootstrap from)
 //	GET  /healthz    liveness, scheme shape, and generation
 //	GET  /stats      serving and cache counters, incl. per-shard occupancy/hits/misses
 //	GET  /metrics    the same counters in Prometheus text exposition format
@@ -221,8 +226,9 @@ func main() {
 	// which the main server below never uses.
 	if *pprofAddr != "" {
 		// With profiling on, also sample lock contention: the mutex and block
-		// profiles are what the load benchmark's contention proxy points at
-		// when a single-lock cache (or a saturated shard) is the bottleneck.
+		// profiles show where probes wait when a saturated cache shard is
+		// the bottleneck (perfbench reports the same wait as
+		// serve.mutex_wait_ns).
 		runtime.SetMutexProfileFraction(100)
 		runtime.SetBlockProfileRate(100_000) // sample blocks ≥100µs
 		go func() {

@@ -19,6 +19,8 @@
 //     generation fails fast with ErrStaleLabel instead of answering against
 //     a topology that no longer exists.
 //
+// Run it with
+//
 //	go run ./examples/netmonitor
 package main
 

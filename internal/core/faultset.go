@@ -64,11 +64,10 @@ type faultComponent struct {
 	closeErr  error
 
 	// Lazily recorded crossing structure for route planning: the decoded
-	// crossings of one full-closure run plus a per-fragment adjacency into
-	// them (routeset.go). Guarded by routeOnce; read-only afterwards.
+	// crossings of one full-closure run (routeset.go). Guarded by
+	// routeOnce; read-only afterwards.
 	routeOnce sync.Once
-	routeRecs []crossRec
-	routeAdj  [][]int32
+	route     crossGraph
 	routeErr  error
 }
 
@@ -242,15 +241,14 @@ func (fs *FaultSet) ConnectedBatch(pairs [][2]VertexLabel) ([]bool, error) {
 }
 
 // Session forces the closure of every compiled component and returns a
-// Session over the full partition — the multi-component replacement for the
-// old anchor-bound NewSession.
+// Session over the full partition.
 func (fs *FaultSet) Session() (*Session, error) {
 	for _, c := range fs.comps {
 		if err := c.ensureClosed(); err != nil {
 			return nil, err
 		}
 	}
-	return &Session{fs: fs, token: fs.token, checkToken: fs.hasFaults}, nil
+	return &Session{fs: fs}, nil
 }
 
 // Rebase returns a FaultSet that shares fs's compiled state — fragment

@@ -236,6 +236,56 @@ func TestFaultSetProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFaultSetRoutePlanAllocs pins the allocations of a warm
+// FaultSet.RoutePlan by plan length on a seeded corpus: once a component's
+// crossing structure is recorded, a plan allocates only its own step slice
+// plus, when it crosses at least one fault, the fragment walk's scratch.
+// An increase fails; a decrease should lower the pin.
+func TestFaultSetRoutePlanAllocs(t *testing.T) {
+	want := map[int]float64{1: 1, 2: 5, 3: 6} // plan steps → allocs/op
+	rng := rand.New(rand.NewSource(12))
+	g := workload.ErdosRenyi(60, 0.1, true, rng)
+	s := mustBuild(t, g, Params{MaxFaults: 3})
+	seen := map[int]int{}
+	for trial := 0; trial < 30; trial++ {
+		faults := workload.TreeEdgeFaults(g, s.Forest, 1+trial%3, rng)
+		fl := make([]EdgeLabel, len(faults))
+		for i, e := range faults {
+			fl[i] = s.EdgeLabel(e)
+		}
+		fs, err := CompileFaults(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 8; q++ {
+			sv, tv := s.VertexLabel(rng.Intn(g.N())), s.VertexLabel(rng.Intn(g.N()))
+			plan, _, err := fs.RoutePlan(sv, tv) // records the crossings
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, _, err := fs.RoutePlan(sv, tv); err != nil {
+					t.Fatal(err)
+				}
+			})
+			pin, ok := want[len(plan)]
+			if !ok {
+				t.Fatalf("trial %d: %d-step plan has no pinned allocation count", trial, len(plan))
+			}
+			if allocs != pin {
+				t.Fatalf("trial %d: warm %d-step RoutePlan allocates %.1f objects/op, pinned %.0f", trial, len(plan), allocs, pin)
+			}
+			seen[len(plan)]++
+		}
+	}
+	for steps := 1; steps <= 3; steps++ {
+		if seen[steps] == 0 {
+			t.Fatalf("corpus produced no %d-step plan (seen %v)", steps, seen)
+		}
+	}
+	t.Logf("plans by step count: %v", seen)
+}
+
 // twoComponentFixture builds a graph whose spanning forest has two trees: a
 // 4-cycle on {0..3} and a 4-path on {4..7}, returning the scheme plus the
 // edge ids of one cycle edge (harmless) and the path's middle edge (a
@@ -264,18 +314,15 @@ func twoComponentFixture(t *testing.T) (*Scheme, *graph.Graph, int, int) {
 }
 
 // TestSessionHonorsFaultsInOtherComponents is the multi-component
-// regression: the historical anchor-bound session silently dropped faults
-// whose component differed from the anchor's, answering "connected" for
-// vertex pairs that the dropped faults disconnect. Faults are split across
-// the two spanning-forest trees; the session is anchored in the cycle
-// component, yet must honor the bridge fault in the path component.
+// regression: a session must not drop faults whose spanning-forest tree
+// differs from some other fault's, or it answers "connected" for vertex
+// pairs that the dropped faults disconnect. Faults are split across the two
+// trees (a harmless cycle edge and the path's bridge); the session must
+// honor both.
 func TestSessionHonorsFaultsInOtherComponents(t *testing.T) {
 	s, g, cycleEdge, bridge := twoComponentFixture(t)
 	fl := []EdgeLabel{s.EdgeLabel(cycleEdge), s.EdgeLabel(bridge)}
-	sess, err := NewSession(s.VertexLabel(0), fl) // anchor in the cycle
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(t, fl)
 	set := workload.FaultSet([]int{cycleEdge, bridge})
 	cases := [][2]int{{4, 7}, {4, 5}, {6, 7}, {5, 7}, {0, 2}, {0, 5}, {1, 3}}
 	for _, c := range cases {
@@ -285,12 +332,12 @@ func TestSessionHonorsFaultsInOtherComponents(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("session probe (%d,%d) = %v, want %v (fault in non-anchor component dropped?)",
+			t.Fatalf("session probe (%d,%d) = %v, want %v (fault in the other component dropped?)",
 				c[0], c[1], got, want)
 		}
 	}
 	if !testingConnectedFalse(t, sess, s, 4, 7) {
-		t.Fatalf("bridge fault in non-anchor component not honored")
+		t.Fatalf("bridge fault in the path component not honored")
 	}
 	// Shape accounting sums over both touched components: 2 fragments in
 	// the cycle tree + 2 in the path tree; the cycle closes back up (1

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fragments"
+)
 
 // RouteStep is one leg of a forbidden-set route plan (Corollary 2 support).
 // The router tree-routes toward the T′ preorder Near; when the current node
@@ -19,11 +23,85 @@ type crossRec struct {
 	c1, c2 int
 }
 
+// crossGraph is the fragment graph spanned by recorded crossings: the
+// crossings themselves plus, per fragment, the indices of the crossings
+// that leave it. Both route planners walk it — the one-shot RoutePlan over
+// the crossings its early-terminating query decoded, FaultSet.RoutePlan
+// over those of one full-closure run.
+type crossGraph struct {
+	frags *fragments.Set
+	recs  []crossRec
+	adj   [][]int32
+}
+
+// newCrossGraph indexes recs by the fragments of frags they join.
+func newCrossGraph(frags *fragments.Set, recs []crossRec) crossGraph {
+	adj := make([][]int32, frags.Count())
+	for ri, r := range recs {
+		if r.c1 == r.c2 {
+			continue
+		}
+		adj[r.c1] = append(adj[r.c1], int32(ri))
+		adj[r.c2] = append(adj[r.c2], int32(ri))
+	}
+	return crossGraph{frags: frags, recs: recs, adj: adj}
+}
+
+// plan finds a fragment path from fragS to fragT by BFS and walks it back
+// into route steps: one crossing per fragment boundary, then final. The
+// caller has established that the two fragments are connected, so a
+// missing path is an internal error.
+func (g crossGraph) plan(fragS, fragT int, final RouteStep) ([]RouteStep, error) {
+	count := len(g.adj)
+	prev := make([]int, count) // record index that discovered the fragment
+	for i := range prev {
+		prev[i] = -1
+	}
+	visited := make([]bool, count)
+	visited[fragS] = true
+	queue := make([]int, 0, count)
+	queue = append(queue, fragS)
+	for len(queue) > 0 && !visited[fragT] {
+		c := queue[0]
+		queue = queue[1:]
+		for _, ri := range g.adj[c] {
+			r := g.recs[ri]
+			next := r.c1 + r.c2 - c
+			if visited[next] {
+				continue
+			}
+			visited[next] = true
+			prev[next] = int(ri)
+			queue = append(queue, next)
+		}
+	}
+	if !visited[fragT] {
+		return nil, fmt.Errorf("core: internal: no fragment path between connected fragments")
+	}
+	// Walk back from t's fragment, emitting crossings in reverse.
+	var rev []RouteStep
+	for cur := fragT; cur != fragS; {
+		r := g.recs[prev[cur]]
+		from := r.c1 + r.c2 - cur
+		near, far := r.p1, r.p2
+		if g.frags.Stab(near) != from {
+			near, far = far, near
+		}
+		rev = append(rev, RouteStep{Near: near, Far: far})
+		cur = from
+	}
+	plan := make([]RouteStep, 0, len(rev)+1)
+	for i := len(rev) - 1; i >= 0; i-- {
+		plan = append(plan, rev[i])
+	}
+	return append(plan, final), nil
+}
+
 // RoutePlan computes a forbidden-set route plan from s to t avoiding the
 // faulty edges, using labels only. It returns (plan, true, nil) when t is
 // reachable; (nil, false, nil) when provably unreachable. The plan's
 // crossings hop between tree fragments exactly along a path in the fragment
-// graph discovered by the §7.6 query.
+// graph discovered by the §7.6 query, which stops as soon as s and t merge.
 func RoutePlan(s, t VertexLabel, faults []EdgeLabel) ([]RouteStep, bool, error) {
 	if err := checkStamp(s.Token, s.Gen, t.Token, t.Gen, "vertex tokens"); err != nil {
 		return nil, false, err
@@ -50,65 +128,12 @@ func RoutePlan(s, t VertexLabel, faults []EdgeLabel) ([]RouteStep, bool, error) 
 	}
 	q.recording = true
 	ok, err := q.runFast()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	plan, err := newCrossGraph(q.comp.frags, q.records).plan(int(q.fragS), int(q.fragT), final)
 	if err != nil {
 		return nil, false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	// BFS over the fragment graph induced by the recorded crossings.
-	count := q.comp.frags.Count()
-	adj := make([][]int, count) // record indices
-	for ri, r := range q.records {
-		if r.c1 == r.c2 {
-			continue
-		}
-		adj[r.c1] = append(adj[r.c1], ri)
-		adj[r.c2] = append(adj[r.c2], ri)
-	}
-	prev := make([]int, count) // record index that discovered the fragment
-	for i := range prev {
-		prev[i] = -1
-	}
-	visited := make([]bool, count)
-	visited[q.fragS] = true
-	queue := []int{int(q.fragS)}
-	for len(queue) > 0 && !visited[q.fragT] {
-		c := queue[0]
-		queue = queue[1:]
-		for _, ri := range adj[c] {
-			r := q.records[ri]
-			next := r.c1 + r.c2 - c
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			prev[next] = ri
-			queue = append(queue, next)
-		}
-	}
-	if !visited[q.fragT] {
-		// The query proved connectivity, so the recorded crossings must
-		// span s's super-fragment; failing here is an internal bug.
-		return nil, false, fmt.Errorf("core: internal: fragment path missing after positive query")
-	}
-	// Walk back from t's fragment, emitting crossings in reverse.
-	var rev []RouteStep
-	c := int(q.fragT)
-	for c != int(q.fragS) {
-		r := q.records[prev[c]]
-		from := r.c1 + r.c2 - c
-		near, far := r.p1, r.p2
-		if q.comp.frags.Stab(near) != from {
-			near, far = far, near
-		}
-		rev = append(rev, RouteStep{Near: near, Far: far})
-		c = from
-	}
-	plan := make([]RouteStep, 0, len(rev)+1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		plan = append(plan, rev[i])
-	}
-	plan = append(plan, final)
 	return plan, true, nil
 }

@@ -1,12 +1,11 @@
 package core
 
-import "fmt"
-
 // This file gives the compiled FaultSet the route product: RoutePlan is the
 // compiled-once counterpart of the one-shot RoutePlan in route.go, exactly
-// as FaultSet.Connected is the compiled counterpart of ConnectedUnder. The
-// crossing structure is recorded once per component (ensureRouted) and every
-// subsequent plan is a BFS over at most f+1 fragments — no label decoding.
+// as FaultSet.Connected is the compiled counterpart of the one-shot
+// Connected. The crossing structure is recorded once per component
+// (ensureRouted) and every subsequent plan walks it (crossGraph.plan, shared
+// with the one-shot planner) over at most f+1 fragments — no label decoding.
 
 // ensureRouted records the component's crossing structure once: a single
 // full-closure run (fragS = fragT = -1 drives every super-fragment to
@@ -33,18 +32,8 @@ func (c *faultComponent) ensureRouted() error {
 			}
 			c.closure = closure
 		})
-		recs := make([]crossRec, len(q.records))
-		copy(recs, q.records)
-		adj := make([][]int32, c.count)
-		for ri, r := range recs {
-			if r.c1 == r.c2 {
-				continue
-			}
-			adj[r.c1] = append(adj[r.c1], int32(ri))
-			adj[r.c2] = append(adj[r.c2], int32(ri))
-		}
-		c.routeRecs = recs
-		c.routeAdj = adj
+		// Copy the records: q's buffer goes back to the pool.
+		c.route = newCrossGraph(c.frags, append([]crossRec(nil), q.records...))
 	})
 	if c.routeErr != nil {
 		return c.routeErr
@@ -92,52 +81,9 @@ func (fs *FaultSet) RoutePlan(s, t VertexLabel) ([]RouteStep, bool, error) {
 	if comp.closure[fragS] != comp.closure[fragT] {
 		return nil, false, nil
 	}
-	// BFS over the recorded fragment graph, mirroring route.go.
-	count := comp.frags.Count()
-	prev := make([]int, count) // record index that discovered the fragment
-	for i := range prev {
-		prev[i] = -1
+	plan, err := comp.route.plan(fragS, fragT, final)
+	if err != nil {
+		return nil, false, err
 	}
-	visited := make([]bool, count)
-	visited[fragS] = true
-	queue := make([]int, 0, count)
-	queue = append(queue, fragS)
-	for len(queue) > 0 && !visited[fragT] {
-		c := queue[0]
-		queue = queue[1:]
-		for _, ri := range comp.routeAdj[c] {
-			r := comp.routeRecs[ri]
-			next := r.c1 + r.c2 - c
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			prev[next] = int(ri)
-			queue = append(queue, next)
-		}
-	}
-	if !visited[fragT] {
-		// The closure proved connectivity, so the recorded crossings must
-		// span s's closure class; failing here is an internal bug.
-		return nil, false, fmt.Errorf("core: internal: fragment path missing after positive closure")
-	}
-	// Walk back from t's fragment, emitting crossings in reverse.
-	var rev []RouteStep
-	cur := fragT
-	for cur != fragS {
-		r := comp.routeRecs[prev[cur]]
-		from := r.c1 + r.c2 - cur
-		near, far := r.p1, r.p2
-		if comp.frags.Stab(near) != from {
-			near, far = far, near
-		}
-		rev = append(rev, RouteStep{Near: near, Far: far})
-		cur = from
-	}
-	plan := make([]RouteStep, 0, len(rev)+1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		plan = append(plan, rev[i])
-	}
-	plan = append(plan, final)
 	return plan, true, nil
 }

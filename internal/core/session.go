@@ -4,58 +4,18 @@ package core
 // in practice (one failure event, many reachability probes). It is a thin
 // view over a compiled FaultSet with every component's fragment closure
 // forced eagerly: each probe costs two interval stabs plus two partition
-// lookups and performs no allocations.
-//
-// Unlike the historical anchor-bound session, a Session covers every
-// spanning-forest component that the fault set touches: probes for vertex
-// pairs in any component are answered correctly. Build one with
-// FaultSet.Session (preferred) or the compatibility constructor NewSession.
+// lookups and performs no allocations. A Session covers every
+// spanning-forest component that the fault set touches, so probes for
+// vertex pairs in any component are answered correctly. Build one with
+// FaultSet.Session.
 //
 // A Session is still decoder-side only: it is built purely from labels.
 type Session struct {
 	fs *FaultSet
-	// token/gen guard probes; for anchor-built sessions they are the
-	// anchor's stamps so that the historical mixed-label errors are
-	// preserved even for empty fault sets.
-	token      uint64
-	gen        uint64
-	checkToken bool
-}
-
-// NewSession prepares a session from the given fault labels. The anchor is
-// retained for API compatibility (it pins the scheme token when the fault
-// set is empty); the session itself answers probes in every component, not
-// just the anchor's.
-func NewSession(anchor VertexLabel, faults []EdgeLabel) (*Session, error) {
-	fs, err := CompileFaults(faults)
-	if err != nil {
-		return nil, err
-	}
-	if fs.hasFaults {
-		if err := checkStamp(fs.token, fs.gen, anchor.Token, anchor.Gen, "anchor and fault tokens"); err != nil {
-			return nil, err
-		}
-	}
-	s, err := fs.Session()
-	if err != nil {
-		return nil, err
-	}
-	s.token = anchor.Token
-	s.gen = anchor.Gen
-	s.checkToken = true
-	return s, nil
 }
 
 // Connected probes s–t connectivity under the session's fault set.
 func (s *Session) Connected(sv, tv VertexLabel) (bool, error) {
-	if err := checkStamp(sv.Token, sv.Gen, tv.Token, tv.Gen, "session tokens"); err != nil {
-		return false, err
-	}
-	if s.checkToken {
-		if err := checkStamp(sv.Token, sv.Gen, s.token, s.gen, "session tokens"); err != nil {
-			return false, err
-		}
-	}
 	return s.fs.Connected(sv, tv)
 }
 

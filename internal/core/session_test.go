@@ -9,6 +9,20 @@ import (
 	"repro/internal/workload"
 )
 
+// mustSession compiles fl and returns its eager Session.
+func mustSession(tb testing.TB, fl []EdgeLabel) *Session {
+	tb.Helper()
+	fs, err := CompileFaults(fl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sess, err := fs.Session()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sess
+}
+
 func TestSessionMatchesConnected(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
@@ -21,10 +35,7 @@ func TestSessionMatchesConnected(t *testing.T) {
 		for i, e := range faults {
 			fl[i] = s.EdgeLabel(e)
 		}
-		sess, err := NewSession(s.VertexLabel(0), fl)
-		if err != nil {
-			t.Fatalf("trial %d: NewSession: %v", trial, err)
-		}
+		sess := mustSession(t, fl)
 		for q := 0; q < 100; q++ {
 			sv, tv := rng.Intn(n), rng.Intn(n)
 			got, err := sess.Connected(s.VertexLabel(sv), s.VertexLabel(tv))
@@ -52,10 +63,7 @@ func TestSessionComponentCounts(t *testing.T) {
 	}
 	s := mustBuild(t, g, Params{MaxFaults: 2})
 	fl := []EdgeLabel{s.EdgeLabel(ids[1]), s.EdgeLabel(ids[3])}
-	sess, err := NewSession(s.VertexLabel(0), fl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(t, fl)
 	if sess.Fragments() != 3 {
 		t.Fatalf("fragments = %d, want 3", sess.Fragments())
 	}
@@ -65,10 +73,7 @@ func TestSessionComponentCounts(t *testing.T) {
 	// A cycle closes the components back up.
 	g2 := workload.Cycle(6)
 	s2 := mustBuild(t, g2, Params{MaxFaults: 1})
-	sess2, err := NewSession(s2.VertexLabel(0), []EdgeLabel{s2.EdgeLabel(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess2 := mustSession(t, []EdgeLabel{s2.EdgeLabel(0)})
 	if sess2.Components() != 1 {
 		t.Fatalf("cycle minus one edge: components = %d, want 1", sess2.Components())
 	}
@@ -77,10 +82,7 @@ func TestSessionComponentCounts(t *testing.T) {
 func TestSessionNoFaults(t *testing.T) {
 	g := workload.Cycle(5)
 	s := mustBuild(t, g, Params{MaxFaults: 1})
-	sess, err := NewSession(s.VertexLabel(0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(t, nil)
 	ok, err := sess.Connected(s.VertexLabel(1), s.VertexLabel(4))
 	if err != nil || !ok {
 		t.Fatalf("no-fault session: ok=%v err=%v", ok, err)
@@ -93,10 +95,7 @@ func TestSessionNoFaults(t *testing.T) {
 func TestSessionTokenMismatch(t *testing.T) {
 	s1 := mustBuild(t, workload.Cycle(4), Params{MaxFaults: 1})
 	s2 := mustBuild(t, workload.Cycle(5), Params{MaxFaults: 1})
-	sess, err := NewSession(s1.VertexLabel(0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(t, nil)
 	if _, err := sess.Connected(s1.VertexLabel(0), s2.VertexLabel(1)); !errors.Is(err, ErrLabelMismatch) {
 		t.Fatalf("err = %v, want ErrLabelMismatch", err)
 	}
@@ -123,10 +122,7 @@ func BenchmarkSessionVsPerQuery(b *testing.B) {
 		}
 	})
 	b.Run("session", func(b *testing.B) {
-		sess, err := NewSession(s.VertexLabel(0), fl)
-		if err != nil {
-			b.Fatal(err)
-		}
+		sess := mustSession(b, fl)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sess.Connected(s.VertexLabel(i%g.N()), s.VertexLabel((i*7)%g.N())); err != nil {

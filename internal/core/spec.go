@@ -57,10 +57,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Deterministic reports whether the scheme kind gives deterministic (full)
-// query support.
-func (k Kind) Deterministic() bool { return k == KindDetNetFind || k == KindDetGreedy }
-
 // OutSpec describes the shape, parameters, and (for randomized kinds) seed
 // of the outdetect payload carried by every edge label. It is part of each
 // label so the decoder stays universal.

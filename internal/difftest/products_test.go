@@ -175,34 +175,18 @@ func TestQueryProductSurfaceEquivalence(t *testing.T) {
 						t.Fatalf("trial %d pair %d: bin %v http %v", trial, i, out[i], hv.Connected[i])
 					}
 					if !approx {
-						oracle := connectedWithoutVerts(g, dead, p[0], p[1])
+						oracle := graph.ConnectedWithoutVertices(g, dead, p[0], p[1])
 						if out[i] != oracle {
 							t.Fatalf("trial %d pair %d: surfaces answer %v, vertex oracle %v (dead %v)",
 								trial, i, out[i], oracle, verts)
 						}
-					} else if out[i] && !connectedWithoutVerts(g, dead, p[0], p[1]) {
+					} else if out[i] && !graph.ConnectedWithoutVertices(g, dead, p[0], p[1]) {
 						t.Fatalf("trial %d pair %d: degraded answer unsound (dead %v)", trial, i, verts)
 					}
 				}
 			}
 		})
 	}
-}
-
-// connectedWithoutVerts is the vertex-fault BFS oracle: failed endpoints
-// are disconnected from everything, a failed vertex fails every incident
-// edge.
-func connectedWithoutVerts(g *graph.Graph, dead map[int]bool, s, t int) bool {
-	if dead[s] || dead[t] {
-		return false
-	}
-	faults := map[int]bool{}
-	for v := range dead {
-		for _, h := range g.Adj(v) {
-			faults[h.Edge] = true
-		}
-	}
-	return graph.ConnectedUnder(g, faults, s, t)
 }
 
 func equalPath(a, b []int) bool {

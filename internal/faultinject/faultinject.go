@@ -237,19 +237,6 @@ func (r *Registry) Fired(name string) uint64 {
 	return p.fired
 }
 
-// FiredTotal sums fire counts across every point.
-func (r *Registry) FiredTotal() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var total uint64
-	for _, p := range r.pts {
-		p.mu.Lock()
-		total += p.fired
-		p.mu.Unlock()
-	}
-	return total
-}
-
 func (r *Registry) lookup(name string) *point {
 	r.mu.RLock()
 	p := r.pts[name]
@@ -303,9 +290,6 @@ func Arm(r *Registry) {
 
 // Disarm removes the global registry.
 func Disarm() { active.Store(nil) }
-
-// Armed returns the global registry, nil when disarmed.
-func Armed() *Registry { return active.Load() }
 
 // Fire evaluates the named point against the global registry: nil when
 // disarmed, when the point is not armed, or when its policy decides not

@@ -114,10 +114,3 @@ func (s *Set) stabExcluding(p uint32, exclude int) int {
 	}
 	return best + 1 // fragment index; 0 when no fault interval contains p
 }
-
-// CrossesFragments reports whether the (non-tree) edge with endpoint labels
-// a, b leaves the fragment containing a — i.e., whether its endpoints lie in
-// different fragments.
-func (s *Set) CrossesFragments(a, b ancestry.Label) bool {
-	return s.Stab(a.Pre) != s.Stab(b.Pre)
-}

@@ -32,6 +32,23 @@ func ConnectedUnder(g *Graph, faults map[int]bool, s, t int) bool {
 	return false
 }
 
+// ConnectedWithoutVertices reports whether s and t are connected in g minus
+// the dead vertices — the vertex-fault ground truth. A dead endpoint is
+// connected to nothing, itself included; every other dead vertex fails all
+// its incident edges.
+func ConnectedWithoutVertices(g *Graph, dead map[int]bool, s, t int) bool {
+	if dead[s] || dead[t] {
+		return false
+	}
+	faults := map[int]bool{}
+	for v := range dead {
+		for _, h := range g.Adj(v) {
+			faults[h.Edge] = true
+		}
+	}
+	return ConnectedUnder(g, faults, s, t)
+}
+
 // Components returns a component id per vertex of g − F and the component
 // count.
 func Components(g *Graph, faults map[int]bool) ([]int, int) {

@@ -70,14 +70,3 @@ func SpanningForest(g *Graph) *Forest {
 	}
 	return f
 }
-
-// Depths returns the depth of each vertex in its tree (roots at 0).
-func (f *Forest) Depths() []int {
-	d := make([]int, len(f.Parent))
-	for _, v := range f.BFSOrder {
-		if f.Parent[v] >= 0 {
-			d[v] = d[f.Parent[v]] + 1
-		}
-	}
-	return d
-}

@@ -142,6 +142,28 @@ func TestConnectedUnder(t *testing.T) {
 	}
 }
 
+func TestConnectedWithoutVertices(t *testing.T) {
+	// Path 0-1-2-3 with a detour 0-4-2.
+	g := New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 2}} {
+		if _, err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ConnectedWithoutVertices(g, map[int]bool{1: true}, 0, 3) {
+		t.Error("0-3 should survive vertex 1 through the detour")
+	}
+	if ConnectedWithoutVertices(g, map[int]bool{2: true}, 0, 3) {
+		t.Error("vertex 2 is a cut vertex for 0-3")
+	}
+	if ConnectedWithoutVertices(g, map[int]bool{3: true}, 3, 3) {
+		t.Error("a dead endpoint is connected to nothing, itself included")
+	}
+	if !ConnectedWithoutVertices(g, nil, 1, 1) {
+		t.Error("a live s == t is connected")
+	}
+}
+
 func TestComponentsAndDistances(t *testing.T) {
 	g := New(5)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {

@@ -120,7 +120,7 @@ func (c *shardedCache) get(key uint64, canon []int, gen uint64) (*cacheEntry, bo
 // full rebase path.
 func (c *shardedCache) applyUpdate(rep *core.CommitReport) (evicted, rebased int) {
 	for i, sh := range c.shards {
-		e, r := sh.applyUpdateSharded(rep, c.mask, uint64(i))
+		e, r := sh.applyUpdate(rep, c.mask, uint64(i))
 		evicted += e
 		rebased += r
 	}

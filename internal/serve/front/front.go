@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -47,22 +46,22 @@ import (
 	"repro/internal/serve/wireclient"
 )
 
-// Options tunes a Front. The zero value is usable.
-type Options struct {
-	// Conns / Inflight are passed through to each replica's wireclient
-	// (defaults: 1 connection, 32 in-flight batches per connection).
-	Conns    int
-	Inflight int
+// The adaptive hedge delay is clamped to [hedgeMin, hedgeMax]. The lower
+// clamp stops a fast fleet from hedging every probe into double load; the
+// upper stops a cold ring from never hedging.
+const (
+	hedgeMin = 500 * time.Microsecond
+	hedgeMax = 50 * time.Millisecond
+)
 
+// Options tunes a Front. The zero value is usable. Each replica gets one
+// wireclient with that package's defaults (one connection, 32 in-flight
+// batches).
+type Options struct {
 	// HedgeAfter fixes the hedge delay. Zero means adaptive: the delay
 	// tracks the front's observed p99 probe latency, clamped to
-	// [HedgeMin, HedgeMax].
+	// [500µs, 50ms].
 	HedgeAfter time.Duration
-	// HedgeMin / HedgeMax clamp the adaptive delay (defaults 500µs / 50ms).
-	// The lower clamp stops a fast fleet from hedging every probe into
-	// double load; the upper stops a cold ring from never hedging.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 	// NoHedge disables hedging entirely (tests use it to make attempt
 	// counts and failover paths deterministic).
 	NoHedge bool
@@ -95,10 +94,6 @@ type Options struct {
 	// already spent queueing) and enforced front-side — a probe with no
 	// answer inside the budget fails with ErrBudgetExceeded. 0 disables.
 	RequestBudget time.Duration
-
-	// DialerFor overrides connection establishment per replica address
-	// (tests inject slow or flaky transports). Nil uses TCP.
-	DialerFor func(addr string) func() (net.Conn, error)
 
 	// Reconnect tuning, passed through to wireclient.
 	ReconnectBase time.Duration
@@ -239,7 +234,6 @@ type Front struct {
 	opts     Options
 	rr       atomic.Uint64
 	lat      latRing
-	mkClient func(addr string) (*wireclient.Client, error)
 
 	probes         atomic.Uint64
 	hedges         atomic.Uint64
@@ -269,15 +263,6 @@ func Dial(addrs []string, opts Options) (*Front, error) {
 	if len(opts.HealthURLs) > 0 && len(opts.HealthURLs) != len(addrs) {
 		return nil, fmt.Errorf("front: %d health URLs for %d addresses", len(opts.HealthURLs), len(addrs))
 	}
-	if opts.HedgeMin <= 0 {
-		opts.HedgeMin = 500 * time.Microsecond
-	}
-	if opts.HedgeMax < opts.HedgeMin {
-		opts.HedgeMax = 50 * time.Millisecond
-		if opts.HedgeMax < opts.HedgeMin {
-			opts.HedgeMax = opts.HedgeMin
-		}
-	}
 	if opts.FailThreshold <= 0 {
 		opts.FailThreshold = 3
 	}
@@ -288,18 +273,6 @@ func Dial(addrs []string, opts Options) (*Front, error) {
 		opts.HealthInterval = 500 * time.Millisecond
 	}
 	f := &Front{opts: opts, stopHealth: make(chan struct{})}
-	f.mkClient = func(addr string) (*wireclient.Client, error) {
-		wopts := wireclient.Options{
-			Conns:         opts.Conns,
-			Inflight:      opts.Inflight,
-			ReconnectBase: opts.ReconnectBase,
-			ReconnectMax:  opts.ReconnectMax,
-		}
-		if opts.DialerFor != nil {
-			wopts.Dialer = opts.DialerFor(addr)
-		}
-		return wireclient.Dial(addr, wopts)
-	}
 	var firstErr error
 	up := 0
 	for i, addr := range addrs {
@@ -307,7 +280,7 @@ func Dial(addrs []string, opts Options) (*Front, error) {
 		if len(opts.HealthURLs) > 0 {
 			b.healthURL = opts.HealthURLs[i]
 		}
-		cl, err := f.mkClient(addr)
+		cl, err := f.dial(addr)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("front: dial %s: %w", addr, err)
@@ -331,6 +304,14 @@ func Dial(addrs []string, opts Options) (*Front, error) {
 		go f.healthLoop()
 	}
 	return f, nil
+}
+
+// dial opens the wireclient for one replica address.
+func (f *Front) dial(addr string) (*wireclient.Client, error) {
+	return wireclient.Dial(addr, wireclient.Options{
+		ReconnectBase: f.opts.ReconnectBase,
+		ReconnectMax:  f.opts.ReconnectMax,
+	})
 }
 
 // Close stops health polling and tears down every replica client.
@@ -458,15 +439,9 @@ func (f *Front) hedgeDelay() time.Duration {
 	_, p99 := f.lat.quantiles()
 	if p99 == 0 {
 		// Cold ring: hedge conservatively until quantiles exist.
-		return f.opts.HedgeMax
+		return hedgeMax
 	}
-	if p99 < f.opts.HedgeMin {
-		return f.opts.HedgeMin
-	}
-	if p99 > f.opts.HedgeMax {
-		return f.opts.HedgeMax
-	}
-	return p99
+	return min(max(p99, hedgeMin), hedgeMax)
 }
 
 // ConnectedBatch answers one failure event against a batch of s–t pairs,
@@ -713,7 +688,7 @@ func (f *Front) healthCheck(client *http.Client, b *backend) {
 		return
 	}
 	if b.client() == nil {
-		cl, err := f.mkClient(b.addr)
+		cl, err := f.dial(b.addr)
 		if err != nil {
 			f.markFailure(b)
 			return

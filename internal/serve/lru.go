@@ -126,17 +126,13 @@ func (c *lruCache) get(key uint64, canon []int, gen uint64) (ent *cacheEntry, hi
 // would corrupt it — and an entry at any generation other than rep.Gen-1
 // is evicted, because this report says nothing about the commits it
 // missed.
-func (c *lruCache) applyUpdate(rep *core.CommitReport) (evicted, rebased int) {
-	return c.applyUpdateSharded(rep, 0, 0)
-}
-
-// applyUpdateSharded is applyUpdate for a cache that is one shard of
-// shardMask+1: a rebased entry whose remapped key hashes to a different
-// shard cannot be re-homed there (that shard's lock is not held), so it is
-// evicted instead — strictly less warm state than the unsharded sweep,
-// never less sound. With mask 0 every key maps back to this shard and the
-// behavior is exactly the historical applyUpdate.
-func (c *lruCache) applyUpdateSharded(rep *core.CommitReport, shardMask, self uint64) (evicted, rebased int) {
+//
+// The cache is shard self of shardMask+1: a rebased entry whose remapped
+// key hashes to a different shard cannot be re-homed there (that shard's
+// lock is not held), so it is evicted instead — strictly less warm state
+// than an unsharded sweep, never less sound. With mask 0 every key maps
+// back to this shard.
+func (c *lruCache) applyUpdate(rep *core.CommitReport, shardMask, self uint64) (evicted, rebased int) {
 	if rep.Incremental && len(rep.Relabeled) == 0 && len(rep.Removed) == 0 && rep.Remap == nil {
 		return 0, 0 // no-op commit: no generation change, nothing to sweep
 	}

@@ -111,7 +111,7 @@ func TestLRUApplyUpdateSweep(t *testing.T) {
 		Removed:     []int{5},
 		Remap:       remap,
 	}
-	evicted, rebased := c.applyUpdate(rep)
+	evicted, rebased := c.applyUpdate(rep, 0, 0)
 	if evicted != 3 || rebased != 1 {
 		t.Fatalf("evicted=%d rebased=%d, want 3/1", evicted, rebased)
 	}

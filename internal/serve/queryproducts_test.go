@@ -201,7 +201,7 @@ func TestHandlerVConnectedExact(t *testing.T) {
 		for q := 0; q < 8; q++ {
 			sv, tv := rng.Intn(g.N()), rng.Intn(g.N())
 			req.Pairs = append(req.Pairs, [2]int{sv, tv})
-			w := connectedWithoutVertices(g, dead, sv, tv)
+			w := graph.ConnectedWithoutVertices(g, dead, sv, tv)
 			want = append(want, w)
 		}
 		var out serve.VConnectedResponse
@@ -226,22 +226,6 @@ func TestHandlerVConnectedExact(t *testing.T) {
 	if st.VProbes == 0 || st.VCacheHits == 0 || st.VCacheMisses == 0 {
 		t.Fatalf("vertex stats not counting: %+v", st)
 	}
-}
-
-// connectedWithoutVertices is the vertex-fault ground truth: failed
-// endpoints are disconnected from everything (including themselves), and
-// a vertex failure fails all its incident edges.
-func connectedWithoutVertices(g *graph.Graph, dead map[int]bool, s, t int) bool {
-	if dead[s] || dead[t] {
-		return false
-	}
-	faults := map[int]bool{}
-	for v := range dead {
-		for _, h := range g.Adj(v) {
-			faults[h.Edge] = true
-		}
-	}
-	return graph.ConnectedUnder(g, faults, s, t)
 }
 
 func TestHandlerVConnectedDegraded(t *testing.T) {
@@ -272,7 +256,7 @@ func TestHandlerVConnectedDegraded(t *testing.T) {
 	}
 	dead := map[int]bool{hub: true}
 	for i, p := range req.Pairs {
-		if out.Connected[i] && !connectedWithoutVertices(g, dead, p[0], p[1]) {
+		if out.Connected[i] && !graph.ConnectedWithoutVertices(g, dead, p[0], p[1]) {
 			t.Fatalf("pair %d: degraded mode answered connected for a disconnected pair", i)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"strings"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -574,24 +574,10 @@ func (r *Replicator) resolveBinAddr() (string, error) {
 		return "", fmt.Errorf("primary bin_addr %q: %w", h.BinAddr, err)
 	}
 	if host == "" || host == "0.0.0.0" || host == "::" {
-		if u, uerr := urlHost(r.primary); uerr == nil {
-			host = u
+		// Hostname drops userinfo and port and unescapes an IPv6 zone.
+		if u, uerr := url.Parse(r.primary); uerr == nil && u.Hostname() != "" {
+			host = u.Hostname()
 		}
 	}
 	return net.JoinHostPort(host, port), nil
-}
-
-// urlHost extracts the host (no port) from an http(s) base URL.
-func urlHost(base string) (string, error) {
-	rest := base
-	if i := strings.Index(rest, "://"); i >= 0 {
-		rest = rest[i+3:]
-	}
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		rest = rest[:j]
-	}
-	if host, _, err := net.SplitHostPort(rest); err == nil {
-		return host, nil
-	}
-	return rest, nil // no port in URL
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"testing"
 	"time"
@@ -144,7 +145,13 @@ func waitCaughtUp(t *testing.T, p *primaryRig, r *serve.Replicator) {
 
 func replicaFor(t *testing.T, p *primaryRig) *serve.Replicator {
 	t.Helper()
-	r, err := serve.NewReplicator(p.ts.URL, serve.ReplicatorOptions{
+	return replicaOf(t, p.ts.URL)
+}
+
+// replicaOf is replicaFor against an explicit primary base URL.
+func replicaOf(t *testing.T, primaryURL string) *serve.Replicator {
+	t.Helper()
+	r, err := serve.NewReplicator(primaryURL, serve.ReplicatorOptions{
 		CacheSize:       64,
 		RedialBase:      5 * time.Millisecond,
 		RedialMax:       50 * time.Millisecond,
@@ -277,6 +284,36 @@ func TestReplicaTailByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicaWildcardBinAddrUserinfoURL: a primary whose binary listener
+// advertises a wildcard address (what a listener on ":PORT" reports) is
+// tailed at the host of the replica's primary URL — the bare host, even
+// when the URL carries userinfo.
+func TestReplicaWildcardBinAddrUserinfoURL(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := startPrimary(t, workload.ErdosRenyi(40, 0.15, true, rng), 2)
+	_, port, err := net.SplitHostPort(p.binLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.srv.SetBinAddr(net.JoinHostPort("0.0.0.0", port))
+	u, err := url.Parse(p.ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.User = url.UserPassword("user", "pw")
+	rep := replicaOf(t, u.String())
+	if err := rep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.drift(t, rand.New(rand.NewSource(6)), 4); n == 0 {
+		t.Fatal("no drift commits made")
+	}
+	waitCaughtUp(t, p, rep)
+	if st := rep.Status(); st.RecordsApplied == 0 {
+		t.Fatalf("replica applied no log records: %+v", st)
 	}
 }
 

@@ -255,9 +255,11 @@ type ProbeReq struct {
 }
 
 // AppendRequest appends one complete probe-layout request frame (header +
-// payload) under the given opcode — the shared encoder behind
-// AppendProbe, AppendRoute, and AppendVProbe, which differ only in opcode
-// and in what the fault indices mean. budgetMS is the remaining deadline
+// payload) under the given opcode. OpProbe, OpRoute and OpVProbe share the
+// layout and differ only in what the fault indices mean: fault edges for
+// probes and routes (each pair a source–target query), failed vertices for
+// vertex probes. faults must already be canonical — strictly ascending —
+// or the server rejects the frame. budgetMS is the remaining deadline
 // budget (0 = none).
 func AppendRequest(b []byte, op byte, id, genPin uint64, budgetMS uint32, faults []int, pairs [][2]int) []byte {
 	payload := probeFixedLen + 4*len(faults) + 8*len(pairs)
@@ -284,20 +286,6 @@ func AppendRequest(b []byte, op byte, id, genPin uint64, budgetMS uint32, faults
 // rejects non-canonical frames.
 func AppendProbe(b []byte, id, genPin uint64, faults []int, pairs [][2]int) []byte {
 	return AppendRequest(b, OpProbe, id, genPin, 0, faults, pairs)
-}
-
-// AppendRoute appends one complete route-plan request frame. Same layout
-// and canonical-form rules as AppendProbe; the forbidden set is fault edge
-// indices and each pair is a (source, target) route query.
-func AppendRoute(b []byte, id, genPin uint64, faults []int, pairs [][2]int) []byte {
-	return AppendRequest(b, OpRoute, id, genPin, 0, faults, pairs)
-}
-
-// AppendVProbe appends one complete vertex-fault probe frame. Same layout
-// and canonical-form rules as AppendProbe, except the fault indices are
-// vertex indices.
-func AppendVProbe(b []byte, id, genPin uint64, vertices []int, pairs [][2]int) []byte {
-	return AppendRequest(b, OpVProbe, id, genPin, 0, vertices, pairs)
 }
 
 // PeekRequest reads a request frame's ID and deadline budget without a

@@ -147,7 +147,7 @@ func TestRouteAndVProbeRoundTrip(t *testing.T) {
 	pairs := [][2]int{{1, 9}, {4, 4}}
 
 	var req ProbeReq
-	frame := AppendRoute(nil, 5, 7, faults, pairs)
+	frame := AppendRequest(nil, OpRoute, 5, 7, 0, faults, pairs)
 	if frame[frameHeaderLen-1] != OpRoute {
 		t.Fatalf("route opcode: %#x", frame[frameHeaderLen-1])
 	}
@@ -158,7 +158,7 @@ func TestRouteAndVProbeRoundTrip(t *testing.T) {
 		t.Fatalf("route fields: %+v (want key %#x)", req, FaultKey(faults))
 	}
 
-	frame = AppendVProbe(nil, 6, 0, faults, pairs)
+	frame = AppendRequest(nil, OpVProbe, 6, 0, 0, faults, pairs)
 	if frame[frameHeaderLen-1] != OpVProbe {
 		t.Fatalf("vprobe opcode: %#x", frame[frameHeaderLen-1])
 	}
@@ -356,8 +356,8 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(trunc[:len(trunc)-3])
 	// Query-product opcodes: well-formed, truncated, and hostile-length
 	// seeds for each.
-	f.Add(AppendRoute(nil, 2, 1, []int{0, 3}, [][2]int{{1, 2}}))
-	f.Add(AppendVProbe(nil, 3, 0, []int{4}, [][2]int{{0, 5}, {6, 6}}))
+	f.Add(AppendRequest(nil, OpRoute, 2, 1, 0, []int{0, 3}, [][2]int{{1, 2}}))
+	f.Add(AppendRequest(nil, OpVProbe, 3, 0, 0, []int{4}, [][2]int{{0, 5}, {6, 6}}))
 	f.Add(AppendRequest(nil, OpRoute, 6, 0, 250, []int{1}, [][2]int{{0, 1}}))
 	f.Add(AppendVProbeResp(nil, 4, false, true, 3, 1, []bool{false, true}))
 	routeResp := AppendRouteResp(nil, 5, true, false, 2, 1, []bool{true, false}, [][]int{{0, 1, 2}, nil})

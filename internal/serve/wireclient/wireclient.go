@@ -46,6 +46,9 @@ import (
 	"repro/internal/serve/wire"
 )
 
+// dialTimeout bounds each TCP connection attempt of the default dialer.
+const dialTimeout = 5 * time.Second
+
 // Options shape a Client.
 type Options struct {
 	// Conns is the number of persistent connections (default 1).
@@ -53,12 +56,10 @@ type Options struct {
 	// Inflight is the per-connection bound on unanswered batches
 	// (default 32).
 	Inflight int
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 
 	// Dialer overrides how raw connections are made (tests inject flaky
 	// in-memory listeners here). Defaults to TCP to the Dial address with
-	// DialTimeout and TCP_NODELAY.
+	// a 5s timeout and TCP_NODELAY.
 	Dialer func() (net.Conn, error)
 
 	// ReconnectBase and ReconnectMax bound the redial backoff: attempt n
@@ -181,9 +182,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.Inflight <= 0 {
 		opts.Inflight = 32
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	if opts.ReconnectBase <= 0 {
 		opts.ReconnectBase = 10 * time.Millisecond
 	}
@@ -192,7 +190,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	}
 	if opts.Dialer == nil {
 		opts.Dialer = func() (net.Conn, error) {
-			c, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+			c, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
 				return nil, err
 			}
@@ -405,18 +403,13 @@ func (cl *Client) ProbeIntoBudget(faultEdges []int, pairs [][2]int, out []bool, 
 	return out, hit, gen, err
 }
 
-// VProbe answers one batch probe under VERTEX faults: one set of failed
-// vertex indices against a batch of s–t pairs. approx reports degraded
-// mode — the fault set's incident edges exceeded the server's budget and
-// the answer came from the fault-tolerant spanner ("connected" is then
-// still always sound; "disconnected" may under-report).
-func (cl *Client) VProbe(faultVertices []int, pairs [][2]int) ([]bool, bool, error) {
-	out, _, approx, _, err := cl.VProbeInto(faultVertices, pairs, nil, 0)
-	return out, approx, err
-}
-
-// VProbeInto is VProbe with the answer slice and generation pin under
-// caller control, mirroring ProbeInto.
+// VProbeInto answers one batch probe under VERTEX faults: one set of
+// failed vertex indices against a batch of s–t pairs, with the answer
+// slice and generation pin under caller control as in ProbeInto. approx
+// reports degraded mode — the fault set's incident edges exceeded the
+// server's budget and the answer came from the fault-tolerant spanner
+// ("connected" is then still always sound; "disconnected" may
+// under-report).
 func (cl *Client) VProbeInto(faultVertices []int, pairs [][2]int, out []bool, genPin uint64) ([]bool, bool, bool, uint64, error) {
 	return cl.VProbeIntoBudget(faultVertices, pairs, out, genPin, 0)
 }

@@ -198,6 +198,42 @@ func TestNetworkStaleSnapshots(t *testing.T) {
 	}
 }
 
+// TestNetworkStaleSession: a session compiled at one generation reports
+// vertex labels of a later generation as stale, exactly as the FaultSet it
+// wraps does, and keeps answering probes at its own generation.
+func TestNetworkStaleSession(t *testing.T) {
+	nw, err := Open(12, testNetworkEdges(), WithMaxFaults(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := nw.Snapshot()
+	fs, err := NewFaultSet([]EdgeLabel{old.MustEdgeLabel(0, 1), old.MustEdgeLabel(5, 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := fs.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.CommitBatch([][2]int{{1, 7}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	cur := nw.Snapshot()
+	if cur.Generation() != old.Generation()+1 {
+		t.Fatalf("generation %d after one commit from %d", cur.Generation(), old.Generation())
+	}
+	if _, err := fs.Connected(cur.VertexLabel(0), cur.VertexLabel(5)); !errors.Is(err, ErrStaleLabel) {
+		t.Fatalf("FaultSet: got %v, want ErrStaleLabel", err)
+	}
+	if _, err := sess.Connected(cur.VertexLabel(0), cur.VertexLabel(5)); !errors.Is(err, ErrStaleLabel) {
+		t.Fatalf("Session: got %v, want ErrStaleLabel", err)
+	}
+	ok, err := sess.Connected(old.VertexLabel(0), old.VertexLabel(5))
+	if err != nil || !ok {
+		t.Fatalf("same-generation session probe: ok=%v err=%v", ok, err)
+	}
+}
+
 // TestNetworkRoundTrippedLabelsInteroperate: the wire codecs omit the
 // in-memory generation stamp, so a label that went through
 // Marshal/Unmarshal (Gen 0) must keep validating against live labels of

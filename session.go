@@ -7,15 +7,6 @@ import "repro/internal/core"
 // probes). It is a FaultSet with every component's fragment closure forced
 // eagerly, so each probe is a constant-size, allocation-free lookup.
 // Sessions are built from labels only, like every decoder-side object in
-// this package.
-//
-// Prefer FaultSet.Session, which covers every spanning-forest component the
-// faults touch; NewSession is the anchor-flavored compatibility constructor.
+// this package: build one with FaultSet.Session, which covers every
+// spanning-forest component the faults touch.
 type Session = core.Session
-
-// NewSession prepares a session under the given fault set. The anchor pins
-// the scheme token (it used to select the only component the session could
-// answer for; sessions now honor faults in every component).
-func NewSession(anchor VertexLabel, faults []EdgeLabel) (*Session, error) {
-	return core.NewSession(anchor, faults)
-}

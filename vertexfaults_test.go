@@ -9,20 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// connectedWithoutVertices is the ground truth for vertex faults.
-func connectedWithoutVertices(g *graph.Graph, dead map[int]bool, s, t int) bool {
-	if dead[s] || dead[t] {
-		return false
-	}
-	faults := map[int]bool{}
-	for v := range dead {
-		for _, h := range g.Adj(v) {
-			faults[h.Edge] = true
-		}
-	}
-	return graph.ConnectedUnder(g, faults, s, t)
-}
-
 func TestVertexFaultsVsGroundTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 6; trial++ {
@@ -54,7 +40,7 @@ func TestVertexFaultsVsGroundTruth(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			want := connectedWithoutVertices(g, dead, sv, tv)
+			want := graph.ConnectedWithoutVertices(g, dead, sv, tv)
 			if sv == tv && !dead[sv] {
 				want = true
 			}
@@ -182,7 +168,7 @@ func TestVertexFaultSetReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			want := connectedWithoutVertices(g, dead, sv, tv)
+			want := graph.ConnectedWithoutVertices(g, dead, sv, tv)
 			if sv == tv && !dead[sv] {
 				want = true
 			}
