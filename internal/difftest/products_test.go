@@ -75,27 +75,12 @@ func TestRoutePlanDifferential(t *testing.T) {
 						t.Fatalf("trial %d: execute(%d,%d): reached=%v err=%v (plan %v)",
 							trial, s, tv, reached, err, plan)
 					}
-					checkRoutePath(t, g, set, path, s, tv)
+					if err := graph.CheckPathUnder(g, set, path, s, tv); err != nil {
+						t.Fatalf("trial %d: %v", trial, err)
+					}
 				}
 			}
 		})
-	}
-}
-
-// checkRoutePath asserts path is a real s→t walk in G − F.
-func checkRoutePath(t *testing.T, g *graph.Graph, set map[int]bool, path []int, s, tv int) {
-	t.Helper()
-	if len(path) == 0 || path[0] != s || path[len(path)-1] != tv {
-		t.Fatalf("path %v does not go %d→%d", path, s, tv)
-	}
-	for i := 1; i < len(path); i++ {
-		e := g.EdgeIndex(path[i-1], path[i])
-		if e < 0 {
-			t.Fatalf("path %v uses non-edge (%d,%d)", path, path[i-1], path[i])
-		}
-		if set[e] {
-			t.Fatalf("path %v crosses forbidden edge %d", path, e)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"container/heap"
+	"fmt"
 	"sort"
 )
 
@@ -47,6 +48,25 @@ func ConnectedWithoutVertices(g *Graph, dead map[int]bool, s, t int) bool {
 		}
 	}
 	return ConnectedUnder(g, faults, s, t)
+}
+
+// CheckPathUnder returns nil when path is an s→t walk in g − F: it starts
+// at s, ends at t, and every hop is an edge of g outside faults. Otherwise
+// the error names the first bad hop. Graphs are simple, so a hop names at
+// most one edge.
+func CheckPathUnder(g *Graph, faults map[int]bool, path []int, s, t int) error {
+	if len(path) == 0 || path[0] != s || path[len(path)-1] != t {
+		return fmt.Errorf("path %v does not run %d→%d", path, s, t)
+	}
+	for i := 1; i < len(path); i++ {
+		u, v := path[i-1], path[i]
+		if e := g.EdgeIndex(u, v); e < 0 {
+			return fmt.Errorf("path %v: hop %d (%d,%d) is not an edge", path, i, u, v)
+		} else if faults[e] {
+			return fmt.Errorf("path %v: hop %d (%d,%d) crosses forbidden edge %d", path, i, u, v, e)
+		}
+	}
+	return nil
 }
 
 // Components returns a component id per vertex of g − F and the component

@@ -238,3 +238,31 @@ func TestClone(t *testing.T) {
 		t.Errorf("clone weight = %d, want 5", c.Weight(0))
 	}
 }
+
+func TestCheckPathUnder(t *testing.T) {
+	// Path 0-1-2-3 with a detour 0-4-2; edge 1 is (1,2).
+	g := New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {4, 2}} {
+		if _, err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forbidden := map[int]bool{1: true}
+	for _, tc := range []struct {
+		path []int
+		ok   bool
+	}{
+		{[]int{0, 4, 2, 3}, true},
+		{[]int{0, 1, 2, 3}, false}, // crosses the forbidden (1,2)
+		{[]int{0, 2, 3}, false},    // (0,2) is not an edge
+		{[]int{0, 4, 2}, false},    // ends short of 3
+		{nil, false},
+	} {
+		if err := CheckPathUnder(g, forbidden, tc.path, 0, 3); (err == nil) != tc.ok {
+			t.Errorf("path %v: err %v, want ok=%v", tc.path, err, tc.ok)
+		}
+	}
+	if err := CheckPathUnder(g, nil, []int{3}, 3, 3); err != nil {
+		t.Errorf("s == t single-vertex path: %v", err)
+	}
+}

@@ -57,20 +57,22 @@ type FrameScratch struct {
 // socket.
 func (s *Server) HandleFrame(sc *FrameScratch, op byte, payload []byte) (resp []byte, fatal bool) {
 	s.binRequests.Add(1)
-	// The three request frames share one payload layout but differ in
-	// cache-key namespace (DecodeVProbe hashes with the vertex seed) and in
-	// what the fault indices mean.
+	// The three request frames share one payload layout; the opcode only
+	// picks the product.
 	var p product
 	var err error
 	switch op {
 	case wire.OpProbe:
-		p, err = productProbe, wire.DecodeProbe(payload, &sc.req)
+		p = productProbe
 	case wire.OpRoute:
-		p, err = productRoute, wire.DecodeRoute(payload, &sc.req)
+		p = productRoute
 	case wire.OpVProbe:
-		p, err = productVProbe, wire.DecodeVProbe(payload, &sc.req)
+		p = productVProbe
 	default:
 		err = fmt.Errorf("unknown opcode 0x%02x", op)
+	}
+	if err == nil {
+		err = wire.DecodeProbe(payload, &sc.req)
 	}
 	if err != nil {
 		// sc.req may still hold the previous frame: answer with the ID this

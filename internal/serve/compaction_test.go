@@ -180,6 +180,53 @@ func TestCompactionFellBehindReplicaConverges(t *testing.T) {
 	assertSchemesByteIdentical(t, p.nw.Snapshot().Inner(), rep.Scheme())
 }
 
+// TestCompactionFullMarkerAfterCheckpointConverges commits a full rebuild
+// (a spanning-tree edge delete) after a compaction, without tripping the
+// next one. A tailing replica meets the marker and refetches /snapshot,
+// which must not hand it the older checkpoint: tailing from there runs
+// straight back into the marker. It reaches the primary's head with one
+// refetch.
+func TestCompactionFullMarkerAfterCheckpointConverges(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	p := startPrimary(t, workload.ErdosRenyi(70, 8.0/70, true, rng), 3)
+	p.log.SetRetention(genlog.Retention{MaxRecords: 6, MinRetain: 2})
+	rep := replicaFor(t, p)
+	if err := rep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	drng := rand.New(rand.NewSource(52))
+	for i := 0; i < 50 && p.log.Stats().Compactions == 0; i++ {
+		p.drift(t, drng, 1)
+	}
+	waitCaughtUp(t, p, rep)
+	loads := rep.Status().SnapshotLoads
+
+	inner := p.nw.Snapshot().Inner()
+	g := inner.Graph()
+	tree := -1
+	for e := 0; e < g.M() && tree < 0; e++ {
+		if inner.Forest.IsTreeEdge[e] {
+			tree = e
+		}
+	}
+	if tree < 0 {
+		t.Fatal("no tree edge")
+	}
+	if resp := p.commit(t, nil, [][2]int{{g.Edges[tree].U, g.Edges[tree].V}}); resp.Incremental {
+		t.Fatal("tree-edge removal committed incrementally")
+	}
+	ck, ok := p.log.Checkpoint()
+	if !ok || ck.Gen >= p.nw.Generation() {
+		t.Fatalf("checkpoint %+v (ok=%v) is not older than the full marker at generation %d", ck, ok, p.nw.Generation())
+	}
+
+	waitCaughtUp(t, p, rep)
+	assertSchemesByteIdentical(t, p.nw.Snapshot().Inner(), rep.Scheme())
+	if got := rep.Status().SnapshotLoads - loads; got > 1 {
+		t.Fatalf("replica made %d snapshot loads past the full marker, want at most 1", got)
+	}
+}
+
 // failingSnapScheme wraps a real scheme but fails Save mid-body, after
 // some bytes are already on the wire.
 type failingSnapScheme struct{ serve.Scheme }

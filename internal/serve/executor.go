@@ -29,7 +29,7 @@ const (
 )
 
 // query is one decoded request of either surface. Wire frames arrive
-// canonical with their cache key. JSON requests carry fault indices as
+// canonical with their FaultKey. JSON requests carry fault indices as
 // sent plus edges named by endpoint pair; every attempt canonicalizes them
 // into the executor's own buffer, never over the decoded request, because
 // a retry re-resolves the endpoints against a fresh snapshot starting from
@@ -40,16 +40,17 @@ type query struct {
 	pairs     [][2]int
 	faults    []int    // edge indices, or vertex indices for productVProbe
 	endpoints [][2]int // edge faults named by [u,v] (JSON only)
-	canonical bool     // faults is strictly ascending and key is its cache key
+	canonical bool     // faults is strictly ascending and key is FaultKey(faults)
 	key       uint64
 }
 
 // execState is the per-request state of the executor, pooled by each
-// surface: the query, the canonicalization buffer, and the answer the
+// surface: the query, the canonicalization buffers, and the answer the
 // surface encodes.
 type execState struct {
 	q     query
 	canon []int
+	edges []int // a vertex query's canonical incident edges
 
 	gen        uint64
 	hit        bool
@@ -98,13 +99,9 @@ func (s *Server) attempt(x *execState) (int, error) {
 			}
 			x.canon = append(x.canon, e)
 		}
-		x.canon = canonicalize(x.canon)
+		x.canon = wire.Canonicalize(x.canon)
 		canon = x.canon
-		if q.product == productVProbe {
-			key = wire.VertexFaultKey(canon)
-		} else {
-			key = wire.FaultKey(canon)
-		}
+		key = wire.FaultKey(canon)
 	}
 	for _, p := range q.pairs {
 		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
@@ -112,10 +109,34 @@ func (s *Server) attempt(x *execState) (int, error) {
 		}
 	}
 
-	fs, hit, err := s.resolve(sch, q.product == productVProbe, canon, key)
-	x.hit, x.approx, x.faults, x.faultEdges = hit, false, len(canon), 0
+	x.hit, x.approx, x.faults, x.faultEdges = false, false, len(canon), 0
 	x.out, x.paths = x.out[:0], x.paths[:0]
-	if errors.Is(err, core.ErrTooManyFaults) && q.product != productProbe {
+	edges := canon
+	if q.product == productVProbe {
+		// Paper §1.4: a failed vertex is the failure of all its incident
+		// edges, so a vertex set resolves as its canonical incident-edge
+		// set, through the cache and update sweep every product shares.
+		for _, v := range canon {
+			if v < 0 || v >= n {
+				return http.StatusUnprocessableEntity, fmt.Errorf("fault vertex index %d out of range (n=%d)", v, n)
+			}
+		}
+		x.edges = products.VertexFaultEdgesInto(x.edges, g, canon)
+		if len(x.edges) > sch.MaxFaults() {
+			return s.approximate(x, sch, canon)
+		}
+		edges, key = x.edges, wire.FaultKey(x.edges)
+	}
+	fs, hit, err := s.resolve(sch, edges, key)
+	x.hit = hit
+	if q.product == productVProbe {
+		if hit {
+			s.vprobeHits.Add(1)
+		} else {
+			s.vprobeMisses.Add(1)
+		}
+	}
+	if errors.Is(err, core.ErrTooManyFaults) && q.product == productRoute {
 		return s.approximate(x, sch, canon)
 	}
 	if err != nil {
@@ -167,7 +188,8 @@ func (s *Server) attempt(x *execState) (int, error) {
 
 // approximate is the degraded mode of routes and vertex probes: a fault
 // set over the f budget is answered from the generation's spanner
-// (products package) and marked approx instead of refused.
+// (products package) and marked approx instead of refused. Nothing is
+// compiled for it, so it is never a cache hit.
 func (s *Server) approximate(x *execState, sch Scheme, canon []int) (int, error) {
 	view := s.products.For(sch, x.gen)
 	x.approx = true
@@ -192,52 +214,34 @@ func (s *Server) approximate(x *execState, sch Scheme, canon []int) (int, error)
 }
 
 // resolve returns the compiled FaultSet of a canonical (sorted,
-// deduplicated) fault slice from its namespace's cache: edges, or
-// vertices through the paper §1.4 reduction (a vertex failure is the
-// failure of all its incident edges). hit reports whether the cache
-// already held the compiled set. For a fixed generation the canonical
-// indices determine the fault labels one-to-one, so a hit touches no
-// labels at all. canon is not retained (the cache copies it on insert),
-// so callers may pool it.
+// deduplicated) fault-edge slice from the cache. hit reports whether the
+// cache already held the compiled set. For a fixed generation the
+// canonical indices determine the fault labels one-to-one, so a hit
+// touches no labels at all. canon is not retained (the cache copies it on
+// insert), so callers may pool it.
 //
-// Out-of-range indices and over-budget edge sets are refused before the
-// cache is touched, so invalid events never evict compiled valid ones. A
-// vertex set's size is known only once its incident edges are gathered,
-// so its ErrTooManyFaults is cached deliberately: the set is a servable
-// degraded query, and the memoized classification sends warm repeats
-// straight to the degraded path.
-func (s *Server) resolve(sch Scheme, vertices bool, canon []int, key uint64) (*core.FaultSet, bool, error) {
-	g := sch.Graph()
-	cache, kind, bound, limit := s.cache, "edge", "m", g.M()
-	if vertices {
-		cache, kind, bound, limit = s.vcache, "vertex", "n", g.N()
-	}
-	for _, v := range canon {
-		if v < 0 || v >= limit {
-			return nil, false, fmt.Errorf("fault %s index %d out of range (%s=%d)", kind, v, bound, limit)
+// Out-of-range indices and over-budget sets are refused before the cache
+// is touched, so invalid events never evict compiled valid ones.
+func (s *Server) resolve(sch Scheme, canon []int, key uint64) (*core.FaultSet, bool, error) {
+	m := sch.Graph().M()
+	for _, e := range canon {
+		if e < 0 || e >= m {
+			return nil, false, fmt.Errorf("fault edge index %d out of range (m=%d)", e, m)
 		}
 	}
 	// Distinct edges are distinct faults in every scheme kind, so this
 	// budget check is exact and CompileFaults would reject too.
-	budget := sch.MaxFaults()
-	if !vertices && len(canon) > budget {
+	if budget := sch.MaxFaults(); len(canon) > budget {
 		return nil, false, fmt.Errorf("%w: %d faults, budget %d", core.ErrTooManyFaults, len(canon), budget)
 	}
 	compile := func() (*core.FaultSet, error) {
-		edges := canon
-		if vertices {
-			edges = products.VertexFaultEdges(g, canon)
-			if len(edges) > budget {
-				return nil, fmt.Errorf("%w: %d incident fault edges, budget %d", core.ErrTooManyFaults, len(edges), budget)
-			}
-		}
-		labels := make([]core.EdgeLabel, len(edges))
-		for i, e := range edges {
+		labels := make([]core.EdgeLabel, len(canon))
+		for i, e := range canon {
 			labels[i] = sch.EdgeLabelByIndex(e)
 		}
 		return core.CompileFaults(labels)
 	}
-	ent, hit := cache.get(key, canon, sch.Generation())
+	ent, hit := s.cache.get(key, canon, sch.Generation())
 	if ent == nil {
 		// Key collision with a different fault set: serve correctness over
 		// caching and compile a one-off set.
@@ -263,19 +267,6 @@ func statusOf(err error, def int) int {
 		return http.StatusInternalServerError
 	}
 	return def
-}
-
-// canonicalize sorts and deduplicates a fault slice in place — the
-// canonical form every cache key, collision check, and compile works from.
-func canonicalize(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // forbiddenCanon returns the Execute-forbidden predicate over a sorted

@@ -1,7 +1,8 @@
 // Package front is the probe front of the replicated serving tier: one
-// client-side fan-out point that spreads ConnectedBatch probes across a
-// fleet of replicas over pooled binary-protocol connections (wireclient)
-// and hedges the latency tail.
+// client-side fan-out point that spreads query-product requests (Do, with
+// ConnectedBatch as the probe shorthand) across a fleet of replicas over
+// pooled binary-protocol connections (wireclient) and hedges the latency
+// tail.
 //
 // Every probe goes to one backend picked round-robin from the live
 // membership view. If no answer has arrived after the hedge delay —
@@ -102,7 +103,7 @@ type Options struct {
 
 // Stats is a snapshot of the front's counters.
 type Stats struct {
-	Probes    uint64 // ConnectedBatch calls
+	Probes    uint64 // Do calls with a valid opcode (ConnectedBatch included)
 	Hedges    uint64 // hedge requests actually sent
 	HedgeWins uint64 // probes whose hedge answered first
 	Conflicts uint64 // generation-pin conflicts retried on another replica
@@ -444,70 +445,73 @@ func (f *Front) hedgeDelay() time.Duration {
 	return min(max(p99, hedgeMin), hedgeMax)
 }
 
+// Request is one query-product request to the fleet. Op is wire.OpProbe,
+// wire.OpRoute or wire.OpVProbe; Faults are fault edge indices (failed
+// vertex indices for OpVProbe) in any order; GenPin 0 means unpinned.
+type Request struct {
+	Op     byte
+	Faults []int
+	Pairs  [][2]int
+	GenPin uint64
+}
+
+// Result is the winning replica's answer: Connected for probes and vertex
+// probes, Route for route plans. Approx marks a degraded (spanner-backed)
+// answer, and Gen is the generation the answer is valid for.
+type Result struct {
+	Connected []bool
+	Route     *wire.RouteResp
+	Approx    bool
+	Gen       uint64
+}
+
+// Do answers one request across the fleet with hedging and failover. A
+// nonzero GenPin makes replicas at any other generation answer
+// wire.CodeConflict, and the front retries those on the remaining
+// replicas (replication lag is per-replica and transient); that failover
+// is what keeps a pinned route plan from being computed against shifted
+// edge indices. All errors from one attempt chain fail over to the next
+// replica until the routable set is exhausted. An unknown Op fails before
+// any backend is tried.
+func (f *Front) Do(req Request) (Result, error) {
+	switch req.Op {
+	case wire.OpProbe, wire.OpRoute, wire.OpVProbe:
+	default:
+		return Result{}, fmt.Errorf("front: unknown request opcode 0x%02x", req.Op)
+	}
+	r, err := f.hedged(func(cl *wireclient.Client, budget time.Duration) probeResult {
+		// Each attempt owns its result storage, since hedged attempts race.
+		var res Result
+		var err error
+		switch req.Op {
+		case wire.OpProbe:
+			res.Connected, _, res.Gen, err = cl.ProbeIntoBudget(req.Faults, req.Pairs, nil, req.GenPin, budget)
+		case wire.OpVProbe:
+			res.Connected, _, res.Approx, res.Gen, err = cl.VProbeIntoBudget(req.Faults, req.Pairs, nil, req.GenPin, budget)
+		case wire.OpRoute:
+			res.Route = new(wire.RouteResp)
+			err = cl.RouteBudget(req.Faults, req.Pairs, res.Route, req.GenPin, budget)
+			res.Approx, res.Gen = res.Route.Approx, res.Route.Gen
+		}
+		return probeResult{res: res, err: err}
+	})
+	return r.res, err
+}
+
 // ConnectedBatch answers one failure event against a batch of s–t pairs,
 // unpinned: any replica's current generation is acceptable. Returns the
 // answers and the generation they are valid for.
 func (f *Front) ConnectedBatch(faultEdges []int, pairs [][2]int) ([]bool, uint64, error) {
-	return f.ConnectedBatchPinned(faultEdges, pairs, 0)
+	r, err := f.Do(Request{Op: wire.OpProbe, Faults: faultEdges, Pairs: pairs})
+	return r.Connected, r.Gen, err
 }
 
-// probeResult carries one replica's answer through the hedging select —
-// for any of the query products (out for connectivity answers, route for
-// route plans; each attempt owns its result storage since hedged attempts
-// race).
+// probeResult carries one replica's answer through the hedging select.
 type probeResult struct {
-	out     []bool
-	route   *wire.RouteResp
-	approx  bool
-	gen     uint64
+	res     Result
 	err     error
 	replica int
 	hedge   bool
-}
-
-// ConnectedBatchPinned is ConnectedBatch with a generation pin: nonzero
-// genPin makes replicas at any other generation answer wire.CodeConflict,
-// and the front retries those on the remaining replicas (replication lag
-// is per-replica and transient). All errors from one attempt chain fail
-// over to the next replica until the routable set is exhausted.
-func (f *Front) ConnectedBatchPinned(faultEdges []int, pairs [][2]int, genPin uint64) ([]bool, uint64, error) {
-	r, err := f.hedged(func(cl *wireclient.Client, budget time.Duration) probeResult {
-		out, _, gen, err := cl.ProbeIntoBudget(faultEdges, pairs, nil, genPin, budget)
-		return probeResult{out: out, gen: gen, err: err}
-	})
-	return r.out, r.gen, err
-}
-
-// VConnectedBatch answers one vertex-failure event against a batch of
-// s–t pairs across the fleet, with the same hedging/failover as
-// ConnectedBatch. approx reports a degraded (spanner-backed) answer.
-func (f *Front) VConnectedBatch(faultVertices []int, pairs [][2]int) ([]bool, bool, uint64, error) {
-	return f.VConnectedBatchPinned(faultVertices, pairs, 0)
-}
-
-// VConnectedBatchPinned is VConnectedBatch with a generation pin.
-func (f *Front) VConnectedBatchPinned(faultVertices []int, pairs [][2]int, genPin uint64) ([]bool, bool, uint64, error) {
-	r, err := f.hedged(func(cl *wireclient.Client, budget time.Duration) probeResult {
-		out, _, approx, gen, err := cl.VProbeIntoBudget(faultVertices, pairs, nil, genPin, budget)
-		return probeResult{out: out, approx: approx, gen: gen, err: err}
-	})
-	return r.out, r.approx, r.gen, err
-}
-
-// RouteBatchPinned computes route plans avoiding a forbidden edge set
-// across the fleet. Route plans name edges by index, so callers holding
-// indices across updates pin the generation; a lagging replica answers
-// wire.CodeConflict and the front fails over to the rest of the fleet,
-// which is what keeps a pinned plan request from being silently planned
-// against shifted indices. Hedged attempts each decode into their own
-// RouteResp (the winner's is returned).
-func (f *Front) RouteBatchPinned(faultEdges []int, pairs [][2]int, genPin uint64) (*wire.RouteResp, error) {
-	r, err := f.hedged(func(cl *wireclient.Client, budget time.Duration) probeResult {
-		resp := new(wire.RouteResp)
-		err := cl.RouteBudget(faultEdges, pairs, resp, genPin, budget)
-		return probeResult{route: resp, gen: resp.Gen, approx: resp.Approx, err: err}
-	})
-	return r.route, err
 }
 
 // hedged runs one query-product attempt through the hedging/failover

@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/serve/front"
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
@@ -213,12 +214,12 @@ func TestPinnedConflictFailsOver(t *testing.T) {
 
 	pin := ahead.Generation()
 	for i := 0; i < 8; i++ {
-		_, gen, err := f.ConnectedBatchPinned([]int{0}, [][2]int{{0, 1}}, pin)
+		r, err := f.Do(front.Request{Op: wire.OpProbe, Faults: []int{0}, Pairs: [][2]int{{0, 1}}, GenPin: pin})
 		if err != nil {
 			t.Fatalf("pinned probe %d: %v", i, err)
 		}
-		if gen != pin {
-			t.Fatalf("pinned probe %d answered at gen %d, want %d", i, gen, pin)
+		if r.Gen != pin {
+			t.Fatalf("pinned probe %d answered at gen %d, want %d", i, r.Gen, pin)
 		}
 	}
 	if st := f.Stats(); st.Conflicts == 0 {
@@ -241,10 +242,11 @@ func TestFrontQueryProducts(t *testing.T) {
 	defer f.Close()
 
 	pairs := [][2]int{{0, 5}, {3, 3}, {1, 8}}
-	resp, err := f.RouteBatchPinned([]int{0, 2}, pairs, sch.Generation())
+	r, err := f.Do(front.Request{Op: wire.OpRoute, Faults: []int{0, 2}, Pairs: pairs, GenPin: sch.Generation()})
 	if err != nil {
 		t.Fatalf("route: %v", err)
 	}
+	resp := r.Route
 	if resp.Approx || resp.Gen != sch.Generation() || len(resp.Reachable) != len(pairs) {
 		t.Fatalf("route response: %+v", resp)
 	}
@@ -258,7 +260,7 @@ func TestFrontQueryProducts(t *testing.T) {
 		}
 	}
 	// A pin no replica can satisfy exhausts the fleet with conflicts.
-	if _, err := f.RouteBatchPinned([]int{0}, pairs, sch.Generation()+7); err == nil {
+	if _, err := f.Do(front.Request{Op: wire.OpRoute, Faults: []int{0}, Pairs: pairs, GenPin: sch.Generation() + 7}); err == nil {
 		t.Fatal("impossible pin answered")
 	}
 	if st := f.Stats(); st.Conflicts == 0 {
@@ -266,10 +268,11 @@ func TestFrontQueryProducts(t *testing.T) {
 	}
 
 	// Vertex probes: Petersen is 3-regular, budget 2 → degraded (approx).
-	out, approx, gen, err := f.VConnectedBatch([]int{0}, [][2]int{{1, 2}, {0, 4}})
+	r, err = f.Do(front.Request{Op: wire.OpVProbe, Faults: []int{0}, Pairs: [][2]int{{1, 2}, {0, 4}}})
 	if err != nil {
 		t.Fatalf("vconnected: %v", err)
 	}
+	out, approx, gen := r.Connected, r.Approx, r.Gen
 	if !approx || gen != sch.Generation() || len(out) != 2 {
 		t.Fatalf("vconnected: out=%v approx=%v gen=%d", out, approx, gen)
 	}
@@ -281,6 +284,23 @@ func TestFrontQueryProducts(t *testing.T) {
 	// the sound direction here.
 	if out[0] && !graphConnectedWithout(g, 0, 1, 2) {
 		t.Fatal("degraded vconnected answered connected for a disconnected pair")
+	}
+}
+
+// TestDoUnknownOpcode: a request with an opcode that is not one of the
+// three query products fails before any backend is tried.
+func TestDoUnknownOpcode(t *testing.T) {
+	addr, srv := startBinServer(t, staticScheme(t))
+	f, err := front.Dial([]string{addr}, front.Options{NoHedge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Do(front.Request{Op: wire.OpProbeResp, Pairs: [][2]int{{0, 1}}}); err == nil {
+		t.Fatal("unknown opcode answered")
+	}
+	if st, sst := f.Stats(), srv.Stats(); st.Probes != 0 || sst.BinRequests != 0 {
+		t.Fatalf("unknown opcode reached the fleet: front requests %d, backend frames %d", st.Probes, sst.BinRequests)
 	}
 }
 

@@ -215,6 +215,49 @@ func TestGoldenCheckpointCompatibility(t *testing.T) {
 	}
 }
 
+// TestCheckpointBehindFullMarker: a checkpoint older than the log's newest
+// full-rebuild marker cannot bootstrap a replica, so OpenCheckpoint
+// refuses it with ErrNoCheckpoint — after Append and after Open's scan
+// recovers the marker — until a compaction checkpoints past the marker.
+func TestCheckpointBehindFullMarker(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gen.log")
+	l := writeLog(t, path, synthDeltas(4, 0)) // full markers, gens 1..4
+	if _, err := l.Compact(2, 4, saveBytes([]byte("snapshot at 4"))); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	open := func() error {
+		r, _, err := l.OpenCheckpoint()
+		if err == nil {
+			r.Close()
+		}
+		return err
+	}
+	if err := open(); err != nil {
+		t.Fatalf("checkpoint at the newest marker refused: %v", err)
+	}
+	if _, err := l.Append(synthDeltas(1, 4)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := open(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("checkpoint behind the marker appended at 5: err %v, want ErrNoCheckpoint", err)
+	}
+	l.Close()
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := open(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("checkpoint behind the marker recovered by Open: err %v, want ErrNoCheckpoint", err)
+	}
+	if _, err := l.Compact(4, 5, saveBytes([]byte("snapshot at 5"))); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := open(); err != nil {
+		t.Fatalf("checkpoint at the marker refused: %v", err)
+	}
+}
+
 // TestCompactBoundsWindow drives a long synthetic run through the policy
 // and asserts the file and in-memory window stay bounded while the
 // checkpoint tracks the head — the retention invariant the serve layer

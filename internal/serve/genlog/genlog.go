@@ -518,12 +518,21 @@ func (l *Log) Checkpoint() (CheckpointInfo, bool) {
 // happens under the log's lock, so the returned reader is pinned to a
 // checkpoint that was consistent with the retained window at that instant
 // — a compaction renaming a newer sidecar over the path cannot disturb
-// bytes already opened. Returns ErrNoCheckpoint when none exists.
+// bytes already opened. Returns ErrNoCheckpoint when none exists, or when
+// a full-rebuild marker is newer than it: a replica that bootstrapped
+// from that checkpoint would tail into the marker and refetch forever.
 func (l *Log) OpenCheckpoint() (r io.ReadCloser, info CheckpointInfo, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.hasCkpt {
 		return nil, CheckpointInfo{}, ErrNoCheckpoint
+	}
+	// Compaction keeps every record newer than the checkpoint.
+	for _, rec := range l.records {
+		if rec.Gen > l.ckpt.Gen && rec.Payload[24]&flagFull != 0 {
+			return nil, CheckpointInfo{}, fmt.Errorf("%w: checkpoint at generation %d predates the full-rebuild marker at %d",
+				ErrNoCheckpoint, l.ckpt.Gen, rec.Gen)
+		}
 	}
 	f, err := os.Open(CheckpointPath(l.path))
 	if err != nil {

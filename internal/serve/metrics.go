@@ -53,6 +53,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("cache_evicted_by_update_total", "Cache entries evicted by update sweeps.", st.CacheEvicted)
 	counter("cache_rebased_by_update_total", "Cache entries rebased across generations by update sweeps.", st.CacheRebased)
 	counter("cache_evictions_total", "Cache entries displaced by capacity pressure (LRU evictions).", st.CacheCapEvict)
+	counter("vcache_hits_total", "Fault-set cache hits of vertex probes (counted in cache_hits_total too).", st.VCacheHits)
+	counter("vcache_misses_total", "Fault-set cache misses of vertex probes (counted in cache_misses_total too).", st.VCacheMisses)
 	// Shed counters carry a surface label so one dashboard panel shows
 	// where overload pressure lands: the HTTP admission gate, the binary
 	// admission/queue gates, or the per-frame deadline budget.
@@ -87,9 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Per-shard cache series: hit-rate collapse or occupancy skew across
 	// shards is the first thing to look at when latency regresses after an
-	// /update storm. The vertex-fault cache gets its own series (not a
-	// label on the edge cache's) so existing dashboards and scrape checks
-	// keep their shapes.
+	// /update storm.
 	perShard := func(name, help, typ string, shards []ShardStats, get func(ShardStats) float64) {
 		fmt.Fprintf(&b, "# HELP %s_%s %s\n# TYPE %s_%s %s\n",
 			metricsNamespace, name, help, metricsNamespace, name, typ)
@@ -104,9 +104,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	perShard("cache_hits_total", "Fault-set cache hits per shard.", "counter", st.CacheShards, hits)
 	perShard("cache_misses_total", "Fault-set cache misses per shard.", "counter", st.CacheShards, misses)
 	perShard("cache_entries", "Compiled fault sets held per shard.", "gauge", st.CacheShards, size)
-	perShard("vcache_hits_total", "Vertex-fault-set cache hits per shard.", "counter", st.VCacheShards, hits)
-	perShard("vcache_misses_total", "Vertex-fault-set cache misses per shard.", "counter", st.VCacheShards, misses)
-	perShard("vcache_entries", "Compiled vertex-fault sets held per shard.", "gauge", st.VCacheShards, size)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

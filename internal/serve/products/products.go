@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/serve/wire"
 	"repro/internal/spanner"
 )
 
@@ -106,23 +107,25 @@ func (v *View) Spanner() (*spanner.Spanner, error) {
 	return v.span, v.spanErr
 }
 
-// VertexFaultEdges gathers the deduplicated incident edge indices of the
+// VertexFaultEdges gathers the canonical incident edge indices of the
 // failed vertices — the §1.4 reduction (a vertex failure is the failure of
-// all its incident edges). The result is sorted ascending. verts must be
-// in range.
+// all its incident edges). The result is sorted ascending and
+// deduplicated. verts must be in range.
 func VertexFaultEdges(g *graph.Graph, verts []int) []int {
-	seen := map[int]bool{}
-	var edges []int
+	return VertexFaultEdgesInto(nil, g, verts)
+}
+
+// VertexFaultEdgesInto is VertexFaultEdges reusing buf's storage (its
+// contents are discarded), so the serve executor reduces vertex queries
+// without allocating.
+func VertexFaultEdgesInto(buf []int, g *graph.Graph, verts []int) []int {
+	buf = buf[:0]
 	for _, v := range verts {
 		for _, half := range g.Adj(v) {
-			if !seen[half.Edge] {
-				seen[half.Edge] = true
-				edges = append(edges, half.Edge)
-			}
+			buf = append(buf, half.Edge)
 		}
 	}
-	sort.Ints(edges)
-	return edges
+	return wire.Canonicalize(buf)
 }
 
 // HasVertex reports whether canon (sorted ascending) contains v — the

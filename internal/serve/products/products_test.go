@@ -114,35 +114,15 @@ func TestDegradedAnswersSound(t *testing.T) {
 						continue
 					}
 					routes++
-					checkPath(t, g, forbidden, p[0], p[1], path)
+					if err := graph.CheckPathUnder(g, forbidden, path, p[0], p[1]); err != nil {
+						t.Fatalf("trial %d: %v", trial, err)
+					}
 				}
 			}
 			if connected == 0 || cut == 0 || routes == 0 {
 				t.Fatalf("vacuous run: %d connected answers, %d cut live pairs, %d routes", connected, cut, routes)
 			}
 		})
-	}
-}
-
-// checkPath fails unless path runs from s to t and every hop is a G edge
-// outside forbidden.
-func checkPath(t *testing.T, g *graph.Graph, forbidden map[int]bool, s, tv int, path []int) {
-	t.Helper()
-	if len(path) == 0 || path[0] != s || path[len(path)-1] != tv {
-		t.Fatalf("path %v does not run %d → %d", path, s, tv)
-	}
-	for i := 1; i < len(path); i++ {
-		u, w := path[i-1], path[i]
-		usable := false
-		for _, h := range g.Adj(u) {
-			if h.To == w && !forbidden[h.Edge] {
-				usable = true
-				break
-			}
-		}
-		if !usable {
-			t.Fatalf("path %v: hop %d–%d is not a G edge outside F", path, u, w)
-		}
 	}
 }
 

@@ -38,24 +38,6 @@ func postProduct(t *testing.T, url string, req, out any) *http.Response {
 	return resp
 }
 
-// checkPath asserts a route response path is a real s→t walk in G − F:
-// every consecutive hop is an existing edge outside the forbidden set.
-func checkPath(t *testing.T, g *graph.Graph, set map[int]bool, path []int, s, tv int) {
-	t.Helper()
-	if len(path) == 0 || path[0] != s || path[len(path)-1] != tv {
-		t.Fatalf("path %v does not go %d→%d", path, s, tv)
-	}
-	for i := 1; i < len(path); i++ {
-		e := g.EdgeIndex(path[i-1], path[i])
-		if e < 0 {
-			t.Fatalf("path %v uses non-edge (%d,%d)", path, path[i-1], path[i])
-		}
-		if set[e] {
-			t.Fatalf("path %v crosses forbidden edge %d", path, e)
-		}
-	}
-}
-
 func TestHandlerRouteExact(t *testing.T) {
 	const n, f = 80, 3
 	sch := buildScheme(t, n, f, 11)
@@ -90,7 +72,9 @@ func TestHandlerRouteExact(t *testing.T) {
 				t.Fatalf("trial %d leg %d (%d,%d): reachable %v, want %v", trial, i, p[0], p[1], leg.Reachable, want)
 			}
 			if leg.Reachable {
-				checkPath(t, g, set, leg.Path, p[0], p[1])
+				if err := graph.CheckPathUnder(g, set, leg.Path, p[0], p[1]); err != nil {
+					t.Fatalf("trial %d leg %d: %v", trial, i, err)
+				}
 			} else if leg.Path != nil {
 				t.Fatalf("trial %d leg %d: unreachable leg carries a path %v", trial, i, leg.Path)
 			}
@@ -159,7 +143,9 @@ func TestHandlerRouteDegraded(t *testing.T) {
 		leg := out.Routes[i]
 		if leg.Reachable {
 			// One-sided soundness: a degraded path is a real G−F path.
-			checkPath(t, g, set, leg.Path, p[0], p[1])
+			if err := graph.CheckPathUnder(g, set, leg.Path, p[0], p[1]); err != nil {
+				t.Fatalf("leg %d: %v", i, err)
+			}
 		} else if graph.ConnectedUnder(g, set, p[0], p[1]) {
 			// Under-reporting is allowed by the contract; log for visibility.
 			t.Logf("leg %d: spanner under-reported reachability (allowed)", i)
@@ -263,11 +249,11 @@ func TestHandlerVConnectedDegraded(t *testing.T) {
 	if out.Connected[2] {
 		t.Fatal("failed endpoint answered connected")
 	}
-	// The over-budget classification is memoized: the warm repeat reports
-	// a vertex-cache hit.
+	// Nothing is compiled for a degraded answer, so a warm repeat is no
+	// cache hit either.
 	var warm serve.VConnectedResponse
-	if resp := postProduct(t, ts.URL+"/vconnected", req, &warm); resp.StatusCode != http.StatusOK || !warm.CacheHit {
-		t.Fatalf("warm degraded vprobe missed the vertex cache (hit=%v)", warm.CacheHit)
+	if resp := postProduct(t, ts.URL+"/vconnected", req, &warm); resp.StatusCode != http.StatusOK || warm.CacheHit {
+		t.Fatalf("warm degraded vprobe: status %d, cache hit %v", resp.StatusCode, warm.CacheHit)
 	}
 }
 
@@ -370,7 +356,6 @@ func TestMetricsQueryProducts(t *testing.T) {
 		"ftcserve_approx_answers_total 0",
 		"ftcserve_vcache_hits_total",
 		"ftcserve_vcache_misses_total",
-		"ftcserve_vcache_entries",
 	} {
 		if !strings.Contains(body, series) {
 			t.Fatalf("metrics missing %q", series)
@@ -454,4 +439,157 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVConnectedAcrossCommits sends vertex probes on both surfaces across
+// /update commits that add or remove an edge incident to a failed vertex,
+// so the compiled incident-edge sets of vertex probes meet the update
+// sweep, and sends more over the wire while each commit runs. Each round
+// trims the lowest-degree vertex to at most f incident edges, so at least
+// one probed vertex set is answered exactly. Exact answers must match the
+// BFS oracle on the graph of the generation they report; a degraded
+// "connected" must be sound.
+func TestVConnectedAcrossCommits(t *testing.T) {
+	const n, f, rounds = 80, 3, 40
+	nw := openNetwork(t, n, f, 5)
+	srv := dynamicServer(t, nw, 8)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cl, err := wireclient.Dial(binListener(t, srv), wireclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	rng := rand.New(rand.NewSource(6))
+	commit := func(add, remove [][2]int) {
+		t.Helper()
+		if code, _ := postJSON[serve.UpdateResponse](t, ts.URL+"/update", serve.UpdateRequest{Add: add, Remove: remove}); code != http.StatusOK {
+			t.Fatalf("update add=%v remove=%v: status %d", add, remove, code)
+		}
+	}
+	type answer struct {
+		surface string
+		verts   []int
+		gen     uint64
+		approx  bool
+		out     []bool
+	}
+	exact := 0
+	check := func(round int, graphs map[uint64]*graph.Graph, pairs [][2]int, a answer) {
+		t.Helper()
+		g := graphs[a.gen]
+		if g == nil || len(a.out) != len(pairs) {
+			t.Fatalf("round %d %s %v: %d answers at generation %d, want %d at one of %v",
+				round, a.surface, a.verts, len(a.out), a.gen, len(pairs), graphs)
+		}
+		dead := map[int]bool{}
+		for _, v := range a.verts {
+			dead[v] = true
+		}
+		for i, p := range pairs {
+			want := graph.ConnectedWithoutVertices(g, dead, p[0], p[1])
+			if (a.approx && a.out[i] && !want) || (!a.approx && a.out[i] != want) {
+				t.Fatalf("round %d %s %v at generation %d, pair %v: connected %v (approx %v), oracle %v",
+					round, a.surface, a.verts, a.gen, p, a.out[i], a.approx, want)
+			}
+		}
+		if !a.approx {
+			exact += len(pairs)
+		}
+	}
+	newPairs := func() [][2]int {
+		pairs := make([][2]int, 12)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+		return pairs
+	}
+	probe := func(round int, sets [][]int) {
+		t.Helper()
+		graphs := map[uint64]*graph.Graph{nw.Generation(): nw.Snapshot().Graph()}
+		pairs := newPairs()
+		for _, verts := range sets {
+			var hv serve.VConnectedResponse
+			req := serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs}
+			if resp := postProduct(t, ts.URL+"/vconnected", req, &hv); resp.StatusCode != http.StatusOK {
+				t.Fatalf("round %d %v: status %d", round, verts, resp.StatusCode)
+			}
+			check(round, graphs, pairs, answer{"http", verts, hv.Generation, hv.Confidence == serve.ConfidenceApprox, hv.Connected})
+			w := answer{surface: "wire", verts: verts}
+			if w.out, _, w.approx, w.gen, err = cl.VProbeInto(verts, pairs, nil, 0); err != nil {
+				t.Fatalf("round %d %v: wire vprobe: %v", round, verts, err)
+			}
+			check(round, graphs, pairs, w)
+		}
+	}
+
+	racedTotal := 0
+	for round := 0; round < rounds; round++ {
+		g := nw.Snapshot().Graph()
+		low := 0
+		for v := 1; v < n; v++ {
+			if g.Degree(v) < g.Degree(low) {
+				low = v
+			}
+		}
+		for g.Degree(low) > f {
+			commit(nil, [][2]int{{low, g.Adj(low)[0].To}})
+			g = nw.Snapshot().Graph()
+		}
+		a, b := rng.Intn(n), rng.Intn(n)
+		sets := [][]int{{low}, {a}, {a, b}}
+		probe(round, sets)
+
+		var add, remove [][2]int
+		v := []int{low, a, b}[rng.Intn(3)]
+		if adj := g.Adj(v); len(adj) > 1 && rng.Intn(2) == 0 {
+			remove = [][2]int{{v, adj[rng.Intn(len(adj))].To}}
+		} else {
+			w := rng.Intn(n)
+			for w == v || g.HasEdge(v, w) {
+				w = rng.Intn(n)
+			}
+			add = [][2]int{{v, w}}
+		}
+		// Wire probes race the commit; each answer is checked afterwards
+		// against the graph of the generation it reports.
+		graphs := map[uint64]*graph.Graph{nw.Generation(): g}
+		pairs := newPairs()
+		var raced []answer
+		stop, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+				a := answer{surface: "wire during commit", verts: sets[i%len(sets)]}
+				var err error
+				if a.out, _, a.approx, a.gen, err = cl.VProbeInto(a.verts, pairs, nil, 0); err != nil {
+					done <- err
+					return
+				}
+				raced = append(raced, a)
+			}
+		}()
+		commit(add, remove)
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: wire vprobe during commit: %v", round, err)
+		}
+		graphs[nw.Generation()] = nw.Snapshot().Graph()
+		for _, a := range raced {
+			check(round, graphs, pairs, a)
+		}
+		racedTotal += len(raced)
+		probe(round, sets)
+	}
+	if exact == 0 {
+		t.Fatal("no exact vertex answers: the test exercised only the degraded path")
+	}
+	t.Logf("%d exact pairs, %d probes raced a commit; cache evicted %d entries by update",
+		exact, racedTotal, srv.Stats().CacheEvicted)
 }

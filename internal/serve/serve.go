@@ -125,17 +125,13 @@ type Server struct {
 	cache *shardedCache
 	start time.Time
 
-	// Query products (DESIGN.md §3.15): vcache is the vertex-fault
-	// namespace of the fault-set cache — same sharded machinery, keys from
-	// wire.VertexFaultKey so an edge set and a vertex set can never
-	// collide. It is deliberately NOT swept by updates: vertex canon are
-	// vertex indices (stable names, unlike edge indices), and get()'s
-	// generation compare replaces stale entries with fresh uncompiled ones
-	// on next access, which recompile against current labels. products
-	// hands out the per-generation routing tables and degraded-mode
-	// spanner.
-	vcache   *shardedCache
-	products *products.Products
+	// Query products (DESIGN.md §3.15): products hands out the
+	// per-generation routing tables and degraded-mode spanner. Vertex
+	// probes share the one cache through their incident edges;
+	// vprobeHits/vprobeMisses count their lookups of it.
+	products     *products.Products
+	vprobeHits   atomic.Uint64
+	vprobeMisses atomic.Uint64
 
 	// updMu serializes commits with their cache sweeps so sweeps apply in
 	// generation order.
@@ -205,7 +201,6 @@ func NewDynamic(view func() Scheme, upd Updatable, cacheSize int) *Server {
 		view:     view,
 		upd:      upd,
 		cache:    newShardedCache(cacheSize, 0),
-		vcache:   newShardedCache(cacheSize, 0),
 		products: products.New(),
 		start:    time.Now(),
 	}
@@ -354,8 +349,8 @@ func (s *Server) ApplyReplicatedCommit(rep *core.CommitReport) (evicted, rebased
 // entry. The hit flag reports whether the cache already held the compiled
 // set.
 func (s *Server) FaultSet(faultEdges []int) (*core.FaultSet, bool, error) {
-	canon := canonicalize(append([]int(nil), faultEdges...))
-	return s.resolve(s.view(), false, canon, wire.FaultKey(canon))
+	canon := wire.Canonicalize(append([]int(nil), faultEdges...))
+	return s.resolve(s.view(), canon, wire.FaultKey(canon))
 }
 
 // ConnectedRequest is the wire form of a POST /connected batch probe: one
@@ -440,8 +435,10 @@ func (s *Server) Handler() http.Handler {
 // atomically under the log's lock — so a replica bootstrapping from it can
 // always tail; if a later compaction outruns a slow bootstrap the tail gets
 // CodeGone and the replica refetches, converging on a newer checkpoint.
-// Otherwise the current generation's live snapshot is streamed from the
-// immutable view, consistent under concurrent commits.
+// Otherwise (no checkpoint, or a full-rebuild marker newer than it) the
+// current generation's live snapshot is streamed from the immutable view:
+// consistent under concurrent commits, and at or past every logged
+// generation because commits publish before they append.
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	if s.genlog != nil {
 		if r, info, err := s.genlog.OpenCheckpoint(); err == nil {
@@ -658,17 +655,16 @@ type Stats struct {
 	CacheShards   []ShardStats `json:"cache_shards"`
 
 	// Query-product breakdown (§3.15): route legs and vertex-fault pairs
-	// answered, degraded-mode pairs, and the vertex cache-key namespace's
-	// own counters (the edge namespace is the Cache* block above).
-	RoutePlans     uint64       `json:"route_plans"`
-	VProbes        uint64       `json:"vprobes"`
-	ApproxAnswers  uint64       `json:"approx_answers"`
-	VCacheHits     uint64       `json:"vcache_hits"`
-	VCacheMisses   uint64       `json:"vcache_misses"`
-	VCacheCapEvict uint64       `json:"vcache_evictions"`
-	VCacheSize     int          `json:"vcache_size"`
-	VCacheCapacity int          `json:"vcache_capacity"`
-	VCacheShards   []ShardStats `json:"vcache_shards"`
+	// answered, degraded-mode pairs, and the vertex probes' share of the
+	// Cache* lookups above (degraded vertex answers look nothing up).
+	RoutePlans    uint64 `json:"route_plans"`
+	VProbes       uint64 `json:"vprobes"`
+	ApproxAnswers uint64 `json:"approx_answers"`
+	VCacheHits    uint64 `json:"vcache_hits"`
+	VCacheMisses  uint64 `json:"vcache_misses"`
+	// Deprecated: always 0; vertex probes share the one cache, whose
+	// evictions CacheCapEvict counts.
+	VCacheCapEvict uint64 `json:"-"`
 
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
@@ -679,7 +675,6 @@ type Stats struct {
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
 	hits, misses, evicted, rebased, capEvicted, size, capacity, per := s.cache.stats()
-	vhits, vmisses, _, _, vcapEvicted, vsize, vcapacity, vper := s.vcache.stats()
 	st := Stats{
 		Requests:      s.requests.Load(),
 		BinRequests:   s.binRequests.Load(),
@@ -704,15 +699,11 @@ func (s *Server) Stats() Stats {
 		CacheCapacity: capacity,
 		CacheShards:   per,
 
-		RoutePlans:     s.answered[productRoute].Load(),
-		VProbes:        s.answered[productVProbe].Load(),
-		ApproxAnswers:  s.approxAnswers.Load(),
-		VCacheHits:     vhits,
-		VCacheMisses:   vmisses,
-		VCacheCapEvict: vcapEvicted,
-		VCacheSize:     vsize,
-		VCacheCapacity: vcapacity,
-		VCacheShards:   vper,
+		RoutePlans:    s.answered[productRoute].Load(),
+		VProbes:       s.answered[productVProbe].Load(),
+		ApproxAnswers: s.approxAnswers.Load(),
+		VCacheHits:    s.vprobeHits.Load(),
+		VCacheMisses:  s.vprobeMisses.Load(),
 
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}

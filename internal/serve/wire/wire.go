@@ -13,8 +13,9 @@
 //     validates ascending order during decode — an O(count) comparison —
 //     and computes the fault-set cache key incrementally from the same
 //     pass, so a fault set is hashed and canonicalized exactly once per
-//     frame. FaultKey here is the single source of truth for that hash;
-//     the serve cache derives its key from it.
+//     frame. Canonicalize and FaultKey here are the single source of
+//     truth for that form and its hash: the client, the serve cache and
+//     its vertex-fault reduction all call them.
 //
 //   - Frames are read zero-copy: Reader peeks frames directly out of the
 //     underlying bufio buffer whenever they fit (the common case — a
@@ -72,9 +73,7 @@
 //
 //	OpVProbe payload:
 //	  identical layout to OpProbe, but the fault indices are VERTEX
-//	  indices (strictly ascending). The incremental hash uses the
-//	  vertex-namespace seed (VertexFaultKey), so an edge fault set and a
-//	  vertex fault set with the same indices can never share a cache key.
+//	  indices (strictly ascending).
 //
 //	OpVProbeResp payload:
 //	  identical layout to OpProbeResp, plus bit1 of the flags byte marks
@@ -97,6 +96,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Version is the protocol version exchanged in the hello. Bump on any
@@ -179,21 +179,18 @@ func faultKeyStep(h, v uint64) uint64 {
 	return h
 }
 
-// vertexKeySeed is the FNV state after folding a namespace tag byte into
-// the standard offset basis. Vertex-fault cache keys start from this seed
-// instead of fnv64Offset, so a vertex fault set {3, 7} and an edge fault
-// set {3, 7} hash to unrelated keys even inside shared cache machinery.
-var vertexKeySeed = faultKeyStep(fnv64Offset, uint64('V'))
-
-// VertexFaultKey hashes a canonical (strictly ascending) fault-VERTEX
-// index slice into the vertex cache-key namespace. DecodeVProbe computes
-// the identical value incrementally while validating the frame.
-func VertexFaultKey(canon []int) uint64 {
-	h := vertexKeySeed
-	for _, v := range canon {
-		h = faultKeyStep(h, uint64(v))
+// Canonicalize sorts and deduplicates a fault index slice in place and
+// returns the result: the strictly ascending form that request frames
+// carry and FaultKey hashes.
+func Canonicalize(xs []int) []int {
+	sort.Ints(xs)
+	out := xs[:0]
+	for i, x := range xs {
+		if i == 0 || x != xs[i-1] {
+			out = append(out, x)
+		}
 	}
-	return h
+	return out
 }
 
 // AppendClientHello appends the 5-byte client hello.
@@ -238,10 +235,10 @@ func ParseServerHello(b []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[5:]), nil
 }
 
-// ProbeReq is one decoded probe frame. Faults and Pairs are refilled in
-// place by DecodeProbe, so a long-lived ProbeReq makes the decode path
-// allocation-free; Key is the fault-set cache key (FaultKey of Faults),
-// computed during decode.
+// ProbeReq is one decoded request frame of the probe layout. Faults and
+// Pairs are refilled in place by DecodeProbe, so a long-lived ProbeReq
+// makes the decode path allocation-free; Key is FaultKey(Faults), computed
+// during decode — the cache key when the faults are edges.
 type ProbeReq struct {
 	ID     uint64
 	GenPin uint64
@@ -307,9 +304,13 @@ func PeekRequest(op byte, payload []byte) (id uint64, budgetMS uint32) {
 	return id, budgetMS
 }
 
-// decodeProbeLike decodes a probe-layout payload into req, hashing the
-// fault indices incrementally from seed (the cache-key namespace).
-func decodeProbeLike(payload []byte, req *ProbeReq, seed uint64) error {
+// DecodeProbe decodes a payload of the probe layout — OpProbe, OpRoute or
+// OpVProbe — into req, reusing req's slices. The fault indices must be
+// strictly ascending — the canonical form — or the frame is rejected;
+// req.Key is left as FaultKey(req.Faults), computed in the same pass. The
+// counts are validated against the payload length before any slice is
+// grown, so a hostile frame cannot force a large allocation.
+func DecodeProbe(payload []byte, req *ProbeReq) error {
 	if len(payload) < probeFixedLen {
 		return fmt.Errorf("%w: truncated probe header", ErrFrame)
 	}
@@ -323,7 +324,7 @@ func decodeProbeLike(payload []byte, req *ProbeReq, seed uint64) error {
 	}
 	rest := payload[probeFixedLen:]
 	req.Faults = req.Faults[:0]
-	key := seed
+	key := fnv64Offset
 	prev := int64(-1)
 	for i := 0; i < nFaults; i++ {
 		e := binary.LittleEndian.Uint32(rest[4*i:])
@@ -344,30 +345,6 @@ func decodeProbeLike(payload []byte, req *ProbeReq, seed uint64) error {
 		})
 	}
 	return nil
-}
-
-// DecodeProbe decodes an OpProbe payload into req, reusing req's slices.
-// The fault edges must be strictly ascending — the canonical form — or the
-// frame is rejected; req.Key is left as FaultKey(req.Faults), computed in
-// the same pass. The counts are validated against the payload length
-// before any slice is grown, so a hostile frame cannot force a large
-// allocation.
-func DecodeProbe(payload []byte, req *ProbeReq) error {
-	return decodeProbeLike(payload, req, fnv64Offset)
-}
-
-// DecodeRoute decodes an OpRoute payload. The layout is OpProbe's, and so
-// is the cache-key namespace: route plans live on the same compiled
-// edge-fault sets as connectivity probes, so req.Key is FaultKey(Faults).
-func DecodeRoute(payload []byte, req *ProbeReq) error {
-	return decodeProbeLike(payload, req, fnv64Offset)
-}
-
-// DecodeVProbe decodes an OpVProbe payload. The layout is OpProbe's, but
-// the fault indices are vertices and req.Key is VertexFaultKey(Faults) —
-// the vertex cache-key namespace.
-func DecodeVProbe(payload []byte, req *ProbeReq) error {
-	return decodeProbeLike(payload, req, vertexKeySeed)
 }
 
 // probeRespFixedLen is the fixed part of an OpProbeResp payload.

@@ -139,9 +139,8 @@ func TestProbeRespRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRouteAndVProbeRoundTrip covers the query-product request codecs:
-// same payload layout as probes, different opcode and — for vertex faults
-// — a different cache-key namespace.
+// TestRouteAndVProbeRoundTrip covers the query-product request frames:
+// same payload layout as probes, decoded by DecodeProbe, different opcode.
 func TestRouteAndVProbeRoundTrip(t *testing.T) {
 	faults := []int{2, 3, 11}
 	pairs := [][2]int{{1, 9}, {4, 4}}
@@ -151,7 +150,7 @@ func TestRouteAndVProbeRoundTrip(t *testing.T) {
 	if frame[frameHeaderLen-1] != OpRoute {
 		t.Fatalf("route opcode: %#x", frame[frameHeaderLen-1])
 	}
-	if err := DecodeRoute(frame[frameHeaderLen:], &req); err != nil {
+	if err := DecodeProbe(frame[frameHeaderLen:], &req); err != nil {
 		t.Fatalf("route decode: %v", err)
 	}
 	if req.ID != 5 || req.GenPin != 7 || req.Key != FaultKey(faults) {
@@ -162,15 +161,11 @@ func TestRouteAndVProbeRoundTrip(t *testing.T) {
 	if frame[frameHeaderLen-1] != OpVProbe {
 		t.Fatalf("vprobe opcode: %#x", frame[frameHeaderLen-1])
 	}
-	if err := DecodeVProbe(frame[frameHeaderLen:], &req); err != nil {
+	if err := DecodeProbe(frame[frameHeaderLen:], &req); err != nil {
 		t.Fatalf("vprobe decode: %v", err)
 	}
-	if req.Key != VertexFaultKey(faults) {
-		t.Fatalf("vprobe key %#x, want VertexFaultKey %#x", req.Key, VertexFaultKey(faults))
-	}
-	// The namespaces must never collide for the same canonical indices.
-	if FaultKey(faults) == VertexFaultKey(faults) {
-		t.Fatalf("edge and vertex key namespaces collide on %v", faults)
+	if req.ID != 6 || req.Key != FaultKey(faults) {
+		t.Fatalf("vprobe fields: %+v (want key %#x)", req, FaultKey(faults))
 	}
 }
 
@@ -388,25 +383,11 @@ func FuzzWireFrame(f *testing.F) {
 				}
 			}
 			switch op {
-			case OpProbe:
+			case OpProbe, OpRoute, OpVProbe:
 				if err := DecodeProbe(payload, &req); err == nil {
 					peekAgrees()
 					if FaultKey(req.Faults) != req.Key {
 						t.Fatalf("incremental key mismatch for %v", req.Faults)
-					}
-				}
-			case OpRoute:
-				if err := DecodeRoute(payload, &req); err == nil {
-					peekAgrees()
-					if FaultKey(req.Faults) != req.Key {
-						t.Fatalf("route key mismatch for %v", req.Faults)
-					}
-				}
-			case OpVProbe:
-				if err := DecodeVProbe(payload, &req); err == nil {
-					peekAgrees()
-					if VertexFaultKey(req.Faults) != req.Key {
-						t.Fatalf("vertex key mismatch for %v", req.Faults)
 					}
 				}
 			case OpProbeResp, OpVProbeResp:

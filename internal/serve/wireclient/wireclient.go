@@ -37,7 +37,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -481,16 +480,7 @@ func (cl *Client) exchange(op byte, faults []int, pairs [][2]int, out []bool, ro
 	// Canonicalize once, client-side: the wire carries fault indices
 	// strictly ascending so the server validates (never sorts) and hashes
 	// in the same pass.
-	ca.canon = append(ca.canon[:0], faults...)
-	sort.Ints(ca.canon)
-	w := 0
-	for i, e := range ca.canon {
-		if i == 0 || e != ca.canon[i-1] {
-			ca.canon[w] = e
-			w++
-		}
-	}
-	ca.canon = ca.canon[:w]
+	ca.canon = wire.Canonicalize(append(ca.canon[:0], faults...))
 
 	if err := cn.roundTrip(ca, op, genPin, budgetMS, pairs); err != nil {
 		putCall(ca)
