@@ -361,9 +361,12 @@ func BenchmarkConstructVsM(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveDecode contrasts adaptive prefix decoding (Appendix B,
-// E13) against always-full-threshold decoding by issuing queries with tiny
-// |F| against labels built for a large budget.
+// BenchmarkAdaptiveDecode measures the adaptive prefix path (Appendix B,
+// E13) end to end: one-shot queries with a single fault against labels
+// built for f=8, so every decode starts from a small prefix budget. The
+// contrast with full-threshold decoding, and with a failed prefix plus
+// its full-K retry, is rs.BenchmarkDecode's budget=t, budget=K and
+// budget<t.
 func BenchmarkAdaptiveDecode(b *testing.B) {
 	g := benchGraph(512, 21)
 	s, err := core.Build(g, core.Params{MaxFaults: 8})

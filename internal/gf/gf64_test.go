@@ -107,13 +107,20 @@ func TestInv(t *testing.T) {
 		t.Fatalf("Inv(1) = %#x, want 1", Inv(1))
 	}
 	rng := rand.New(rand.NewSource(3))
+	// The addition chain's edge values first: z, the top bit, all-ones.
+	cases := []uint64{2, 1 << 63, ^uint64(0)}
 	for i := 0; i < 500; i++ {
-		a := rng.Uint64()
+		cases = append(cases, rng.Uint64())
+	}
+	for _, a := range cases {
 		if a == 0 {
 			continue
 		}
 		if got := Mul(a, Inv(a)); got != 1 {
 			t.Fatalf("a * Inv(a) = %#x for a = %#x, want 1", got, a)
+		}
+		if got, want := Inv(a), Pow(a, ^uint64(0)-1); got != want {
+			t.Fatalf("Inv(%#x) = %#x, a^(2^64-2) = %#x", a, got, want)
 		}
 	}
 }

@@ -72,10 +72,10 @@ func PolyMod(a, m Poly) Poly {
 	}
 	r := PolyTrim(a).Clone()
 	dm := len(m) - 1
-	inv := Inv(m[dm])
+	inv := leadInverse(m)
 	for len(r)-1 >= dm && len(r) > 0 {
 		dr := len(r) - 1
-		q := Mul(r[dr], inv)
+		q := scaleQuotient(r[dr], inv)
 		shift := dr - dm
 		for i, c := range m {
 			if c != 0 {
@@ -99,11 +99,11 @@ func PolyDivExact(a, m Poly) Poly {
 	if len(r)-1 < dm {
 		return nil
 	}
-	inv := Inv(m[dm])
+	inv := leadInverse(m)
 	quo := make(Poly, len(r)-dm)
 	for len(r) > 0 && len(r)-1 >= dm {
 		dr := len(r) - 1
-		q := Mul(r[dr], inv)
+		q := scaleQuotient(r[dr], inv)
 		shift := dr - dm
 		quo[shift] = q
 		for i, c := range m {
@@ -114,6 +114,25 @@ func PolyDivExact(a, m Poly) Poly {
 		r = PolyTrim(r)
 	}
 	return PolyTrim(quo)
+}
+
+// leadInverse returns the inverse of m's (nonzero) leading coefficient.
+// A monic m, the common case (every factor the root finder reduces by),
+// skips the inversion.
+func leadInverse(m Poly) uint64 {
+	if lead := m[len(m)-1]; lead != 1 {
+		return Inv(lead)
+	}
+	return 1
+}
+
+// scaleQuotient returns the next quotient coefficient c·inv, skipping the
+// product when the modulus is monic.
+func scaleQuotient(c, inv uint64) uint64 {
+	if inv == 1 {
+		return c
+	}
+	return Mul(c, inv)
 }
 
 // PolyGCD returns the monic greatest common divisor of a and b.
@@ -163,20 +182,4 @@ func PolyDeriv(p Poly) Poly {
 		out[i-1] = p[i]
 	}
 	return PolyTrim(out)
-}
-
-// PolySqrMod returns p² mod m, exploiting the linearity of squaring in
-// characteristic two: (Σ c_i x^i)² = Σ c_i² x^(2i).
-func PolySqrMod(p, m Poly) Poly {
-	p = PolyTrim(p)
-	if len(p) == 0 {
-		return nil
-	}
-	sq := make(Poly, 2*len(p)-1)
-	for i, c := range p {
-		if c != 0 {
-			sq[2*i] = Sqr(c)
-		}
-	}
-	return PolyMod(sq, m)
 }

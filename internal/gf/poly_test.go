@@ -51,9 +51,12 @@ func TestPolyMulDistributes(t *testing.T) {
 
 func TestPolyModDivRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 400; i++ {
 		a := randPoly(rng, 30)
 		m := randPoly(rng, 10)
+		if i%2 == 1 {
+			m = PolyMonic(m) // the monic shortcut, degree 0 included
+		}
 		if m.IsZero() {
 			continue
 		}
@@ -71,13 +74,18 @@ func TestPolyModDivRoundTrip(t *testing.T) {
 
 func TestPolyGCDOfProducts(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 100; i++ {
 		g := PolyMonic(randPoly(rng, 5))
 		if g.IsZero() {
 			continue
 		}
-		a := PolyMul(g, randPoly(rng, 6))
-		b := PolyMul(g, randPoly(rng, 6))
+		ca, cb := randPoly(rng, 6), randPoly(rng, 6)
+		if i%2 == 1 {
+			// Monic inputs: the first reduction is by a monic modulus.
+			ca, cb = PolyMonic(ca), PolyMonic(cb)
+		}
+		a := PolyMul(g, ca)
+		b := PolyMul(g, cb)
 		if a.IsZero() || b.IsZero() {
 			continue
 		}
@@ -113,22 +121,6 @@ func TestPolyEvalRoots(t *testing.T) {
 		}
 		if PolyEval(p, roots[0]^1) == 0 && roots[0]^1 != roots[1] && roots[0]^1 != roots[2] {
 			t.Fatalf("non-root vanishes unexpectedly")
-		}
-	}
-}
-
-func TestPolySqrMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 100; i++ {
-		p := randPoly(rng, 15)
-		m := randPoly(rng, 8)
-		if m.IsZero() {
-			continue
-		}
-		want := PolyMod(PolyMul(p, p), m)
-		got := PolySqrMod(p, m)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("PolySqrMod mismatch")
 		}
 	}
 }

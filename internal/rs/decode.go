@@ -21,7 +21,9 @@ package rs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/gf"
 )
@@ -201,7 +203,7 @@ func berlekampMassey(syn []uint64) gf.Poly {
 	b := gf.Poly{1} // previous connection polynomial
 	var l int       // current LFSR length
 	var m = 1       // steps since last length change
-	var bDelta uint64 = 1
+	var bInv uint64 = 1
 	for n := 0; n < len(syn); n++ {
 		// Discrepancy d = S_n + Σ_{i=1..l} c_i S_{n-i}.
 		d := syn[n]
@@ -212,7 +214,7 @@ func berlekampMassey(syn []uint64) gf.Poly {
 			m++
 			continue
 		}
-		coef := gf.Mul(d, gf.Inv(bDelta))
+		coef := gf.Mul(d, bInv)
 		// c' = c - coef · x^m · b
 		shifted := make(gf.Poly, len(b)+m)
 		for i, bc := range b {
@@ -221,7 +223,7 @@ func berlekampMassey(syn []uint64) gf.Poly {
 		next := gf.PolyAdd(c, shifted)
 		if 2*l <= n {
 			b = c
-			bDelta = d
+			bInv = gf.Inv(d) // b's discrepancy, inverted once per change of b
 			l = n + 1 - l
 			m = 1
 		} else {
@@ -235,6 +237,14 @@ func berlekampMassey(syn []uint64) gf.Poly {
 // findRoots returns all distinct roots of p in GF(2^64) via the Berlekamp
 // trace algorithm, reporting ok=false if p does not split into distinct
 // nonzero linear factors (which signals an inconsistent syndrome).
+//
+// Before any splitting it checks x^(2^64) ≡ x (mod p). Since
+// x^(2^64) − x = Π_{a ∈ GF(2^64)} (x − a), a monic p passes exactly when it
+// is squarefree with every root in the field. Every other p is one the
+// trace splitting rejects anyway — an irreducible factor of degree ≥ 2
+// survives all 64 directions, or a repeated root fails the distinctness
+// check — so a locator that cannot split costs one trace's worth of
+// squarings instead of 64 traces (DESIGN.md §3.17).
 func findRoots(p gf.Poly) ([]uint64, bool) {
 	p = gf.PolyMonic(p)
 	if p.Deg() < 1 {
@@ -245,36 +255,48 @@ func findRoots(p gf.Poly) ([]uint64, bool) {
 	if p[0] == 0 {
 		return nil, false
 	}
-	var roots []uint64
-	pending := []gf.Poly{p}
-	for basis := 0; basis < 64 && len(pending) > 0; basis++ {
-		beta := uint64(1) << uint(basis)
-		var next []gf.Poly
-		for _, q := range pending {
-			if q.Deg() == 1 {
-				roots = append(roots, rootOfLinear(q))
-				continue
-			}
-			tr := traceMap(beta, q)
-			d := gf.PolyGCD(q, tr)
-			if d.Deg() <= 0 || d.Deg() >= q.Deg() {
-				// This basis element does not split q; try the next.
-				next = append(next, q)
-				continue
-			}
-			rest := gf.PolyMonic(gf.PolyDivExact(q, d))
-			next = append(next, d, rest)
-		}
-		pending = next
+	if p.Deg() == 1 {
+		return []uint64{p[0]}, true // x + c has root c in characteristic two
 	}
-	for _, q := range pending {
-		if q.Deg() == 1 {
-			roots = append(roots, rootOfLinear(q))
-		} else {
-			// Irreducible factor of degree ≥ 2 survived all 64 basis
-			// elements: p has roots outside GF(2^64) ⇒ not a valid
-			// locator of field elements.
-			return nil, false
+	rf := rootPool.Get().(*rootFinder)
+	defer rootPool.Put(rf)
+	if !rf.load(p).splits() {
+		return nil, false
+	}
+	// Split depth first, so that one factor's multipliers are live at a
+	// time. A factor that basis element 2^b splits hands both parts to
+	// 2^(b+1), as the breadth-first order did: their roots agree on every
+	// earlier direction, so only later ones can separate them.
+	type factor struct {
+		q     gf.Poly
+		basis int
+	}
+	var roots []uint64
+	pending := []factor{{p, 0}}
+	loaded := true // the split test left p's multipliers in rf
+	for len(pending) > 0 {
+		f := pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		if f.q.Deg() == 1 {
+			roots = append(roots, f.q[0])
+			continue
+		}
+		if !loaded {
+			rf.load(f.q)
+		}
+		loaded = false
+		for ; ; f.basis++ {
+			if f.basis == 64 {
+				// Unreachable after the split test: any two distinct
+				// roots differ in their trace along some basis element.
+				return nil, false
+			}
+			d := gf.PolyGCD(f.q, rf.trace(uint64(1)<<uint(f.basis)))
+			if d.Deg() > 0 && d.Deg() < f.q.Deg() {
+				// PolyGCD returns d monic, so the division skips Inv.
+				pending = append(pending, factor{d, f.basis + 1}, factor{gf.PolyDivExact(f.q, d), f.basis + 1})
+				break
+			}
 		}
 	}
 	// Distinctness: a repeated root would mean a repeated edge ID, which
@@ -289,21 +311,87 @@ func findRoots(p gf.Poly) ([]uint64, bool) {
 	return roots, true
 }
 
-// rootOfLinear returns the root of the monic linear polynomial x + c.
-func rootOfLinear(q gf.Poly) uint64 {
-	q = gf.PolyMonic(q)
-	return q[0] // x + c has root c in characteristic two
+// rootFinder is findRoots' pooled scratch for one monic factor q of
+// degree t ≥ 2: a gf.Table per low coefficient of q (4 KB each), which
+// reduces a square modulo q without rebuilding a multiplier per product,
+// and the buffers its squarings fill.
+type rootFinder struct {
+	tabs      []gf.Table
+	sq        []uint64 // a square before reduction, 2t−1 coefficients
+	term, acc []uint64 // t coefficients each
 }
 
-// traceMap computes Tr(βx) mod q = Σ_{i=0}^{63} (βx)^{2^i} mod q. Its roots
-// within a factor separate elements by their GF(2)-trace along direction β.
-func traceMap(beta uint64, q gf.Poly) gf.Poly {
-	// term starts as βx mod q.
-	term := gf.PolyMod(gf.Poly{0, beta}, q)
-	acc := term.Clone()
-	for i := 1; i < 64; i++ {
-		term = gf.PolySqrMod(term, q)
-		acc = gf.PolyAdd(acc, term)
+var rootPool = sync.Pool{New: func() any { return new(rootFinder) }}
+
+// load prepares rf for the monic factor q, once per factor: its split test
+// and every basis direction tried on it reuse the same multipliers.
+func (rf *rootFinder) load(q gf.Poly) *rootFinder {
+	t := len(q) - 1
+	rf.tabs = slices.Grow(rf.tabs[:0], t)[:t]
+	for j := range rf.tabs {
+		rf.tabs[j] = gf.NewTable(q[j])
 	}
-	return acc
+	rf.sq = slices.Grow(rf.sq[:0], 2*t-1)[:2*t-1]
+	rf.term = slices.Grow(rf.term[:0], t)[:t]
+	rf.acc = slices.Grow(rf.acc[:0], t)[:t]
+	return rf
+}
+
+// sqrMod replaces v with v² mod q. Squaring is GF(2)-linear,
+// (Σ c_i x^i)² = Σ c_i² x^(2i); each coefficient c at x^i, i ≥ t, then
+// folds down through x^t ≡ Σ_{j<t} q_j x^j.
+func (rf *rootFinder) sqrMod(v []uint64) {
+	t := len(v)
+	sq := rf.sq
+	for i, c := range v {
+		sq[2*i] = gf.Sqr(c)
+		if i > 0 {
+			sq[2*i-1] = 0
+		}
+	}
+	for i := 2*t - 2; i >= t; i-- {
+		c := sq[i]
+		if c == 0 {
+			continue
+		}
+		low := sq[i-t : i]
+		for j := range low {
+			low[j] ^= rf.tabs[j].Mul(c)
+		}
+	}
+	copy(v, sq[:t])
+}
+
+// splits reports whether x^(2^64) ≡ x modulo the loaded factor.
+func (rf *rootFinder) splits() bool {
+	x := rf.term
+	clear(x)
+	x[1] = 1
+	for i := 0; i < 64; i++ {
+		rf.sqrMod(x)
+	}
+	x[1] ^= 1 // x^(2^64) − x
+	for _, c := range x {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// trace returns Tr(βx) mod q = Σ_{i<64} (βx)^(2^i) mod q for the loaded
+// factor q. Its roots within q separate q's roots by their GF(2)-trace
+// along direction β.
+func (rf *rootFinder) trace(beta uint64) gf.Poly {
+	term, acc := rf.term, rf.acc
+	clear(term)
+	term[1] = beta
+	copy(acc, term)
+	for i := 1; i < 64; i++ {
+		rf.sqrMod(term)
+		for j, c := range term {
+			acc[j] ^= c
+		}
+	}
+	return gf.PolyTrim(acc)
 }

@@ -1,8 +1,12 @@
 package rs
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gf"
@@ -254,6 +258,40 @@ func TestFindRootsRejectsIrreducible(t *testing.T) {
 	if rejected == 0 || accepted == 0 {
 		t.Fatalf("degenerate sample: rejected=%d accepted=%d", rejected, accepted)
 	}
+	// Repeated roots split completely but must still be rejected:
+	// (x+r)² and (x+r)²(x+s).
+	for trial := 0; trial < 20; trial++ {
+		ab := randomIDs(rng, 2)
+		r, s := gf.Poly{ab[0], 1}, gf.Poly{ab[1], 1}
+		for _, p := range []gf.Poly{gf.PolyMul(r, r), gf.PolyMul(gf.PolyMul(r, r), s)} {
+			if roots, ok := findRoots(p); ok {
+				t.Fatalf("accepted repeated root %#x in %v, roots=%v", ab[0], p, roots)
+			}
+		}
+	}
+}
+
+// TestSqrModMatchesPolyMod checks the root finder's squaring against the
+// definitional p² mod q, for monic q of degree 2..12.
+func TestSqrModMatchesPolyMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var rf rootFinder
+	for i := 0; i < 100; i++ {
+		q := make(gf.Poly, 3+rng.Intn(11))
+		for j := range q {
+			q[j] = rng.Uint64()
+		}
+		q[len(q)-1] = 1
+		v := make([]uint64, len(q)-1)
+		for j := range v {
+			v[j] = rng.Uint64()
+		}
+		want := gf.PolyMod(gf.PolyMul(v, v), q)
+		rf.load(q).sqrMod(v)
+		if got := gf.PolyTrim(v); !slices.Equal(got, want) {
+			t.Fatalf("sqrMod mod %v = %v, want %v", q, got, want)
+		}
+	}
 }
 
 func TestDecodeZeroBudgetNonzero(t *testing.T) {
@@ -263,14 +301,38 @@ func TestDecodeZeroBudgetNonzero(t *testing.T) {
 	}
 }
 
+// BenchmarkDecode is E13's contrast of adaptive prefix decoding
+// (Appendix B) against always-full-threshold decoding, on a sketch of
+// t = k/2 edges: budget=t decodes from the 2t-syndrome prefix, budget=K
+// from all 2K, and budget<t is a prefix too short for the set, which fails
+// and is retried at K the way core.DecodeOutgoing retries it.
 func BenchmarkDecode(b *testing.B) {
 	for _, k := range []int{8, 32, 128} {
 		rng := rand.New(rand.NewSource(8))
-		ids := randomIDs(rng, k/2)
-		s := sketchOf(k, ids)
-		b.Run(benchName("k", k), func(b *testing.B) {
+		t := k / 2
+		s := sketchOf(k, randomIDs(rng, t))
+		b.Run(benchName("k", k)+"/budget=t", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				if _, err := s.Decode(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(benchName("k", k)+"/budget=K", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Decode(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(benchName("k", k)+"/budget<t", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Decode(t / 2); err == nil {
+					b.Fatal("a prefix of half the set decoded")
+				}
 				if _, err := s.Decode(k); err != nil {
 					b.Fatal(err)
 				}
@@ -344,4 +406,385 @@ func TestPowerKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The reference decoder: the decoder as it stood before the split test,
+// the Frobenius-power traces, the monic shortcuts and Itoh–Tsujii
+// inversion, copied verbatim (with a ref prefix) together with the
+// polynomial helpers whose arithmetic changed. TestDecodeMatchesReference
+// and FuzzSketchDecode hold the production decoder to its outcomes.
+
+func refDecode(s Sketch, budget int) ([]uint64, error) {
+	if budget > s.K() {
+		budget = s.K()
+	}
+	if budget <= 0 {
+		if s.IsZero() {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("%w: zero budget with nonzero syndrome", ErrOverload)
+	}
+	if s.IsZero() {
+		return nil, nil
+	}
+	locator := refBerlekampMassey(s[:2*budget])
+	t := locator.Deg()
+	if t == 0 || t > budget {
+		return nil, fmt.Errorf("%w: locator degree %d outside (0,%d]", ErrOverload, t, budget)
+	}
+	roots, ok := refFindRoots(locator)
+	if !ok || len(roots) != t {
+		return nil, fmt.Errorf("%w: locator does not split into %d distinct nonzero roots", ErrOverload, t)
+	}
+	ids := make([]uint64, 0, t)
+	for _, r := range roots {
+		// Roots of the locator are the inverses of the edge IDs.
+		ids = append(ids, refInv(r))
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Re-encoding verification against the FULL syndrome vector: the
+	// decoded set must reproduce every stored power sum, not just the
+	// prefix that drove Berlekamp–Massey.
+	if !s.consistentWith(ids) {
+		return nil, fmt.Errorf("%w: re-encoding check failed for %d candidates", ErrOverload, len(ids))
+	}
+	return ids, nil
+}
+
+func refBerlekampMassey(syn []uint64) gf.Poly {
+	c := gf.Poly{1} // current connection polynomial
+	b := gf.Poly{1} // previous connection polynomial
+	var l int       // current LFSR length
+	var m = 1       // steps since last length change
+	var bDelta uint64 = 1
+	for n := 0; n < len(syn); n++ {
+		// Discrepancy d = S_n + Σ_{i=1..l} c_i S_{n-i}.
+		d := syn[n]
+		for i := 1; i <= l && i < len(c); i++ {
+			d ^= gf.Mul(c[i], syn[n-i])
+		}
+		if d == 0 {
+			m++
+			continue
+		}
+		coef := gf.Mul(d, refInv(bDelta))
+		// c' = c - coef · x^m · b
+		shifted := make(gf.Poly, len(b)+m)
+		for i, bc := range b {
+			shifted[i+m] = gf.Mul(coef, bc)
+		}
+		next := gf.PolyAdd(c, shifted)
+		if 2*l <= n {
+			b = c
+			bDelta = d
+			l = n + 1 - l
+			m = 1
+		} else {
+			m++
+		}
+		c = next
+	}
+	return gf.PolyTrim(c)
+}
+
+func refFindRoots(p gf.Poly) ([]uint64, bool) {
+	p = refPolyMonic(p)
+	if p.Deg() < 1 {
+		return nil, false
+	}
+	// A locator with constant term 0 has root 0 ⇒ some edge ID would be
+	// "infinite"; invalid.
+	if p[0] == 0 {
+		return nil, false
+	}
+	var roots []uint64
+	pending := []gf.Poly{p}
+	for basis := 0; basis < 64 && len(pending) > 0; basis++ {
+		beta := uint64(1) << uint(basis)
+		var next []gf.Poly
+		for _, q := range pending {
+			if q.Deg() == 1 {
+				roots = append(roots, refRootOfLinear(q))
+				continue
+			}
+			tr := refTraceMap(beta, q)
+			d := refPolyGCD(q, tr)
+			if d.Deg() <= 0 || d.Deg() >= q.Deg() {
+				// This basis element does not split q; try the next.
+				next = append(next, q)
+				continue
+			}
+			rest := refPolyMonic(refPolyDivExact(q, d))
+			next = append(next, d, rest)
+		}
+		pending = next
+	}
+	for _, q := range pending {
+		if q.Deg() == 1 {
+			roots = append(roots, refRootOfLinear(q))
+		} else {
+			// Irreducible factor of degree ≥ 2 survived all 64 basis
+			// elements: p has roots outside GF(2^64) ⇒ not a valid
+			// locator of field elements.
+			return nil, false
+		}
+	}
+	// Distinctness: a repeated root would mean a repeated edge ID, which
+	// cannot arise from a set.
+	seen := make(map[uint64]bool, len(roots))
+	for _, r := range roots {
+		if r == 0 || seen[r] {
+			return nil, false
+		}
+		seen[r] = true
+	}
+	return roots, true
+}
+
+func refRootOfLinear(q gf.Poly) uint64 {
+	q = refPolyMonic(q)
+	return q[0] // x + c has root c in characteristic two
+}
+
+func refTraceMap(beta uint64, q gf.Poly) gf.Poly {
+	// term starts as βx mod q.
+	term := refPolyMod(gf.Poly{0, beta}, q)
+	acc := term.Clone()
+	for i := 1; i < 64; i++ {
+		term = refPolySqrMod(term, q)
+		acc = gf.PolyAdd(acc, term)
+	}
+	return acc
+}
+
+func refInv(a uint64) uint64 {
+	if a == 0 {
+		return 0
+	}
+	// The multiplicative group has order 2^64 - 1, so a^(2^64 - 2) = a^-1.
+	return gf.Pow(a, ^uint64(0)-1)
+}
+
+func refPolyMod(a, m gf.Poly) gf.Poly {
+	m = gf.PolyTrim(m)
+	if len(m) == 0 {
+		panic("gf: PolyMod by zero polynomial")
+	}
+	r := gf.PolyTrim(a).Clone()
+	dm := len(m) - 1
+	inv := refInv(m[dm])
+	for len(r)-1 >= dm && len(r) > 0 {
+		dr := len(r) - 1
+		q := gf.Mul(r[dr], inv)
+		shift := dr - dm
+		for i, c := range m {
+			if c != 0 {
+				r[i+shift] ^= gf.Mul(q, c)
+			}
+		}
+		r = gf.PolyTrim(r)
+	}
+	return r
+}
+
+func refPolyDivExact(a, m gf.Poly) gf.Poly {
+	m = gf.PolyTrim(m)
+	if len(m) == 0 {
+		panic("gf: PolyDivExact by zero polynomial")
+	}
+	r := gf.PolyTrim(a).Clone()
+	dm := len(m) - 1
+	if len(r)-1 < dm {
+		return nil
+	}
+	inv := refInv(m[dm])
+	quo := make(gf.Poly, len(r)-dm)
+	for len(r) > 0 && len(r)-1 >= dm {
+		dr := len(r) - 1
+		q := gf.Mul(r[dr], inv)
+		shift := dr - dm
+		quo[shift] = q
+		for i, c := range m {
+			if c != 0 {
+				r[i+shift] ^= gf.Mul(q, c)
+			}
+		}
+		r = gf.PolyTrim(r)
+	}
+	return gf.PolyTrim(quo)
+}
+
+func refPolyGCD(a, b gf.Poly) gf.Poly {
+	a, b = gf.PolyTrim(a).Clone(), gf.PolyTrim(b).Clone()
+	for len(b) > 0 {
+		a, b = b, refPolyMod(a, b)
+	}
+	return refPolyMonic(a)
+}
+
+func refPolyMonic(p gf.Poly) gf.Poly {
+	p = gf.PolyTrim(p)
+	if len(p) == 0 {
+		return nil
+	}
+	lead := p[len(p)-1]
+	if lead == 1 {
+		return p
+	}
+	inv := refInv(lead)
+	out := make(gf.Poly, len(p))
+	for i, c := range p {
+		out[i] = gf.Mul(c, inv)
+	}
+	return out
+}
+
+func refPolySqrMod(p, m gf.Poly) gf.Poly {
+	p = gf.PolyTrim(p)
+	if len(p) == 0 {
+		return nil
+	}
+	sq := make(gf.Poly, 2*len(p)-1)
+	for i, c := range p {
+		if c != 0 {
+			sq[2*i] = gf.Sqr(c)
+		}
+	}
+	return refPolyMod(sq, m)
+}
+
+// checkMatchesReference decodes s at budget with both decoders and
+// requires the same sorted IDs, or the same ErrOverload from both.
+func checkMatchesReference(t testing.TB, s Sketch, budget int) {
+	t.Helper()
+	got, gotErr := s.Decode(budget)
+	want, wantErr := refDecode(s, budget)
+	switch {
+	case gotErr == nil && wantErr == nil:
+		if !slices.Equal(got, want) {
+			t.Fatalf("K=%d budget=%d: decoded %v, reference %v", s.K(), budget, got, want)
+		}
+	case gotErr == nil || wantErr == nil:
+		t.Fatalf("K=%d budget=%d: decoded (%v, %v), reference (%v, %v)", s.K(), budget, got, gotErr, want, wantErr)
+	case !errors.Is(gotErr, ErrOverload) || gotErr.Error() != wantErr.Error():
+		t.Fatalf("K=%d budget=%d: error %q, reference %q", s.K(), budget, gotErr, wantErr)
+	}
+}
+
+// lfsrSketch returns a K-threshold word generated by the connection
+// polynomial lambda (constant term 1) from random initial syndromes, so
+// Berlekamp–Massey over it returns lambda whenever the word's linear
+// complexity reaches deg lambda.
+func lfsrSketch(rng *rand.Rand, k int, lambda gf.Poly) Sketch {
+	s := NewSketch(k)
+	l := lambda.Deg()
+	for j := range s {
+		if j < l {
+			s[j] = rng.Uint64()
+			continue
+		}
+		for i := 1; i <= l; i++ {
+			s[j] ^= gf.Mul(lambda[i], s[j-i])
+		}
+	}
+	return s
+}
+
+// locatorOf returns Π (1 + αx) over alphas: the locator whose roots are
+// the alphas' inverses.
+func locatorOf(alphas []uint64) gf.Poly {
+	p := gf.Poly{1}
+	for _, a := range alphas {
+		p = gf.PolyMul(p, gf.Poly{1, a})
+	}
+	return p
+}
+
+func TestDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, k := range []int{1, 2, 3, 5, 8} {
+		var words []Sketch
+		// Sets of 1..K IDs, and overloads of K+1..2K+2.
+		for count := 1; count <= 2*k+2; count++ {
+			words = append(words, sketchOf(k, randomIDs(rng, count)))
+		}
+		// Locators with a repeated root, or with an irreducible quadratic
+		// factor 1 + x + cx² (Tr(c) = 1), times up to K−2 distinct
+		// linear factors.
+		for trial := 0; trial < 2 && k >= 2; trial++ {
+			ids := randomIDs(rng, 1+rng.Intn(k-1))
+			words = append(words, lfsrSketch(rng, k, locatorOf(append(ids, ids[0]))))
+			c := rng.Uint64()
+			for fieldTrace(c) != 1 {
+				c = rng.Uint64()
+			}
+			quad := gf.PolyMul(gf.Poly{1, 1, c}, locatorOf(ids[1:]))
+			words = append(words, lfsrSketch(rng, k, quad))
+		}
+		// Uniformly random words.
+		for trial := 0; trial < 3; trial++ {
+			s := NewSketch(k)
+			for j := range s {
+				s[j] = rng.Uint64()
+			}
+			words = append(words, s)
+		}
+		// Every prefix budget, plus the out-of-range ones Decode clamps.
+		for _, s := range words {
+			for budget := 0; budget <= k+1; budget++ {
+				checkMatchesReference(t, s, budget)
+			}
+		}
+	}
+}
+
+// TestFindRootsMatchesReference runs the root finder alone on the
+// locator classes above, at degrees past what a short sketch reaches.
+func TestFindRootsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 60; trial++ {
+		ids := randomIDs(rng, 1+rng.Intn(24))
+		var p gf.Poly
+		switch trial % 3 {
+		case 0:
+			p = locatorOf(ids)
+		case 1:
+			p = locatorOf(append(ids, ids[len(ids)-1]))
+		default:
+			c := rng.Uint64()
+			for fieldTrace(c) != 1 {
+				c = rng.Uint64()
+			}
+			p = gf.PolyMul(gf.Poly{1, 1, c}, locatorOf(ids))
+		}
+		got, ok := findRoots(p)
+		want, refOK := refFindRoots(p)
+		slices.Sort(got)
+		slices.Sort(want)
+		if ok != refOK || !slices.Equal(got, want) {
+			t.Fatalf("findRoots(%v) = %v, %v; reference %v, %v", p, got, ok, want, refOK)
+		}
+	}
+}
+
+// FuzzSketchDecode compares the decoder with the reference on arbitrary
+// words (raw, or folded from edge IDs) at every budget Decode accepts.
+func FuzzSketchDecode(f *testing.F) {
+	f.Add(uint8(4), uint8(4), true, []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(6), uint8(2), true, make([]byte, 8*7))
+	f.Add(uint8(3), uint8(3), false, []byte("arbitrary syndrome bytes, not an edge set"))
+	f.Add(uint8(0), uint8(0), false, []byte{})
+	f.Fuzz(func(t *testing.T, k, budget uint8, asIDs bool, data []byte) {
+		kk := 1 + int(k)%12
+		s := NewSketch(kk)
+		for i := 0; 8*i+8 <= len(data) && i < 2*kk+2; i++ {
+			w := binary.LittleEndian.Uint64(data[8*i:])
+			if asIDs {
+				s.AddEdge(w)
+			} else if i < len(s) {
+				s[i] = w
+			}
+		}
+		checkMatchesReference(t, s, int(budget)%(kk+2))
+	})
 }
