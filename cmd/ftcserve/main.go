@@ -12,10 +12,10 @@
 //	ftcserve -graph g.txt -dynamic -genlog gen.log -listen-bin :8338   (primary)
 //	ftcserve -replica-of http://primary:8337 [-listen-bin :8339]       (replica)
 //
-// Loading a current-format (v3) snapshot is O(1) in label bytes: the label
-// arena is mapped lazily and each label is decoded on its first probe, so
-// a replica is serving within milliseconds even when the labels run to
-// hundreds of megabytes. Legacy v1/v2 snapshots load eagerly.
+// Loading a current-format (v4) or v3 snapshot is O(1) in label bytes: the
+// label arena is mapped lazily and each label is decoded on its first
+// probe, so a replica is serving within milliseconds even when the labels
+// run to hundreds of megabytes. Legacy v1/v2 snapshots load eagerly.
 //
 // Endpoints:
 //
@@ -342,7 +342,7 @@ func openServer(snapshot, graphPath string, f int, kind string, seed int64, save
 	case dynamic && graphPath == "":
 		return nil, fmt.Errorf("-dynamic requires -graph (a snapshot is a frozen generation)")
 	case snapshot != "":
-		// One pre-sized read, then a zero-copy load: a v3 snapshot's label
+		// One pre-sized read, then a zero-copy load: a v3/v4 snapshot's label
 		// arena aliases this buffer and decodes lazily per probe, so the
 		// daemon is serving as soon as the graph section is parsed.
 		data, err := os.ReadFile(snapshot)

@@ -60,14 +60,14 @@ func TestDistributedSketchMatchesCentralizedLabels(t *testing.T) {
 	for v := range raw {
 		raw[v] = make([]uint64, words)
 	}
-	k := s.Spec().K
+	stride := s.Spec().LevelWords()
 	for lvl, level := range s.Hierarchy.Levels {
 		for _, e := range level {
 			slot := slotOf(view.NonTree, e)
 			x, far := view.XVertex[slot], view.FarEnd[slot]
 			id := packID(view.Anc.Of(x).Pre, view.Anc.Of(far).Pre)
-			addPowersAt(raw[x], id, lvl, k)
-			addPowersAt(raw[far], id, lvl, k)
+			addPowersAt(raw[x], id, lvl, stride)
+			addPowersAt(raw[far], id, lvl, stride)
 		}
 	}
 	vecs := make([][]uint32, nPrime)
@@ -145,8 +145,8 @@ func packID(a, b uint32) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// addPowersAt folds the 2k power sums of id into the level-lvl slice of the
-// word vector.
-func addPowersAt(words []uint64, id uint64, lvl, k int) {
-	rs.Sketch(words[lvl*2*k : (lvl+1)*2*k]).AddEdge(id)
+// addPowersAt folds the stored power sums of id into the level-lvl
+// segment, stride words long, of the word vector.
+func addPowersAt(words []uint64, id uint64, lvl, stride int) {
+	rs.Sketch(words[lvl*stride : (lvl+1)*stride]).AddEdge(id)
 }

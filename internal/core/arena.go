@@ -4,15 +4,15 @@ import (
 	"sync/atomic"
 )
 
-// labelArena is the lazy backing store of a version-3 snapshot: the two
-// structure-of-arrays label sections — an offsets table plus one contiguous
-// byte arena per label kind — aliased zero-copy from the snapshot bytes,
-// with per-label decode caches. Loading a v3 snapshot touches no label
-// bytes; a label is decoded the first time something asks for it, after
-// which the decoded form is cached and every later access is one atomic
-// load. Concurrent first touches may decode the same label twice; both
-// decodes produce identical values and the CAS keeps exactly one, so the
-// arena is safe from concurrent readers without locks.
+// labelArena is the lazy backing store of a version-3 or -4 snapshot: the
+// two structure-of-arrays label sections — an offsets table plus one
+// contiguous byte arena per label kind — aliased zero-copy from the
+// snapshot bytes, with per-label decode caches. Loading such a snapshot
+// touches no label bytes; a label is decoded the first time something asks
+// for it, after which the decoded form is cached and every later access is
+// one atomic load. Concurrent first touches may decode the same label
+// twice; both decodes produce identical values and the CAS keeps exactly
+// one, so the arena is safe from concurrent readers without locks.
 //
 // Lazy decode preserves the token/generation safety story of eager loading,
 // just shifted to first touch: the snapshot header's token was already
@@ -31,6 +31,11 @@ type labelArena struct {
 	gen       uint64
 	maxFaults int
 	spec      OutSpec
+	// legacy marks a version-3 arena: its edge labels carry 2k power
+	// sums per level and decode converted, so their extents are not the
+	// labels' wire sizes and the arena cannot be copied into a v4
+	// snapshot.
+	legacy bool
 
 	// vertOff/edgeOff have n+1 and m+1 entries; label i's wire form is
 	// bytes[off[i]:off[i+1]]. Both arenas alias the snapshot input.
@@ -80,18 +85,6 @@ func (a *labelArena) edge(e int) EdgeLabel {
 	l.Gen = a.gen
 	a.edges[e].CompareAndSwap(nil, &l)
 	return *a.edges[e].Load()
-}
-
-// maxEdgeLabelBits is the arena's O(m) answer to MaxEdgeLabelBits: the wire
-// size of a label is exactly its arena extent, so no label needs decoding.
-func (a *labelArena) maxEdgeLabelBits() int {
-	maxBytes := uint64(0)
-	for e := range a.edges {
-		if n := a.edgeOff[e+1] - a.edgeOff[e]; n > maxBytes {
-			maxBytes = n
-		}
-	}
-	return int(8 * maxBytes)
 }
 
 // resident reports how many labels of each kind have been decoded so far —

@@ -57,7 +57,7 @@ type Scheme struct {
 	vertexLabels []VertexLabel
 	edgeLabels   []EdgeLabel
 
-	// lazy is non-nil only for schemes loaded from a version-3 snapshot:
+	// lazy is non-nil only for schemes loaded from a v3 or v4 snapshot:
 	// labels live in the zero-copy arena and are decoded on first touch.
 	// Built (and v1/v2-loaded) schemes keep the materialized slices above.
 	lazy *labelArena
@@ -323,7 +323,7 @@ var buildWorkers int
 // outdetect subtree aggregate L^out(V_{T′}(σ(e))) of Proposition 4.
 //
 // The Reed–Solomon kinds run the construction hot path described in
-// DESIGN.md §3.7: each non-tree edge's 2k-power vector is computed exactly
+// DESIGN.md §3.7: each non-tree edge's k odd powers are computed exactly
 // once (gf.Table-cached Horner chain) into a shared read-only arena, and the
 // per-level accumulate-and-fold passes — which write to disjoint
 // Out[lvl*stride:] segments — run on a bounded worker pool with reusable
@@ -381,7 +381,7 @@ func (s *Scheme) buildLabels(g *graph.Graph, a *aux, levels *hierarchy.Hierarchy
 		return
 	}
 
-	stride := 2 * s.spec.K
+	stride := s.spec.LevelWords()
 	// slotOf[e] is the a.nonTree slot of non-tree G edge e (dense — the
 	// map it replaces dominated the accumulate loop's cache profile).
 	slotOf := make([]int, g.M())
@@ -396,14 +396,14 @@ func (s *Scheme) buildLabels(g *graph.Graph, a *aux, levels *hierarchy.Hierarchy
 			treeEdges = append(treeEdges, e)
 		}
 	}
-	// The power arena: powers[j*stride:(j+1)*stride] is the full
-	// Reed–Solomon row (α_j, α_j², …, α_j^2k) of non-tree slot j. A
+	// The power arena: powers[j*stride:(j+1)*stride] is the stored
+	// Reed–Solomon row (α_j, α_j³, …, α_j^(2k−1)) of non-tree slot j. A
 	// non-tree edge occupies every hierarchy level up to its drop-out
 	// depth, so computing the row once here and XOR-folding it per level
 	// replaces depth× redundant Horner chains with cheap vector XORs.
 	powers := make([]uint64, len(a.nonTree)*stride)
 	for j := range a.nonTree {
-		rs.PowerRow(powers[j*stride:(j+1)*stride], a.idOf(j))
+		rs.PowerSums(powers[j*stride:(j+1)*stride], a.idOf(j))
 	}
 
 	workers := buildWorkers
@@ -535,8 +535,8 @@ func (s *Scheme) foldSubtrees(g *graph.Graph, a *aux, preOrder []int, scr *level
 }
 
 // xorInto folds src into dst elementwise (GF(2) vector addition), unrolled
-// four-wide so the payload strides (always ≥ 2k words) stream without
-// per-element bounds checks.
+// four-wide so the payload strides stream without per-element bounds
+// checks.
 func xorInto(dst, src []uint64) {
 	for len(src) >= 4 && len(dst) >= 4 {
 		dst[0] ^= src[0]
@@ -589,7 +589,7 @@ func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 	return s.edgeLabels[e]
 }
 
-// LazyLabels reports whether the scheme's labels live in a v3 snapshot
+// LazyLabels reports whether the scheme's labels live in a v3/v4 snapshot
 // arena and, if so, how many of each kind have been decoded so far —
 // the observability hook behind the lazy-load tests and benchmarks.
 func (s *Scheme) LazyLabels() (lazy bool, verts, edges int) {

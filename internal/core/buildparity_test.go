@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/rs"
+	"repro/internal/gf"
 	"repro/internal/workload"
 )
 
@@ -55,11 +55,13 @@ func TestParallelSequentialLabelParity(t *testing.T) {
 }
 
 // TestBuildMatchesDefinitionalReference re-derives every Reed–Solomon
-// outdetect payload with the pre-overhaul algorithm — per level, XOR each
-// level edge's power sums into both endpoint blocks with rs.Sketch.AddEdge,
-// densely fold child blocks into parents in reverse preorder, copy every
-// child-subtree block — and checks the optimized pipeline (power arena,
-// dirty folding, leaf shortcut) reproduces it word for word.
+// outdetect payload with the pre-overhaul algorithm on the paper's full
+// sketch — per level, XOR each level edge's 2k power sums α^1…α^2k (a
+// gf.Mul chain) into both endpoint blocks, densely fold child blocks into
+// parents in reverse preorder, copy every child-subtree block. Every level
+// of every reference payload must satisfy S_2j = S_j², and the optimized
+// pipeline (odd powers only, power arena, dirty folding, leaf shortcut)
+// must reproduce its odd sums S_1, S_3, … word for word.
 func TestBuildMatchesDefinitionalReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	g := workload.ErdosRenyi(80, 0.1, true, rng)
@@ -72,7 +74,7 @@ func TestBuildMatchesDefinitionalReference(t *testing.T) {
 			s := mustBuild(t, g, p)
 			a := buildAux(g, s.Forest, 0)
 			spec := s.Spec()
-			stride := 2 * spec.K
+			stride := 2 * spec.K // the paper's 2k syndromes per level
 			nPrime := len(a.tprime.Parent)
 			preOrder := make([]int, nPrime)
 			for v := 0; v < nPrime; v++ {
@@ -84,7 +86,7 @@ func TestBuildMatchesDefinitionalReference(t *testing.T) {
 			}
 			want := make([][]uint64, g.M())
 			for e := range want {
-				want[e] = make([]uint64, spec.Words())
+				want[e] = make([]uint64, spec.Levels*stride)
 			}
 			acc := make([]uint64, nPrime*stride)
 			for lvl, level := range s.Hierarchy.Levels {
@@ -94,8 +96,8 @@ func TestBuildMatchesDefinitionalReference(t *testing.T) {
 				for _, e := range level {
 					j := slotOf[e]
 					id := a.idOf(j)
-					rs.Sketch(acc[a.xVertex[j]*stride : (a.xVertex[j]+1)*stride]).AddEdge(id)
-					rs.Sketch(acc[a.farEnd[j]*stride : (a.farEnd[j]+1)*stride]).AddEdge(id)
+					addAllPowers(acc[a.xVertex[j]*stride:(a.xVertex[j]+1)*stride], id)
+					addAllPowers(acc[a.farEnd[j]*stride:(a.farEnd[j]+1)*stride], id)
 				}
 				for i := nPrime - 1; i >= 0; i-- {
 					v := preOrder[i]
@@ -114,12 +116,33 @@ func TestBuildMatchesDefinitionalReference(t *testing.T) {
 			}
 			for e := range g.Edges {
 				got := s.EdgeLabel(e).Out
-				for w := range want[e] {
-					if got[w] != want[e][w] {
-						t.Fatalf("%s: edge %d word %d: got %#x, reference %#x", p.Kind, e, w, got[w], want[e][w])
+				if len(got) != spec.Levels*spec.K {
+					t.Fatalf("%s: edge %d payload has %d words, want %d", p.Kind, e, len(got), spec.Levels*spec.K)
+				}
+				for lvl := 0; lvl < spec.Levels; lvl++ {
+					full := want[e][lvl*stride : (lvl+1)*stride]
+					for j := 1; j <= spec.K; j++ {
+						if full[2*j-1] != gf.Sqr(full[j-1]) {
+							t.Fatalf("%s: edge %d level %d: reference S_%d is not S_%d²", p.Kind, e, lvl, 2*j, j)
+						}
+					}
+					for j := 0; j < spec.K; j++ {
+						if w := got[lvl*spec.K+j]; w != full[2*j] {
+							t.Fatalf("%s: edge %d level %d: S_%d got %#x, reference %#x", p.Kind, e, lvl, 2*j+1, w, full[2*j])
+						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// addAllPowers XORs α, α², …, α^len(dst) into dst by the definitional
+// gf.Mul chain.
+func addAllPowers(dst []uint64, alpha uint64) {
+	pow := alpha
+	for j := range dst {
+		dst[j] ^= pow
+		pow = gf.Mul(pow, alpha)
 	}
 }

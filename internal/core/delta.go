@@ -57,7 +57,10 @@ type GenDelta struct {
 
 	// DirtyIdx lists post-commit indices of surviving edges whose payload
 	// changed; DirtyXor[i] is the whole-payload XOR mask (new ⊕ old) of
-	// DirtyIdx[i].
+	// DirtyIdx[i], spec.Words() words long. ApplyDelta also accepts a
+	// Reed–Solomon mask of 2·Words() words, the legacy layout with all 2k
+	// power sums per level, and converts it as the label decoder converts
+	// legacy labels.
 	DirtyIdx []int
 	DirtyXor [][]uint64
 
@@ -238,8 +241,16 @@ func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 			return nil, nil, fmt.Errorf("%w: dirty index %d has no surviving label", ErrDeltaMismatch, idx)
 		}
 		mask := d.DirtyXor[i]
+		if len(mask) == 2*words && s.spec.Kind != KindAGM {
+			// A legacy mask: the XOR of two legacy payloads is binary
+			// too, so its even sums must be squares like a label's.
+			var ok bool
+			if mask, ok = s.spec.fromLegacy(mask); !ok {
+				return nil, nil, fmt.Errorf("%w: dirty mask %d is not a binary syndrome in the legacy layout", ErrDeltaMismatch, idx)
+			}
+		}
 		if len(mask) != words || len(els[idx].Out) != words {
-			return nil, nil, fmt.Errorf("%w: dirty mask %d has %d words, spec wants %d", ErrDeltaMismatch, idx, len(mask), words)
+			return nil, nil, fmt.Errorf("%w: dirty mask %d has %d words, spec wants %d", ErrDeltaMismatch, idx, len(d.DirtyXor[i]), words)
 		}
 		out := make([]uint64, words)
 		for w := range out {

@@ -350,7 +350,7 @@ func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *Scheme, error) {
 	}
 
 	words := spec.Words()
-	stride := 2 * spec.K
+	stride := spec.LevelWords()
 	agm := sketch.Spec{Reps: spec.Reps, Buckets: spec.Buckets, Seed: spec.Seed}
 	// deltaFor computes the outdetect contribution of one edge id: the
 	// Reed–Solomon power row (one hierarchy-level segment) or the AGM
@@ -362,7 +362,7 @@ func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *Scheme, error) {
 			return blk
 		}
 		row := make([]uint64, stride)
-		rs.PowerRow(row, id)
+		rs.PowerSums(row, id)
 		return row
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/workload"
@@ -8,8 +9,10 @@ import (
 
 // Fuzz targets for the label unmarshalers: arbitrary bytes must never
 // panic, and accepted inputs must re-marshal to the same bytes (canonical
-// encoding). Under plain `go test` the seed corpus below runs as unit
-// tests; `go test -fuzz=FuzzUnmarshalEdgeLabel ./internal/core` explores.
+// encoding); a legacy edge label re-marshals in the current encoding,
+// which must be a fixed point. Under plain `go test` the seed corpus below
+// runs as unit tests; `go test -fuzz=FuzzUnmarshalEdgeLabel ./internal/core`
+// explores.
 
 func FuzzUnmarshalVertexLabel(f *testing.F) {
 	g := workload.Cycle(5)
@@ -41,14 +44,31 @@ func FuzzUnmarshalEdgeLabel(f *testing.F) {
 	f.Add(MarshalEdgeLabel(s.EdgeLabel(0)))
 	f.Add([]byte{})
 	f.Add([]byte{0x45, 1, 2, 3})
+	f.Add(legacyEdgeBytes(f, "det-netfind-2level", twoLevelEdge))
+	f.Add(legacyEdgeBytes(f, "agm", 0))
+	f.Add(overflowingEdgeLabel(legacyEdgeMagic, KindDetNetFind))
+	f.Add(overflowingEdgeLabel(edgeMagic, KindAGM))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := UnmarshalEdgeLabel(data)
 		if err != nil {
 			return
 		}
+		if len(l.Out) != l.Spec.Words() {
+			t.Fatalf("decoded payload has %d words, spec wants %d", len(l.Out), l.Spec.Words())
+		}
 		re := MarshalEdgeLabel(l)
-		if string(re) != string(data) {
-			t.Fatalf("non-canonical encoding accepted")
+		if data[0] == edgeMagic {
+			if !bytes.Equal(re, data) {
+				t.Fatalf("non-canonical encoding accepted")
+			}
+			return
+		}
+		l2, err := UnmarshalEdgeLabel(re)
+		if err != nil {
+			t.Fatalf("converted legacy label does not decode: %v", err)
+		}
+		if !bytes.Equal(MarshalEdgeLabel(l2), re) {
+			t.Fatalf("legacy conversion is not a fixed point")
 		}
 	})
 }

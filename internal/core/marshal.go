@@ -14,7 +14,23 @@ import (
 
 const (
 	vertexMagic byte = 0x56 // 'V'
-	edgeMagic   byte = 0x45 // 'E'
+	// edgeMagic begins every edge label this build writes: each
+	// Reed–Solomon level carries its k stored power sums (rs.Sketch).
+	edgeMagic byte = 0x65 // 'e'
+	// legacyEdgeMagic began the edge labels of earlier builds, whose
+	// Reed–Solomon levels carried all 2k power sums S_1…S_2k.
+	// UnmarshalEdgeLabel converts them (DESIGN.md §3.9).
+	legacyEdgeMagic byte = 0x45 // 'E'
+)
+
+const (
+	// vertexLabelLen is the wire size of every vertex label: magic, token
+	// and one ancestry label.
+	vertexLabelLen = 1 + 8 + 12
+	// edgeHeaderLen is the fixed part of an edge label's wire form: magic,
+	// token, fault budget, OutSpec, two ancestry labels and the payload
+	// word count. The payload's 8-byte words follow.
+	edgeHeaderLen = 1 + 8 + 4 + (1 + 4*4 + 8) + 2*12 + 4
 )
 
 // ErrBadLabel is returned by the unmarshalers for malformed bytes.
@@ -38,13 +54,16 @@ func getAnc(b []byte) (ancestry.Label, []byte, error) {
 	}, b[12:], nil
 }
 
-// MarshalVertexLabel encodes a vertex label.
-func MarshalVertexLabel(l VertexLabel) []byte {
-	b := make([]byte, 0, 21)
+// appendVertexLabel appends the vertexLabelLen-byte wire form of l to b.
+func appendVertexLabel(b []byte, l VertexLabel) []byte {
 	b = append(b, vertexMagic)
 	b = binary.LittleEndian.AppendUint64(b, l.Token)
-	b = putAnc(b, l.Anc)
-	return b
+	return putAnc(b, l.Anc)
+}
+
+// MarshalVertexLabel encodes a vertex label.
+func MarshalVertexLabel(l VertexLabel) []byte {
+	return appendVertexLabel(make([]byte, 0, vertexLabelLen), l)
 }
 
 // UnmarshalVertexLabel decodes a vertex label.
@@ -69,9 +88,13 @@ func UnmarshalVertexLabel(b []byte) (VertexLabel, error) {
 	return l, nil
 }
 
-// MarshalEdgeLabel encodes an edge label, payload included.
-func MarshalEdgeLabel(l EdgeLabel) []byte {
-	b := make([]byte, 0, 64+8*len(l.Out))
+// edgeLabelLen is the wire size of l.
+func edgeLabelLen(l EdgeLabel) int { return edgeHeaderLen + 8*len(l.Out) }
+
+// AppendEdgeLabel appends the wire form of l — the bytes MarshalEdgeLabel
+// returns — to b. Writers that emit many labels (the snapshot writer, the
+// generation log) size one buffer and append into it.
+func AppendEdgeLabel(b []byte, l EdgeLabel) []byte {
 	b = append(b, edgeMagic)
 	b = binary.LittleEndian.AppendUint64(b, l.Token)
 	b = binary.LittleEndian.AppendUint32(b, uint32(l.MaxFaults))
@@ -90,12 +113,22 @@ func MarshalEdgeLabel(l EdgeLabel) []byte {
 	return b
 }
 
-// UnmarshalEdgeLabel decodes an edge label.
+// MarshalEdgeLabel encodes an edge label, payload included.
+func MarshalEdgeLabel(l EdgeLabel) []byte {
+	return AppendEdgeLabel(make([]byte, 0, edgeLabelLen(l)), l)
+}
+
+// UnmarshalEdgeLabel decodes an edge label. A legacy label (magic 'E'),
+// whose Reed–Solomon levels carry all 2k power sums, is converted level by
+// level once every even sum is checked to be the square it must be
+// (rs.OddSums); the result equals the label this build writes for the same
+// edge, field for field. A label failing that check is ErrBadLabel.
 func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 	var l EdgeLabel
-	if len(b) < 1 || b[0] != edgeMagic {
+	if len(b) < 1 || (b[0] != edgeMagic && b[0] != legacyEdgeMagic) {
 		return l, fmt.Errorf("%w: missing edge magic", ErrBadLabel)
 	}
+	legacy := b[0] == legacyEdgeMagic
 	b = b[1:]
 	need := func(n int) error {
 		if len(b) < n {
@@ -112,14 +145,16 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 	b = b[4:]
 	l.Spec.Kind = Kind(b[0])
 	b = b[1:]
-	l.Spec.K = int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	l.Spec.Levels = int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	l.Spec.Reps = int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	l.Spec.Buckets = int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
+	for _, fld := range []*int{&l.Spec.K, &l.Spec.Levels, &l.Spec.Reps, &l.Spec.Buckets} {
+		v := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		// Bounded like a snapshot's spec, so that Words() — a product of
+		// these fields — cannot overflow into a small count.
+		if v > snapLimit {
+			return l, fmt.Errorf("%w: spec field %d implausibly large", ErrBadLabel, v)
+		}
+		*fld = int(v)
+	}
 	l.Spec.Seed = int64(binary.LittleEndian.Uint64(b))
 	b = b[8:]
 	var err error
@@ -136,8 +171,12 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if count != l.Spec.Words() {
-		return l, fmt.Errorf("%w: payload length %d does not match spec %d", ErrBadLabel, count, l.Spec.Words())
+	words := l.Spec.Words()
+	if legacy && l.Spec.Kind != KindAGM {
+		words *= 2
+	}
+	if count != words {
+		return l, fmt.Errorf("%w: payload length %d does not match spec %d", ErrBadLabel, count, words)
 	}
 	if err := need(8 * count); err != nil {
 		return l, err
@@ -150,28 +189,28 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 	if len(b) != 0 {
 		return l, fmt.Errorf("%w: trailing bytes", ErrBadLabel)
 	}
+	if words != l.Spec.Words() {
+		var ok bool
+		if l.Out, ok = l.Spec.fromLegacy(l.Out); !ok {
+			return l, fmt.Errorf("%w: legacy payload has an even power sum that is not a square (S_2j ≠ S_j²)", ErrBadLabel)
+		}
+	}
 	return l, nil
 }
 
 // VertexLabelBits returns the wire size of a vertex label in bits.
-func VertexLabelBits(l VertexLabel) int { return 8 * len(MarshalVertexLabel(l)) }
+func VertexLabelBits(VertexLabel) int { return 8 * vertexLabelLen }
 
 // EdgeLabelBits returns the wire size of an edge label in bits.
-func EdgeLabelBits(l EdgeLabel) int { return 8 * len(MarshalEdgeLabel(l)) }
+func EdgeLabelBits(l EdgeLabel) int { return 8 * edgeLabelLen(l) }
 
 // MaxEdgeLabelBits returns the maximum edge-label size of the scheme — the
-// paper's per-edge label-size metric. For a lazily-loaded scheme the answer
-// comes from the arena offsets table (a label's wire size is exactly its
-// arena extent), so no label is decoded.
+// paper's per-edge label-size metric. Every edge label of a scheme has the
+// same wire size, the header plus spec.Words() payload words, so the
+// answer needs no label; a lazily loaded scheme decodes none.
 func (s *Scheme) MaxEdgeLabelBits() int {
-	if s.lazy != nil {
-		return s.lazy.maxEdgeLabelBits()
+	if s.g.M() == 0 {
+		return 0
 	}
-	maxBits := 0
-	for e := range s.edgeLabels {
-		if b := EdgeLabelBits(s.edgeLabels[e]); b > maxBits {
-			maxBits = b
-		}
-	}
-	return maxBits
+	return 8 * (edgeHeaderLen + 8*s.spec.Words())
 }

@@ -233,7 +233,7 @@ func TestRoutePlanSteps(t *testing.T) {
 func TestDecodeOutgoingLevelOrder(t *testing.T) {
 	spec := OutSpec{Kind: KindDetNetFind, K: 4, Levels: 3}
 	payload := make([]uint64, spec.Words())
-	stride := 2 * spec.K
+	stride := spec.LevelWords()
 	// Level 0 (densest): 9 > K edges — garbage if trusted.
 	lvl0 := rs.Sketch(payload[0:stride])
 	for i := 1; i <= 9; i++ {

@@ -16,10 +16,10 @@ import (
 // built once be loaded by a fleet of servers ("one build, many decoders")
 // without re-running construction.
 //
-// Wire format, version 3 (all integers little-endian):
+// Wire format, version 4 (all integers little-endian):
 //
 //	[6]byte  magic "FTCSNP"
-//	u8       version (currently 3)
+//	u8       version (currently 4)
 //	u32 n, u32 m
 //	m × (u32 u, u32 v)          graph edges, insertion order, u < v
 //	u64      token              scheme fingerprint (recomputed on load)
@@ -34,31 +34,36 @@ import (
 //	(m+1) × u64                 edge label offsets (first 0, non-decreasing)
 //	bytes                       edge label arena, MarshalEdgeLabel forms
 //
-// Version 3 replaced the per-label length-prefixed sections of versions 1
-// and 2 (n × (u32 len, len bytes), then m of the same) with the flat
-// structure-of-arrays label arena above, so that loading is O(1) in label
-// bytes: the reader validates the offsets tables, aliases the two arenas
-// zero-copy, and decodes each label lazily on first touch (see labelArena).
-// Version 1 is version 2 without the generation/auxSlack fields; both are
-// still read, eagerly, via the original path. The per-label encodings
-// inside every version are the label codecs verbatim, so a loaded scheme's
-// per-label marshalings are byte-identical to the original's regardless of
-// version. Loading re-derives the spanning forest (deterministic from the
-// graph) and re-verifies the token fingerprint against the graph,
-// parameters, and generation, which rejects snapshots whose sections were
-// corrupted independently; v3 label bytes are verified against that token
-// on first touch instead of at load time. Any future layout change must
-// bump SnapshotVersion; old readers then fail with ErrSnapshotVersion
-// instead of misparsing.
+// Version 4 is version 3 with edge labels in the current label encoding
+// (magic 'e'), whose Reed–Solomon levels carry k stored power sums each;
+// versions 1–3 hold legacy 'E' labels with all 2k sums per level, which
+// the label decoder converts (DESIGN.md §3.9). Version 3 replaced the
+// per-label length-prefixed sections of versions 1 and 2 (n × (u32 len,
+// len bytes), then m of the same) with the flat structure-of-arrays label
+// arena above, so that loading is O(1) in label bytes: the reader
+// validates the offsets tables, aliases the two arenas zero-copy, and
+// decodes each label lazily on first touch (see labelArena); v3 and v4
+// both load that way. Version 1 is version 2 without the
+// generation/auxSlack fields; both are still read, eagerly, via the
+// original path. Whatever the version, a loaded label equals the label
+// this build constructs for the same edge, so its marshaling is
+// byte-identical to a fresh build's. Loading re-derives the spanning
+// forest (deterministic from the graph) and re-verifies the token
+// fingerprint against the graph, parameters, and generation, which
+// rejects snapshots whose sections were corrupted independently; v3/v4
+// label bytes are verified against that token on first touch instead of
+// at load time. Any future layout change must bump SnapshotVersion; old
+// readers then fail with ErrSnapshotVersion instead of misparsing.
 
 // snapshotMagic begins every scheme snapshot.
 var snapshotMagic = [6]byte{'F', 'T', 'C', 'S', 'N', 'P'}
 
 // SnapshotVersion is the wire-format version written by MarshalBinary.
-// Version 3 introduced the lazy structure-of-arrays label arena; version 2
-// added the generation and auxSlack fields of the dynamic network
-// extension. Versions 1 and 2 remain loadable.
-const SnapshotVersion = 3
+// Version 4 stores k power sums per Reed–Solomon level in every edge
+// label; version 3 introduced the lazy structure-of-arrays label arena;
+// version 2 added the generation and auxSlack fields of the dynamic
+// network extension. Versions 1–3 remain loadable.
+const SnapshotVersion = 4
 
 var (
 	// ErrBadSnapshot is returned by UnmarshalScheme for malformed bytes.
@@ -74,34 +79,44 @@ var (
 const snapLimit = 1 << 24
 
 // MarshalBinary encodes the scheme as a self-contained snapshot at the
-// current wire version (encoding.BinaryMarshaler).
+// current wire version (encoding.BinaryMarshaler). The output is sized
+// exactly before anything is written and every label is appended in
+// place, so the snapshot is one allocation. A scheme loaded lazily from a
+// v4 snapshot copies its arenas verbatim — no label is decoded, and a v4
+// load→save round trip is byte-identical by construction; every other
+// scheme, a v3-loaded one included, encodes each label, and the label
+// codecs are deterministic, so both paths produce the same bytes for the
+// same labels.
 func (s *Scheme) MarshalBinary() ([]byte, error) {
-	return s.MarshalBinaryVersion(SnapshotVersion)
-}
-
-// MarshalBinaryVersion encodes the scheme at an explicit wire version.
-// Version 3 is what MarshalBinary writes; versions 1 and 2 are the legacy
-// eager-label layouts, retained so the compatibility tests and the load
-// benchmarks can produce old-format bytes on demand. Version 1 cannot
-// carry a generation or aux slack and refuses schemes that have either.
-func (s *Scheme) MarshalBinaryVersion(version byte) ([]byte, error) {
 	if s.g == nil {
 		return nil, fmt.Errorf("core: scheme retains no graph; cannot snapshot")
 	}
-	if version < 1 || version > SnapshotVersion {
-		return nil, fmt.Errorf("%w: cannot write version %d, this build speaks 1..%d",
-			ErrSnapshotVersion, version, SnapshotVersion)
-	}
-	if version == 1 && (s.gen != 0 || s.params.AuxSlack != 0) {
-		return nil, fmt.Errorf("core: version 1 cannot represent a dynamic scheme (gen=%d slack=%d)",
-			s.gen, s.params.AuxSlack)
-	}
 	g := s.g
-	b := make([]byte, 0, 64+16*g.M())
+	n, m := g.N(), g.M()
+	verbatim := s.lazy != nil && !s.lazy.legacy
+
+	size := len(snapshotMagic) + 1 + 4 + 4 + 8*m + // magic, version, n, m, edges
+		8 + 4 + (1 + 4*4 + 8) + 8 + 4 + // token, fault budget, spec, generation, slack
+		4 + 8*(n+1) + 8*(m+1) // hierarchy level count, both offsets tables
+	if s.Hierarchy != nil {
+		for _, level := range s.Hierarchy.Levels {
+			size += 4 + 4*len(level)
+		}
+	}
+	if verbatim {
+		size += len(s.lazy.vertBytes) + len(s.lazy.edgeBytes)
+	} else {
+		size += n * vertexLabelLen
+		for e := 0; e < m; e++ {
+			size += edgeLabelLen(s.EdgeLabel(e))
+		}
+	}
+
+	b := make([]byte, 0, size)
 	b = append(b, snapshotMagic[:]...)
-	b = append(b, version)
-	b = binary.LittleEndian.AppendUint32(b, uint32(g.N()))
-	b = binary.LittleEndian.AppendUint32(b, uint32(g.M()))
+	b = append(b, SnapshotVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m))
 	for _, e := range g.Edges {
 		b = binary.LittleEndian.AppendUint32(b, uint32(e.U))
 		b = binary.LittleEndian.AppendUint32(b, uint32(e.V))
@@ -114,10 +129,8 @@ func (s *Scheme) MarshalBinaryVersion(version byte) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.spec.Reps))
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.spec.Buckets))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.spec.Seed))
-	if version >= 2 {
-		b = binary.LittleEndian.AppendUint64(b, s.gen)
-		b = binary.LittleEndian.AppendUint32(b, uint32(s.params.AuxSlack))
-	}
+	b = binary.LittleEndian.AppendUint64(b, s.gen)
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.params.AuxSlack))
 	if s.Hierarchy == nil {
 		b = binary.LittleEndian.AppendUint32(b, 0)
 	} else {
@@ -129,30 +142,9 @@ func (s *Scheme) MarshalBinaryVersion(version byte) ([]byte, error) {
 			}
 		}
 	}
-	if version >= 3 {
-		return s.appendArenaSections(b), nil
-	}
-	for v := 0; v < g.N(); v++ {
-		lb := MarshalVertexLabel(s.VertexLabel(v))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(lb)))
-		b = append(b, lb...)
-	}
-	for e := 0; e < g.M(); e++ {
-		lb := MarshalEdgeLabel(s.EdgeLabel(e))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(lb)))
-		b = append(b, lb...)
-	}
-	return b, nil
-}
 
-// appendArenaSections writes the two v3 structure-of-arrays label sections.
-// A lazily-loaded scheme copies its arenas verbatim — no label is decoded,
-// and a v3 load→save round trip is byte-identical by construction. A
-// materialized scheme marshals each label into a fresh arena; the label
-// codecs are deterministic, so both paths produce the same bytes for the
-// same labels.
-func (s *Scheme) appendArenaSections(b []byte) []byte {
-	if a := s.lazy; a != nil {
+	if verbatim {
+		a := s.lazy
 		for _, off := range a.vertOff {
 			b = binary.LittleEndian.AppendUint64(b, off)
 		}
@@ -160,25 +152,23 @@ func (s *Scheme) appendArenaSections(b []byte) []byte {
 		for _, off := range a.edgeOff {
 			b = binary.LittleEndian.AppendUint64(b, off)
 		}
-		b = append(b, a.edgeBytes...)
-		return b
+		return append(b, a.edgeBytes...), nil
 	}
-	// The offsets region is reserved up front and backfilled as each label
-	// is appended, so the peak transient memory is one marshaled label, not
-	// a second copy of the whole arena.
-	appendSoA := func(b []byte, count int, marshal func(i int) []byte) []byte {
+	// Each section's offsets are reserved up front and backfilled as its
+	// labels are appended.
+	appendSoA := func(b []byte, count int, appendLabel func(b []byte, i int) []byte) []byte {
 		offPos := len(b)
 		b = append(b, make([]byte, 8*(count+1))...)
 		start := len(b)
 		for i := 0; i < count; i++ {
-			b = append(b, marshal(i)...)
+			b = appendLabel(b, i)
 			binary.LittleEndian.PutUint64(b[offPos+8*(i+1):], uint64(len(b)-start))
 		}
 		return b
 	}
-	b = appendSoA(b, s.g.N(), func(i int) []byte { return MarshalVertexLabel(s.vertexLabels[i]) })
-	b = appendSoA(b, s.g.M(), func(i int) []byte { return MarshalEdgeLabel(s.edgeLabels[i]) })
-	return b
+	b = appendSoA(b, n, func(b []byte, v int) []byte { return appendVertexLabel(b, s.VertexLabel(v)) })
+	b = appendSoA(b, m, func(b []byte, e int) []byte { return AppendEdgeLabel(b, s.EdgeLabel(e)) })
+	return b, nil
 }
 
 // snapReader is a bounds-checked little-endian cursor over snapshot bytes.
@@ -422,6 +412,7 @@ func UnmarshalScheme(data []byte) (*Scheme, error) {
 			gen:       gen,
 			maxFaults: int(maxFaults),
 			spec:      spec,
+			legacy:    version == 3,
 		}
 		if arena.vertOff, arena.vertBytes, err = r.soaSection(n, "vertex"); err != nil {
 			return nil, err
@@ -499,7 +490,7 @@ func UnmarshalScheme(data []byte) (*Scheme, error) {
 	return s, nil
 }
 
-// soaSection reads one v3 structure-of-arrays label section: count+1 u64
+// soaSection reads one v3/v4 structure-of-arrays label section: count+1 u64
 // offsets (first 0, non-decreasing) followed by an arena of exactly the
 // final offset's bytes, returned as a zero-copy alias of the input. Every
 // validation happens before the offsets allocation is sized, so a hostile

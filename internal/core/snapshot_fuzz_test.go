@@ -2,20 +2,41 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/workload"
 )
 
+// legacySnapshots are the repository's v1–v3 fixtures, written by the
+// legacy snapshot writer (2k power sums per Reed–Solomon level) for every
+// scheme kind, a two-level hierarchy and a dynamic scheme.
+const legacySnapshots = "../../testdata/legacy/*.ftcsnap"
+
 // FuzzUnmarshalScheme feeds arbitrary bytes to the snapshot decoder:
 // corrupted input must produce an error — never a panic or a huge
 // allocation — and any accepted input must be canonical (re-marshaling the
-// loaded scheme reproduces the input bytes exactly). For version-3 input
+// loaded scheme reproduces the input bytes exactly). For version-3/4 input
 // the offsets tables and arena bounds are validated at load; label bytes
 // are only reached lazily, so the harness additionally touches every label
 // of an accepted scheme: a corrupt arena slot must decode to a poisoned
-// label (which every query rejects), never panic or over-allocate.
+// label (which every query rejects), never panic or over-allocate. The
+// seeds are the legacy fixtures and current-version snapshots, whole and
+// cut in half.
 func FuzzUnmarshalScheme(f *testing.F) {
+	paths, err := filepath.Glob(legacySnapshots)
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no legacy snapshot fixtures at %s (%v)", legacySnapshots, err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
 	for _, p := range []Params{
 		{MaxFaults: 1},
 		{MaxFaults: 2, Kind: KindRandRS, Seed: 7},
@@ -25,27 +46,25 @@ func FuzzUnmarshalScheme(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, version := range []byte{2, 3} {
-			data, err := s.MarshalBinaryVersion(version)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(data)
-			f.Add(data[:len(data)/2])
+		data, err := s.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
 	}
 	f.Add([]byte{})
 	f.Add([]byte("FTCSNP"))
 	f.Add([]byte("FTCSNP\x01"))
 	f.Add([]byte("FTCSNP\x02"))
 	f.Add([]byte("FTCSNP\x03"))
+	f.Add([]byte("FTCSNP\x04"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := UnmarshalScheme(data)
 		if err != nil {
 			return
 		}
-		// Touching every label must never panic, whatever the arena holds;
-		// MaxEdgeLabelBits exercises the offsets-only path.
+		// Touching every label must never panic, whatever the arena holds.
 		for v := 0; v < s.N(); v++ {
 			_ = s.VertexLabel(v)
 		}

@@ -69,14 +69,40 @@ type OutSpec struct {
 	Seed    int64 // AGM hash seed
 }
 
-// Words returns the []uint64 length of one outdetect payload.
+// Words returns the []uint64 length of one outdetect payload. A
+// Reed–Solomon payload is Levels segments of LevelWords words each.
 func (s OutSpec) Words() int {
 	switch s.Kind {
 	case KindAGM:
 		return sketch.Spec{Reps: s.Reps, Buckets: s.Buckets, Seed: s.Seed}.Words()
 	default:
-		return s.Levels * 2 * s.K
+		return s.Levels * s.LevelWords()
 	}
+}
+
+// LevelWords returns the length of one hierarchy level's segment of a
+// Reed–Solomon payload: the k stored power sums S_1, S_3, …, S_{2k−1} of
+// an rs.Sketch, which determine the paper's 2k (DESIGN.md §3.1).
+func (s OutSpec) LevelWords() int { return s.K }
+
+// fromLegacy converts a Reed–Solomon payload in the legacy layout — 2k
+// words per level, S_1…S_2k — to the stored one, k words per level, with
+// rs.OddSums. It reports false for the AGM kind, a payload that is not
+// 2·Words() long, or a level with an even sum that is not a square. Both
+// legacy codecs go through it: the edge-label decoder and ApplyDelta's
+// XOR masks.
+func (s OutSpec) fromLegacy(full []uint64) ([]uint64, bool) {
+	words, lw := s.Words(), s.LevelWords()
+	if s.Kind == KindAGM || len(full) != 2*words {
+		return nil, false
+	}
+	out := make([]uint64, words)
+	for lvl := 0; lvl < s.Levels; lvl++ {
+		if !rs.OddSums(out[lvl*lw:(lvl+1)*lw], full[2*lvl*lw:2*(lvl+1)*lw]) {
+			return nil, false
+		}
+	}
+	return out, true
 }
 
 // ErrDecode wraps outdetect decoding failures: impossible for the
@@ -105,7 +131,7 @@ func (s OutSpec) DecodeOutgoing(payload []uint64, budget int) ([]uint64, error) 
 	if budget <= 0 || budget > s.K {
 		budget = s.K
 	}
-	stride := 2 * s.K
+	stride := s.LevelWords()
 	// Scan levels from the sparsest down (Lemma 2 / DESIGN.md §3.3): the
 	// first level with a nonzero syndrome is guaranteed to hold between 1
 	// and K outgoing edges.

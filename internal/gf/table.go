@@ -4,9 +4,10 @@ package gf
 // element α, built once and reused across many products α·b. Mul uses a
 // 4-bit window rebuilt on every call, which is the right trade-off for a
 // single product but wasteful wherever one multiplicand is fixed — above all
-// the Horner chains that evaluate power sums (α, α², …, α^2k) in
-// internal/rs, where a single Table amortizes the (larger, 256-entry) window
-// setup over the whole chain and halves the per-product window steps.
+// the Horner chains that evaluate power sums (α, α³, …, α^(2k−1), stepping
+// by a table of α²) in internal/rs, where a single Table amortizes the
+// (larger, 256-entry) window setup over the whole chain and halves the
+// per-product window steps.
 //
 // The zero value is the table of α = 0 (every product is 0).
 type Table struct {

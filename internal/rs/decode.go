@@ -2,8 +2,8 @@
 // Appendix B): a deterministic k-threshold outdetect labeling scheme derived
 // from the parity-check matrix of a Reed–Solomon code over GF(2^64).
 //
-// Every edge e carries a nonzero field element α_e (its edge ID). The sketch
-// of e is the vector of its first 2k powers (α_e, α_e², …, α_e^2k) — the
+// Every edge e carries a nonzero field element α_e (its edge ID). The
+// paper's sketch of e is its first 2k powers (α_e, α_e², …, α_e^2k) — the
 // row of the parity-check matrix C_2k indexed by e. The sketch of a vertex
 // is the XOR (field sum) of its incident edges' sketches, so the sketch of a
 // vertex set S telescopes to the power sums S_j = Σ_{e∈∂(S)} α_e^j of the
@@ -13,9 +13,18 @@
 // in time polynomial in k and the field degree — never in the (astronomical)
 // codeword length, which is the property Proposition 2 requires.
 //
+// Because the error vector is binary, half of those 2k sums are redundant:
+// squaring is additive in characteristic two, so S_2j = Σ α_e^2j =
+// (Σ α_e^j)² = S_j² for every edge set and every XOR of sketches (the
+// binary-BCH syndrome identity). A Sketch therefore stores only the k odd
+// sums S_1, S_3, …, S_{2k−1}; Decode rebuilds the even ones with one
+// squaring each. The stored words determine all 2k syndromes, so the
+// decoder sees exactly the paper's sketch.
+//
 // The prefix property of Proposition 6 (Appendix B) holds by construction:
-// the first 2k′ coordinates of a 2k-sketch are precisely the 2k′-sketch, so
-// decoding can adapt its budget to the actual cut size.
+// the first k′ words of a k-sketch are precisely the k′-sketch, and they
+// determine the first 2k′ syndromes, so decoding can adapt its budget to
+// the actual cut size.
 package rs
 
 import (
@@ -35,17 +44,19 @@ import (
 // re-encoding verification.
 var ErrOverload = errors.New("rs: syndrome is not a consistent ≤k-edge sketch")
 
-// Sketch is the power-sum syndrome vector of an edge set. Sketch[j] holds
-// S_{j+1} = Σ_e α_e^{j+1}. The zero value (or any all-zero vector) encodes
+// Sketch is the stored half of the power-sum syndrome of an edge set:
+// Sketch[j] holds the odd sum S_{2j+1} = Σ_e α_e^{2j+1}, and the even sums
+// follow from S_2j = S_j². The zero value (or any all-zero vector) encodes
 // the empty edge set. Sketches of equal length form a GF(2)-linear space
 // under XOR, which is what lets vertex labels aggregate over any vertex set.
 type Sketch []uint64
 
-// NewSketch returns an all-zero sketch with threshold k (length 2k).
-func NewSketch(k int) Sketch { return make(Sketch, 2*k) }
+// NewSketch returns an all-zero sketch with threshold k: k stored words,
+// which determine the 2k syndromes of the paper's sketch.
+func NewSketch(k int) Sketch { return make(Sketch, k) }
 
 // K returns the threshold the sketch was sized for.
-func (s Sketch) K() int { return len(s) / 2 }
+func (s Sketch) K() int { return len(s) }
 
 // AddEdge folds edge ID alpha into the sketch. alpha must be nonzero; a zero
 // ID would be indistinguishable from absence.
@@ -53,52 +64,56 @@ func (s Sketch) AddEdge(alpha uint64) {
 	PowerSums(s, alpha)
 }
 
-// PowerSums XORs the first len(dst) power sums of alpha — the Reed–Solomon
-// parity-check row (α, α², …, α^len(dst)) — into dst. This is the batched
-// accumulation kernel: the window table of α is built once (gf.Table) and
-// reused across the whole Horner chain, instead of once per gf.Mul. A zero
-// alpha is a no-op, matching the AddEdge contract that IDs are nonzero.
+// PowerSums XORs the odd powers α, α³, …, α^(2·len(dst)−1) — the stored
+// half of the Reed–Solomon parity-check row of α — into dst; over zeroed
+// memory it writes the row, which is how core.Build fills its power
+// arena. Consecutive odd powers differ by a factor α², whose window table
+// (gf.Table) is built once and reused across the whole chain, instead of
+// once per gf.Mul. A zero alpha is a no-op, matching the AddEdge contract
+// that IDs are nonzero.
 func PowerSums(dst []uint64, alpha uint64) {
 	if alpha == 0 {
 		return
 	}
-	tab := gf.NewTable(alpha)
+	tab := gf.NewTable(gf.Sqr(alpha))
 	pow := alpha
 	for j := range dst {
 		dst[j] ^= pow
-		pow = tab.Mul(pow)
+		pow = tab.Mul(pow) // α^(2j+3) = α^(2j+1)·α²
 	}
 }
 
-// PowerRow overwrites dst with the full parity-check row: dst[j] = α^(j+1).
-// Unlike PowerSums it owns dst, which lets it use the Frobenius shortcut:
-// odd exponents come from a Horner chain in α² (one cached-table product
-// each) and even exponents are squares of already-computed entries (Sqr is
-// several times cheaper than a product). This is the construction-arena
-// kernel of core.Build — len(dst)/2 products + len(dst)/2 squarings instead
-// of len(dst) products.
-func PowerRow(dst []uint64, alpha uint64) {
-	if len(dst) == 0 {
-		return
+// OddSums converts one level of the legacy layout, which stored every sum
+// S_1, S_2, …, S_2k, to the stored form: dst[j] = S_{2j+1}, with
+// len(full) = 2·len(dst). It first checks S_2j = S_j² for j = 1..k and
+// reports false, leaving dst unspecified, if any pair fails: no edge set,
+// and no XOR of edge-set sketches, has such syndromes, so a legacy label or
+// mask carrying one is corrupt. Dropping the even words loses nothing else,
+// because the odd words determine them.
+func OddSums(dst, full []uint64) bool {
+	if len(full) != 2*len(dst) {
+		return false
 	}
-	if alpha == 0 {
-		clear(dst)
-		return
+	for j := 1; j <= len(dst); j++ {
+		if full[2*j-1] != gf.Sqr(full[j-1]) {
+			return false
+		}
 	}
-	dst[0] = alpha
-	if len(dst) == 1 {
-		return
+	for j := range dst {
+		dst[j] = full[2*j]
 	}
-	a2 := gf.Sqr(alpha)
-	dst[1] = a2
-	tab := gf.NewTable(a2)
-	pow := alpha
-	for j := 2; j < len(dst); j += 2 {
-		pow = tab.Mul(pow) // α^(j+1) = α^(j-1)·α², odd exponents
-		dst[j] = pow
-	}
-	for j := 3; j < len(dst); j += 2 {
-		dst[j] = gf.Sqr(dst[(j-1)/2]) // α^(j+1) = (α^((j+1)/2))², even exponents
+	return true
+}
+
+// expand writes the first len(syn) syndromes S_1, S_2, … of s into syn:
+// syn[i] = S_{i+1}, where S_{2j+1} is stored and S_2j = S_j².
+func (s Sketch) expand(syn []uint64) {
+	for i := range syn {
+		if i%2 == 0 {
+			syn[i] = s[i/2]
+		} else {
+			syn[i] = gf.Sqr(syn[i/2])
+		}
 	}
 }
 
@@ -136,9 +151,10 @@ func (s Sketch) IsZero() bool {
 
 // Decode recovers the edge IDs whose sketch equals s, assuming at most
 // budget of them. budget ≤ K(); budget < K() performs adaptive prefix
-// decoding (Appendix B): only the first 2·budget syndromes drive the
-// decoder, but the full vector is still used for verification. Returns the
-// sorted edge IDs, a nil slice for the empty set, or ErrOverload.
+// decoding (Appendix B): only the first 2·budget syndromes, rebuilt from
+// the first budget stored words, drive the decoder, but the full vector is
+// still used for verification. Returns the sorted edge IDs, a nil slice
+// for the empty set, or ErrOverload.
 func (s Sketch) Decode(budget int) ([]uint64, error) {
 	if budget > s.K() {
 		budget = s.K()
@@ -152,7 +168,9 @@ func (s Sketch) Decode(budget int) ([]uint64, error) {
 	if s.IsZero() {
 		return nil, nil
 	}
-	locator := berlekampMassey(s[:2*budget])
+	syn := make([]uint64, 2*budget)
+	s.expand(syn)
+	locator := berlekampMassey(syn)
 	t := locator.Deg()
 	if t == 0 || t > budget {
 		return nil, fmt.Errorf("%w: locator degree %d outside (0,%d]", ErrOverload, t, budget)
@@ -169,7 +187,8 @@ func (s Sketch) Decode(budget int) ([]uint64, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Re-encoding verification against the FULL syndrome vector: the
 	// decoded set must reproduce every stored power sum, not just the
-	// prefix that drove Berlekamp–Massey.
+	// prefix that drove Berlekamp–Massey. The k stored sums determine the
+	// k even ones, so matching them matches all 2k.
 	if !s.consistentWith(ids) {
 		return nil, fmt.Errorf("%w: re-encoding check failed for %d candidates", ErrOverload, len(ids))
 	}
@@ -198,6 +217,11 @@ func (s Sketch) consistentWith(ids []uint64) bool {
 // (constant term 1) polynomial of minimal degree with
 // Σ_i Λ_i · S_{j-i} = 0 for all j > t. For syndromes that are power sums of
 // t ≤ len(syn)/2 distinct points, Λ's roots are the points' inverses.
+//
+// syn must be binary (S_2j = S_j², as expand writes it). Then the
+// discrepancy at every even sum S_2j is zero — Berlekamp's simplification
+// for binary BCH codes — so those steps only age b, and half of the
+// discrepancy products are skipped (DESIGN.md §3.17).
 func berlekampMassey(syn []uint64) gf.Poly {
 	c := gf.Poly{1} // current connection polynomial
 	b := gf.Poly{1} // previous connection polynomial
@@ -205,6 +229,11 @@ func berlekampMassey(syn []uint64) gf.Poly {
 	var m = 1       // steps since last length change
 	var bInv uint64 = 1
 	for n := 0; n < len(syn); n++ {
+		if n%2 == 1 {
+			// syn[n] = S_{n+1} is an even sum: zero discrepancy.
+			m++
+			continue
+		}
 		// Discrepancy d = S_n + Σ_{i=1..l} c_i S_{n-i}.
 		d := syn[n]
 		for i := 1; i <= l && i < len(c); i++ {

@@ -115,9 +115,9 @@ func TestOverloadDetected(t *testing.T) {
 	}
 }
 
-// TestPrefixProperty verifies Proposition 6: the 2k′-prefix of a k-threshold
-// sketch is exactly the k′-threshold sketch, and adaptive decoding with a
-// smaller budget succeeds whenever the true set is small.
+// TestPrefixProperty verifies Proposition 6: the k′-word prefix of a
+// k-threshold sketch is exactly the k′-threshold sketch, and adaptive
+// decoding with a smaller budget succeeds whenever the true set is small.
 func TestPrefixProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const k = 16
@@ -192,7 +192,7 @@ func TestBerlekampMasseyKnown(t *testing.T) {
 	// Λ(x) = 1 + αx (Λ(α⁻¹) = 1 + α·α⁻¹ = 0). Verify.
 	alpha := uint64(0x123456789)
 	s := sketchOf(3, []uint64{alpha})
-	loc := berlekampMassey(s)
+	loc := berlekampMassey(expanded(s))
 	if loc.Deg() != 1 {
 		t.Fatalf("locator degree = %d, want 1", loc.Deg())
 	}
@@ -359,9 +359,9 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// TestPowerKernels cross-checks the two construction kernels against the
-// definitional per-step gf.Mul chain: PowerSums must XOR the row into
-// existing content, PowerRow must overwrite with the exact row.
+// TestPowerKernels cross-checks the construction kernel against the
+// definitional per-step gf.Mul chain: PowerSums must XOR the odd powers
+// α^(2j+1) into existing content.
 func TestPowerKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
@@ -370,27 +370,10 @@ func TestPowerKernels(t *testing.T) {
 		if trial%10 == 0 {
 			alpha = 0
 		}
+		full := refSketchOf(n, []uint64{alpha})
 		want := make([]uint64, n)
-		pow := alpha
 		for j := range want {
-			want[j] = pow
-			pow = gf.Mul(pow, alpha)
-		}
-		if alpha == 0 {
-			for j := range want {
-				want[j] = 0
-			}
-		}
-
-		row := make([]uint64, n)
-		for j := range row {
-			row[j] = rng.Uint64() // PowerRow must overwrite stale content
-		}
-		PowerRow(row, alpha)
-		for j := range row {
-			if row[j] != want[j] {
-				t.Fatalf("PowerRow(α=%#x)[%d] = %#x, want %#x", alpha, j, row[j], want[j])
-			}
+			want[j] = full[2*j]
 		}
 
 		base := make([]uint64, n)
@@ -408,13 +391,191 @@ func TestPowerKernels(t *testing.T) {
 	}
 }
 
+// expanded returns all 2·K syndromes S_1, …, S_2K that s determines.
+func expanded(s Sketch) refSketch {
+	syn := make(refSketch, 2*len(s))
+	s.expand(syn)
+	return syn
+}
+
+// refSketchOf returns the definitional 2k-word sketch of ids: every power
+// sum S_j = Σ α^j, j = 1..2k, by a gf.Mul chain.
+func refSketchOf(k int, ids []uint64) refSketch {
+	full := make(refSketch, 2*k)
+	for _, id := range ids {
+		pow := id
+		for j := range full {
+			full[j] ^= pow
+			pow = gf.Mul(pow, id)
+		}
+	}
+	return full
+}
+
+// TestExpandMatchesFullSums: the stored odd sums of a set, expanded,
+// equal its definitional 2k power sums, and OddSums turns those back into
+// the stored words.
+func TestExpandMatchesFullSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 100; trial++ {
+		k := 1 + rng.Intn(20)
+		ids := randomIDs(rng, rng.Intn(2*k+3))
+		s := sketchOf(k, ids)
+		full := refSketchOf(k, ids)
+		if got := expanded(s); !slices.Equal(got, full) {
+			t.Fatalf("k=%d |ids|=%d: expanded %v, definitional %v", k, len(ids), got, full)
+		}
+		odd := NewSketch(k)
+		if !OddSums(odd, full) || !slices.Equal(odd, s) {
+			t.Fatalf("k=%d |ids|=%d: OddSums = %v, want %v", k, len(ids), odd, s)
+		}
+	}
+}
+
+// TestOddSumsRejectsEvenMismatch flips one even word of a legacy 2k-word
+// level at a time: every flip breaks S_2j = S_j² and must be refused, as
+// must a length that is not twice the destination's.
+func TestOddSumsRejectsEvenMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	const k = 6
+	full := refSketchOf(k, randomIDs(rng, 4))
+	dst := NewSketch(k)
+	for j := 1; j < len(full); j += 2 {
+		bad := slices.Clone(full)
+		bad[j] ^= 1 << uint(rng.Intn(64))
+		if OddSums(dst, bad) {
+			t.Fatalf("OddSums accepted S_%d flipped", j+1)
+		}
+	}
+	if OddSums(dst, full[:2*k-1]) || OddSums(NewSketch(k-1), full) {
+		t.Fatal("OddSums accepted a level of the wrong length")
+	}
+}
+
+// fullStepBerlekampMassey is berlekampMassey as it stood before it skipped
+// the even steps: it computes every discrepancy.
+func fullStepBerlekampMassey(syn []uint64) gf.Poly {
+	c := gf.Poly{1} // current connection polynomial
+	b := gf.Poly{1} // previous connection polynomial
+	var l int       // current LFSR length
+	var m = 1       // steps since last length change
+	var bInv uint64 = 1
+	for n := 0; n < len(syn); n++ {
+		// Discrepancy d = S_n + Σ_{i=1..l} c_i S_{n-i}.
+		d := syn[n]
+		for i := 1; i <= l && i < len(c); i++ {
+			d ^= gf.Mul(c[i], syn[n-i])
+		}
+		if d == 0 {
+			m++
+			continue
+		}
+		coef := gf.Mul(d, bInv)
+		// c' = c - coef · x^m · b
+		shifted := make(gf.Poly, len(b)+m)
+		for i, bc := range b {
+			shifted[i+m] = gf.Mul(coef, bc)
+		}
+		next := gf.PolyAdd(c, shifted)
+		if 2*l <= n {
+			b = c
+			bInv = gf.Inv(d) // b's discrepancy, inverted once per change of b
+			l = n + 1 - l
+			m = 1
+		} else {
+			m++
+		}
+		c = next
+	}
+	return gf.PolyTrim(c)
+}
+
+// TestBerlekampMasseySkipsEvenSteps holds the even-step skip to the
+// full-step loop on expanded syndromes at every prefix: sets and overloads,
+// Newton words of random locators, and random stored words.
+func TestBerlekampMasseySkipsEvenSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 600; trial++ {
+		k := 1 + rng.Intn(16)
+		var s Sketch
+		switch trial % 3 {
+		case 0:
+			s = sketchOf(k, randomIDs(rng, 1+rng.Intn(2*k+2)))
+		case 1:
+			lambda := make(gf.Poly, 2+rng.Intn(k+1))
+			lambda[0] = 1
+			for i := 1; i < len(lambda); i++ {
+				lambda[i] = rng.Uint64()
+			}
+			s = newtonSketch(k, lambda)
+		default:
+			s = NewSketch(k)
+			for j := range s {
+				s[j] = rng.Uint64()
+			}
+		}
+		syn := expanded(s)
+		for budget := 1; budget <= k; budget++ {
+			got := berlekampMassey(syn[:2*budget])
+			want := fullStepBerlekampMassey(syn[:2*budget])
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d K=%d budget=%d: skipping BM %v, full BM %v", trial, k, budget, got, want)
+			}
+		}
+	}
+}
+
 // The reference decoder: the decoder as it stood before the split test,
 // the Frobenius-power traces, the monic shortcuts and Itoh–Tsujii
 // inversion, copied verbatim (with a ref prefix) together with the
-// polynomial helpers whose arithmetic changed. TestDecodeMatchesReference
+// polynomial helpers whose arithmetic changed. It reads the 2k-word sketch
+// that layout stored (refSketch, with that layout's methods), so the tests
+// feed it the syndromes a stored sketch expands to. TestDecodeMatchesReference
 // and FuzzSketchDecode hold the production decoder to its outcomes.
 
-func refDecode(s Sketch, budget int) ([]uint64, error) {
+// refSketch is the 2k-word layout: refSketch[j] holds S_{j+1}.
+type refSketch []uint64
+
+func (s refSketch) K() int { return len(s) / 2 }
+
+func (s refSketch) AddEdge(alpha uint64) {
+	if alpha == 0 {
+		return
+	}
+	tab := gf.NewTable(alpha)
+	pow := alpha
+	for j := range s {
+		s[j] ^= pow
+		pow = tab.Mul(pow)
+	}
+}
+
+func (s refSketch) IsZero() bool {
+	for _, v := range s {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s refSketch) consistentWith(ids []uint64) bool {
+	check := make(refSketch, len(s))
+	for _, id := range ids {
+		if id == 0 {
+			return false
+		}
+		check.AddEdge(id)
+	}
+	for i := range s {
+		if check[i] != s[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func refDecode(s refSketch, budget int) ([]uint64, error) {
 	if budget > s.K() {
 		budget = s.K()
 	}
@@ -653,12 +814,13 @@ func refPolySqrMod(p, m gf.Poly) gf.Poly {
 	return refPolyMod(sq, m)
 }
 
-// checkMatchesReference decodes s at budget with both decoders and
-// requires the same sorted IDs, or the same ErrOverload from both.
+// checkMatchesReference decodes s at budget, and the reference decoder
+// its expanded syndromes, and requires the same sorted IDs, or the same
+// ErrOverload from both.
 func checkMatchesReference(t testing.TB, s Sketch, budget int) {
 	t.Helper()
 	got, gotErr := s.Decode(budget)
-	want, wantErr := refDecode(s, budget)
+	want, wantErr := refDecode(expanded(s), budget)
 	switch {
 	case gotErr == nil && wantErr == nil:
 		if !slices.Equal(got, want) {
@@ -671,21 +833,31 @@ func checkMatchesReference(t testing.TB, s Sketch, budget int) {
 	}
 }
 
-// lfsrSketch returns a K-threshold word generated by the connection
-// polynomial lambda (constant term 1) from random initial syndromes, so
-// Berlekamp–Massey over it returns lambda whenever the word's linear
-// complexity reaches deg lambda.
-func lfsrSketch(rng *rand.Rand, k int, lambda gf.Poly) Sketch {
+// newtonSketch returns the K-threshold sketch whose syndromes are the power
+// sums of the roots' inverses of lambda (constant term 1), counted with
+// multiplicity in the algebraic closure: Newton's identities
+// S_j = Σ_{i<j, i≤t} λ_i S_{j−i} + [j ≤ t, j odd] λ_j generate them in
+// characteristic two. They are binary (S_2j = S_j²), which it checks, so
+// they are a stored sketch's expansion, and Berlekamp–Massey over them
+// returns lambda whenever lambda's roots are distinct and
+// 2·deg lambda ≤ 2K. A root outside GF(2^64) — an irreducible factor —
+// makes the locator refuse to split; a repeated root cancels in pairs.
+func newtonSketch(k int, lambda gf.Poly) Sketch {
+	t := lambda.Deg()
+	syn := make([]uint64, 2*k)
+	for j := 1; j <= 2*k; j++ {
+		var v uint64
+		for i := 1; i < j && i <= t; i++ {
+			v ^= gf.Mul(lambda[i], syn[j-i-1])
+		}
+		if j <= t && j%2 == 1 {
+			v ^= lambda[j]
+		}
+		syn[j-1] = v
+	}
 	s := NewSketch(k)
-	l := lambda.Deg()
-	for j := range s {
-		if j < l {
-			s[j] = rng.Uint64()
-			continue
-		}
-		for i := 1; i <= l; i++ {
-			s[j] ^= gf.Mul(lambda[i], s[j-i])
-		}
+	if !OddSums(s, syn) {
+		panic("newtonSketch: Newton sums are not binary")
 	}
 	return s
 }
@@ -708,20 +880,25 @@ func TestDecodeMatchesReference(t *testing.T) {
 		for count := 1; count <= 2*k+2; count++ {
 			words = append(words, sketchOf(k, randomIDs(rng, count)))
 		}
-		// Locators with a repeated root, or with an irreducible quadratic
-		// factor 1 + x + cx² (Tr(c) = 1), times up to K−2 distinct
-		// linear factors.
+		// Newton words of locators with an irreducible quadratic factor
+		// 1 + x + cx² (Tr(c) = 1) times up to K−2 distinct linear factors,
+		// and of random locators of degree 1..K+1.
 		for trial := 0; trial < 2 && k >= 2; trial++ {
 			ids := randomIDs(rng, 1+rng.Intn(k-1))
-			words = append(words, lfsrSketch(rng, k, locatorOf(append(ids, ids[0]))))
 			c := rng.Uint64()
 			for fieldTrace(c) != 1 {
 				c = rng.Uint64()
 			}
 			quad := gf.PolyMul(gf.Poly{1, 1, c}, locatorOf(ids[1:]))
-			words = append(words, lfsrSketch(rng, k, quad))
+			words = append(words, newtonSketch(k, quad))
+			lambda := make(gf.Poly, 2+rng.Intn(k+1))
+			lambda[0] = 1
+			for i := 1; i < len(lambda); i++ {
+				lambda[i] = rng.Uint64()
+			}
+			words = append(words, newtonSketch(k, lambda))
 		}
-		// Uniformly random words.
+		// Uniformly random stored words.
 		for trial := 0; trial < 3; trial++ {
 			s := NewSketch(k)
 			for j := range s {
@@ -768,7 +945,8 @@ func TestFindRootsMatchesReference(t *testing.T) {
 }
 
 // FuzzSketchDecode compares the decoder with the reference on arbitrary
-// words (raw, or folded from edge IDs) at every budget Decode accepts.
+// stored words (raw, or folded from edge IDs) at every budget Decode
+// accepts; the reference reads their expanded syndromes.
 func FuzzSketchDecode(f *testing.F) {
 	f.Add(uint8(4), uint8(4), true, []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(6), uint8(2), true, make([]byte, 8*7))

@@ -15,10 +15,14 @@ import (
 
 // Checkpoint/compaction fixtures: the sidecar format and the truncated log
 // layout are both pinned. Any change to either alters these bytes and must
-// ship regenerated fixtures under a bumped version.
+// ship regenerated fixtures under a bumped version. legacyCompactedPath
+// (with its sidecar) is the same compaction written by builds whose labels
+// carried 2k power sums per Reed–Solomon level — its checkpoint is a v3
+// snapshot — and is never regenerated.
 const (
-	goldenCkptPath      = "testdata/golden_genlog_compacted_v1.ckpt"
-	goldenCompactedPath = "testdata/golden_genlog_compacted_v1"
+	goldenCkptPath      = "testdata/golden_genlog_compacted_v1_odd.ckpt"
+	goldenCompactedPath = "testdata/golden_genlog_compacted_v1_odd"
+	legacyCompactedPath = "testdata/golden_genlog_compacted_v1"
 )
 
 // synthDeltas fabricates n contiguous full-marker deltas starting at
@@ -109,9 +113,11 @@ func TestCompactErrors(t *testing.T) {
 // with a gen-5 checkpoint must reproduce the committed fixture bytes, the
 // fixture sidecar must parse and its payload decode to the gen-5 scheme,
 // and the compacted fixture must reopen with its checkpoint attached — the
-// open-after-compaction compatibility contract.
+// open-after-compaction compatibility contract. The legacy compacted
+// fixture must reopen the same way, and both its checkpoint and its
+// retained record must yield the primary's gen-5 labels.
 func TestGoldenCheckpointCompatibility(t *testing.T) {
-	d, deltas := buildGoldenRun(t)
+	d, deltas, schemes := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
 	l := writeLog(t, path, deltas) // gens 2..5
 	s := d.Scheme()                // generation 5
@@ -213,6 +219,45 @@ func TestGoldenCheckpointCompatibility(t *testing.T) {
 	if err != nil || int64(len(payload)) != ri.Payload || !bytes.Equal(payload, snap) {
 		t.Fatalf("OpenCheckpoint streamed %d bytes (err %v), want the %d-byte snapshot", len(payload), err, len(snap))
 	}
+
+	legacy, err := Open(legacyCompactedPath)
+	if err != nil {
+		t.Fatalf("Open(legacy compacted fixture): %v", err)
+	}
+	defer legacy.Close()
+	if first, last := legacy.Bounds(); first != 4 || last != 5 {
+		t.Fatalf("legacy compacted bounds = (%d, %d), want (4, 5)", first, last)
+	}
+	r, _, err = legacy.OpenCheckpoint()
+	if err != nil {
+		t.Fatalf("legacy OpenCheckpoint: %v", err)
+	}
+	payload, err = io.ReadAll(r)
+	r.Close()
+	if err != nil || payload[6] != 3 {
+		t.Fatalf("legacy checkpoint: %d bytes (err %v), want a v3 snapshot", len(payload), err)
+	}
+	sc, err = core.UnmarshalScheme(payload)
+	if err != nil {
+		t.Fatalf("legacy checkpoint payload decode: %v", err)
+	}
+	assertSameLabels(t, sc, s)
+	if resaved, err := sc.MarshalBinary(); err != nil || !bytes.Equal(resaved, snap) {
+		t.Fatalf("saving the legacy checkpoint's scheme: %d bytes (err %v), want the fresh %d-byte snapshot", len(resaved), err, len(snap))
+	}
+	recs, ok := legacy.After(4)
+	if !ok || len(recs) != 1 {
+		t.Fatalf("legacy After(4) = (%d, %v), want the gen-5 record", len(recs), ok)
+	}
+	delta, err := DecodeDelta(recs[0].Payload)
+	if err != nil {
+		t.Fatalf("legacy gen-5 record: %v", err)
+	}
+	_, next, err := core.ApplyDelta(schemes[4], delta)
+	if err != nil {
+		t.Fatalf("legacy gen-5 replay: %v", err)
+	}
+	assertSameLabels(t, next, s)
 }
 
 // TestCheckpointBehindFullMarker: a checkpoint older than the log's newest

@@ -35,6 +35,12 @@
 //	nDirty  u32, nDirty × { idx u32, mask words×u64 }
 //	nAdded  u32, nAdded × { idx u32, blobLen u32, MarshalEdgeLabel blob }
 //
+// Masks are spec.Words() long and added labels carry the current label
+// encoding. Records written by earlier builds carry the legacy layout
+// (2k power sums per Reed–Solomon level, in masks and in 'E' labels); they
+// need no code here, because the label decoder and core.ApplyDelta
+// convert them (DESIGN.md §3.10).
+//
 // The payload is the unit shipped over the wire (OpLogRecord frames carry
 // it verbatim), so wire subscribers and file readers decode identically.
 // Any change to this layout must bump the version byte and the record
@@ -763,9 +769,22 @@ const (
 	flagFull = 1 << 0
 )
 
-// EncodeDelta encodes one delta as a version-1 record payload.
+// EncodeDelta encodes one delta as a version-1 record payload, into one
+// buffer sized before anything is written.
 func EncodeDelta(d *core.GenDelta) []byte {
-	var b []byte
+	size := 25
+	if d.Full {
+		size += 2 + min(len(d.Reason), 1<<16-1)
+	} else {
+		size += 4 + 9*len(d.Ops) + 8 + 4
+		for _, mask := range d.DirtyXor {
+			size += 4 + 8*len(mask)
+		}
+		for _, l := range d.AddedLabels {
+			size += 8 + core.EdgeLabelBits(l)/8
+		}
+	}
+	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint64(b, d.PrevGen)
 	b = binary.LittleEndian.AppendUint64(b, d.Gen)
 	b = binary.LittleEndian.AppendUint64(b, d.Token)
@@ -801,9 +820,10 @@ func EncodeDelta(d *core.GenDelta) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(d.AddedIdx)))
 	for i, idx := range d.AddedIdx {
 		b = binary.LittleEndian.AppendUint32(b, uint32(idx))
-		blob := core.MarshalEdgeLabel(d.AddedLabels[i])
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-		b = append(b, blob...)
+		lenPos := len(b)
+		b = binary.LittleEndian.AppendUint32(b, 0) // blobLen, backfilled
+		b = core.AppendEdgeLabel(b, d.AddedLabels[i])
+		binary.LittleEndian.PutUint32(b[lenPos:], uint32(len(b)-lenPos-4))
 	}
 	return b
 }
@@ -896,7 +916,9 @@ func DecodeDelta(payload []byte) (*core.GenDelta, error) {
 	}
 	nAdded := int(binary.LittleEndian.Uint32(p))
 	p = p[4:]
-	if nAdded > 1<<28 {
+	// Each added label needs at least its 8-byte index and length, so a
+	// count the payload cannot hold is refused before it sizes anything.
+	if nAdded > len(p)/8 {
 		return nil, fmt.Errorf("%w: implausible added count %d", ErrBadRecord, nAdded)
 	}
 	d.AddedIdx = make([]int, 0, nAdded)

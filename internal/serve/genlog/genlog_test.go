@@ -19,19 +19,26 @@ var updateGolden = flag.Bool("update", false, "regenerate golden log fixtures")
 
 // goldenPath pins the record format: any layout change alters these bytes
 // and must ship a fixture regenerated under a bumped Version.
-const goldenPath = "testdata/golden_genlog_v1"
+// legacyGoldenPath is the same run as written by builds whose masks and
+// added labels carried 2k power sums per Reed–Solomon level; it is never
+// regenerated, and pins that replicas still replay such records.
+const (
+	goldenPath       = "testdata/golden_genlog_v1_odd"
+	legacyGoldenPath = "testdata/golden_genlog_v1"
+)
 
 // buildGoldenRun drives a deterministic Dynamic through a fixed commit
 // sequence — incremental batches, a forest-breaking rebuild (full marker),
 // and a post-rebuild incremental batch — returning the deltas in order and
-// the scheme before each commit.
-func buildGoldenRun(t *testing.T) (*core.Dynamic, []*core.GenDelta) {
+// the primary's scheme at every generation it passed through (1..5).
+func buildGoldenRun(t *testing.T) (*core.Dynamic, []*core.GenDelta, map[uint64]*core.Scheme) {
 	t.Helper()
 	g := workload.Petersen()
 	d, err := core.NewDynamic(g.Clone(), core.Params{MaxFaults: 2, Kind: core.KindDetNetFind})
 	if err != nil {
 		t.Fatalf("NewDynamic: %v", err)
 	}
+	schemes := map[uint64]*core.Scheme{d.Scheme().Generation(): d.Scheme()}
 	// Petersen is 3-regular and connected: every absent pair is an
 	// incremental-eligible insertion, and inserted edges are non-tree.
 	batches := [][]core.Update{
@@ -51,7 +58,7 @@ func buildGoldenRun(t *testing.T) (*core.Dynamic, []*core.GenDelta) {
 				}
 			}
 		}
-		rep, delta, _, err := d.CommitWithDelta(batch)
+		rep, delta, s, err := d.CommitWithDelta(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -62,8 +69,9 @@ func buildGoldenRun(t *testing.T) (*core.Dynamic, []*core.GenDelta) {
 			t.Fatalf("batch %d: tree-edge removal committed incrementally", i)
 		}
 		deltas = append(deltas, delta)
+		schemes[s.Generation()] = s
 	}
-	return d, deltas
+	return d, deltas, schemes
 }
 
 func writeLog(t *testing.T, path string, deltas []*core.GenDelta) *Log {
@@ -80,11 +88,53 @@ func writeLog(t *testing.T, path string, deltas []*core.GenDelta) *Log {
 	return l
 }
 
+// assertSameLabels requires got to be want's generation with byte-identical
+// vertex and edge label marshalings.
+func assertSameLabels(t *testing.T, got, want *core.Scheme) {
+	t.Helper()
+	if got.Token() != want.Token() || got.Generation() != want.Generation() || got.Graph().M() != want.Graph().M() {
+		t.Fatalf("scheme at (%#x, gen %d, m=%d), want (%#x, gen %d, m=%d)",
+			got.Token(), got.Generation(), got.Graph().M(), want.Token(), want.Generation(), want.Graph().M())
+	}
+	for v := 0; v < want.N(); v++ {
+		if !bytes.Equal(core.MarshalVertexLabel(got.VertexLabel(v)), core.MarshalVertexLabel(want.VertexLabel(v))) {
+			t.Fatalf("gen %d: vertex %d label bytes diverge", want.Generation(), v)
+		}
+	}
+	for e := 0; e < want.Graph().M(); e++ {
+		if !bytes.Equal(core.MarshalEdgeLabel(got.EdgeLabel(e)), core.MarshalEdgeLabel(want.EdgeLabel(e))) {
+			t.Fatalf("gen %d: edge %d label bytes diverge", want.Generation(), e)
+		}
+	}
+}
+
+// goldenRecords opens a golden log of buildGoldenRun and returns its four
+// records (generations 2..5).
+func goldenRecords(t *testing.T, path string) []Record {
+	t.Helper()
+	gl, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open(%s): %v", path, err)
+	}
+	defer gl.Close()
+	if first, last := gl.Bounds(); first != 2 || last != 5 {
+		t.Fatalf("%s bounds = (%d, %d), want (2, 5)", path, first, last)
+	}
+	recs, ok := gl.After(1)
+	if !ok || len(recs) != 4 {
+		t.Fatalf("%s: After(1) = %d records, ok=%v", path, len(recs), ok)
+	}
+	return recs
+}
+
 // TestGoldenLogCompatibility locks the on-disk record format: the fixed
-// commit sequence must encode to the committed fixture bytes, and the
-// fixture must decode back to deltas that replay byte-identically.
+// commit sequence must encode to the committed fixture bytes. The fixture
+// and the legacy fixture must both decode and replay: generations 2 and 3
+// onto a fresh build of the golden base graph, generation 4 as a full
+// marker, generation 5 onto the primary's rebuilt generation 4, each to
+// the primary's labels byte for byte.
 func TestGoldenLogCompatibility(t *testing.T) {
-	_, deltas := buildGoldenRun(t)
+	_, deltas, schemes := buildGoldenRun(t)
 	if *updateGolden {
 		tmp := filepath.Join(t.TempDir(), "golden")
 		l := writeLog(t, tmp, deltas)
@@ -117,39 +167,91 @@ func TestGoldenLogCompatibility(t *testing.T) {
 			goldenPath, len(got), len(want))
 	}
 
-	// The fixture must also load and replay: generations 2 and 3 replay
-	// incrementally onto a fresh build of the golden base graph.
-	gl, err := Open(goldenPath)
-	if err != nil {
-		t.Fatalf("Open(golden): %v", err)
+	for _, path := range []string{goldenPath, legacyGoldenPath} {
+		base, err := core.NewDynamic(workload.Petersen(), core.Params{MaxFaults: 2, Kind: core.KindDetNetFind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replica := base.Scheme()
+		for _, rec := range goldenRecords(t, path) {
+			d, err := DecodeDelta(rec.Payload)
+			if err != nil {
+				t.Fatalf("%s: decode gen %d: %v", path, rec.Gen, err)
+			}
+			if rec.Gen == 4 {
+				if !d.Full {
+					t.Fatalf("%s: golden record 4 must be a full marker (delta=%+v)", path, d)
+				}
+				replica = schemes[4] // what a replica refetches
+				continue
+			}
+			_, next, err := core.ApplyDelta(replica, d)
+			if err != nil {
+				t.Fatalf("%s: replay gen %d: %v", path, rec.Gen, err)
+			}
+			assertSameLabels(t, next, schemes[rec.Gen])
+			replica = next
+		}
 	}
-	defer gl.Close()
-	if first, last := gl.Bounds(); first != 2 || last != 5 {
-		t.Fatalf("golden bounds = (%d, %d), want (2, 5)", first, last)
-	}
-	base, err := core.NewDynamic(workload.Petersen(), core.Params{MaxFaults: 2, Kind: core.KindDetNetFind})
+}
+
+// TestLegacyMaskEvenSumChecked flips one even power sum in a legacy
+// record's XOR mask: the mask is then no binary syndrome, and the replay
+// must fail with ErrDeltaMismatch instead of producing a label.
+func TestLegacyMaskEvenSumChecked(t *testing.T) {
+	_, _, schemes := buildGoldenRun(t)
+	d, err := DecodeDelta(goldenRecords(t, legacyGoldenPath)[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := base.Scheme()
-	recs, ok := gl.After(1)
-	if !ok || len(recs) != 4 {
-		t.Fatalf("After(1) = %d records, ok=%v", len(recs), ok)
+	words := schemes[1].Spec().Words()
+	if len(d.DirtyXor) == 0 || len(d.DirtyXor[0]) != 2*words {
+		t.Fatalf("legacy record has %d masks, want legacy masks of %d words", len(d.DirtyXor), 2*words)
 	}
-	for _, rec := range recs[:2] {
-		d, err := DecodeDelta(rec.Payload)
+	if _, _, err := core.ApplyDelta(schemes[1], d); err != nil {
+		t.Fatalf("legacy record does not replay: %v", err)
+	}
+	d.DirtyXor[0][1] ^= 1 << 7 // S_2 of level 0
+	if _, _, err := core.ApplyDelta(schemes[1], d); !errors.Is(err, core.ErrDeltaMismatch) {
+		t.Fatalf("mask with a flipped even sum: got %v, want ErrDeltaMismatch", err)
+	}
+}
+
+// FuzzDecodeDelta feeds arbitrary payloads to the record decoder, seeded
+// with every record of both golden logs: it must return ErrBadRecord or a
+// delta, never panic, and re-encoding a decoded delta must be a fixed
+// point of decode and encode (a legacy record's added labels re-encode in
+// the current encoding; its masks are kept for ApplyDelta to convert).
+func FuzzDecodeDelta(f *testing.F) {
+	for _, path := range []string{goldenPath, legacyGoldenPath} {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("decode gen %d: %v", rec.Gen, err)
+			f.Fatal(err)
 		}
-		_, next, err := core.ApplyDelta(replica, d)
+		for p := data[headerLen:]; len(p) >= 8; {
+			n := int(binary.LittleEndian.Uint32(p))
+			f.Add(p[8 : 8+n])
+			p = p[8+n:]
+		}
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		d, err := DecodeDelta(payload)
 		if err != nil {
-			t.Fatalf("replay gen %d: %v", rec.Gen, err)
+			if !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("decode error %v is not ErrBadRecord", err)
+			}
+			return
 		}
-		replica = next
-	}
-	if d, err := DecodeDelta(recs[2].Payload); err != nil || !d.Full {
-		t.Fatalf("golden record 3 must be a full marker (delta=%+v, err=%v)", d, err)
-	}
+		re := EncodeDelta(d)
+		d2, err := DecodeDelta(re)
+		if err != nil {
+			t.Fatalf("re-encoded delta does not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeDelta(d2), re) {
+			t.Fatal("record re-encoding is not a fixed point")
+		}
+	})
 }
 
 // TestLogRoundTripAndReplay appends live deltas, reopens the file, and
@@ -234,7 +336,7 @@ func TestLogRoundTripAndReplay(t *testing.T) {
 // record is dropped on reopen, intact records survive, and appending
 // continues from the surviving generation.
 func TestTornTailTruncated(t *testing.T) {
-	_, deltas := buildGoldenRun(t)
+	_, deltas, _ := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
 	l := writeLog(t, path, deltas[:2])
 	l.Close()
@@ -286,7 +388,7 @@ func TestTornTailTruncated(t *testing.T) {
 // TestMidFileCorruptionRejected asserts a checksum mismatch that is not the
 // final record fails Open outright.
 func TestMidFileCorruptionRejected(t *testing.T) {
-	_, deltas := buildGoldenRun(t)
+	_, deltas, _ := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
 	l := writeLog(t, path, deltas[:3])
 	l.Close()
@@ -306,7 +408,7 @@ func TestMidFileCorruptionRejected(t *testing.T) {
 
 // TestGenOrderEnforced asserts Append refuses gaps and stale records.
 func TestGenOrderEnforced(t *testing.T) {
-	_, deltas := buildGoldenRun(t)
+	_, deltas, _ := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
 	l := writeLog(t, path, deltas[:1])
 	defer l.Close()
@@ -321,8 +423,7 @@ func TestGenOrderEnforced(t *testing.T) {
 // TestAfterBelowCoverage asserts a subscriber older than the log's first
 // record is refused (it must refetch a snapshot).
 func TestAfterBelowCoverage(t *testing.T) {
-	d, deltas := buildGoldenRun(t)
-	_ = d
+	_, deltas, _ := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
 	l := writeLog(t, path, deltas[2:]) // log starts at the gen-4 full marker
 	defer l.Close()
@@ -374,7 +475,7 @@ func TestOversizedDeltaDemoted(t *testing.T) {
 // injection matches the hand-corrupted fixtures above.
 func TestTornWriteFailpointRecovers(t *testing.T) {
 	defer faultinject.Disarm()
-	_, deltas := buildGoldenRun(t)
+	_, deltas, _ := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
 	l := writeLog(t, path, deltas[:2])
 

@@ -40,10 +40,10 @@ func (s *Scheme) Save(w io.Writer) error {
 // labels for NewFaultSet — and its per-label marshalings are byte-identical
 // to those of the scheme that was saved.
 //
-// A scheme loaded from a current-format (v3) snapshot is lazy: the label
-// sections are aliased zero-copy and each label is decoded the first time
-// it is touched, so loading is O(1) in label bytes and a serving replica
-// only ever pays for the labels its traffic actually probes. Laziness is
+// A scheme loaded from a current-format (v4) or v3 snapshot is lazy: the
+// label sections are aliased zero-copy and each label is decoded the first
+// time it is touched, so loading is O(1) in label bytes and a serving
+// replica only ever pays for the labels its traffic actually probes. Laziness is
 // invisible to the API — labels, queries, and marshalings are identical to
 // an eager load — and concurrent first touches are safe.
 type LoadedScheme struct {
@@ -67,7 +67,7 @@ func Load(r io.Reader) (*LoadedScheme, error) {
 }
 
 // LoadBytes is Load over an in-memory snapshot, without copying it. For a
-// v3 snapshot the returned scheme's label arena aliases data, so the
+// v3 or v4 snapshot the returned scheme's label arena aliases data, so the
 // caller must not modify data for the lifetime of the scheme; this is what
 // makes loading O(1) in label bytes (cmd/ftcserve reads the snapshot file
 // with os.ReadFile and hands it straight here).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot fixture under testdata/")
@@ -123,14 +125,16 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // goldenPath is the checked-in current-version snapshot fixture. The test
 // guarantees that any change to the wire format either keeps old snapshots
 // loadable or bumps core.SnapshotVersion (making old readers fail loudly) —
-// it can never silently re-interpret old bytes. goldenV1Path and
-// goldenV2Path are the legacy fixtures, kept to prove old snapshots still
-// load.
-const (
-	goldenPath   = "testdata/golden_v3.ftcsnap"
-	goldenV1Path = "testdata/golden_v1.ftcsnap"
-	goldenV2Path = "testdata/golden_v2.ftcsnap"
-)
+// it can never silently re-interpret old bytes. goldenLegacyPaths are the
+// fixtures of earlier versions, kept to prove old snapshots still load;
+// they are never regenerated.
+const goldenPath = "testdata/golden_v4.ftcsnap"
+
+var goldenLegacyPaths = map[byte]string{
+	1: "testdata/golden_v1.ftcsnap",
+	2: "testdata/golden_v2.ftcsnap",
+	3: "testdata/golden_v3.ftcsnap",
+}
 
 func goldenScheme(t *testing.T) *Scheme {
 	t.Helper()
@@ -192,74 +196,136 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 // TestGoldenLegacySnapshotsStillLoad pins the backward-compatibility
 // promise for every historical wire version: the v1 fixture (written
 // before the dynamic-network extension; generation and aux slack default
-// to zero) and the v2 fixture (eager length-prefixed label sections) keep
-// loading and decode to exactly what a fresh static build produces today.
+// to zero), the v2 fixture (eager length-prefixed label sections) and the
+// v3 fixture (lazy label arena), all with labels that carried 2k power
+// sums per Reed–Solomon level, keep loading and decode to exactly what a
+// fresh static build produces today, with the same Stats.
 func TestGoldenLegacySnapshotsStillLoad(t *testing.T) {
 	s := goldenScheme(t)
-	for _, tc := range []struct {
-		path    string
-		version byte
-	}{
-		{goldenV1Path, 1},
-		{goldenV2Path, 2},
-	} {
-		data, err := os.ReadFile(tc.path)
+	for version, path := range goldenLegacyPaths {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing legacy fixture: %v", err)
 		}
-		if got := data[6]; got != tc.version {
-			t.Fatalf("%s carries version %d, want %d", tc.path, got, tc.version)
+		if got := data[6]; got != version {
+			t.Fatalf("%s carries version %d, want %d", path, got, version)
 		}
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("v%d snapshot no longer loads: %v", tc.version, err)
+			t.Fatalf("v%d snapshot no longer loads: %v", version, err)
 		}
 		if loaded.Generation() != 0 {
-			t.Fatalf("v%d snapshot restored generation %d, want 0", tc.version, loaded.Generation())
+			t.Fatalf("v%d snapshot restored generation %d, want 0", version, loaded.Generation())
+		}
+		if loaded.Stats() != s.Stats() {
+			t.Fatalf("v%d stats differ: %+v vs %+v", version, loaded.Stats(), s.Stats())
 		}
 		for v := 0; v < s.N(); v++ {
 			if !bytes.Equal(MarshalVertexLabel(s.VertexLabel(v)), MarshalVertexLabel(loaded.VertexLabel(v))) {
-				t.Fatalf("v%d vertex %d label differs from fresh build", tc.version, v)
+				t.Fatalf("v%d vertex %d label differs from fresh build", version, v)
 			}
 		}
 		for e := 0; e < s.M(); e++ {
 			if !bytes.Equal(MarshalEdgeLabel(s.EdgeLabelByIndex(e)), MarshalEdgeLabel(loaded.EdgeLabelByIndex(e))) {
-				t.Fatalf("v%d edge %d label differs from fresh build", tc.version, e)
+				t.Fatalf("v%d edge %d label differs from fresh build", version, e)
 			}
 		}
 	}
 }
 
-// TestSnapshotVersionMatrix is the cross-version equivalence gate: one
-// scheme written at every wire version this build speaks must load back —
-// eagerly for v1/v2, lazily for v3 — to byte-identical per-label
-// marshalings and identical metadata. It also pins the laziness itself:
-// loading a v3 snapshot decodes no labels until one is touched.
+// matrixSchemes rebuilds the schemes whose legacy snapshots live under
+// testdata/legacy, written by the writer of earlier builds (labels with
+// 2k power sums per Reed–Solomon level): every persistSchemes kind at
+// f = 1, a det-netfind scheme whose hierarchy has two levels (ER n = 32,
+// threshold 4), and a dynamic scheme at generation 2 with aux slack.
+// versions lists the fixtures of each; v1 cannot carry a dynamic scheme.
+func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[string][]byte) {
+	t.Helper()
+	schemes = persistSchemes(t, 1)
+	versions = map[string][]byte{}
+	for name := range schemes {
+		versions[name] = []byte{1, 2, 3}
+	}
+
+	g := workload.ErdosRenyi(32, 0.15, true, rand.New(rand.NewSource(1)))
+	edges := make([][2]int, 0, g.M())
+	for _, e := range g.Edges {
+		edges = append(edges, [2]int{e.U, e.V})
+	}
+	twoLevel, err := New(32, edges, WithMaxFaults(2), WithDeterministic(),
+		WithThreshold(func(f, m int) int { return 4 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if depth := twoLevel.Stats().HierarchyDepth; depth != 2 {
+		t.Fatalf("two-level scheme has %d levels", depth)
+	}
+	schemes["det-netfind-2level"] = twoLevel
+	versions["det-netfind-2level"] = []byte{1, 2, 3}
+
+	nw, err := Open(12, persistTestEdges, WithMaxFaults(3), WithDeterministic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := nw.CommitBatch([][2]int{{0, 2}, {5, 11}}, nil); err != nil || !rep.Incremental {
+		t.Fatalf("dynamic commit: %+v, %v", rep, err)
+	}
+	schemes["dynamic"] = nw.Snapshot()
+	versions["dynamic"] = []byte{2, 3}
+	return schemes, versions
+}
+
+// TestSnapshotVersionMatrix is the cross-version equivalence gate: each
+// legacy fixture, and the fresh build's own current-version snapshot, must
+// load — eagerly for v1/v2, lazily for v3/v4 — to byte-identical per-label
+// marshalings, identical generation and Stats, and saving any of them must
+// write exactly the fresh build's snapshot (a loaded v3 arena is
+// re-encoded, never copied). It also pins the laziness itself: loading a
+// v3/v4 snapshot decodes no labels until one is touched, and Stats does
+// not touch edge labels.
 func TestSnapshotVersionMatrix(t *testing.T) {
-	for name, s := range persistSchemes(t, 3) {
-		inner := s.Inner()
+	schemes, versions := matrixSchemes(t)
+	for name, s := range schemes {
+		var fresh bytes.Buffer
+		if err := s.Save(&fresh); err != nil {
+			t.Fatalf("%s: save: %v", name, err)
+		}
 		loads := map[byte]*LoadedScheme{}
-		for _, version := range []byte{1, 2, 3} {
-			data, err := inner.MarshalBinaryVersion(version)
+		for _, version := range versions[name] {
+			path := filepath.Join("testdata", "legacy", fmt.Sprintf("%s_v%d.ftcsnap", name, version))
+			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("%s: marshal v%d: %v", name, version, err)
+				t.Fatalf("missing legacy fixture: %v", err)
 			}
 			if got := data[6]; got != version {
-				t.Fatalf("%s: wrote version byte %d, want %d", name, got, version)
+				t.Fatalf("%s carries version byte %d, want %d", path, got, version)
 			}
-			loaded, err := Load(bytes.NewReader(data))
-			if err != nil {
+			if loads[version], err = Load(bytes.NewReader(data)); err != nil {
 				t.Fatalf("%s: load v%d: %v", name, version, err)
 			}
-			loads[version] = loaded
 		}
-		if lazy, _, _ := loads[2].Inner().LazyLabels(); lazy {
-			t.Fatalf("%s: v2 load is lazy, want eager", name)
+		var err error
+		if loads[core.SnapshotVersion], err = Load(bytes.NewReader(fresh.Bytes())); err != nil {
+			t.Fatalf("%s: load current version: %v", name, err)
 		}
-		lazy, verts, edges := loads[3].Inner().LazyLabels()
-		if !lazy || verts != 0 || edges != 0 {
-			t.Fatalf("%s: v3 load not lazy-and-untouched (lazy=%v verts=%d edges=%d)",
-				name, lazy, verts, edges)
+		for version, loaded := range loads {
+			lazy, verts, edges := loaded.Inner().LazyLabels()
+			if version <= 2 && lazy {
+				t.Fatalf("%s: v%d load is lazy, want eager", name, version)
+			}
+			if version >= 3 && (!lazy || verts != 0 || edges != 0) {
+				t.Fatalf("%s: v%d load not lazy-and-untouched (lazy=%v verts=%d edges=%d)",
+					name, version, lazy, verts, edges)
+			}
+			if loaded.Stats() != s.Stats() {
+				t.Fatalf("%s: v%d stats differ: %+v vs %+v", name, version, loaded.Stats(), s.Stats())
+			}
+			if _, _, edges := loaded.Inner().LazyLabels(); edges != 0 {
+				t.Fatalf("%s: v%d Stats decoded %d edge labels", name, version, edges)
+			}
+			if loaded.Generation() != s.Generation() {
+				t.Fatalf("%s: v%d generation %d, want %d", name, version, loaded.Generation(), s.Generation())
+			}
 		}
 		for v := 0; v < s.N(); v++ {
 			want := MarshalVertexLabel(s.VertexLabel(v))
@@ -277,12 +343,16 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 				}
 			}
 		}
-		if _, verts, edges := loads[3].Inner().LazyLabels(); verts != s.N() || edges != s.M() {
-			t.Fatalf("%s: v3 arena did not materialize on touch (verts=%d edges=%d)", name, verts, edges)
-		}
 		for version, loaded := range loads {
-			if loaded.Stats() != s.Stats() {
-				t.Fatalf("%s: v%d stats differ: %+v vs %+v", name, version, loaded.Stats(), s.Stats())
+			if lazy, verts, edges := loaded.Inner().LazyLabels(); lazy && (verts != s.N() || edges != s.M()) {
+				t.Fatalf("%s: v%d arena did not materialize on touch (verts=%d edges=%d)", name, version, verts, edges)
+			}
+			var saved bytes.Buffer
+			if err := loaded.Save(&saved); err != nil {
+				t.Fatalf("%s: save v%d load: %v", name, version, err)
+			}
+			if !bytes.Equal(saved.Bytes(), fresh.Bytes()) {
+				t.Fatalf("%s: saving the v%d load differs from the fresh build's snapshot", name, version)
 			}
 		}
 	}
