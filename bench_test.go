@@ -55,7 +55,7 @@ func BenchmarkTable1(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(s.MaxEdgeLabelBits()), "edgebits")
-			b.ReportMetric(float64(core.VertexLabelBits(s.VertexLabel(0))), "vertbits")
+			b.ReportMetric(float64(core.VertexLabelBits), "vertbits")
 			// Fault-label slices are resolved outside the timed loop so the
 			// per-op figure measures decoding, not slice allocation.
 			labelSets := make([][]core.EdgeLabel, len(faultSets))

@@ -150,7 +150,7 @@ func chaosTornWrite(dir string) int {
 		{{U: 0, V: 2}},
 		{{Add: true, U: 0, V: 2}},
 	} {
-		_, delta, _, err := d.CommitWithDelta(batch)
+		_, delta, _, err := d.Commit(batch)
 		if err != nil || delta == nil {
 			chaosFatalf("torn-write commit: delta=%v err=%v", delta, err)
 		}

@@ -233,7 +233,7 @@ func table1() {
 		}
 		basic := time.Since(t2) / 400
 		fmt.Printf("%-22s %12d %12d %10s %12s %12s %4d/%d\n",
-			name, s.MaxEdgeLabelBits(), core.VertexLabelBits(s.VertexLabel(0)),
+			name, s.MaxEdgeLabelBits(), core.VertexLabelBits,
 			round(build), round(fast), round(basic), wrong+failed, len(cases))
 	}
 
@@ -289,7 +289,7 @@ func labelSize() {
 		}
 		fmt.Printf("%-28s %8d %8d %14d %14d %10d\n",
 			tag, f, s.Spec().K, s.MaxEdgeLabelBits(),
-			core.VertexLabelBits(s.VertexLabel(0)), s.Spec().Levels)
+			core.VertexLabelBits, s.Spec().Levels)
 	}
 	fmt.Println(" deterministic scheme, n sweep (f=2, ER p=8/n):")
 	for _, n := range []int{64, 128, 256, 512, 1024} {

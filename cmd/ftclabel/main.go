@@ -145,7 +145,7 @@ func vertexBits(db *graphio.LabelDB) int {
 	if len(db.Vertices) == 0 {
 		return 0
 	}
-	return core.VertexLabelBits(db.Vertices[0])
+	return core.VertexLabelBits
 }
 
 func queryCmd(args []string) {

@@ -59,7 +59,10 @@
 // Replication (DESIGN.md §3.13): a dynamic daemon started with -genlog
 // becomes a primary — every committed generation is appended to the log
 // file as a replayable delta and streamed to subscribers over the binary
-// listener (OpLogSub), so -genlog wants -listen-bin. A daemon started with
+// listener (OpLogSub), so -genlog wants -listen-bin. The primary builds its
+// scheme at generation 1, so it exits rather than adopt a log (or
+// checkpoint) that ends at a later generation — a previous run's: move
+// both aside to restart. A daemon started with
 // -replica-of bootstraps from the primary's GET /snapshot and tails its
 // generation log, replaying each delta to byte-identical labels; its
 // /healthz reports role "replica" with the replication lag, and /metrics

@@ -300,7 +300,7 @@ func (s *Scheme) Stats() Stats {
 		HierarchyDepth:   spec.Levels,
 	}
 	if s.g.N() > 0 {
-		st.VertexLabelBits = core.VertexLabelBits(s.inner.VertexLabel(0))
+		st.VertexLabelBits = core.VertexLabelBits
 	}
 	return st
 }

@@ -43,7 +43,7 @@ func goldenBases(tb testing.TB) []*core.Scheme {
 				}
 			}
 		}
-		_, s, err := d.Commit(batch)
+		_, _, s, err := d.Commit(batch)
 		if err != nil {
 			tb.Fatal(err)
 		}

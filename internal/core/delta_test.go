@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/workload"
 )
 
@@ -88,7 +90,7 @@ func TestDeltaReplayByteIdentical(t *testing.T) {
 				if len(batch) == 0 {
 					break
 				}
-				rep, delta, s, err := d.CommitWithDelta(batch)
+				rep, delta, s, err := d.Commit(batch)
 				if err != nil {
 					t.Fatalf("gen %d: commit: %v", gen, err)
 				}
@@ -129,6 +131,96 @@ func TestDeltaReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// sameForest requires got to be the spanning forest want is: equal parent
+// vertices, parent edge indices and tree-edge flags.
+func sameForest(t *testing.T, want, got *graph.Forest) {
+	t.Helper()
+	if !slices.Equal(got.Parent, want.Parent) {
+		t.Fatalf("Parent %v, want %v", got.Parent, want.Parent)
+	}
+	if !slices.Equal(got.ParentEdge, want.ParentEdge) {
+		t.Fatalf("ParentEdge %v, want %v", got.ParentEdge, want.ParentEdge)
+	}
+	if !slices.Equal(got.IsTreeEdge, want.IsTreeEdge) {
+		t.Fatalf("IsTreeEdge %v, want %v", got.IsTreeEdge, want.IsTreeEdge)
+	}
+}
+
+// TestDeltaReplayCarriesForest checks that ApplyDelta's scheme carries the
+// primary's spanning forest — the tree its labels encode — through
+// incremental inserts and deletes. On the path 0–1–2–3–4 with chord (0,2),
+// inserting (0,4) keeps vertex 4 under 3, where a BFS of the new graph
+// hangs it under 0; the later batches delete below tree edges (shifting
+// ParentEdge) and insert then delete one edge inside a batch. The previous
+// generation's forest and hierarchy must come through both replays
+// unedited.
+func TestDeltaReplayCarriesForest(t *testing.T) {
+	g := graph.New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 2}} {
+		if _, err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := [][]Update{
+		{{Add: true, U: 0, V: 4}},
+		{{U: 1, V: 2}, {Add: true, U: 1, V: 3}},
+		{{Add: true, U: 2, V: 4}, {U: 4, V: 2}, {U: 0, V: 4}},
+	}
+	d, err := NewDynamic(g, Params{MaxFaults: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := d.Scheme()
+	for i, batch := range batches {
+		prev := *replica.Forest
+		prev.ParentEdge = slices.Clone(prev.ParentEdge)
+		prev.IsTreeEdge = slices.Clone(prev.IsTreeEdge)
+		prevLevels := make([][]int, len(replica.Hierarchy.Levels))
+		for lvl, level := range replica.Hierarchy.Levels {
+			prevLevels[lvl] = slices.Clone(level)
+		}
+		rep, delta, s, err := d.Commit(batch)
+		if err != nil || !rep.Incremental {
+			t.Fatalf("batch %d: rep %+v, err %v", i, rep, err)
+		}
+		_, next, err := ApplyDelta(replica, delta)
+		if err != nil {
+			t.Fatalf("batch %d: ApplyDelta: %v", i, err)
+		}
+		sameForest(t, s.Forest, next.Forest)
+		sameForest(t, &prev, replica.Forest)
+		for lvl, level := range replica.Hierarchy.Levels {
+			if !slices.Equal(level, prevLevels[lvl]) {
+				t.Fatalf("batch %d: the previous generation's hierarchy level %d changed", i, lvl)
+			}
+		}
+		replica = next
+		if i == 0 && replica.Forest.Parent[4] != 3 {
+			t.Fatalf("after inserting (0,4): Parent[4] = %d, want 3", replica.Forest.Parent[4])
+		}
+	}
+
+	// The same over random incremental batches on an ER graph.
+	rng := rand.New(rand.NewSource(23))
+	d, err = NewDynamic(workload.ErdosRenyi(60, 0.1, true, rng), Params{MaxFaults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica = d.Scheme()
+	for step := 0; step < 6; step++ {
+		rep, delta, s, err := d.Commit(driftBatch(d.Scheme(), rng))
+		if err != nil || !rep.Incremental {
+			t.Fatalf("step %d: rep %+v, err %v", step, rep, err)
+		}
+		_, next, err := ApplyDelta(replica, delta)
+		if err != nil {
+			t.Fatalf("step %d: ApplyDelta: %v", step, err)
+		}
+		sameForest(t, s.Forest, next.Forest)
+		replica = next
+	}
+}
+
 // TestDeltaFullRebuildMarker asserts a forest-breaking commit exports a
 // Full marker and ApplyDelta refuses it with ErrFullRebuild.
 func TestDeltaFullRebuildMarker(t *testing.T) {
@@ -147,7 +239,7 @@ func TestDeltaFullRebuildMarker(t *testing.T) {
 			break
 		}
 	}
-	rep, delta, _, err := d.CommitWithDelta(batch)
+	rep, delta, _, err := d.Commit(batch)
 	if err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -178,7 +270,7 @@ func TestDeltaGapAndMismatch(t *testing.T) {
 		if len(batch) == 0 {
 			t.Fatal("no incremental batch available")
 		}
-		rep, delta, _, err := d.CommitWithDelta(batch)
+		rep, delta, _, err := d.Commit(batch)
 		if err != nil {
 			t.Fatalf("commit: %v", err)
 		}
@@ -210,7 +302,7 @@ func TestDeltaNoopCommit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDynamic: %v", err)
 	}
-	rep, delta, _, err := d.CommitWithDelta(nil)
+	rep, delta, _, err := d.Commit(nil)
 	if err != nil || delta != nil {
 		t.Fatalf("empty commit: rep=%+v delta=%+v err=%v", rep, delta, err)
 	}

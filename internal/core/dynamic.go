@@ -27,7 +27,9 @@ import (
 // or deleting a non-tree edge. Such an update touches exactly the labels of
 // the tree edges on the two endpoint-to-LCA paths (whose subtree aggregates
 // gain or lose the edge's outdetect row; GF(2) linearity makes deletion the
-// same XOR as insertion) plus the updated edge itself. Everything else —
+// same XOR as insertion) plus the updated edge itself; the commit computes
+// those changes as its GenDelta and builds the new scheme from it exactly
+// as a replica's ApplyDelta does. Everything else —
 // component merges, tree-edge deletions, per-vertex slot exhaustion, or
 // churn past the hierarchy's invalidation budget — falls back to a full
 // (parallel) rebuild, which also resets the budget.
@@ -130,12 +132,23 @@ type plan struct {
 	ops    []Update
 	slots  []uint32 // per add op: the assigned subdivision slot
 	reason string   // non-empty forces a full rebuild
+	// alloc is the per-vertex allocator state after the batch's inserts,
+	// adopted by the apply phase once nothing can fail.
+	alloc map[int]*slotAlloc
+}
+
+// slotAlloc is one vertex's subdivision-slot allocator position: the
+// length its committed free stack is popped down to, and its next
+// never-used slot.
+type slotAlloc struct {
+	freeLeft int
+	next     uint32
 }
 
 // classify validates the batch and decides incremental vs rebuild. It
 // mutates nothing.
 func (d *Dynamic) classify(batch []Update) (*plan, error) {
-	p := &plan{ops: batch, slots: make([]uint32, len(batch))}
+	p := &plan{ops: batch, slots: make([]uint32, len(batch)), alloc: map[int]*slotAlloc{}}
 	g := d.cur.g
 	forest := d.cur.Forest
 	n := g.N()
@@ -147,21 +160,16 @@ func (d *Dynamic) classify(batch []Update) (*plan, error) {
 	// Per-vertex allocator simulation: recycled slots are popped LIFO off
 	// the committed free stack, then never-used slots are taken in order.
 	// Slots freed by removes in this same batch become available only at
-	// the next commit (the apply phase replays exactly this simulation).
-	type simAlloc struct {
-		freeLeft int
-		next     uint32
-	}
-	sim := map[int]*simAlloc{}
-	getSim := func(v int) *simAlloc {
-		a := sim[v]
+	// the next commit.
+	getSim := func(v int) *slotAlloc {
+		a := p.alloc[v]
 		if a == nil {
 			next := d.resNext[v]
 			if next == 0 {
 				next, _ = d.slotBlock(v)
 			}
-			a = &simAlloc{freeLeft: len(d.freed[v]), next: next}
-			sim[v] = a
+			a = &slotAlloc{freeLeft: len(d.freed[v]), next: next}
+			p.alloc[v] = a
 		}
 		return a
 	}
@@ -252,15 +260,17 @@ func (d *Dynamic) classify(batch []Update) (*plan, error) {
 }
 
 // Commit applies a batch of updates and returns the new generation's
-// scheme. On error, no state changes. An empty batch is a no-op that
-// returns the current scheme unchanged.
-func (d *Dynamic) Commit(batch []Update) (*CommitReport, *Scheme, error) {
+// scheme together with its GenDelta, the record a replica replays to
+// reach it. On error, no state changes. An empty batch is a no-op that
+// returns the current scheme unchanged and a nil delta — there is no
+// generation change to ship.
+func (d *Dynamic) Commit(batch []Update) (*CommitReport, *GenDelta, *Scheme, error) {
 	if len(batch) == 0 {
-		return &CommitReport{Gen: d.gen, Token: d.cur.token, Incremental: true}, d.cur, nil
+		return &CommitReport{Gen: d.gen, Token: d.cur.token, Incremental: true}, nil, d.cur, nil
 	}
 	p, err := d.classify(batch)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if p.reason != "" {
 		return d.rebuild(batch, p.reason)
@@ -269,8 +279,9 @@ func (d *Dynamic) Commit(batch []Update) (*CommitReport, *Scheme, error) {
 }
 
 // rebuild is the fallback path: apply the batch to a graph clone and run
-// the full (parallel) construction pipeline at the next generation.
-func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *Scheme, error) {
+// the full (parallel) construction pipeline at the next generation. Its
+// delta is a Full marker.
+func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *GenDelta, *Scheme, error) {
 	gNew := d.cur.g.Clone()
 	for i, op := range batch {
 		var err error
@@ -280,12 +291,12 @@ func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *Scheme
 			_, err = gNew.RemoveEdge(op.U, op.V)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: update %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("core: update %d: %w", i, err)
 		}
 	}
 	s, err := buildWith(gNew, d.params, d.gen+1)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rep := &CommitReport{
 		Gen:    d.gen + 1,
@@ -293,69 +304,38 @@ func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *Scheme
 		Reason: reason,
 	}
 	rep.Removed, rep.Remap = edgeRemap(d.cur.g, gNew)
+	delta := &GenDelta{
+		PrevGen: d.gen,
+		Gen:     rep.Gen,
+		Token:   rep.Token,
+		Full:    true,
+		Reason:  reason,
+		Ops:     append([]Update(nil), batch...),
+	}
 	d.gen++
 	d.cur = s
 	d.churn = 0
 	d.builtM = gNew.M()
 	d.resNext = make([]uint32, gNew.N())
 	d.freed = map[int][]uint32{}
-	return rep, s, nil
+	return rep, delta, s, nil
 }
 
-// applyIncremental runs the fast path for a fully incremental plan. The new
-// scheme copies label headers but shares every untouched payload with the
-// previous generation; dirtied labels get private payload copies before
-// their first XOR.
-func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *Scheme, error) {
+// applyIncremental runs the fast path for a fully incremental plan. It
+// computes only the generation's delta — per dirtied tree edge the XOR of
+// the rows the batch adds or removes below it, per surviving insert a
+// fresh label — and builds the next scheme from it through the replay and
+// label assembly ApplyDelta runs.
+func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *GenDelta, *Scheme, error) {
 	old := d.cur
 	spec := old.spec
-	gNew := old.g.Clone()
-	vls := append([]VertexLabel(nil), old.vertexLabels...)
-	els := append([]EdgeLabel(nil), old.edgeLabels...)
-
-	hasRemove := false
-	for _, op := range p.ops {
-		if !op.Add {
-			hasRemove = true
-		}
-	}
-	// The forest's structure (parents, children, components) is untouched
-	// by incremental updates, so those slices are shared; the per-edge
-	// arrays are copied because insertions append to IsTreeEdge and
-	// deletions splice and remap both.
-	forest := &graph.Forest{
-		Parent:     old.Forest.Parent,
-		ParentEdge: old.Forest.ParentEdge,
-		Roots:      old.Forest.Roots,
-		Comp:       old.Forest.Comp,
-		IsTreeEdge: append([]bool(nil), old.Forest.IsTreeEdge...),
-		Children:   old.Forest.Children,
-		BFSOrder:   old.Forest.BFSOrder,
-	}
-	var h *hierarchy.Hierarchy
-	if old.Hierarchy != nil {
-		h = &hierarchy.Hierarchy{Levels: append([][]int(nil), old.Hierarchy.Levels...)}
-		if hasRemove {
-			// Deletions splice and shift edge indices in every level.
-			for i := range h.Levels {
-				h.Levels[i] = append([]int(nil), h.Levels[i]...)
-			}
-		} else {
-			// Insertions only ever append to level 0.
-			h.Levels[0] = append([]int(nil), h.Levels[0]...)
-		}
-	}
-	if hasRemove {
-		forest.ParentEdge = append([]int(nil), old.Forest.ParentEdge...)
-	}
-
 	words := spec.Words()
 	stride := spec.LevelWords()
 	agm := sketch.Spec{Reps: spec.Reps, Buckets: spec.Buckets, Seed: spec.Seed}
-	// deltaFor computes the outdetect contribution of one edge id: the
+	// rowFor computes the outdetect contribution of one edge id: the
 	// Reed–Solomon power row (one hierarchy-level segment) or the AGM
 	// sketch unit block (the full payload).
-	deltaFor := func(id uint64) []uint64 {
+	rowFor := func(id uint64) []uint64 {
 		if spec.Kind == KindAGM {
 			blk := make([]uint64, words)
 			agm.AddEdge(blk, id)
@@ -366,175 +346,127 @@ func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *Scheme, error) {
 		return row
 	}
 
-	// dirtyChild marks tree-path labels by their (stable) child vertex;
-	// privatized tracks which of them already got a fresh payload copy.
-	dirtyChild := map[int]bool{}
-	privatized := map[int]bool{}
-	// xorPath folds delta into the segment at segOff of every tree edge on
-	// the w → LCA(w, other) path (the edges whose child subtree contains
-	// exactly one of the update's endpoints).
-	xorPath := func(w, other int, delta []uint64, segOff int) {
-		for !vls[w].Anc.IsAncestorOf(vls[other].Anc) {
-			e := forest.ParentEdge[w]
-			if !privatized[w] {
-				els[e].Out = append([]uint64(nil), els[e].Out...)
-				privatized[w] = true
+	// masks accumulates each dirtied tree edge's XOR mask under its child
+	// vertex: incremental commits never move the tree, so the child names
+	// the same edge before and after the commit's index shifts.
+	masks := map[int][]uint64{}
+	// xorPath folds row into the segment at off of the mask of every tree
+	// edge on the w → LCA(w, other) path.
+	xorPath := func(w, other int, row []uint64, off int) {
+		for !old.VertexLabel(w).Anc.IsAncestorOf(old.VertexLabel(other).Anc) {
+			mask := masks[w]
+			if mask == nil {
+				mask = make([]uint64, words)
+				masks[w] = mask
 			}
-			xorInto(els[e].Out[segOff:segOff+len(delta)], delta)
-			dirtyChild[w] = true
-			w = forest.Parent[w]
+			xorInto(mask[off:off+len(row)], row)
+			w = old.Forest.Parent[w]
 		}
 	}
-
-	var addedEdges []graph.Edge
-	alloc := map[int]int{} // slots consumed per vertex (applied on success)
-	var freedSlots []struct {
-		v    int
-		slot uint32
+	// xorPaths covers both endpoint-to-LCA paths: the tree edges whose
+	// child subtree contains exactly one of u and v.
+	xorPaths := func(u, v int, row []uint64, off int) {
+		xorPath(u, v, row, off)
+		xorPath(v, u, row, off)
 	}
+
+	type insert struct {
+		e graph.Edge
+		l EdgeLabel
+	}
+	var inserts []insert        // surviving inserts, in post-commit index order
+	freed := map[int][]uint32{} // slots the deletions free, by attach vertex
 	for i, op := range p.ops {
 		u, v := op.U, op.V
 		if u > v {
 			u, v = v, u
 		}
+		e := graph.Edge{U: u, V: v}
+		ancU, preV := old.VertexLabel(u).Anc, old.VertexLabel(v).Anc.Pre
 		if op.Add {
-			idx, err := gNew.AddEdge(u, v)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: internal: incremental add: %w", err)
-			}
 			slot := p.slots[i]
-			ancU := vls[u].Anc
-			id := edgeID(slot, vls[v].Anc.Pre)
-			delta := deltaFor(id)
+			row := rowFor(edgeID(slot, preV))
 			out := make([]uint64, words)
-			copy(out, delta) // the new leaf's subtree aggregate is its own row
-			els = append(els, EdgeLabel{
+			copy(out, row) // the new leaf's subtree aggregate is its own row
+			inserts = append(inserts, insert{e, EdgeLabel{
 				MaxFaults: d.params.MaxFaults,
 				Spec:      spec,
 				Parent:    ancU,
 				Child:     ancestryLeaf(slot, ancU.Root),
 				Out:       out,
-			})
-			if idx != len(els)-1 {
-				return nil, nil, fmt.Errorf("core: internal: edge index %d != label slot %d", idx, len(els)-1)
-			}
-			if h != nil {
-				h.Levels[0] = append(h.Levels[0], idx)
-			}
-			forest.IsTreeEdge = append(forest.IsTreeEdge, false)
-			xorPath(u, v, delta, 0)
-			xorPath(v, u, delta, 0)
-			addedEdges = append(addedEdges, graph.Edge{U: u, V: v})
-			alloc[u]++
+			}})
+			xorPaths(u, v, row, 0)
+			continue
+		}
+		j := 0
+		for j < len(inserts) && inserts[j].e != e {
+			j++
+		}
+		var slot uint32
+		if j < len(inserts) {
+			// Inserted earlier in this batch: a level-0 edge.
+			slot = inserts[j].l.Child.Pre
+			inserts = append(inserts[:j], inserts[j+1:]...)
+			xorPaths(u, v, rowFor(edgeID(slot, preV)), 0)
 		} else {
-			idx := gNew.EdgeIndex(u, v)
-			slot := els[idx].Child.Pre
-			id := edgeID(slot, vls[v].Anc.Pre)
-			delta := deltaFor(id)
+			idx := old.g.EdgeIndex(u, v)
+			slot = old.EdgeLabel(idx).Child.Pre
+			row := rowFor(edgeID(slot, preV))
 			if spec.Kind == KindAGM {
-				xorPath(u, v, delta, 0)
-				xorPath(v, u, delta, 0)
+				xorPaths(u, v, row, 0)
 			} else {
-				for lvl := range h.Levels {
-					if pos := sort.SearchInts(h.Levels[lvl], idx); pos < len(h.Levels[lvl]) && h.Levels[lvl][pos] == idx {
-						off := lvl * stride
-						xorPath(u, v, delta, off)
-						xorPath(v, u, delta, off)
+				for lvl, level := range old.Hierarchy.Levels {
+					if pos := sort.SearchInts(level, idx); pos < len(level) && level[pos] == idx {
+						xorPaths(u, v, row, lvl*stride)
 					}
 				}
 			}
-			// Drop the edge everywhere and shift the indices above it.
-			if _, err := gNew.RemoveEdge(u, v); err != nil {
-				return nil, nil, fmt.Errorf("core: internal: incremental remove: %w", err)
-			}
-			els = append(els[:idx], els[idx+1:]...)
-			if h != nil {
-				for lvl := range h.Levels {
-					h.Levels[lvl] = spliceShift(h.Levels[lvl], idx)
-				}
-			}
-			forest.IsTreeEdge = append(forest.IsTreeEdge[:idx], forest.IsTreeEdge[idx+1:]...)
-			for w := range forest.ParentEdge {
-				if forest.ParentEdge[w] > idx {
-					forest.ParentEdge[w]--
-				}
-			}
-			for j := range addedEdges { // keep batch-add bookkeeping exact
-				if addedEdges[j] == (graph.Edge{U: u, V: v}) {
-					addedEdges = append(addedEdges[:j], addedEdges[j+1:]...)
-					break
-				}
-			}
-			freedSlots = append(freedSlots, struct {
-				v    int
-				slot uint32
-			}{u, slot})
 		}
+		freed[u] = append(freed[u], slot)
 	}
 
-	s := &Scheme{
-		params:       d.params,
-		gen:          d.gen + 1,
-		spec:         spec,
-		n:            old.n,
-		g:            gNew,
-		vertexLabels: vls,
-		edgeLabels:   els,
-		Forest:       forest,
-		Hierarchy:    h,
+	delta := &GenDelta{PrevGen: d.gen, Gen: d.gen + 1, Ops: append([]Update(nil), p.ops...)}
+	r, err := replayOps(old, delta.Ops)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: internal: incremental replay: %w", err)
 	}
-	s.token = s.computeToken(gNew)
-	for i := range vls {
-		vls[i].Token, vls[i].Gen = s.token, s.gen
+	children := make([]int, 0, len(masks))
+	for w := range masks {
+		children = append(children, w)
 	}
-	for i := range els {
-		els[i].Token, els[i].Gen = s.token, s.gen
+	sort.Slice(children, func(i, j int) bool {
+		return r.forest.ParentEdge[children[i]] < r.forest.ParentEdge[children[j]]
+	})
+	for _, w := range children {
+		delta.DirtyIdx = append(delta.DirtyIdx, r.forest.ParentEdge[w])
+		delta.DirtyXor = append(delta.DirtyXor, masks[w])
+	}
+	for _, ins := range inserts {
+		delta.AddedIdx = append(delta.AddedIdx, r.g.EdgeIndex(ins.e.U, ins.e.V))
+		delta.AddedLabels = append(delta.AddedLabels, ins.l)
+	}
+	rep, s, err := assemble(old, r, delta)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: internal: incremental assembly: %w", err)
+	}
+	delta.Token = s.token
+	for i := range delta.AddedLabels {
+		delta.AddedLabels[i].Token, delta.AddedLabels[i].Gen = s.token, s.gen
 	}
 
-	rep := &CommitReport{
-		Gen:         s.gen,
-		Token:       s.token,
-		Incremental: true,
+	// Commit the allocator state only now that nothing can fail: the
+	// classify-phase simulation's result, then the slots this batch freed.
+	for v, a := range p.alloc {
+		d.freed[v] = d.freed[v][:a.freeLeft]
+		d.resNext[v] = a.next
 	}
-	if hasRemove {
-		rep.Removed, rep.Remap = edgeRemap(old.g, gNew)
-	}
-	for w := range dirtyChild {
-		rep.Relabeled = append(rep.Relabeled, forest.ParentEdge[w])
-	}
-	for _, e := range addedEdges {
-		rep.Relabeled = append(rep.Relabeled, gNew.EdgeIndex(e.U, e.V))
-	}
-	sort.Ints(rep.Relabeled)
-
-	// Commit the allocator state only now that nothing can fail. This
-	// replays the classify-phase simulation exactly: pop recycled slots
-	// LIFO first, then advance the never-used cursor.
-	for v, k := range alloc {
-		fl := d.freed[v]
-		pop := k
-		if pop > len(fl) {
-			pop = len(fl)
-		}
-		if pop > 0 {
-			d.freed[v] = fl[:len(fl)-pop]
-			k -= pop
-		}
-		if k > 0 {
-			next := d.resNext[v]
-			if next == 0 {
-				next, _ = d.slotBlock(v)
-			}
-			d.resNext[v] = next + uint32(k)
-		}
-	}
-	for _, f := range freedSlots {
-		d.freed[f.v] = append(d.freed[f.v], f.slot)
+	for v, slots := range freed {
+		d.freed[v] = append(d.freed[v], slots...)
 	}
 	d.gen = s.gen
 	d.cur = s
 	d.churn += len(p.ops)
-	return rep, s, nil
+	return rep, delta, s, nil
 }
 
 // ancestryLeaf is the ancestry label of a fresh subdivision leaf occupying

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sketch"
 	"repro/internal/workload"
 )
 
@@ -147,7 +149,7 @@ func TestDynamicUpdatesMatchOracle(t *testing.T) {
 					seen[graph.Edge{U: u, V: v}] = true
 					uniq = append(uniq, op)
 				}
-				rep, s, err := d.Commit(uniq)
+				rep, _, s, err := d.Commit(uniq)
 				if err != nil {
 					t.Fatalf("step %d: commit %v: %v", step, uniq, err)
 				}
@@ -169,6 +171,102 @@ func TestDynamicUpdatesMatchOracle(t *testing.T) {
 				t.Error("update sequence never exercised the incremental path")
 			}
 			_ = sawRebuild // rebuilds depend on the random walk; incremental coverage is what matters
+		})
+	}
+}
+
+// definitionalPayloads recomputes every edge payload of s from its labels
+// alone. Each non-tree edge e = (u < v) — one whose label's child is
+// neither endpoint's ancestry label — with label L_e contributes the row of
+// edgeID(L_e.Child.Pre, anc(v).Pre) to every label whose child subtree
+// holds exactly one of L_e.Child and anc(v): its odd power sums (a gf.Mul
+// chain) at each hierarchy level that holds e, or its AGM unit block.
+func definitionalPayloads(s *Scheme) [][]uint64 {
+	spec, g := s.Spec(), s.Graph()
+	agm := sketch.Spec{Reps: spec.Reps, Buckets: spec.Buckets, Seed: spec.Seed}
+	want := make([][]uint64, g.M())
+	for x := range want {
+		want[x] = make([]uint64, spec.Words())
+	}
+	for e, ed := range g.Edges {
+		le, ancU, ancV := s.EdgeLabel(e), s.VertexLabel(ed.U).Anc, s.VertexLabel(ed.V).Anc
+		if le.Child == ancU || le.Child == ancV {
+			continue
+		}
+		id := edgeID(le.Child.Pre, ancV.Pre)
+		contrib := make([]uint64, spec.Words())
+		if spec.Kind == KindAGM {
+			agm.AddEdge(contrib, id)
+		} else {
+			full := make([]uint64, 2*spec.K)
+			addAllPowers(full, id)
+			for lvl, level := range s.Hierarchy.Levels {
+				if slices.Contains(level, e) {
+					for j := 0; j < spec.K; j++ {
+						contrib[lvl*spec.K+j] = full[2*j]
+					}
+				}
+			}
+		}
+		for x := range want {
+			c := s.EdgeLabel(x).Child
+			if c.IsAncestorOf(le.Child) != c.IsAncestorOf(ancV) {
+				for w := range contrib {
+					want[x][w] ^= contrib[w]
+				}
+			}
+		}
+	}
+	return want
+}
+
+// TestIncrementalLabelsMatchDefinition checks every edge payload of every
+// generation against definitionalPayloads, over at least six incremental
+// generations per kind with inserts, deletes, and an insert-then-delete of
+// one edge inside a batch. It shares no code with the commit path, so it
+// checks the delta's mask arithmetic on its own — which the replay tests,
+// comparing primary and replica through one replay, cannot.
+func TestIncrementalLabelsMatchDefinition(t *testing.T) {
+	kinds := dynKinds(3)
+	for _, name := range []string{"det-netfind", "rand-rs", "agm"} {
+		p := kinds[name]
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			d, err := NewDynamic(workload.ErdosRenyi(64, 6/64.0, true, rng), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			incremental := 0
+			for step := 0; incremental < 6; step++ {
+				if step == 20 {
+					t.Fatalf("only %d incremental generations in %d commits", incremental, step)
+				}
+				batch := driftBatch(d.Scheme(), rng)
+				if step%2 == 1 {
+					// Insert and delete one more edge inside the batch.
+					cur := d.Scheme()
+					u, v, ok := pickAddable(cur.Graph(), cur.Forest, rng)
+					staged := slices.ContainsFunc(batch, func(op Update) bool {
+						return min(op.U, op.V) == min(u, v) && max(op.U, op.V) == max(u, v)
+					})
+					if ok && !staged {
+						batch = append(batch, Update{Add: true, U: u, V: v}, Update{U: v, V: u})
+					}
+				}
+				rep, _, s, err := d.Commit(batch)
+				if err != nil {
+					t.Fatalf("step %d: commit %v: %v", step, batch, err)
+				}
+				if rep.Incremental {
+					incremental++
+				}
+				for x, want := range definitionalPayloads(s) {
+					if got := s.EdgeLabel(x).Out; !slices.Equal(got, want) {
+						t.Fatalf("generation %d (step %d, incremental %v): edge %d payload differs from the definition",
+							s.Generation(), step, rep.Incremental, x)
+					}
+				}
+			}
 		})
 	}
 }
@@ -211,7 +309,7 @@ func TestDynamicCleanLabelsByteStable(t *testing.T) {
 			}
 			op = Update{U: u, V: v}
 		}
-		rep, after, err := d.Commit([]Update{op})
+		rep, _, after, err := d.Commit([]Update{op})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -275,7 +373,7 @@ func TestDynamicMergeMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, s, err := d.Commit([]Update{
+			rep, _, s, err := d.Commit([]Update{
 				{Add: true, U: 3, V: 12}, // Petersen ↔ cycle
 				{Add: true, U: 16, V: 0}, // isolated vertex ↔ Petersen
 			})
@@ -324,7 +422,7 @@ func TestDynamicStaleLabelDetection(t *testing.T) {
 	if !ok {
 		t.Fatal("no addable edge")
 	}
-	_, cur, err := d.Commit([]Update{{Add: true, U: u, V: v}})
+	_, _, cur, err := d.Commit([]Update{{Add: true, U: u, V: v}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +488,7 @@ func TestDynamicFallbackTriggers(t *testing.T) {
 				break
 			}
 		}
-		rep, s, err := d.Commit([]Update{{U: u, V: v}})
+		rep, _, s, err := d.Commit([]Update{{U: u, V: v}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +517,7 @@ func TestDynamicFallbackTriggers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, s, err := d.Commit([]Update{{Add: true, U: 1, V: 2}, {U: 1, V: 2}})
+		rep, _, s, err := d.Commit([]Update{{Add: true, U: 1, V: 2}, {U: 1, V: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,14 +554,14 @@ func TestDynamicFallbackTriggers(t *testing.T) {
 		if !found {
 			t.Skip("no vertex with two addable partners")
 		}
-		rep1, _, err := d.Commit([]Update{{Add: true, U: w, V: a}})
+		rep1, _, _, err := d.Commit([]Update{{Add: true, U: w, V: a}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !rep1.Incremental {
 			t.Fatalf("first add should be incremental, got rebuild (%s)", rep1.Reason)
 		}
-		rep2, _, err := d.Commit([]Update{{Add: true, U: w, V: b}})
+		rep2, _, _, err := d.Commit([]Update{{Add: true, U: w, V: b}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +582,7 @@ func TestDynamicFallbackTriggers(t *testing.T) {
 			if !ok {
 				break
 			}
-			rep, _, err := d.Commit([]Update{{Add: true, U: u, V: v}})
+			rep, _, _, err := d.Commit([]Update{{Add: true, U: u, V: v}})
 			if err != nil {
 				t.Fatal(err)
 			}

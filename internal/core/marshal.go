@@ -199,7 +199,7 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 }
 
 // VertexLabelBits returns the wire size of a vertex label in bits.
-func VertexLabelBits(VertexLabel) int { return 8 * vertexLabelLen }
+const VertexLabelBits = 8 * vertexLabelLen
 
 // EdgeLabelBits returns the wire size of an edge label in bits.
 func EdgeLabelBits(l EdgeLabel) int { return 8 * edgeLabelLen(l) }

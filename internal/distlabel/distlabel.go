@@ -187,9 +187,7 @@ func (s *Scheme) scaleEdgeIndex(si int, hIdx int) int {
 // LabelBits returns the total per-vertex label size in bits (sum over
 // scales) and the maximum per-edge label size.
 func (s *Scheme) LabelBits() (vertexBits, maxEdgeBits int) {
-	for _, f := range s.ftc {
-		vertexBits += core.VertexLabelBits(f.VertexLabel(0))
-	}
+	vertexBits = len(s.ftc) * core.VertexLabelBits
 	for e := 0; e < len(s.scaleOf); e++ {
 		l := s.EdgeLabel(e)
 		total := 0

@@ -58,7 +58,7 @@ func buildGoldenRun(t *testing.T) (*core.Dynamic, []*core.GenDelta, map[uint64]*
 				}
 			}
 		}
-		rep, delta, s, err := d.CommitWithDelta(batch)
+		rep, delta, s, err := d.Commit(batch)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -282,7 +282,7 @@ func TestLogRoundTripAndReplay(t *testing.T) {
 		if len(batch) == 0 {
 			continue
 		}
-		rep, delta, _, err := d.CommitWithDelta(batch)
+		rep, delta, _, err := d.Commit(batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +74,63 @@ func (p *primaryRig) commit(t *testing.T, add, remove [][2]int) serve.UpdateResp
 		t.Fatalf("POST /update: status %d (add=%v remove=%v)", code, add, remove)
 	}
 	return resp
+}
+
+// TestAttachGenLogRefusesAnotherRunsLog restarts a primary on its previous
+// run's generation log. The restarted primary rebuilds the graph at
+// generation 1, so AttachGenLog must refuse a log that ends at generation
+// 4, naming both generations: replicas would otherwise replay a history
+// this primary never had, and its first commit could not be appended. The
+// log is accepted again by a server at its head.
+func TestAttachGenLogRefusesAnotherRunsLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gen.log")
+	primary := func() (*serve.Server, *genlog.Log) {
+		nw, err := ftc.OpenFromGraph(workload.Petersen(), ftc.WithMaxFaults(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := genlog.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serve.NewDynamic(func() serve.Scheme { return nw.Snapshot() }, nw, 8), l
+	}
+
+	srv, l := primary()
+	if err := srv.AttachGenLog(l); err != nil {
+		t.Fatalf("attach an empty log: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	for _, req := range []serve.UpdateRequest{
+		{Add: [][2]int{{0, 2}}},
+		{Remove: [][2]int{{0, 2}}},
+		{Add: [][2]int{{1, 3}}},
+	} {
+		if code, _ := postJSON[serve.UpdateResponse](t, ts.URL+"/update", req); code != http.StatusOK {
+			t.Fatalf("POST /update %+v: status %d", req, code)
+		}
+	}
+	ts.Close()
+	l.Close()
+
+	l, err := genlog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AttachGenLog(l); err != nil {
+		t.Fatalf("reattach the log at its head: %v", err)
+	}
+	l.Close()
+
+	restarted, l := primary()
+	defer l.Close()
+	err = restarted.AttachGenLog(l)
+	if err == nil {
+		t.Fatal("a primary at generation 1 adopted a log that ends at generation 4")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "generation 4") || !strings.Contains(msg, "generation 1") {
+		t.Fatalf("refusal %q does not name both generations", msg)
+	}
 }
 
 // pickAddableEdge returns a non-edge whose endpoints are already connected

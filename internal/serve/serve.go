@@ -58,18 +58,10 @@ type Scheme interface {
 }
 
 // Updatable is the construction-side surface of a dynamic network:
-// committing one batch of endpoint-pair mutations. *ftc.Network satisfies
-// it.
+// committing one batch of endpoint-pair mutations, which also yields the
+// generation delta a server with a generation log attached appends.
+// *ftc.Network satisfies it.
 type Updatable interface {
-	CommitBatch(add, remove [][2]int) (*core.CommitReport, error)
-}
-
-// UpdatableWithDelta is the replication-capable superset: a commit that
-// additionally exports the generation delta for log shipping. *ftc.Network
-// satisfies it; a server with a generation log attached uses this path so
-// every committed generation lands in the log.
-type UpdatableWithDelta interface {
-	Updatable
 	CommitBatchWithDelta(add, remove [][2]int) (*core.CommitReport, *core.GenDelta, error)
 }
 
@@ -208,14 +200,18 @@ func NewDynamic(view func() Scheme, upd Updatable, cacheSize int) *Server {
 
 // AttachGenLog makes the server a replication primary: every /update
 // commit is exported as a generation delta, appended to l, and pushed to
-// OpLogSub subscribers on the binary listener. The server's Updatable must
-// implement UpdatableWithDelta (ftc.Network does); attach before serving.
+// OpLogSub subscribers on the binary listener; attach before serving. A
+// log that already ends at another generation than the server's — a
+// previous run's log, reopened by a primary that rebuilt from scratch — is
+// refused: replicas would replay a history this server never had, and its
+// next commit could not be appended.
 func (s *Server) AttachGenLog(l *genlog.Log) error {
 	if s.upd == nil {
 		return errors.New("serve: generation log requires a dynamic server")
 	}
-	if _, ok := s.upd.(UpdatableWithDelta); !ok {
-		return errors.New("serve: updatable does not export generation deltas")
+	st := l.Stats()
+	if head, gen := max(st.LastGen, st.CheckpointGen), s.view().Generation(); head != 0 && head != gen {
+		return fmt.Errorf("serve: generation log ends at generation %d but the server is at generation %d; move the log and its .ckpt aside to start a new one", head, gen)
 	}
 	s.genlog = l
 	return nil
@@ -504,18 +500,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	rep, evicted, rebased, err := func() (*core.CommitReport, int, int, error) {
 		s.updMu.Lock()
 		defer s.updMu.Unlock()
-		var rep *core.CommitReport
-		var delta *core.GenDelta
-		var err error
-		if s.genlog != nil {
-			rep, delta, err = s.upd.(UpdatableWithDelta).CommitBatchWithDelta(req.Add, req.Remove)
-		} else {
-			rep, err = s.upd.CommitBatch(req.Add, req.Remove)
-		}
+		rep, delta, err := s.upd.CommitBatchWithDelta(req.Add, req.Remove)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		if delta != nil {
+		if s.genlog != nil && delta != nil {
 			// Append before the sweep so a subscriber woken by the notify
 			// can never observe a generation the log does not yet carry.
 			if _, err := s.genlog.Append(delta); err != nil {

@@ -151,7 +151,7 @@ func (nw *Network) Discard() {
 func (nw *Network) Commit() (*CommitReport, error) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	rep, _, err := nw.dyn.Commit(nw.staged)
+	rep, _, _, err := nw.dyn.Commit(nw.staged)
 	if err != nil {
 		return nil, fmt.Errorf("ftc: %w", err)
 	}
@@ -162,27 +162,10 @@ func (nw *Network) Commit() (*CommitReport, error) {
 }
 
 // CommitBatch stages and commits one batch of endpoint pairs in a single
-// critical section — the entry point used by the serving layer's /update
-// endpoint, where concurrent batches must serialize cleanly.
+// critical section: CommitBatchWithDelta without the delta.
 func (nw *Network) CommitBatch(add, remove [][2]int) (*CommitReport, error) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	if len(nw.staged) > 0 {
-		return nil, fmt.Errorf("ftc: %d mutations already staged; commit or discard them first", len(nw.staged))
-	}
-	batch := make([]core.Update, 0, len(add)+len(remove))
-	for _, e := range add {
-		batch = append(batch, core.Update{Add: true, U: e[0], V: e[1]})
-	}
-	for _, e := range remove {
-		batch = append(batch, core.Update{U: e[0], V: e[1]})
-	}
-	rep, _, err := nw.dyn.Commit(batch)
-	if err != nil {
-		return nil, fmt.Errorf("ftc: %w", err)
-	}
-	nw.publish()
-	return rep, nil
+	rep, _, err := nw.CommitBatchWithDelta(add, remove)
+	return rep, err
 }
 
 // GenDelta is a committed generation exported for replication log
@@ -190,8 +173,11 @@ func (nw *Network) CommitBatch(add, remove [][2]int) (*CommitReport, error) {
 // marker) a replica replays to reproduce the generation byte-for-byte.
 type GenDelta = core.GenDelta
 
-// CommitBatchWithDelta is CommitBatch, additionally exporting the commit as
-// a GenDelta for a generation log. The delta is nil for a no-op batch.
+// CommitBatchWithDelta stages and commits one batch of endpoint pairs in a
+// single critical section — the entry point used by the serving layer's
+// /update endpoint, where concurrent batches must serialize cleanly — and
+// returns the commit's GenDelta for a generation log. The delta is nil for
+// a no-op batch.
 func (nw *Network) CommitBatchWithDelta(add, remove [][2]int) (*CommitReport, *GenDelta, error) {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
@@ -205,7 +191,7 @@ func (nw *Network) CommitBatchWithDelta(add, remove [][2]int) (*CommitReport, *G
 	for _, e := range remove {
 		batch = append(batch, core.Update{U: e[0], V: e[1]})
 	}
-	rep, delta, _, err := nw.dyn.CommitWithDelta(batch)
+	rep, delta, _, err := nw.dyn.Commit(batch)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ftc: %w", err)
 	}

@@ -281,8 +281,8 @@ func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[strin
 // marshalings, identical generation and Stats, and saving any of them must
 // write exactly the fresh build's snapshot (a loaded v3 arena is
 // re-encoded, never copied). It also pins the laziness itself: loading a
-// v3/v4 snapshot decodes no labels until one is touched, and Stats does
-// not touch edge labels.
+// v3/v4 snapshot decodes no labels until one is touched, and Stats touches
+// none.
 func TestSnapshotVersionMatrix(t *testing.T) {
 	schemes, versions := matrixSchemes(t)
 	for name, s := range schemes {
@@ -320,8 +320,8 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 			if loaded.Stats() != s.Stats() {
 				t.Fatalf("%s: v%d stats differ: %+v vs %+v", name, version, loaded.Stats(), s.Stats())
 			}
-			if _, _, edges := loaded.Inner().LazyLabels(); edges != 0 {
-				t.Fatalf("%s: v%d Stats decoded %d edge labels", name, version, edges)
+			if _, verts, edges := loaded.Inner().LazyLabels(); verts != 0 || edges != 0 {
+				t.Fatalf("%s: v%d Stats decoded %d vertex and %d edge labels", name, version, verts, edges)
 			}
 			if loaded.Generation() != s.Generation() {
 				t.Fatalf("%s: v%d generation %d, want %d", name, version, loaded.Generation(), s.Generation())
