@@ -923,9 +923,10 @@ func buildGrid() {
 
 // binSmoke is the CI gate for the binary protocol: against a live ftcserve
 // (addresses from FTCSERVE_HTTP and FTCSERVE_BIN), it drives pipelined
-// concurrent probes through the frame listener, cross-checks a probe
-// against the JSON surface, and verifies the /metrics exposition counted
-// the traffic. Exits nonzero on any failure.
+// concurrent probes through the frame listener, cross-checks a probe and
+// the route and vertex products, within and over the f budget, against
+// the JSON surface, and verifies the /metrics exposition counted the
+// traffic. Exits nonzero on any failure.
 func binSmoke() {
 	httpBase := os.Getenv("FTCSERVE_HTTP")
 	binAddr := os.Getenv("FTCSERVE_BIN")
@@ -1000,45 +1001,62 @@ func binSmoke() {
 		die("surfaces disagree: bin=%v json=%v", binOut, conn.Connected)
 	}
 
-	// Query products on both surfaces: one route plan and one vertex-fault
-	// probe, each answered identically by the JSON and binary handlers.
-	var rresp wire.RouteResp
-	if err := cl.Route(faults, pairs, &rresp, 0); err != nil {
-		die("bin route: %v", err)
+	// Query products on both surfaces: route plans and vertex-fault
+	// probes, each answered identically and exactly by the JSON and binary
+	// handlers — within the f budget (from the labels) and over it (from
+	// G − F): edge indices 0..f, and vertices 0..f, consecutive on the
+	// smoke graph's ring.
+	post := func(path string, req, out any) {
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(httpBase+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			die("http %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			die("http %s %s: status %d", path, body, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			die("%s decode: %v", path, err)
+		}
 	}
-	body, _ = json.Marshal(serve.RouteRequest{FaultEdges: faults, Pairs: pairs})
-	rhresp, err := http.Post(httpBase+"/route", "application/json", bytes.NewReader(body))
-	if err != nil {
-		die("http route: %v", err)
+	products := func(label string, overBudget bool, edges, verts []int, pairs [][2]int) {
+		var rresp wire.RouteResp
+		if err := cl.Route(edges, pairs, &rresp, 0); err != nil {
+			die("%s bin route: %v", label, err)
+		}
+		var hroute serve.RouteResponse
+		post("/route", serve.RouteRequest{FaultEdges: edges, Pairs: pairs}, &hroute)
+		if rresp.Approx || hroute.Confidence != serve.ConfidenceExact || len(hroute.Routes) != len(pairs) {
+			die("%s route not exact on both surfaces: bin=%+v json=%+v", label, rresp, hroute)
+		}
+		for i, leg := range hroute.Routes {
+			if rresp.Reachable[i] != leg.Reachable || !slices.Equal(rresp.Paths[i], leg.Path) {
+				die("%s route surfaces disagree on pair %v: bin=%+v json=%+v", label, pairs[i], rresp, hroute)
+			}
+		}
+		vOut, _, vApprox, _, err := cl.VProbeInto(verts, pairs, nil, 0)
+		if err != nil {
+			die("%s bin vprobe: %v", label, err)
+		}
+		var hv serve.VConnectedResponse
+		post("/vconnected", serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs}, &hv)
+		if vApprox || hv.Confidence != serve.ConfidenceExact || !slices.Equal(vOut, hv.Connected) {
+			die("%s vconnected surfaces disagree or not exact: bin=%v(approx=%v) json=%+v", label, vOut, vApprox, hv)
+		}
+		if overBudget && (len(edges) <= health.MaxFaults || hv.FaultEdges <= health.MaxFaults) {
+			die("%s: %d fault edges and %d incident edges do not exceed f=%d", label, len(edges), hv.FaultEdges, health.MaxFaults)
+		}
 	}
-	var hroute serve.RouteResponse
-	if err := json.NewDecoder(rhresp.Body).Decode(&hroute); err != nil {
-		die("route decode (status %d): %v", rhresp.StatusCode, err)
+	products("within budget", false, faults, []int{0}[:nFaults], pairs)
+	if health.M <= health.MaxFaults || health.N <= health.MaxFaults+1 {
+		die("smoke graph too small to exceed the budget: n=%d m=%d f=%d", health.N, health.M, health.MaxFaults)
 	}
-	rhresp.Body.Close()
-	if len(hroute.Routes) != 1 || rresp.Reachable[0] != hroute.Routes[0].Reachable ||
-		rresp.Approx != (hroute.Confidence == serve.ConfidenceApprox) {
-		die("route surfaces disagree: bin=%+v json=%+v", rresp, hroute)
+	over := make([]int, health.MaxFaults+1)
+	for i := range over {
+		over[i] = i
 	}
-
-	verts := []int{0}
-	vOut, _, vApprox, _, err := cl.VProbeInto(verts, pairs, nil, 0)
-	if err != nil {
-		die("bin vprobe: %v", err)
-	}
-	body, _ = json.Marshal(serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs})
-	vhresp, err := http.Post(httpBase+"/vconnected", "application/json", bytes.NewReader(body))
-	if err != nil {
-		die("http vconnected: %v", err)
-	}
-	var hv serve.VConnectedResponse
-	if err := json.NewDecoder(vhresp.Body).Decode(&hv); err != nil {
-		die("vconnected decode (status %d): %v", vhresp.StatusCode, err)
-	}
-	vhresp.Body.Close()
-	if len(hv.Connected) != 1 || vOut[0] != hv.Connected[0] || vApprox != (hv.Confidence == serve.ConfidenceApprox) {
-		die("vconnected surfaces disagree: bin=%v(approx=%v) json=%+v", vOut, vApprox, hv)
-	}
+	products("over budget", true, over, over, [][2]int{{0, health.N - 1}, {health.N - 1, health.N / 2}, {over[len(over)-1], over[len(over)-1]}})
 
 	// The metrics exposition must have counted the frame traffic.
 	mresp, err := http.Get(httpBase + "/metrics")
@@ -1069,7 +1087,7 @@ func binSmoke() {
 		}
 	}
 
-	fmt.Printf("binsmoke ok: %d pipelined probes at %.0f qps, query products on both surfaces agree, metrics counted\n",
+	fmt.Printf("binsmoke ok: %d pipelined probes at %.0f qps, query products on both surfaces agree and are exact within and over the budget, metrics counted\n",
 		workers*probesPer, qps)
 }
 

@@ -294,6 +294,37 @@ func TestDeltaGapAndMismatch(t *testing.T) {
 	}
 }
 
+// TestDeltaCancelledEdgeIsClean: a batch that inserts an edge and deletes
+// it again XORs the edge's row into every tree edge on its path twice, so
+// no label changes. The delta must name no dirty edge, the report must
+// relabel nothing (so the cache sweep and the log drop nothing), and the
+// replay must still reproduce the primary byte for byte.
+func TestDeltaCancelledEdgeIsClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d, err := NewDynamic(workload.ErdosRenyi(200, 0.03, true, rng), Params{MaxFaults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := d.Scheme()
+	u, v, ok := pickAddable(replica.Graph(), replica.Forest, rng)
+	if !ok {
+		t.Fatal("no addable edge")
+	}
+	rep, delta, s, err := d.Commit([]Update{{Add: true, U: u, V: v}, {U: u, V: v}})
+	if err != nil || !rep.Incremental {
+		t.Fatalf("commit: rep %+v, err %v", rep, err)
+	}
+	if len(delta.DirtyIdx) != 0 || len(delta.DirtyXor) != 0 || len(delta.AddedIdx) != 0 || len(rep.Relabeled) != 0 {
+		t.Fatalf("add+remove of (%d,%d): dirty %v, added %v, relabeled %v; want none",
+			u, v, delta.DirtyIdx, delta.AddedIdx, rep.Relabeled)
+	}
+	_, next, err := ApplyDelta(replica, delta)
+	if err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	schemesByteIdentical(t, s, next)
+}
+
 // TestDeltaNoopCommit asserts an empty batch exports no delta.
 func TestDeltaNoopCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ancestry"
@@ -438,6 +439,11 @@ func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *GenDelta, *Scheme, 
 		return r.forest.ParentEdge[children[i]] < r.forest.ParentEdge[children[j]]
 	})
 	for _, w := range children {
+		// An edge inserted and deleted in one batch XORs its row in twice:
+		// a mask that cancels to zero leaves the label as it was.
+		if !slices.ContainsFunc(masks[w], func(x uint64) bool { return x != 0 }) {
+			continue
+		}
 		delta.DirtyIdx = append(delta.DirtyIdx, r.forest.ParentEdge[w])
 		delta.DirtyXor = append(delta.DirtyXor, masks[w])
 	}

@@ -90,14 +90,14 @@ func (s *Server) HandleFrame(sc *FrameScratch, op byte, payload []byte) (resp []
 		case productProbe:
 			sc.resp = wire.AppendProbeResp(sc.resp[:0], sc.req.ID, x.hit, x.gen, x.faults, x.out)
 		case productVProbe:
-			sc.resp = wire.AppendVProbeResp(sc.resp[:0], sc.req.ID, x.hit, x.approx, x.gen, x.faults, x.out)
+			sc.resp = wire.AppendVProbeResp(sc.resp[:0], sc.req.ID, x.hit, false, x.gen, x.faults, x.out)
 		case productRoute:
 			// Route paths, unlike bitmaps, can outgrow the frame cap on huge
 			// graphs; the client is pointed at the HTTP surface.
 			if wire.RouteRespSize(x.paths) > wire.MaxFrameBytes {
 				status, err = http.StatusUnprocessableEntity, errors.New("route response exceeds the binary frame cap; use the HTTP surface")
 			} else {
-				sc.resp = wire.AppendRouteResp(sc.resp[:0], sc.req.ID, x.hit, x.approx, x.gen, x.faults, x.out, x.paths)
+				sc.resp = wire.AppendRouteResp(sc.resp[:0], sc.req.ID, x.hit, false, x.gen, x.faults, x.out, x.paths)
 			}
 		}
 	}

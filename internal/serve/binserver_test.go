@@ -415,10 +415,15 @@ func TestHandleFrameAllocs(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 	}
-	// A vertex whose incident edges fit the budget takes the exact path.
-	v := 0
+	// A vertex whose incident edges fit the budget is answered from the
+	// labels; one of degree > f from a forest of G − F, which must be just
+	// as exact and reuse the frame scratch.
+	v, hub := 0, 0
 	for sch.Graph().Degree(v) == 0 || sch.Graph().Degree(v) > f {
 		v++
+	}
+	for sch.Graph().Degree(hub) <= f {
+		hub++
 	}
 	for _, tc := range []struct {
 		name   string
@@ -427,6 +432,7 @@ func TestHandleFrameAllocs(t *testing.T) {
 	}{
 		{"probe", wire.OpProbe, []int{3, 99, 512}},
 		{"exact vprobe", wire.OpVProbe, []int{v}},
+		{"over-budget vprobe", wire.OpVProbe, []int{hub}},
 	} {
 		payload := wire.AppendRequest(nil, tc.op, 1, 0, 0, tc.faults, pairs)[5:]
 		var sc serve.FrameScratch

@@ -7,16 +7,17 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/serve/products"
 	"repro/internal/serve/wire"
 )
 
 // The query executor (DESIGN.md §3.15): both protocol surfaces decode a
 // request into one query and answer it here, so the pipeline — generation
-// pin, canonical fault set, pair validation, one cache stab, exact or
-// degraded answer, one retry on a generation race — exists once for all
-// three products. Outcomes are HTTP statuses, which the wire error codes
-// equal, so a surface only decodes and encodes.
+// pin, canonical fault set, pair and index validation, one cache stab (or,
+// over the f budget, one BFS forest of G − F), one retry on a generation
+// race — exists once for all three products. Outcomes are HTTP statuses,
+// which the wire error codes equal, so a surface only decodes and encodes.
 
 // product is one of the three query products.
 type product uint8
@@ -45,18 +46,20 @@ type query struct {
 }
 
 // execState is the per-request state of the executor, pooled by each
-// surface: the query, the canonicalization buffers, and the answer the
-// surface encodes.
+// surface: the query, the canonicalization buffers, the forest of
+// over-budget answers and its route hops, and the answer the surface
+// encodes.
 type execState struct {
-	q     query
-	canon []int
-	edges []int // a vertex query's canonical incident edges
+	q      query
+	canon  []int
+	edges  []int // a vertex query's canonical incident edges
+	forest products.Forest
+	hops   []int // backing store of over-budget route paths
 
 	gen        uint64
 	hit        bool
-	approx     bool
 	faults     int     // fault count reported to the client
-	faultEdges int     // incident edges compiled for an exact vertex answer
+	faultEdges int     // a vertex query's incident-edge count
 	out        []bool  // per pair: connected, or reachable for routes
 	paths      [][]int // per route pair: the path, nil when unreachable
 }
@@ -109,7 +112,7 @@ func (s *Server) attempt(x *execState) (int, error) {
 		}
 	}
 
-	x.hit, x.approx, x.faults, x.faultEdges = false, false, len(canon), 0
+	x.hit, x.faults, x.faultEdges = false, len(canon), 0
 	x.out, x.paths = x.out[:0], x.paths[:0]
 	edges := canon
 	if q.product == productVProbe {
@@ -122,10 +125,15 @@ func (s *Server) attempt(x *execState) (int, error) {
 			}
 		}
 		x.edges = products.VertexFaultEdgesInto(x.edges, g, canon)
-		if len(x.edges) > sch.MaxFaults() {
-			return s.approximate(x, sch, canon)
-		}
-		edges, key = x.edges, wire.FaultKey(x.edges)
+		edges = x.edges
+	} else if err := checkEdges(canon, g.M()); err != nil {
+		return http.StatusUnprocessableEntity, err
+	}
+	if len(edges) > sch.MaxFaults() && q.product != productProbe {
+		return s.overBudget(x, g, canon, edges)
+	}
+	if q.product == productVProbe {
+		key = wire.FaultKey(edges)
 	}
 	fs, hit, err := s.resolve(sch, edges, key)
 	x.hit = hit
@@ -135,9 +143,6 @@ func (s *Server) attempt(x *execState) (int, error) {
 		} else {
 			s.vprobeMisses.Add(1)
 		}
-	}
-	if errors.Is(err, core.ErrTooManyFaults) && q.product == productRoute {
-		return s.approximate(x, sch, canon)
 	}
 	if err != nil {
 		return statusOf(err, http.StatusUnprocessableEntity), err
@@ -186,30 +191,34 @@ func (s *Server) attempt(x *execState) (int, error) {
 	return http.StatusOK, nil
 }
 
-// approximate is the degraded mode of routes and vertex probes: a fault
-// set over the f budget is answered from the generation's spanner
-// (products package) and marked approx instead of refused. Nothing is
-// compiled for it, so it is never a cache hit.
-func (s *Server) approximate(x *execState, sch Scheme, canon []int) (int, error) {
-	view := s.products.For(sch, x.gen)
-	x.approx = true
+// overBudget answers a route or vertex set over the f budget, which the
+// labels cannot decode, exactly from one BFS forest of G − F built in x's
+// pooled scratch: a vertex pair compares two component ids, a route walks
+// both endpoints up to their meeting vertex. Nothing is compiled or
+// cached: the forest costs one BFS of G, while an n-entry cache value
+// would evict compiled sets that cost far more to rebuild.
+func (s *Server) overBudget(x *execState, g *graph.Graph, canon, edges []int) (int, error) {
+	x.forest.Build(g, edges)
 	if x.q.product == productVProbe {
-		out, err := view.ApproxConnectedVertices(canon, x.q.pairs, x.out)
-		if err != nil {
-			return http.StatusInternalServerError, err
-		}
-		x.out = out
+		x.faultEdges = len(edges)
+		x.out = x.forest.ConnectedVertices(canon, x.q.pairs, x.out)
 	} else {
+		// Paths share one pooled backing array; each is capped so no
+		// append through it can reach the next.
+		x.hops = x.hops[:0]
 		for _, p := range x.q.pairs {
-			path, ok, err := view.ApproxRoute(canon, p[0], p[1])
-			if err != nil {
-				return http.StatusInternalServerError, err
+			start := len(x.hops)
+			var ok bool
+			x.hops, ok = x.forest.Path(x.hops, p[0], p[1])
+			var path []int
+			if ok {
+				path = x.hops[start:len(x.hops):len(x.hops)]
 			}
 			x.out = append(x.out, ok)
 			x.paths = append(x.paths, path)
 		}
 	}
-	s.approxAnswers.Add(uint64(len(x.q.pairs)))
+	s.overBudgetPairs.Add(uint64(len(x.q.pairs)))
 	return http.StatusOK, nil
 }
 
@@ -220,15 +229,9 @@ func (s *Server) approximate(x *execState, sch Scheme, canon []int) (int, error)
 // touches no labels at all. canon is not retained (the cache copies it on
 // insert), so callers may pool it.
 //
-// Out-of-range indices and over-budget sets are refused before the cache
-// is touched, so invalid events never evict compiled valid ones.
+// canon must be in range (checkEdges). Over-budget sets are refused before
+// the cache is touched, so invalid events never evict compiled valid ones.
 func (s *Server) resolve(sch Scheme, canon []int, key uint64) (*core.FaultSet, bool, error) {
-	m := sch.Graph().M()
-	for _, e := range canon {
-		if e < 0 || e >= m {
-			return nil, false, fmt.Errorf("fault edge index %d out of range (m=%d)", e, m)
-		}
-	}
 	// Distinct edges are distinct faults in every scheme kind, so this
 	// budget check is exact and CompileFaults would reject too.
 	if budget := sch.MaxFaults(); len(canon) > budget {
@@ -253,6 +256,17 @@ func (s *Server) resolve(sch Scheme, canon []int, key uint64) (*core.FaultSet, b
 		ent.compiled.Store(true)
 	})
 	return ent.fs, hit, ent.err
+}
+
+// checkEdges refuses a fault edge index outside [0, m), before any mask or
+// cache sees it.
+func checkEdges(canon []int, m int) error {
+	for _, e := range canon {
+		if e < 0 || e >= m {
+			return fmt.Errorf("fault edge index %d out of range (m=%d)", e, m)
+		}
+	}
+	return nil
 }
 
 // statusOf maps an error from compiling or probing a fault set to its

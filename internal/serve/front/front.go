@@ -456,8 +456,9 @@ type Request struct {
 }
 
 // Result is the winning replica's answer: Connected for probes and vertex
-// probes, Route for route plans. Approx marks a degraded (spanner-backed)
-// answer, and Gen is the generation the answer is valid for.
+// probes, Route for route plans. Approx mirrors the frame's approx flag,
+// which current servers never set, and Gen is the generation the answer
+// is valid for.
 type Result struct {
 	Connected []bool
 	Route     *wire.RouteResp

@@ -42,7 +42,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("probes_total", "Connectivity probes answered (pairs, both protocols).", st.Probes)
 	counter("route_plans_total", "Route-plan legs answered (both protocols, either confidence).", st.RoutePlans)
 	counter("vprobes_total", "Vertex-fault probes answered (pairs, both protocols, either confidence).", st.VProbes)
-	counter("approx_answers_total", "Degraded-mode (spanner-backed) answers across all query products.", st.ApproxAnswers)
+	counter("approx_answers_total", "Route and vertex-probe pairs answered over the f budget (exactly, from a BFS forest of G - F).", st.ApproxAnswers)
 	counter("http_requests_total", "Query requests received over HTTP (POST /connected, /route, /vconnected).", st.Requests)
 	counter("bin_requests_total", "Binary-protocol frames received.", st.BinRequests)
 	counter("updates_total", "POST /update batches committed.", st.Updates)

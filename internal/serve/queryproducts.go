@@ -15,12 +15,13 @@ import (
 // vertex faults. One handler decodes each body into the executor's query
 // and encodes its answer; the pipeline itself lives in executor.go.
 //
-// Degraded mode: a route or vertex fault set beyond the scheme's f budget
-// flips the answer source to the per-generation spanner view (products
-// package) and marks the response "confidence": "approx" instead of
-// refusing with 422.
+// A route or vertex fault set beyond the scheme's f budget is answered
+// exactly from a BFS forest of G − F instead of the labels, so every
+// response carries "confidence": "exact".
 
-// Confidence markers carried by query-product responses.
+// Confidence markers of query-product responses. The server sends only
+// ConfidenceExact; ConfidenceApprox is the marker of the retired
+// spanner-backed answers, kept so clients that compare against it build.
 const (
 	ConfidenceExact  = "exact"
 	ConfidenceApprox = "approx"
@@ -38,9 +39,10 @@ type RouteRequest struct {
 }
 
 // RouteLeg is one answered route: whether the target is reachable in
-// G − F and, if so, the full hop-by-hop vertex path the plan's execution
-// traversed (source first, target last). The path is the packet
-// simulator's actual trajectory, so it never crosses a forbidden edge.
+// G − F and, if so, the full hop-by-hop vertex path (source first, target
+// last). Within the budget the path is the packet simulator's actual
+// trajectory of the compiled plan; over it, the path through a BFS forest
+// of G − F. Either way it never crosses a forbidden edge.
 type RouteLeg struct {
 	Reachable bool  `json:"reachable"`
 	Path      []int `json:"path,omitempty"`
@@ -67,8 +69,8 @@ type VConnectedRequest struct {
 
 // VConnectedResponse answers a batch vertex-fault probe. Faults is the
 // canonical failed-vertex count; FaultEdges the deduplicated incident
-// edge count the exact reduction compiled (0 in degraded mode, where
-// nothing is compiled).
+// edge count of the reduction, compiled within the budget and removed
+// from the forest of G − F over it.
 type VConnectedResponse struct {
 	Connected  []bool `json:"connected"`
 	Faults     int    `json:"faults"`
@@ -159,10 +161,6 @@ func (sc *jsonScratch) decode(p product, w http.ResponseWriter, r *http.Request)
 // response fills the executed query's JSON response from pooled scratch.
 func (sc *jsonScratch) response() any {
 	x := &sc.x
-	confidence := ConfidenceExact
-	if x.approx {
-		confidence = ConfidenceApprox
-	}
 	switch x.q.product {
 	case productRoute:
 		sc.legs = sc.legs[:0]
@@ -170,12 +168,12 @@ func (sc *jsonScratch) response() any {
 			sc.legs = append(sc.legs, RouteLeg{Reachable: ok, Path: x.paths[i]})
 		}
 		sc.route = RouteResponse{
-			Routes: sc.legs, Faults: x.faults, CacheHit: x.hit, Confidence: confidence, Generation: x.gen,
+			Routes: sc.legs, Faults: x.faults, CacheHit: x.hit, Confidence: ConfidenceExact, Generation: x.gen,
 		}
 		return &sc.route
 	case productVProbe:
 		sc.vprobe = VConnectedResponse{
-			Connected: x.out, Faults: x.faults, FaultEdges: x.faultEdges, CacheHit: x.hit, Confidence: confidence, Generation: x.gen,
+			Connected: x.out, Faults: x.faults, FaultEdges: x.faultEdges, CacheHit: x.hit, Confidence: ConfidenceExact, Generation: x.gen,
 		}
 		return &sc.vprobe
 	}

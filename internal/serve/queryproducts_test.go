@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	ftc "repro"
 	"repro/internal/graph"
 	"repro/internal/serve"
+	"repro/internal/serve/products"
 	"repro/internal/serve/wire"
 	"repro/internal/serve/wireclient"
 	"repro/internal/workload"
@@ -123,36 +125,48 @@ func TestHandlerRouteDegraded(t *testing.T) {
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(15))
-	faults := workload.RandomFaults(g, 2*f, rng) // over budget
-	if len(faults) <= f {
-		t.Fatalf("want over-budget fault set, got %d ≤ %d", len(faults), f)
+	// Over budget: random edges plus every edge of vertex 3, which cuts 3
+	// off, so the batch has unreachable legs as well as reachable ones.
+	faults := workload.RandomFaults(g, 2*f, rng)
+	for _, h := range g.Adj(3) {
+		faults = append(faults, h.Edge)
 	}
+	faults = wire.Canonicalize(faults)
 	set := workload.FaultSet(faults)
 	req := serve.RouteRequest{FaultEdges: faults}
 	for q := 0; q < 10; q++ {
 		req.Pairs = append(req.Pairs, [2]int{rng.Intn(n), rng.Intn(n)})
 	}
+	req.Pairs = append(req.Pairs, [2]int{7, 7}, [2]int{3, 9}) // s == t, and a cut-off source
 	var out serve.RouteResponse
 	if resp := postProduct(t, ts.URL+"/route", req, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (over-budget must degrade, not fail)", resp.StatusCode)
+		t.Fatalf("status %d (an over-budget route is answered, not refused)", resp.StatusCode)
 	}
-	if out.Confidence != serve.ConfidenceApprox {
-		t.Fatalf("confidence %q, want approx", out.Confidence)
+	if out.Confidence != serve.ConfidenceExact || out.CacheHit || out.Faults != len(faults) {
+		t.Fatalf("over-budget response: confidence %q, cache hit %v, faults %d", out.Confidence, out.CacheHit, out.Faults)
 	}
+	reachable := 0
 	for i, p := range req.Pairs {
 		leg := out.Routes[i]
-		if leg.Reachable {
-			// One-sided soundness: a degraded path is a real G−F path.
-			if err := graph.CheckPathUnder(g, set, leg.Path, p[0], p[1]); err != nil {
-				t.Fatalf("leg %d: %v", i, err)
+		if want := graph.ConnectedUnder(g, set, p[0], p[1]); leg.Reachable != want {
+			t.Fatalf("leg %d %v: reachable %v, want %v", i, p, leg.Reachable, want)
+		}
+		if !leg.Reachable {
+			if leg.Path != nil {
+				t.Fatalf("leg %d: unreachable leg carries a path %v", i, leg.Path)
 			}
-		} else if graph.ConnectedUnder(g, set, p[0], p[1]) {
-			// Under-reporting is allowed by the contract; log for visibility.
-			t.Logf("leg %d: spanner under-reported reachability (allowed)", i)
+			continue
+		}
+		reachable++
+		if err := graph.CheckPathUnder(g, set, leg.Path, p[0], p[1]); err != nil {
+			t.Fatalf("leg %d: %v", i, err)
 		}
 	}
-	if st := srv.Stats(); st.ApproxAnswers == 0 {
-		t.Fatalf("approx answers not counted: %+v", st)
+	if reachable == 0 || reachable == len(req.Pairs) {
+		t.Fatalf("vacuous run: %d of %d legs reachable", reachable, len(req.Pairs))
+	}
+	if st := srv.Stats(); st.ApproxAnswers != uint64(len(req.Pairs)) || st.CacheMisses != 0 {
+		t.Fatalf("over-budget pairs not counted, or the cache was stabbed: %+v", st)
 	}
 }
 
@@ -235,25 +249,28 @@ func TestHandlerVConnectedDegraded(t *testing.T) {
 	}
 	var out serve.VConnectedResponse
 	if resp := postProduct(t, ts.URL+"/vconnected", req, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (over-budget vertex set must degrade)", resp.StatusCode)
+		t.Fatalf("status %d (an over-budget vertex set is answered, not refused)", resp.StatusCode)
 	}
-	if out.Confidence != serve.ConfidenceApprox || out.Faults != 1 || out.FaultEdges != 0 {
-		t.Fatalf("degraded response: %+v", out)
+	if out.Confidence != serve.ConfidenceExact || out.Faults != 1 || out.FaultEdges != g.Degree(hub) {
+		t.Fatalf("over-budget response: %+v", out)
 	}
 	dead := map[int]bool{hub: true}
 	for i, p := range req.Pairs {
-		if out.Connected[i] && !graph.ConnectedWithoutVertices(g, dead, p[0], p[1]) {
-			t.Fatalf("pair %d: degraded mode answered connected for a disconnected pair", i)
+		if want := graph.ConnectedWithoutVertices(g, dead, p[0], p[1]); out.Connected[i] != want {
+			t.Fatalf("pair %d %v: connected %v, want %v", i, p, out.Connected[i], want)
 		}
 	}
-	if out.Connected[2] {
-		t.Fatal("failed endpoint answered connected")
+	if !out.Connected[0] || out.Connected[2] {
+		t.Fatalf("the rim must stay connected and the failed hub answer false: %v", out.Connected)
 	}
-	// Nothing is compiled for a degraded answer, so a warm repeat is no
-	// cache hit either.
+	// Nothing is compiled for an over-budget answer, so a warm repeat is
+	// no cache hit either.
 	var warm serve.VConnectedResponse
 	if resp := postProduct(t, ts.URL+"/vconnected", req, &warm); resp.StatusCode != http.StatusOK || warm.CacheHit {
-		t.Fatalf("warm degraded vprobe: status %d, cache hit %v", resp.StatusCode, warm.CacheHit)
+		t.Fatalf("warm over-budget vprobe: status %d, cache hit %v", resp.StatusCode, warm.CacheHit)
+	}
+	if st := srv.Stats(); st.VCacheHits+st.VCacheMisses != 0 || st.ApproxAnswers != uint64(2*len(req.Pairs)) {
+		t.Fatalf("over-budget vprobes looked up the cache, or were not counted: %+v", st)
 	}
 }
 
@@ -366,7 +383,8 @@ func TestMetricsQueryProducts(t *testing.T) {
 // TestQueryErrorCodesBothSurfaces pins the error contract of the one
 // executor: for every product on both surfaces the same failure yields the
 // same HTTP status and wire code, and an over-budget fault set is refused
-// by edge probes but answered approx by routes and vertex probes.
+// by edge probes but answered exactly, with identical answers on both
+// surfaces, by routes and vertex probes.
 func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 	const n, f = 60, 2
 	sch := buildScheme(t, n, f, 3)
@@ -395,7 +413,7 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 		edges, verts []int
 		pairs        [][2]int
 		pin          uint64
-		want         [3]int // probe, route, vprobe; 200 is an approx answer
+		want         [3]int // probe, route, vprobe
 	}{
 		{"pair out of range", nil, nil, [][2]int{{0, n}}, 0, [3]int{400, 400, 400}},
 		{"fault index out of range", []int{g.M()}, []int{n}, valid, 0, [3]int{422, 422, 422}},
@@ -404,7 +422,9 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 	} {
 		for p, name := range []string{"probe", "route", "vprobe"} {
 			var status int
-			var httpApprox, wireApprox bool
+			var httpAns, wireAns []bool
+			var httpConf string
+			var wireApprox bool
 			var werr error
 			switch name {
 			case "probe":
@@ -414,15 +434,18 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 			case "route":
 				var out serve.RouteResponse
 				status = postProduct(t, ts.URL+"/route", serve.RouteRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
-				httpApprox = out.Confidence == serve.ConfidenceApprox
+				for _, leg := range out.Routes {
+					httpAns = append(httpAns, leg.Reachable)
+				}
+				httpConf = out.Confidence
 				var rresp wire.RouteResp
 				werr = cl.Route(tc.edges, tc.pairs, &rresp, tc.pin)
-				wireApprox = rresp.Approx
+				wireAns, wireApprox = rresp.Reachable, rresp.Approx
 			case "vprobe":
 				var out serve.VConnectedResponse
 				status = postProduct(t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: tc.verts, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
-				httpApprox = out.Confidence == serve.ConfidenceApprox
-				_, _, wireApprox, _, werr = cl.VProbeInto(tc.verts, tc.pairs, nil, tc.pin)
+				httpAns, httpConf = out.Connected, out.Confidence
+				wireAns, _, wireApprox, _, werr = cl.VProbeInto(tc.verts, tc.pairs, nil, tc.pin)
 			}
 			code := http.StatusOK
 			if werr != nil {
@@ -434,8 +457,8 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 			}
 			if want := tc.want[p]; status != want || code != want {
 				t.Errorf("%s %s: HTTP %d, wire %d, want both %d", name, tc.name, status, code, want)
-			} else if want == http.StatusOK && (!httpApprox || !wireApprox) {
-				t.Errorf("%s %s: answer not marked approx (HTTP %v, wire %v)", name, tc.name, httpApprox, wireApprox)
+			} else if want == http.StatusOK && (httpConf != serve.ConfidenceExact || wireApprox || len(httpAns) != len(tc.pairs) || !slices.Equal(httpAns, wireAns)) {
+				t.Errorf("%s %s: answers HTTP %v (%q), wire %v (approx %v): want identical and exact", name, tc.name, httpAns, httpConf, wireAns, wireApprox)
 			}
 		}
 	}
@@ -446,9 +469,9 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 // so the compiled incident-edge sets of vertex probes meet the update
 // sweep, and sends more over the wire while each commit runs. Each round
 // trims the lowest-degree vertex to at most f incident edges, so at least
-// one probed vertex set is answered exactly. Exact answers must match the
-// BFS oracle on the graph of the generation they report; a degraded
-// "connected" must be sound.
+// one probed vertex set is answered from the labels; sets over the budget
+// are answered from the forest of G − F. Every answer must be exact and
+// match the BFS oracle on the graph of the generation it reports.
 func TestVConnectedAcrossCommits(t *testing.T) {
 	const n, f, rounds = 80, 3, 40
 	nw := openNetwork(t, n, f, 5)
@@ -475,7 +498,7 @@ func TestVConnectedAcrossCommits(t *testing.T) {
 		approx  bool
 		out     []bool
 	}
-	exact := 0
+	inBudget, overBudget := 0, 0
 	check := func(round int, graphs map[uint64]*graph.Graph, pairs [][2]int, a answer) {
 		t.Helper()
 		g := graphs[a.gen]
@@ -489,13 +512,15 @@ func TestVConnectedAcrossCommits(t *testing.T) {
 		}
 		for i, p := range pairs {
 			want := graph.ConnectedWithoutVertices(g, dead, p[0], p[1])
-			if (a.approx && a.out[i] && !want) || (!a.approx && a.out[i] != want) {
+			if a.approx || a.out[i] != want {
 				t.Fatalf("round %d %s %v at generation %d, pair %v: connected %v (approx %v), oracle %v",
 					round, a.surface, a.verts, a.gen, p, a.out[i], a.approx, want)
 			}
 		}
-		if !a.approx {
-			exact += len(pairs)
+		if len(products.VertexFaultEdges(g, a.verts)) > f {
+			overBudget += len(pairs)
+		} else {
+			inBudget += len(pairs)
 		}
 	}
 	newPairs := func() [][2]int {
@@ -587,9 +612,9 @@ func TestVConnectedAcrossCommits(t *testing.T) {
 		racedTotal += len(raced)
 		probe(round, sets)
 	}
-	if exact == 0 {
-		t.Fatal("no exact vertex answers: the test exercised only the degraded path")
+	if inBudget == 0 || overBudget == 0 {
+		t.Fatalf("vacuous run: %d pairs within the budget, %d over it", inBudget, overBudget)
 	}
-	t.Logf("%d exact pairs, %d probes raced a commit; cache evicted %d entries by update",
-		exact, racedTotal, srv.Stats().CacheEvicted)
+	t.Logf("%d pairs within the budget, %d over it, %d probes raced a commit; cache evicted %d entries by update",
+		inBudget, overBudget, racedTotal, srv.Stats().CacheEvicted)
 }

@@ -118,9 +118,9 @@ type Server struct {
 	start time.Time
 
 	// Query products (DESIGN.md §3.15): products hands out the
-	// per-generation routing tables and degraded-mode spanner. Vertex
-	// probes share the one cache through their incident edges;
-	// vprobeHits/vprobeMisses count their lookups of it.
+	// per-generation routing tables. Vertex probes share the one cache
+	// through their incident edges; vprobeHits/vprobeMisses count their
+	// lookups of it.
 	products     *products.Products
 	vprobeHits   atomic.Uint64
 	vprobeMisses atomic.Uint64
@@ -132,10 +132,11 @@ type Server struct {
 	requests atomic.Uint64
 	updates  atomic.Uint64
 
-	// Per-product counters: pairs answered by each product (either mode,
-	// both surfaces), and degraded-mode pairs across all products.
-	answered      [numProducts]atomic.Uint64
-	approxAnswers atomic.Uint64
+	// Per-product counters: pairs answered by each product (both
+	// surfaces), and the route and vertex pairs answered over the f
+	// budget from a forest of G − F.
+	answered        [numProducts]atomic.Uint64
+	overBudgetPairs atomic.Uint64
 
 	// Replication surface: the generation log this (primary) server
 	// appends to and streams from, the subscriber hub waking OpLogSub
@@ -346,7 +347,11 @@ func (s *Server) ApplyReplicatedCommit(rep *core.CommitReport) (evicted, rebased
 // set.
 func (s *Server) FaultSet(faultEdges []int) (*core.FaultSet, bool, error) {
 	canon := wire.Canonicalize(append([]int(nil), faultEdges...))
-	return s.resolve(s.view(), canon, wire.FaultKey(canon))
+	sch := s.view()
+	if err := checkEdges(canon, sch.Graph().M()); err != nil {
+		return nil, false, err
+	}
+	return s.resolve(sch, canon, wire.FaultKey(canon))
 }
 
 // ConnectedRequest is the wire form of a POST /connected batch probe: one
@@ -644,8 +649,10 @@ type Stats struct {
 	CacheShards   []ShardStats `json:"cache_shards"`
 
 	// Query-product breakdown (§3.15): route legs and vertex-fault pairs
-	// answered, degraded-mode pairs, and the vertex probes' share of the
-	// Cache* lookups above (degraded vertex answers look nothing up).
+	// answered, the route and vertex pairs among them answered over the f
+	// budget (ApproxAnswers, named before those answers became exact; they
+	// look nothing up), and the vertex probes' share of the Cache* lookups
+	// above.
 	RoutePlans    uint64 `json:"route_plans"`
 	VProbes       uint64 `json:"vprobes"`
 	ApproxAnswers uint64 `json:"approx_answers"`
@@ -690,7 +697,7 @@ func (s *Server) Stats() Stats {
 
 		RoutePlans:    s.answered[productRoute].Load(),
 		VProbes:       s.answered[productVProbe].Load(),
-		ApproxAnswers: s.approxAnswers.Load(),
+		ApproxAnswers: s.overBudgetPairs.Load(),
 		VCacheHits:    s.vprobeHits.Load(),
 		VCacheMisses:  s.vprobeMisses.Load(),
 

@@ -76,8 +76,8 @@
 //	  indices (strictly ascending).
 //
 //	OpVProbeResp payload:
-//	  identical layout to OpProbeResp, plus bit1 of the flags byte marks
-//	  an approximate (degraded-mode) answer.
+//	  identical layout to OpProbeResp, plus bit1 of the flags byte, the
+//	  approx flag (never set by current servers; every answer is exact).
 //
 // A connection that sends OpLogSub switches to push mode: the server
 // streams OpLogRecord frames (backlog, then live appends) and accepts no
@@ -351,9 +351,9 @@ func DecodeProbe(payload []byte, req *ProbeReq) error {
 const probeRespFixedLen = 8 + 1 + 8 + 4 + 4
 
 // flagCacheHit marks a response served from an already-compiled cache
-// entry. flagApprox marks a degraded-mode answer — the fault set exceeded
-// the scheme's f budget and the answer came from the spanner-backed
-// approximation (DESIGN.md §3.15) instead of an exact decode.
+// entry. flagApprox marked an approximate answer to a fault set over the
+// f budget; servers now answer those exactly from G − F (DESIGN.md
+// §3.15) and never set it, but it stays decodable.
 const (
 	flagCacheHit = 1 << 0
 	flagApprox   = 1 << 1
@@ -412,7 +412,7 @@ func AppendVProbeResp(b []byte, id uint64, hit, approx bool, gen uint64, faults 
 
 // ProbeResp is one decoded probe response. Connected is refilled in place
 // from the caller-passed destination slice. Approx mirrors the frame's
-// degraded-mode flag (always false on OpProbeResp).
+// approx flag (always false on OpProbeResp, and from current servers).
 type ProbeResp struct {
 	ID        uint64
 	CacheHit  bool

@@ -405,10 +405,9 @@ func (cl *Client) ProbeIntoBudget(faultEdges []int, pairs [][2]int, out []bool, 
 // VProbeInto answers one batch probe under VERTEX faults: one set of
 // failed vertex indices against a batch of s–t pairs, with the answer
 // slice and generation pin under caller control as in ProbeInto. approx
-// reports degraded mode — the fault set's incident edges exceeded the
-// server's budget and the answer came from the fault-tolerant spanner
-// ("connected" is then still always sound; "disconnected" may
-// under-report).
+// mirrors the frame's approx flag, which current servers never set: a
+// vertex set whose incident edges exceed the budget is answered exactly
+// from G − F.
 func (cl *Client) VProbeInto(faultVertices []int, pairs [][2]int, out []bool, genPin uint64) ([]bool, bool, bool, uint64, error) {
 	return cl.VProbeIntoBudget(faultVertices, pairs, out, genPin, 0)
 }
@@ -429,8 +428,9 @@ func (cl *Client) VProbeIntoBudget(faultVertices []int, pairs [][2]int, out []bo
 
 // Route computes hop-by-hop route plans avoiding a forbidden edge set:
 // one plan per s–t pair, decoded into the caller-owned resp (refilled in
-// place, so a resp may be reused across calls). resp.Approx reports
-// degraded (spanner-backed) planning; genPin has ProbeInto's semantics
+// place, so a resp may be reused across calls). resp.Approx mirrors the
+// frame's approx flag, which current servers never set (an over-budget
+// set is routed exactly through G − F); genPin has ProbeInto's semantics
 // and is how a caller keeps a plan's edge indices pinned to the
 // generation it resolved them against.
 func (cl *Client) Route(faultEdges []int, pairs [][2]int, resp *wire.RouteResp, genPin uint64) error {
