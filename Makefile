@@ -38,8 +38,9 @@ chaos:
 	$(GO) run ./cmd/ftcbench chaos -smoke -json -seed=2
 
 # Short fuzz runs of the label and snapshot codecs, of the replica's
-# record decoder and delta replay, and of the syndrome decoder against its
-# reference (the CI smoke; drop the -fuzztime to explore for real).
+# record decoder, checkpoint header and delta replay, and of the syndrome
+# decoder against its reference (the CI smoke; drop the -fuzztime to
+# explore for real).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalVertexLabel' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalEdgeLabel' -fuzztime 10s ./internal/core
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalScheme' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzApplyDelta' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeDelta' -fuzztime 10s ./internal/serve/genlog
+	$(GO) test -run '^$$' -fuzz 'FuzzParseCheckpoint' -fuzztime 10s ./internal/serve/genlog
 	$(GO) test -run '^$$' -fuzz 'FuzzWireFrame' -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzSketchDecode' -fuzztime 10s ./internal/rs
 

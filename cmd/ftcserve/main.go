@@ -13,9 +13,11 @@
 //	ftcserve -replica-of http://primary:8337 [-listen-bin :8339]       (replica)
 //
 // Loading a current-format (v4) or v3 snapshot is O(1) in label bytes: the
-// label arena is mapped lazily and each label is decoded on its first
-// probe, so a replica is serving within milliseconds even when the labels
-// run to hundreds of megabytes. Legacy v1/v2 snapshots load eagerly.
+// label arena is mapped lazily, so a replica is serving within
+// milliseconds even when the labels run to hundreds of megabytes. A vertex
+// label is decoded on its first probe and kept; an edge label is decoded
+// each time a fault-set compile or the once-per-generation route-table
+// build reads it, and is not kept. Legacy v1/v2 snapshots load eagerly.
 //
 // Endpoints:
 //

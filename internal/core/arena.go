@@ -7,18 +7,24 @@ import (
 // labelArena is the lazy backing store of a version-3 or -4 snapshot: the
 // two structure-of-arrays label sections — an offsets table plus one
 // contiguous byte arena per label kind — aliased zero-copy from the
-// snapshot bytes, with per-label decode caches. Loading such a snapshot
-// touches no label bytes; a label is decoded the first time something asks
-// for it, after which the decoded form is cached and every later access is
-// one atomic load. Concurrent first touches may decode the same label
-// twice; both decodes produce identical values and the CAS keeps exactly
-// one, so the arena is safe from concurrent readers without locks.
+// snapshot bytes. Loading such a snapshot touches no label bytes; a label
+// is decoded when something asks for it.
+//
+// Only vertex labels are cached. Every probed pair reads two of them, so a
+// vertex label is decoded once, kept, and every later access is one atomic
+// load; concurrent first touches may decode the same label twice, both
+// decodes produce identical values and the CAS keeps exactly one, so the
+// arena is safe from concurrent readers without locks. Edge labels are
+// decoded afresh on every call and kept by no one but the caller: serving
+// reads them only in a cache-miss compile (at most f labels) and in the
+// once-per-generation routing-table build, and a cache would pin every
+// payload for the life of the process.
 //
 // Lazy decode preserves the token/generation safety story of eager loading,
-// just shifted to first touch: the snapshot header's token was already
+// just shifted to the touch: the snapshot header's token was already
 // re-verified against the graph and parameters at load time, and each
 // label's own stored token (plus fault budget and spec for edge labels) is
-// checked against that header the moment the label is decoded. A label
+// checked against that header whenever the label is decoded. A label
 // whose bytes are corrupt — or whose header disagrees — decodes to a
 // poisoned label whose token matches neither the scheme token nor any other
 // poisoned label, so every query that touches it fails fast with
@@ -45,7 +51,6 @@ type labelArena struct {
 	edgeBytes []byte
 
 	verts []atomic.Pointer[VertexLabel]
-	edges []atomic.Pointer[EdgeLabel]
 }
 
 // poisonToken derives the token of a failed lazy decode: distinct from the
@@ -74,31 +79,23 @@ func (a *labelArena) vertex(v int) VertexLabel {
 	return *a.verts[v].Load()
 }
 
+// edge decodes edge e's label; the result, Out included, is the caller's.
 func (a *labelArena) edge(e int) EdgeLabel {
-	if p := a.edges[e].Load(); p != nil {
-		return *p
-	}
 	l, err := UnmarshalEdgeLabel(a.edgeBytes[a.edgeOff[e]:a.edgeOff[e+1]])
 	if err != nil || l.Token != a.token || l.MaxFaults != a.maxFaults || l.Spec != a.spec {
 		l = EdgeLabel{Token: a.poisonToken(e, true)}
 	}
 	l.Gen = a.gen
-	a.edges[e].CompareAndSwap(nil, &l)
-	return *a.edges[e].Load()
+	return l
 }
 
-// resident reports how many labels of each kind have been decoded so far —
-// an observability hook for the serving layer and the lazy-load tests.
-func (a *labelArena) resident() (verts, edges int) {
+// resident reports how many vertex labels have been decoded so far — an
+// observability hook for the lazy-load tests.
+func (a *labelArena) resident() (verts int) {
 	for i := range a.verts {
 		if a.verts[i].Load() != nil {
 			verts++
 		}
 	}
-	for i := range a.edges {
-		if a.edges[i].Load() != nil {
-			edges++
-		}
-	}
-	return verts, edges
+	return verts
 }

@@ -28,9 +28,6 @@ type Params struct {
 	// hierarchy.DefaultThreshold (or SamplingThreshold for KindRandRS).
 	// See DESIGN.md §3.4 for the practical-vs-theory trade-off.
 	Threshold func(f, m int) int
-	// GreedyGamma overrides the rectangle weight of the greedy ε-net
-	// (KindDetGreedy only); zero picks a default.
-	GreedyGamma int
 	// AGMReps overrides the repetition count of KindAGM; zero picks
 	// ⌈log₂ m⌉ (whp support). Full support scales this by f.
 	AGMReps int
@@ -58,8 +55,9 @@ type Scheme struct {
 	edgeLabels   []EdgeLabel
 
 	// lazy is non-nil only for schemes loaded from a v3 or v4 snapshot:
-	// labels live in the zero-copy arena and are decoded on first touch.
-	// Built (and v1/v2-loaded) schemes keep the materialized slices above.
+	// labels live in the zero-copy arena and are decoded on touch (vertex
+	// labels once, edge labels on every read). Built (and v1/v2-loaded)
+	// schemes keep the materialized slices above.
 	lazy *labelArena
 
 	// Construction artifacts retained for experiments and white-box
@@ -218,11 +216,7 @@ func buildWith(g *graph.Graph, p Params, gen uint64) (*Scheme, error) {
 		case KindDetNetFind:
 			levels = hierarchy.BuildNetFind(pts, k)
 		case KindDetGreedy:
-			gamma := p.GreedyGamma
-			if gamma == 0 {
-				gamma = defaultGreedyGamma(m)
-			}
-			levels = hierarchy.BuildGreedy(pts, gamma, k)
+			levels = hierarchy.BuildGreedy(pts, greedyGamma(m), k)
 		case KindRandRS:
 			levels = hierarchy.BuildSampling(pts, k, rand.New(rand.NewSource(p.Seed)))
 		}
@@ -258,7 +252,8 @@ func buildWith(g *graph.Graph, p Params, gen uint64) (*Scheme, error) {
 	return s, nil
 }
 
-func defaultGreedyGamma(m int) int {
+// greedyGamma is the rectangle weight of the greedy ε-net: ⌊log₂ m⌋ + 2.
+func greedyGamma(m int) int {
 	g := 2
 	for v := m; v > 1; v /= 2 {
 		g++
@@ -579,9 +574,11 @@ func (s *Scheme) VertexLabel(v int) VertexLabel {
 	return s.vertexLabels[v]
 }
 
-// EdgeLabel returns edge e's label. The Out slice is shared with the
-// scheme's storage and must be treated as immutable; MarshalEdgeLabel / the
-// public facade produce independent copies.
+// EdgeLabel returns edge e's label. For a built or eagerly loaded scheme
+// the Out slice is shared with the scheme's storage and must be treated as
+// immutable; MarshalEdgeLabel / the public facade produce independent
+// copies. A lazily loaded scheme decodes the label on every call and keeps
+// none of it.
 func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 	if s.lazy != nil {
 		return s.lazy.edge(e)
@@ -590,12 +587,12 @@ func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 }
 
 // LazyLabels reports whether the scheme's labels live in a v3/v4 snapshot
-// arena and, if so, how many of each kind have been decoded so far —
-// the observability hook behind the lazy-load tests and benchmarks.
-func (s *Scheme) LazyLabels() (lazy bool, verts, edges int) {
+// arena and, if so, how many vertex labels it holds decoded — the
+// observability hook behind the lazy-load tests. Edge labels are never
+// retained, so there is no edge count to report.
+func (s *Scheme) LazyLabels() (lazy bool, verts int) {
 	if s.lazy == nil {
-		return false, 0, 0
+		return false, 0
 	}
-	verts, edges = s.lazy.resident()
-	return true, verts, edges
+	return true, s.lazy.resident()
 }

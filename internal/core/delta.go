@@ -96,8 +96,10 @@ var (
 // new generation shares untouched label payloads with the old one.
 //
 // A lazily-loaded scheme is materialized by the first ApplyDelta — every
-// label is decoded once so the new generation owns plain label slices. The
-// O(m) cost is paid once per replica process, not per record.
+// label is decoded once so the new generation owns plain label slices and
+// retains every vertex and edge label. The O(m) cost is paid once per
+// replica process, not per record. The lazy s keeps only the vertex labels
+// the replay decoded; it retains none of its edge labels.
 func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 	if d.Full {
 		return nil, nil, fmt.Errorf("%w: generation %d (%s)", ErrFullRebuild, d.Gen, d.Reason)
@@ -124,7 +126,7 @@ func ApplyDelta(s *Scheme, d *GenDelta) (*CommitReport, *Scheme, error) {
 	return rep, out, nil
 }
 
-// replay is the graph side of one incremental generation: the post-commit
+// replay is the graph side of one generation's batch: the post-commit
 // graph, the spanning forest and hierarchy carried forward onto its edge
 // indexing, and how the indices moved.
 type replay struct {
@@ -135,7 +137,7 @@ type replay struct {
 	removed, remap []int
 }
 
-// replayOps applies an incremental batch to a clone of s's graph.
+// replayOps applies a batch to a clone of s's graph.
 // Insertions append and join hierarchy level 0 as non-tree edges;
 // deletions splice and shift edge indices in every level, in IsTreeEdge
 // and in ParentEdge. The tree itself never moves, so the forest's other

@@ -279,32 +279,26 @@ func (d *Dynamic) Commit(batch []Update) (*CommitReport, *GenDelta, *Scheme, err
 	return d.applyIncremental(p)
 }
 
-// rebuild is the fallback path: apply the batch to a graph clone and run
-// the full (parallel) construction pipeline at the next generation. Its
-// delta is a Full marker.
+// rebuild is the fallback path: replay the batch onto a graph clone and
+// run the full (parallel) construction pipeline at the next generation.
+// Its delta is a Full marker.
 func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *GenDelta, *Scheme, error) {
-	gNew := d.cur.g.Clone()
-	for i, op := range batch {
-		var err error
-		if op.Add {
-			_, err = gNew.AddEdge(op.U, op.V)
-		} else {
-			_, err = gNew.RemoveEdge(op.U, op.V)
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: update %d: %w", i, err)
-		}
+	r, err := replayOps(d.cur, batch)
+	if err != nil {
+		// classify has validated the batch, so this is internal.
+		return nil, nil, nil, fmt.Errorf("core: internal: replaying a validated batch: %v", err)
 	}
-	s, err := buildWith(gNew, d.params, d.gen+1)
+	s, err := buildWith(r.g, d.params, d.gen+1)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	rep := &CommitReport{
-		Gen:    d.gen + 1,
-		Token:  s.token,
-		Reason: reason,
+		Gen:     d.gen + 1,
+		Token:   s.token,
+		Reason:  reason,
+		Removed: r.removed,
+		Remap:   r.remap,
 	}
-	rep.Removed, rep.Remap = edgeRemap(d.cur.g, gNew)
 	delta := &GenDelta{
 		PrevGen: d.gen,
 		Gen:     rep.Gen,
@@ -316,8 +310,8 @@ func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *GenDel
 	d.gen++
 	d.cur = s
 	d.churn = 0
-	d.builtM = gNew.M()
-	d.resNext = make([]uint32, gNew.N())
+	d.builtM = r.g.M()
+	d.resNext = make([]uint32, r.g.N())
 	d.freed = map[int][]uint32{}
 	return rep, delta, s, nil
 }

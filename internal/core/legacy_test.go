@@ -196,3 +196,33 @@ func TestMarshalBinarySizedExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestMarshalBinaryBoundsHostileSpec: a v3 snapshot whose header carries a
+// spec its labels do not match (the token is no secret, so a sender can
+// make it fingerprint correctly) loads lazily with every edge label
+// poisoned. Re-encoding it must size its buffer by the arena it holds, not
+// by the claimed spec's m·Words() words.
+func TestMarshalBinaryBoundsHostileSpec(t *testing.T) {
+	s, err := Build(workload.Petersen(), Params{MaxFaults: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := *s
+	hostile.spec.K = 1 << 16
+	hostile.token = hostile.computeToken(hostile.g)
+	data := marshalLegacy(&hostile, 3)
+	loaded, err := UnmarshalScheme(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := loaded.EdgeLabel(0); l.Token == loaded.Token() {
+		t.Fatal("an edge label disagreeing with the header spec decoded with the scheme token")
+	}
+	out, err := loaded.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(out) > 2*len(data) {
+		t.Fatalf("re-encoding a %d-byte snapshot sized a %d-byte buffer", len(data), cap(out))
+	}
+}

@@ -42,7 +42,7 @@ import (
 // len bytes), then m of the same) with the flat structure-of-arrays label
 // arena above, so that loading is O(1) in label bytes: the reader
 // validates the offsets tables, aliases the two arenas zero-copy, and
-// decodes each label lazily on first touch (see labelArena); v3 and v4
+// decodes each label lazily when it is touched (see labelArena); v3 and v4
 // both load that way. Version 1 is version 2 without the
 // generation/auxSlack fields; both are still read, eagerly, via the
 // original path. Whatever the version, a loaded label equals the label
@@ -51,8 +51,8 @@ import (
 // forest (deterministic from the graph) and re-verifies the token
 // fingerprint against the graph, parameters, and generation, which
 // rejects snapshots whose sections were corrupted independently; v3/v4
-// label bytes are verified against that token on first touch instead of
-// at load time. Any future layout change must bump SnapshotVersion; old
+// label bytes are verified against that token on touch instead of at load
+// time. Any future layout change must bump SnapshotVersion; old
 // readers then fail with ErrSnapshotVersion instead of misparsing.
 
 // snapshotMagic begins every scheme snapshot.
@@ -80,13 +80,13 @@ const snapLimit = 1 << 24
 
 // MarshalBinary encodes the scheme as a self-contained snapshot at the
 // current wire version (encoding.BinaryMarshaler). The output is sized
-// exactly before anything is written and every label is appended in
-// place, so the snapshot is one allocation. A scheme loaded lazily from a
-// v4 snapshot copies its arenas verbatim — no label is decoded, and a v4
-// load→save round trip is byte-identical by construction; every other
-// scheme, a v3-loaded one included, encodes each label, and the label
-// codecs are deterministic, so both paths produce the same bytes for the
-// same labels.
+// exactly before anything is written, without decoding a label, and every
+// label is appended in place, so the snapshot is one allocation. A scheme
+// loaded lazily from a v4 snapshot copies its arenas verbatim — no label
+// is decoded, and a v4 load→save round trip is byte-identical by
+// construction; every other scheme, a v3-loaded one included, encodes
+// each label, and the label codecs are deterministic, so both paths
+// produce the same bytes for the same labels.
 func (s *Scheme) MarshalBinary() ([]byte, error) {
 	if s.g == nil {
 		return nil, fmt.Errorf("core: scheme retains no graph; cannot snapshot")
@@ -103,12 +103,23 @@ func (s *Scheme) MarshalBinary() ([]byte, error) {
 			size += 4 + 4*len(level)
 		}
 	}
-	if verbatim {
+	switch {
+	case verbatim:
 		size += len(s.lazy.vertBytes) + len(s.lazy.edgeBytes)
-	} else {
+	case s.lazy != nil:
+		// A v3 arena. A label that decodes has the one wire size of the
+		// spec (see MaxEdgeLabelBits); one that does not encodes as a
+		// bare header. The spec is trusted only as far as each label's
+		// own extent, so a hostile one cannot size a huge buffer.
 		size += n * vertexLabelLen
+		per := edgeHeaderLen + 8*s.spec.Words()
 		for e := 0; e < m; e++ {
-			size += edgeLabelLen(s.EdgeLabel(e))
+			size += min(per, edgeHeaderLen+int(s.lazy.edgeOff[e+1]-s.lazy.edgeOff[e]))
+		}
+	default:
+		size += n * vertexLabelLen
+		for _, l := range s.edgeLabels {
+			size += edgeLabelLen(l)
 		}
 	}
 
@@ -427,7 +438,6 @@ func UnmarshalScheme(data []byte) (*Scheme, error) {
 			return nil, r.fail("token fingerprint mismatch (graph and parameters disagree)")
 		}
 		arena.verts = make([]atomic.Pointer[VertexLabel], n)
-		arena.edges = make([]atomic.Pointer[EdgeLabel], m)
 		s.lazy = arena
 		return s, nil
 	}

@@ -2,17 +2,10 @@ package core
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-// legacySnapshots are the repository's v1–v3 fixtures, written by the
-// legacy snapshot writer (2k power sums per Reed–Solomon level) for every
-// scheme kind, a two-level hierarchy and a dynamic scheme.
-const legacySnapshots = "../../testdata/legacy/*.ftcsnap"
 
 // FuzzUnmarshalScheme feeds arbitrary bytes to the snapshot decoder:
 // corrupted input must produce an error — never a panic or a huge
@@ -22,37 +15,46 @@ const legacySnapshots = "../../testdata/legacy/*.ftcsnap"
 // are only reached lazily, so the harness additionally touches every label
 // of an accepted scheme: a corrupt arena slot must decode to a poisoned
 // label (which every query rejects), never panic or over-allocate. The
-// seeds are the legacy fixtures and current-version snapshots, whole and
-// cut in half.
+// seeds are small, so that the fuzzer's time goes to mutating them rather
+// than to gathering their baseline coverage: Petersen schemes with f = 1 of every kind at v1–v3 (written by the
+// test-only legacy writer) and at the current version, plus a dynamic one
+// at v2, v3 and the current version, each whole and cut in half. The
+// large fixtures under testdata/legacy stay with TestSnapshotVersionMatrix
+// and TestLegacyWriterReproducesFixtures, which load every one of them.
 func FuzzUnmarshalScheme(f *testing.F) {
-	paths, err := filepath.Glob(legacySnapshots)
-	if err != nil || len(paths) == 0 {
-		f.Fatalf("no legacy snapshot fixtures at %s (%v)", legacySnapshots, err)
-	}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
-	}
-	for _, p := range []Params{
-		{MaxFaults: 1},
-		{MaxFaults: 2, Kind: KindRandRS, Seed: 7},
-		{MaxFaults: 1, Kind: KindAGM, Seed: 7},
-	} {
-		s, err := Build(workload.Petersen(), p)
-		if err != nil {
-			f.Fatal(err)
-		}
+	add := func(s *Scheme, versions ...byte) {
 		data, err := s.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
 		f.Add(data[:len(data)/2])
+		for _, v := range versions {
+			data := marshalLegacy(s, v)
+			f.Add(data)
+			f.Add(data[:len(data)/2])
+		}
 	}
+	for _, p := range []Params{
+		{MaxFaults: 1},
+		{MaxFaults: 1, Kind: KindDetGreedy},
+		{MaxFaults: 1, Kind: KindRandRS, Seed: 7},
+		{MaxFaults: 1, Kind: KindAGM, Seed: 7},
+	} {
+		s, err := Build(workload.Petersen(), p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		add(s, 1, 2, 3)
+	}
+	d, err := NewDynamic(workload.Petersen(), Params{MaxFaults: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, _, err := d.Commit([]Update{{Add: true, U: 0, V: 2}, {U: 5, V: 7}}); err != nil {
+		f.Fatal(err)
+	}
+	add(d.Scheme(), 2, 3)
 	f.Add([]byte{})
 	f.Add([]byte("FTCSNP"))
 	f.Add([]byte("FTCSNP\x01"))

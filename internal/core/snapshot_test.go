@@ -214,8 +214,35 @@ func TestLazyArenaConcurrentFirstTouch(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if _, verts, edges := loaded.LazyLabels(); verts != g.N() || edges != g.M() {
-		t.Fatalf("arena not fully resident after touch-all (verts=%d edges=%d)", verts, edges)
+	if _, verts := loaded.LazyLabels(); verts != g.N() {
+		t.Fatalf("vertex labels not fully resident after touch-all (verts=%d)", verts)
+	}
+}
+
+// TestLazyArenaKeepsNoEdgeLabel pins that a lazily loaded scheme retains
+// no decoded edge label: two reads of one edge are equal on the wire, but
+// each is a fresh decode whose payload shares no storage with the other.
+func TestLazyArenaKeepsNoEdgeLabel(t *testing.T) {
+	s, err := Build(workload.Petersen(), Params{MaxFaults: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := UnmarshalScheme(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < loaded.Graph().M(); e++ {
+		first, second := loaded.EdgeLabel(e), loaded.EdgeLabel(e)
+		if !bytes.Equal(MarshalEdgeLabel(first), MarshalEdgeLabel(second)) {
+			t.Fatalf("edge %d: two reads marshal differently", e)
+		}
+		if len(first.Out) == 0 || &first.Out[0] == &second.Out[0] {
+			t.Fatalf("edge %d: two reads share their Out storage (len %d)", e, len(first.Out))
+		}
 	}
 }
 

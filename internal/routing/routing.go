@@ -85,7 +85,9 @@ func Build(g *graph.Graph, f int) (*Network, error) {
 
 // NewFromLabels compiles routing tables for g from an existing labeling —
 // no scheme construction. src must label the same graph (same edge and
-// vertex indexing) or the tables are garbage.
+// vertex indexing) or the tables are garbage. Each edge label is read once:
+// its two ancestry labels are all the tables need, and both endpoints'
+// entries are filled from them.
 func NewFromLabels(g *graph.Graph, src LabelSource) *Network {
 	net := &Network{g: g, src: src, tables: make([]nodeTable, g.N())}
 	for v := 0; v < g.N(); v++ {
@@ -95,32 +97,38 @@ func NewFromLabels(g *graph.Graph, src LabelSource) *Network {
 			virtuals:   map[uint32]int{},
 		}
 	}
+	type ends struct{ parent, child ancestry.Label }
+	edges := make([]ends, g.M())
+	for e := range edges {
+		el := src.EdgeLabelByIndex(e)
+		edges[e] = ends{el.Parent, el.Child}
+	}
 	for v := 0; v < g.N(); v++ {
 		tab := &net.tables[v]
 		for port, half := range g.Adj(v) {
-			el := src.EdgeLabelByIndex(half.Edge)
+			el := edges[half.Edge]
 			// Tree edge of T′ between two real vertices ⇔ the child
 			// label is a real vertex's label, i.e. matches one of the
 			// two endpoints' ancestry labels.
-			vAnc := net.tables[v].self
-			uAnc := src.VertexLabel(half.To).Anc
+			vAnc := tab.self
+			uAnc := net.tables[half.To].self
 			switch {
-			case el.Child == uAnc:
+			case el.child == uAnc:
 				// Edge descends from v to half.To.
 				tab.tree = append(tab.tree, portEntry{
-					port: port, lo: el.Child.Pre, hi: el.Child.Post, down: true,
+					port: port, lo: el.child.Pre, hi: el.child.Post, down: true,
 				})
-			case el.Child == vAnc:
+			case el.child == vAnc:
 				tab.parentPort = port
 			default:
-				// Non-tree edge: Child is the virtual x_e.
-				tab.virtuals[el.Child.Pre] = port
-				if el.Parent == vAnc {
+				// Non-tree edge: the child is the virtual x_e.
+				tab.virtuals[el.child.Pre] = port
+				if el.parent == vAnc {
 					// v owns x_e as a virtual child: tree-routing
 					// toward x_e terminates here.
 					tab.tree = append(tab.tree, portEntry{
-						port: port, lo: el.Child.Pre, hi: el.Child.Post,
-						down: true, virtual: el.Child.Pre,
+						port: port, lo: el.child.Pre, hi: el.child.Post,
+						down: true, virtual: el.child.Pre,
 					})
 				}
 			}

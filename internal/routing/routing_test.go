@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -170,5 +171,32 @@ func TestTableBits(t *testing.T) {
 	// Local tables are O(deg·log n): generously bounded here.
 	if maxLocal > 10000 {
 		t.Fatalf("max local table %d bits is not compact", maxLocal)
+	}
+}
+
+// countingSource counts the edge-label reads of a table build.
+type countingSource struct {
+	coreSource
+	edgeReads int
+}
+
+func (c *countingSource) EdgeLabelByIndex(e int) core.EdgeLabel {
+	c.edgeReads++
+	return c.coreSource.EdgeLabelByIndex(e)
+}
+
+// TestNewFromLabelsReadsEachEdgeOnce pins that compiling the routing tables
+// reads every edge label exactly once, not once per half-edge.
+func TestNewFromLabelsReadsEachEdgeOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := workload.ErdosRenyi(60, 0.1, true, rng)
+	built, err := Build(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{coreSource: coreSource{built.Scheme()}}
+	NewFromLabels(g, src)
+	if src.edgeReads != g.M() {
+		t.Fatalf("NewFromLabels made %d edge-label reads, want m = %d", src.edgeReads, g.M())
 	}
 }

@@ -2,7 +2,9 @@ package genlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -426,4 +428,47 @@ func TestAfterCompactRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// FuzzParseCheckpoint feeds arbitrary bytes to the checkpoint sidecar
+// parser, the one FTCC decoder: it must never panic, refuse with one of
+// the log's sentinel errors, and accept only a payload of exactly the
+// declared length whose CRC-32 matches the header. The seeds are a
+// checkpoint Compact wrote and truncations of it.
+func FuzzParseCheckpoint(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "gen.log")
+	l := writeLog(f, path, synthDeltas(4, 1)) // gens 2..5
+	if _, err := l.Compact(3, 5, saveBytes([]byte("scheme snapshot at generation 5"))); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(CheckpointPath(path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(data), len(data) - 1, ckptHeaderLen, ckptHeaderLen - 1, 5, 0} {
+		f.Add(data[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, err := parseCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadVersion) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("parse error %v is not a log sentinel", err)
+			}
+			return
+		}
+		payload := data[ckptHeaderLen:]
+		if info.Payload != int64(len(payload)) || binary.LittleEndian.Uint64(data[13:]) != uint64(len(payload)) {
+			t.Fatalf("accepted %d payload bytes, header declares %d, info says %d",
+				len(payload), binary.LittleEndian.Uint64(data[13:]), info.Payload)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[21:]) {
+			t.Fatal("accepted a payload whose CRC-32 does not match the header")
+		}
+		if info.Gen != binary.LittleEndian.Uint64(data[5:]) {
+			t.Fatalf("accepted generation %d, header declares %d", info.Gen, binary.LittleEndian.Uint64(data[5:]))
+		}
+	})
 }

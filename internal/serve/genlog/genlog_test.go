@@ -74,7 +74,7 @@ func buildGoldenRun(t *testing.T) (*core.Dynamic, []*core.GenDelta, map[uint64]*
 	return d, deltas, schemes
 }
 
-func writeLog(t *testing.T, path string, deltas []*core.GenDelta) *Log {
+func writeLog(t testing.TB, path string, deltas []*core.GenDelta) *Log {
 	t.Helper()
 	l, err := Open(path)
 	if err != nil {

@@ -80,15 +80,6 @@ type ReplicatorOptions struct {
 	SnapRefetchBase time.Duration
 	SnapRefetchMax  time.Duration
 
-	// HTTPClient fetches /snapshot and /healthz from the primary
-	// (default: a client with a 30s timeout for healthz; snapshots
-	// stream without a deadline).
-	HTTPClient *http.Client
-
-	// Dialer opens the log-tail connection (default net.Dial "tcp").
-	// Tests inject failures here.
-	Dialer func(addr string) (net.Conn, error)
-
 	// BinAddr overrides the binary-listener address advertised by the
 	// primary's /healthz. Needed when the primary's advertised address is
 	// not reachable from the replica (NAT, test harnesses).
@@ -117,14 +108,6 @@ func (o *ReplicatorOptions) fill() {
 			o.SnapRefetchMax = o.SnapRefetchBase
 		}
 	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{Timeout: 30 * time.Second}
-	}
-	if o.Dialer == nil {
-		o.Dialer = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
-		}
-	}
 }
 
 // Replicator tails one primary and owns the replica's Server. Construct
@@ -136,6 +119,9 @@ type Replicator struct {
 	primary string // primary's HTTP base URL, e.g. http://127.0.0.1:8080
 	opts    ReplicatorOptions
 	srv     *Server
+	// client fetches /snapshot and /healthz from the primary. Its 30 s
+	// timeout bounds each whole exchange, the /snapshot body included.
+	client *http.Client
 
 	cur atomic.Pointer[core.Scheme] // the serving scheme; never nil after New
 
@@ -170,7 +156,7 @@ type Replicator struct {
 // Tailing does not start until Start is called.
 func NewReplicator(primaryURL string, opts ReplicatorOptions) (*Replicator, error) {
 	opts.fill()
-	r := &Replicator{primary: primaryURL, opts: opts}
+	r := &Replicator{primary: primaryURL, opts: opts, client: &http.Client{Timeout: 30 * time.Second}}
 	r.setState("syncing")
 	r.srv = NewDynamic(func() Scheme {
 		return replicaScheme{r.cur.Load()}
@@ -355,7 +341,7 @@ func (r *Replicator) tailOnce(stop chan struct{}) (applied int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	conn, err := r.opts.Dialer(addr)
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return 0, err
 	}
@@ -482,7 +468,7 @@ func (r *Replicator) refreshState(fromTail bool) {
 // reload is a full-rebuild commit as far as cached fault sets are
 // concerned).
 func (r *Replicator) bootstrap() error {
-	resp, err := r.opts.HTTPClient.Get(r.primary + "/snapshot")
+	resp, err := r.client.Get(r.primary + "/snapshot")
 	if err != nil {
 		return err
 	}
@@ -554,7 +540,7 @@ func (r *Replicator) resolveBinAddr() (string, error) {
 	if r.opts.BinAddr != "" {
 		return r.opts.BinAddr, nil
 	}
-	resp, err := r.opts.HTTPClient.Get(r.primary + "/healthz")
+	resp, err := r.client.Get(r.primary + "/healthz")
 	if err != nil {
 		return "", err
 	}

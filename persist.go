@@ -41,11 +41,12 @@ func (s *Scheme) Save(w io.Writer) error {
 // to those of the scheme that was saved.
 //
 // A scheme loaded from a current-format (v4) or v3 snapshot is lazy: the
-// label sections are aliased zero-copy and each label is decoded the first
-// time it is touched, so loading is O(1) in label bytes and a serving
-// replica only ever pays for the labels its traffic actually probes. Laziness is
-// invisible to the API — labels, queries, and marshalings are identical to
-// an eager load — and concurrent first touches are safe.
+// label sections are aliased zero-copy, so loading is O(1) in label bytes
+// and a serving replica only ever pays for the labels its traffic actually
+// probes. A vertex label is decoded the first time it is touched and
+// retained; an edge label is decoded on every read and not retained.
+// Laziness is invisible to the API — labels, queries, and marshalings are
+// identical to an eager load — and concurrent touches are safe.
 type LoadedScheme struct {
 	Scheme
 }

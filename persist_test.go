@@ -281,8 +281,9 @@ func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[strin
 // marshalings, identical generation and Stats, and saving any of them must
 // write exactly the fresh build's snapshot (a loaded v3 arena is
 // re-encoded, never copied). It also pins the laziness itself: loading a
-// v3/v4 snapshot decodes no labels until one is touched, and Stats touches
-// none.
+// v3/v4 snapshot decodes no labels until one is touched, Stats touches
+// none, and the arena keeps the vertex labels it decoded (edge labels are
+// never kept).
 func TestSnapshotVersionMatrix(t *testing.T) {
 	schemes, versions := matrixSchemes(t)
 	for name, s := range schemes {
@@ -309,19 +310,19 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 			t.Fatalf("%s: load current version: %v", name, err)
 		}
 		for version, loaded := range loads {
-			lazy, verts, edges := loaded.Inner().LazyLabels()
+			lazy, verts := loaded.Inner().LazyLabels()
 			if version <= 2 && lazy {
 				t.Fatalf("%s: v%d load is lazy, want eager", name, version)
 			}
-			if version >= 3 && (!lazy || verts != 0 || edges != 0) {
-				t.Fatalf("%s: v%d load not lazy-and-untouched (lazy=%v verts=%d edges=%d)",
-					name, version, lazy, verts, edges)
+			if version >= 3 && (!lazy || verts != 0) {
+				t.Fatalf("%s: v%d load not lazy-and-untouched (lazy=%v verts=%d)",
+					name, version, lazy, verts)
 			}
 			if loaded.Stats() != s.Stats() {
 				t.Fatalf("%s: v%d stats differ: %+v vs %+v", name, version, loaded.Stats(), s.Stats())
 			}
-			if _, verts, edges := loaded.Inner().LazyLabels(); verts != 0 || edges != 0 {
-				t.Fatalf("%s: v%d Stats decoded %d vertex and %d edge labels", name, version, verts, edges)
+			if _, verts := loaded.Inner().LazyLabels(); verts != 0 {
+				t.Fatalf("%s: v%d Stats decoded %d vertex labels", name, version, verts)
 			}
 			if loaded.Generation() != s.Generation() {
 				t.Fatalf("%s: v%d generation %d, want %d", name, version, loaded.Generation(), s.Generation())
@@ -344,8 +345,8 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 			}
 		}
 		for version, loaded := range loads {
-			if lazy, verts, edges := loaded.Inner().LazyLabels(); lazy && (verts != s.N() || edges != s.M()) {
-				t.Fatalf("%s: v%d arena did not materialize on touch (verts=%d edges=%d)", name, version, verts, edges)
+			if lazy, verts := loaded.Inner().LazyLabels(); lazy && verts != s.N() {
+				t.Fatalf("%s: v%d arena did not materialize its vertex labels on touch (verts=%d)", name, version, verts)
 			}
 			var saved bytes.Buffer
 			if err := loaded.Save(&saved); err != nil {
