@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-build bench-query bench-update chaos fuzz clean
+.PHONY: build test vet bench bench-build bench-query bench-update chaos fuzz loc clean
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCheckpoint' -fuzztime 10s ./internal/serve/genlog
 	$(GO) test -run '^$$' -fuzz 'FuzzWireFrame' -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzSketchDecode' -fuzztime 10s ./internal/rs
+
+# Non-test lines per package of the root module (`wc -l` of the package's
+# non-test .go files, subpackages counted on their own rows), then the
+# perfbench module as one row, then the total.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | { \
+		total=0; \
+		while read -r pkg dir; do \
+			n=$$(find "$$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+			printf '%7d  %s\n' "$$n" "$$pkg"; total=$$((total + n)); \
+		done; \
+		n=$$(find perfbench -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%7d  %s\n' "$$n" "perfbench (module)"; total=$$((total + n)); \
+		printf '%7d  total\n' "$$total"; \
+	}
 
 clean:
 	$(GO) clean ./...

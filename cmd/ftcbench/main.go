@@ -1078,7 +1078,7 @@ func binSmoke() {
 	if !counted {
 		die("ftcserve_bin_requests_total missing or zero after %d probes:\n%s", workers*probesPer, exposition)
 	}
-	if !strings.Contains(exposition, "ftcserve_bin_connections") || !strings.Contains(exposition, `ftcserve_cache_hits_total{shard="`) {
+	if !strings.Contains(exposition, "ftcserve_bin_connections") || !strings.Contains(exposition, "\nftcserve_cache_hits_total ") {
 		die("metrics exposition missing expected series:\n%s", exposition)
 	}
 	for _, series := range []string{"ftcserve_route_plans_total ", "ftcserve_vprobes_total "} {

@@ -1,8 +1,7 @@
 // Command ftcserve is the probe-serving daemon: it loads a scheme snapshot
 // (or builds one from a graph file) and answers batched s–t connectivity
-// probes over HTTP, caching compiled fault sets in a sharded LRU so
-// repeated probes of one failure event hit the zero-alloc steady-state
-// path and concurrent probes of different events scale with cores.
+// probes over HTTP, caching compiled fault sets in one LRU so repeated
+// probes of one failure event hit the zero-alloc steady-state path.
 //
 //	ftcserve -snapshot scheme.ftcsnap [-addr :8337] [-cache 256]
 //	ftcserve -graph g.txt [-f 3] [-scheme det|greedy|rand|agm] [-seed 1] [-save scheme.ftcsnap]
@@ -31,7 +30,7 @@
 //	                 → {"generation":2, "incremental":true, "relabeled":5, ...}
 //	GET  /snapshot   the current generation as a binary snapshot (what replicas bootstrap from)
 //	GET  /healthz    liveness, scheme shape, and generation
-//	GET  /stats      serving and cache counters, incl. per-shard occupancy/hits/misses
+//	GET  /stats      serving and cache counters (hits, misses, occupancy, sweep and LRU evictions)
 //	GET  /metrics    the same counters in Prometheus text exposition format
 //
 // With -listen-bin the daemon additionally serves the binary frame protocol
@@ -128,7 +127,7 @@ func main() {
 	schemeKind := flag.String("scheme", "det", "det|greedy|rand|agm (with -graph)")
 	seed := flag.Int64("seed", 1, "seed for randomized schemes (with -graph)")
 	savePath := flag.String("save", "", "write the built scheme's snapshot here (with -graph)")
-	cacheSize := flag.Int("cache", 256, "compiled fault-set cache capacity (sharded automatically by capacity and GOMAXPROCS)")
+	cacheSize := flag.Int("cache", 256, "compiled fault-set cache capacity (entries, one LRU)")
 	dynamic := flag.Bool("dynamic", false, "serve a mutable network with POST /update (with -graph)")
 	headroom := flag.Int("headroom", 0, "per-vertex incremental insertion headroom (with -dynamic; 0 = default)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
@@ -231,8 +230,8 @@ func main() {
 	// which the main server below never uses.
 	if *pprofAddr != "" {
 		// With profiling on, also sample lock contention: the mutex and block
-		// profiles show where probes wait when a saturated cache shard is
-		// the bottleneck (perfbench reports the same wait as
+		// profiles show where probes wait when the cache lock is the
+		// bottleneck (perfbench reports the same wait as
 		// serve.mutex_wait_ns).
 		runtime.SetMutexProfileFraction(100)
 		runtime.SetBlockProfileRate(100_000) // sample blocks ≥100µs

@@ -231,10 +231,14 @@ func (s *Scheme) MustEdgeLabel(u, v int) EdgeLabel {
 }
 
 // EdgeLabelByIndex returns an independent copy of the label of the i-th
-// inserted edge.
+// inserted edge. A lazily loaded scheme decodes a fresh label per read,
+// which is already the caller's; only a payload shared with the scheme's
+// storage is copied.
 func (s *Scheme) EdgeLabelByIndex(i int) EdgeLabel {
 	l := s.inner.EdgeLabel(i)
-	l.Out = append([]uint64(nil), l.Out...)
+	if s.inner.EdgeLabelsShared() {
+		l.Out = append([]uint64(nil), l.Out...)
+	}
 	return l
 }
 

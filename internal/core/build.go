@@ -586,6 +586,11 @@ func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 	return s.edgeLabels[e]
 }
 
+// EdgeLabelsShared reports, in O(1), whether EdgeLabel's payloads share the
+// scheme's storage (built and eagerly loaded schemes) rather than being
+// decoded afresh for each caller (lazily loaded ones).
+func (s *Scheme) EdgeLabelsShared() bool { return s.lazy == nil }
+
 // LazyLabels reports whether the scheme's labels live in a v3/v4 snapshot
 // arena and, if so, how many vertex labels it holds decoded — the
 // observability hook behind the lazy-load tests. Edge labels are never

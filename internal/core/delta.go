@@ -217,7 +217,11 @@ func assemble(s *Scheme, r *replay, d *GenDelta) (*CommitReport, *Scheme, error)
 				continue
 			}
 		}
-		els[post] = s.EdgeLabel(pre)
+		// A lazily loaded slot that failed to decode arrives poisoned;
+		// the restamp below would make it a valid label, so refuse it.
+		if els[post] = s.EdgeLabel(pre); els[post].Token != s.token {
+			return nil, nil, fmt.Errorf("%w: edge %d's label does not carry the scheme token", ErrDeltaMismatch, pre)
+		}
 		filled[post] = true
 	}
 	for i, idx := range d.DirtyIdx {
@@ -233,8 +237,11 @@ func assemble(s *Scheme, r *replay, d *GenDelta) (*CommitReport, *Scheme, error)
 				return nil, nil, fmt.Errorf("%w: dirty mask %d is not a binary syndrome in the legacy layout", ErrDeltaMismatch, idx)
 			}
 		}
-		if len(mask) != words || len(els[idx].Out) != words {
-			return nil, nil, fmt.Errorf("%w: dirty mask %d has %d words, spec wants %d", ErrDeltaMismatch, idx, len(d.DirtyXor[i]), words)
+		if len(mask) != words {
+			return nil, nil, fmt.Errorf("%w: dirty mask %d has %d words, spec wants %d", ErrDeltaMismatch, idx, len(mask), words)
+		}
+		if len(els[idx].Out) != words {
+			return nil, nil, fmt.Errorf("%w: dirty edge %d's label has %d words, spec wants %d", ErrDeltaMismatch, idx, len(els[idx].Out), words)
 		}
 		out := make([]uint64, words)
 		for w := range out {
@@ -263,7 +270,9 @@ func assemble(s *Scheme, r *replay, d *GenDelta) (*CommitReport, *Scheme, error)
 
 	vls := make([]VertexLabel, s.n)
 	for v := range vls {
-		vls[v] = s.VertexLabel(v)
+		if vls[v] = s.VertexLabel(v); vls[v].Token != s.token {
+			return nil, nil, fmt.Errorf("%w: vertex %d's label does not carry the scheme token", ErrDeltaMismatch, v)
+		}
 	}
 	out := &Scheme{
 		params:       s.params,

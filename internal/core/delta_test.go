@@ -338,3 +338,42 @@ func TestDeltaNoopCommit(t *testing.T) {
 		t.Fatalf("empty commit: rep=%+v delta=%+v err=%v", rep, delta, err)
 	}
 }
+
+// TestApplyDeltaRefusesPoisonedLabel: on a lazily loaded replica a label
+// slot that fails to decode reads back poisoned, and replay must refuse to
+// carry it into the next generation rather than restamp it as valid. Edge
+// 1 is a slot the commit below does not dirty, so only the carry reads it.
+func TestApplyDeltaRefusesPoisonedLabel(t *testing.T) {
+	for _, slot := range []string{"edge", "vertex"} {
+		t.Run(slot, func(t *testing.T) {
+			d, err := NewDynamic(workload.Petersen(), Params{MaxFaults: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := d.Scheme().MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			replica, err := UnmarshalScheme(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := replica.lazy
+			if slot == "edge" {
+				a.edgeBytes[a.edgeOff[1]] ^= 0xff
+			} else {
+				a.vertBytes[a.vertOff[1]] ^= 0xff
+			}
+			_, delta, _, err := d.Commit([]Update{{Add: true, U: 0, V: 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(delta.DirtyIdx, 1) {
+				t.Fatalf("edge 1 is dirty in the delta (%v); the carry path is not exercised", delta.DirtyIdx)
+			}
+			if _, _, err := ApplyDelta(replica, delta); !errors.Is(err, ErrDeltaMismatch) {
+				t.Fatalf("replay over a poisoned %s label: got %v, want ErrDeltaMismatch", slot, err)
+			}
+		})
+	}
+}

@@ -3,12 +3,14 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -70,7 +72,7 @@ func BenchmarkHandleConnected(b *testing.B) {
 }
 
 // BenchmarkServerFaultSetWarm measures the probe-layer hot path alone —
-// the per-probe cost the sharded cache is designed around: one cache stab
+// the per-probe cost the cache is designed around: one cache stab
 // resolving the compiled FaultSet plus one zero-alloc Connected probe.
 func BenchmarkServerFaultSetWarm(b *testing.B) {
 	sch := buildScheme(b, 256, 3, 11)
@@ -91,5 +93,42 @@ func BenchmarkServerFaultSetWarm(b *testing.B) {
 		if _, err := fs.Connected(s, t); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUpdateSweepAllMove measures how long one update sweep holds the
+// cache lock over a full cache whose every entry moves: each commit report
+// shifts every edge index (up by one, then back down), so every compiled
+// two-edge event is remapped, rebased and re-homed under a new key. ns/op
+// is the longest a probe arriving mid-sweep waits for the lock.
+func BenchmarkUpdateSweepAllMove(b *testing.B) {
+	sch := buildScheme(b, 256, 3, 11)
+	up, down := make([]int, sch.Graph().M()+1), make([]int, sch.Graph().M()+1)
+	for e := range up {
+		up[e], down[e] = e+1, e-1
+	}
+	for _, entries := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			srv := serve.New(sch, entries)
+			for k := 0; k < entries; k++ {
+				if _, _, err := srv.FaultSet([]int{k / 64, 64 + k%64}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			gen := sch.Generation()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gen++
+				remap := up
+				if i%2 == 1 {
+					remap = down
+				}
+				rep := &core.CommitReport{Gen: gen, Token: 1, Incremental: true, Remap: remap}
+				if evicted, rebased := srv.ApplyReplicatedCommit(rep); evicted != 0 || rebased != entries {
+					b.Fatalf("sweep %d: evicted=%d rebased=%d, want 0/%d", i, evicted, rebased, entries)
+				}
+			}
+		})
 	}
 }

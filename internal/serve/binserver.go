@@ -17,7 +17,7 @@ import (
 
 // The binary protocol surface: the same Server that answers JSON over
 // HTTP also accepts persistent framed connections (wire package), sharing
-// the query executor, the sharded fault-set cache, and the update path.
+// the query executor, the fault-set cache, and the update path.
 // One connection is one goroutine reading frames in order and writing
 // responses in the same order — which is what lets clients
 // pipeline: responses match requests FIFO, so a client may keep any

@@ -74,9 +74,9 @@ func TestBinMatchesHTTP(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 		}
-		resp, httpOut := postConnected(t, ts.URL, serve.ConnectedRequest{FaultEdges: faults, Pairs: pairs})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("trial %d: HTTP status %d", trial, resp.StatusCode)
+		status, httpOut := postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", serve.ConnectedRequest{FaultEdges: faults, Pairs: pairs})
+		if status != http.StatusOK {
+			t.Fatalf("trial %d: HTTP status %d", trial, status)
 		}
 		binOut, hit, gen, err := cl.ProbeInto(faults, pairs, nil, 0)
 		if err != nil {
@@ -351,8 +351,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 	addr := binListener(t, srv)
 
-	if resp, _ := postConnected(t, ts.URL, serve.ConnectedRequest{FaultEdges: []int{1}, Pairs: [][2]int{{0, 1}}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("HTTP probe: %d", resp.StatusCode)
+	if status, _ := postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", serve.ConnectedRequest{FaultEdges: []int{1}, Pairs: [][2]int{{0, 1}}}); status != http.StatusOK {
+		t.Fatalf("HTTP probe: %d", status)
 	}
 	cl, err := wireclient.Dial(addr, wireclient.Options{})
 	if err != nil {
@@ -388,8 +388,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ftcserve_bin_requests_total 1",
 		"ftcserve_frame_decode_errors_total 0",
 		"ftcserve_bin_connections 1",
-		`ftcserve_cache_hits_total{shard="`,
-		`ftcserve_cache_misses_total{shard="`,
+		"ftcserve_cache_hits_total 1",
+		"ftcserve_cache_misses_total 1",
 		"# TYPE ftcserve_generation gauge",
 		"# TYPE ftcserve_probes_total counter",
 	} {

@@ -38,26 +38,6 @@ func dynamicServer(t testing.TB, nw *ftc.Network, cacheSize int) *serve.Server {
 	return serve.NewDynamic(func() serve.Scheme { return nw.Snapshot() }, nw, cacheSize)
 }
 
-func postJSON[T any](t *testing.T, url string, body any) (int, T) {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out T
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp.StatusCode, out
-}
-
 // TestHandlerUpdate drives the full generation-aware serving flow: probe →
 // update → selective cache sweep → probe again, checking answers against
 // the BFS oracle at every generation and that clean cache entries survive
@@ -178,6 +158,83 @@ func TestHandlerUpdate(t *testing.T) {
 	st := srv.Stats()
 	if st.Updates != 2 || st.Generation != nw.Generation() {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestUpdateSweepRehomesShiftedEvents: removing a non-tree edge r shifts
+// every higher edge index down by one, so each cached event on a non-tree
+// edge above r moves to a new key — often onto the key another cached
+// event held before the sweep. None of those events touches a relabeled
+// edge, so the sweep must carry every one of them into the new generation
+// warm: cache_evicted 0, cache_rebased one per event, and every event a
+// cache hit afterwards.
+func TestUpdateSweepRehomesShiftedEvents(t *testing.T) {
+	const n, f, events = 160, 2, 24
+	nw := openNetwork(t, n, f, 5)
+	srv := dynamicServer(t, nw, 256)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	snap := nw.Snapshot()
+	g := snap.Graph()
+	r := -1
+	var faults [][2]int // single-edge events, in increasing edge index
+	adjacent := false
+	prev := -2
+	for e, tree := range snap.Inner().Forest.IsTreeEdge {
+		if tree {
+			continue
+		}
+		if r < 0 {
+			r = e
+			continue
+		}
+		if len(faults) < events {
+			faults = append(faults, [2]int{g.Edges[e].U, g.Edges[e].V})
+			adjacent = adjacent || e == prev+1
+			prev = e
+		}
+	}
+	if len(faults) < events || !adjacent {
+		t.Fatalf("need %d non-tree edges above r=%d with two adjacent indices; got %d (adjacent=%v)", events, r, len(faults), adjacent)
+	}
+
+	rng := rand.New(rand.NewSource(6))
+	probe := func(uv [2]int, wantHit bool, tag string) {
+		cur := nw.Snapshot().Graph()
+		set := map[int]bool{cur.EdgeIndex(uv[0], uv[1]): true}
+		req := serve.ConnectedRequest{Faults: [][2]int{uv}}
+		for q := 0; q < 4; q++ {
+			req.Pairs = append(req.Pairs, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		status, out := postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", req)
+		if status != http.StatusOK || out.CacheHit != wantHit || out.Generation != nw.Generation() {
+			t.Fatalf("%s %v: status %d cache_hit=%v generation %d, want 200 %v %d",
+				tag, uv, status, out.CacheHit, out.Generation, wantHit, nw.Generation())
+		}
+		for i, p := range req.Pairs {
+			if want := graph.ConnectedUnder(cur, set, p[0], p[1]); out.Connected[i] != want {
+				t.Fatalf("%s %v: pair %v: got %v, want %v", tag, uv, p, out.Connected[i], want)
+			}
+		}
+	}
+	// Warm in increasing index order, so the sweep meets the highest
+	// (most recently used) event first and moves it onto the key of the
+	// event just below it before that one has moved.
+	for _, uv := range faults {
+		probe(uv, false, "warm")
+	}
+
+	rm := g.Edges[r]
+	status, upd := postJSON[serve.UpdateResponse](t, ts.URL+"/update", serve.UpdateRequest{Remove: [][2]int{{rm.U, rm.V}}})
+	if status != http.StatusOK || !upd.Incremental {
+		t.Fatalf("removing non-tree edge %d: status %d incremental=%v (%s)", r, status, upd.Incremental, upd.Reason)
+	}
+	if upd.CacheEvicted != 0 || upd.CacheRebased != events {
+		t.Fatalf("sweep: cache_evicted=%d cache_rebased=%d, want 0/%d", upd.CacheEvicted, upd.CacheRebased, events)
+	}
+	for _, uv := range faults {
+		probe(uv, true, "after update")
 	}
 }
 
@@ -344,15 +401,14 @@ func TestUpdateChurnRace(t *testing.T) {
 	}
 }
 
-// TestShardedCacheChurnRace is the sharded-cache concurrency gate (run
-// under -race in CI): many distinct failure events — spread across cache
-// shards — are probed concurrently over both the HTTP handler and the raw
-// FaultSet path while /update commits churn the topology, so per-shard
-// sweeps, cross-shard rebase evictions, singleflight compiles, and the
+// TestCacheChurnRace is the cache concurrency gate (run under -race in
+// CI): many distinct failure events are probed concurrently over both the
+// HTTP handler and the raw FaultSet path while /update commits churn the
+// topology, so update sweeps, rebases, singleflight compiles, and the
 // stale-probe retry all interleave. HTTP answers are oracle-checked per
 // generation; raw probes assert that the only error a racing client can
 // ever see is ErrStaleLabel.
-func TestShardedCacheChurnRace(t *testing.T) {
+func TestCacheChurnRace(t *testing.T) {
 	const (
 		n, f      = 160, 3
 		events    = 12
@@ -362,7 +418,7 @@ func TestShardedCacheChurnRace(t *testing.T) {
 		churnBase = 100 // updates only touch vertices >= churnBase
 	)
 	nw := openNetwork(t, n, f, 21)
-	srv := serve.NewDynamicSharded(func() serve.Scheme { return nw.Snapshot() }, nw, 64, 8)
+	srv := dynamicServer(t, nw, 64)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -382,7 +438,7 @@ func TestShardedCacheChurnRace(t *testing.T) {
 	}
 
 	// Distinct stable failure events (edges entirely below churnBase), so
-	// their cache entries spread across shards and survive updates warm.
+	// their cache entries survive updates warm.
 	g0 := nw.Snapshot().Graph()
 	var stable [][2]int
 	for _, e := range g0.Edges {
@@ -511,18 +567,5 @@ func TestShardedCacheChurnRace(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if len(st.CacheShards) != 8 {
-		t.Fatalf("expected 8 shards in stats, got %d", len(st.CacheShards))
-	}
-	var spread int
-	for _, sh := range st.CacheShards {
-		if sh.Size > 0 {
-			spread++
-		}
-	}
-	if spread < 2 {
-		t.Fatalf("all cache entries landed in %d shard(s); churn test is not exercising sharding", spread)
 	}
 }

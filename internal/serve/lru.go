@@ -26,27 +26,26 @@ type cacheEntry struct {
 	err      error
 }
 
-// lruCache is a mutex-guarded LRU of compiled fault sets keyed by the
-// canonical fault-label hash — one shard of the serving cache (see
-// shardedCache). The lock covers only map/list bookkeeping; compilation
+// lruCache is the server's one cache of compiled fault sets: a
+// mutex-guarded LRU keyed by the canonical fault-label hash (wire.FaultKey).
+// The lock covers only map/list bookkeeping and the counters; compilation
 // and probing happen outside it. Entries are generation-stamped: an update
 // sweep (applyUpdate) evicts exactly the entries whose fault edges were
 // relabeled or removed and rebases the rest in place, keeping their warm
-// closures. The counters are atomic so the stats path can aggregate across
-// shards without taking every shard lock.
+// closures.
 type lruCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      *list.List // front = most recently used; values are *cacheEntry
 	items   map[uint64]*list.Element
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	evicted atomic.Uint64 // entries dropped by update sweeps
-	rebased atomic.Uint64 // entries carried across generations by update sweeps
+	hits    uint64
+	misses  uint64
+	evicted uint64 // entries dropped by update sweeps
+	rebased uint64 // entries carried across generations by update sweeps
 	// capEvicted counts entries displaced by capacity pressure (the LRU
 	// eviction proper, as opposed to update-sweep drops) — the signal that
 	// the cache is undersized for the working set.
-	capEvicted atomic.Uint64
+	capEvicted uint64
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -58,15 +57,6 @@ func newLRUCache(capacity int) *lruCache {
 		ll:    list.New(),
 		items: make(map[uint64]*list.Element, capacity),
 	}
-}
-
-// cacheKey hashes a canonical (sorted, deduplicated) fault-edge index
-// slice. It delegates to the wire protocol's FaultKey, which is the
-// single source of truth for this hash: the binary probe path computes
-// the same value incrementally while decoding a frame, so both protocol
-// surfaces address one cache with one hashing pass each.
-func cacheKey(canon []int) uint64 {
-	return wire.FaultKey(canon)
 }
 
 // get returns the entry for (key, canon) at generation gen, inserting (and
@@ -82,12 +72,12 @@ func (c *lruCache) get(key uint64, canon []int, gen uint64) (ent *cacheEntry, hi
 		ent := el.Value.(*cacheEntry)
 		if !equalInts(ent.canon, canon) {
 			// Collision bypass: count as a miss so lookups == hits+misses.
-			c.misses.Add(1)
+			c.misses++
 			return nil, false
 		}
 		if ent.gen == gen {
 			c.ll.MoveToFront(el)
-			c.hits.Add(1)
+			c.hits++
 			return ent, true
 		}
 		if ent.gen > gen {
@@ -95,20 +85,20 @@ func (c *lruCache) get(key uint64, canon []int, gen uint64) (ent *cacheEntry, hi
 			// holding a superseded view must not evict the warm entry the
 			// update sweep just rebased. Bypass the cache, like the
 			// collision path.
-			c.misses.Add(1)
+			c.misses++
 			return nil, false
 		}
 		c.ll.Remove(el)
 		delete(c.items, key)
 	}
-	c.misses.Add(1)
+	c.misses++
 	ent = &cacheEntry{key: key, canon: append([]int(nil), canon...), gen: gen}
 	c.items[key] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.capEvicted.Add(1)
+		c.capEvicted++
 	}
 	return ent, false
 }
@@ -117,7 +107,8 @@ func (c *lruCache) get(key uint64, canon []int, gen uint64) (ent *cacheEntry, hi
 // a relabeled or removed fault edge (or not yet compiled) are evicted;
 // every other entry is remapped to post-commit edge indices and rebased to
 // the new generation, keeping its compiled fragment state and closures
-// warm. Returns how many entries each fate met.
+// warm. Returns how many entries each fate met. The sweep holds the lock
+// for its whole pass.
 //
 // Probes are not serialized with updates, so the cache can hold entries
 // from other generations than the one this report supersedes: an entry
@@ -126,13 +117,7 @@ func (c *lruCache) get(key uint64, canon []int, gen uint64) (ent *cacheEntry, hi
 // would corrupt it — and an entry at any generation other than rep.Gen-1
 // is evicted, because this report says nothing about the commits it
 // missed.
-//
-// The cache is shard self of shardMask+1: a rebased entry whose remapped
-// key hashes to a different shard cannot be re-homed there (that shard's
-// lock is not held), so it is evicted instead — strictly less warm state
-// than an unsharded sweep, never less sound. With mask 0 every key maps
-// back to this shard.
-func (c *lruCache) applyUpdate(rep *core.CommitReport, shardMask, self uint64) (evicted, rebased int) {
+func (c *lruCache) applyUpdate(rep *core.CommitReport) (evicted, rebased int) {
 	if rep.Incremental && len(rep.Relabeled) == 0 && len(rep.Removed) == 0 && rep.Remap == nil {
 		return 0, 0 // no-op commit: no generation change, nothing to sweep
 	}
@@ -142,6 +127,10 @@ func (c *lruCache) applyUpdate(rep *core.CommitReport, shardMask, self uint64) (
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Every swept entry leaves the map before any rebased one re-enters
+	// it: a remapped key can equal the old key of an entry not yet swept
+	// (removing edge r moves {e} onto {e-1}'s slot).
+	var moved []*list.Element
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
@@ -149,6 +138,7 @@ func (c *lruCache) applyUpdate(rep *core.CommitReport, shardMask, self uint64) (
 		if ent.gen == rep.Gen {
 			continue
 		}
+		delete(c.items, ent.key)
 		// Entries that never compiled — or compiled to an error (fs nil) —
 		// carry nothing worth rebasing; recompiling on next use is cheap.
 		drop := !rep.Incremental || ent.gen != rep.Gen-1 || !ent.compiled.Load() || ent.fs == nil
@@ -173,46 +163,39 @@ func (c *lruCache) applyUpdate(rep *core.CommitReport, shardMask, self uint64) (
 		}
 		if drop {
 			c.ll.Remove(el)
-			delete(c.items, ent.key)
 			evicted++
 			continue
 		}
-		// Clean entry: carry it into the new generation. Remapping can
-		// change the key, so re-home it in the map; a collision with
-		// another surviving entry is impossible (canonical index sets are
-		// unique per event) but a hash collision is handled by dropping,
-		// as is a remapped key that now belongs to a different shard.
-		fresh := &cacheEntry{key: cacheKey(canon), canon: canon, gen: rep.Gen}
-		if fresh.key&shardMask != self {
-			c.ll.Remove(el)
-			delete(c.items, ent.key)
-			evicted++
-			continue
-		}
+		// Clean entry: carry it into the new generation under its
+		// remapped key.
+		fresh := &cacheEntry{key: wire.FaultKey(canon), canon: canon, gen: rep.Gen, err: ent.err}
 		fresh.fs = ent.fs.Rebase(rep.Token, rep.Gen)
-		fresh.err = ent.err
 		fresh.once.Do(func() {}) // already compiled
 		fresh.compiled.Store(true)
-		delete(c.items, ent.key)
-		if _, clash := c.items[fresh.key]; clash {
+		el.Value = fresh
+		moved = append(moved, el)
+	}
+	for _, el := range moved {
+		// Canonical index sets are unique per event, so a clash is a hash
+		// collision or an entry a probe raced in at rep.Gen: drop ours.
+		key := el.Value.(*cacheEntry).key
+		if _, clash := c.items[key]; clash {
 			c.ll.Remove(el)
 			evicted++
 			continue
 		}
-		el.Value = fresh
-		c.items[fresh.key] = el
+		c.items[key] = el
 		rebased++
 	}
-	c.evicted.Add(uint64(evicted))
-	c.rebased.Add(uint64(rebased))
+	c.evicted += uint64(evicted)
+	c.rebased += uint64(rebased)
 	return evicted, rebased
 }
 
 func (c *lruCache) stats() (hits, misses, evicted, rebased, capEvicted uint64, size, capacity int) {
 	c.mu.Lock()
-	size = c.ll.Len()
-	c.mu.Unlock()
-	return c.hits.Load(), c.misses.Load(), c.evicted.Load(), c.rebased.Load(), c.capEvicted.Load(), size, c.cap
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.evicted, c.rebased, c.capEvicted, c.ll.Len(), c.cap
 }
 
 func equalInts(a, b []int) bool {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/serve/wire"
 )
 
 func TestLRUEvictionAndStats(t *testing.T) {
@@ -90,7 +91,7 @@ func TestLRUStaleProbeDoesNotEvictNewerEntry(t *testing.T) {
 func TestLRUApplyUpdateSweep(t *testing.T) {
 	c := newLRUCache(8)
 	mk := func(canon []int) *cacheEntry {
-		ent, _ := c.get(cacheKey(canon), canon, 1)
+		ent, _ := c.get(wire.FaultKey(canon), canon, 1)
 		ent.fs = &core.FaultSet{} // stand-in; Rebase of an empty set is itself
 		ent.compiled.Store(true)
 		return ent
@@ -98,7 +99,7 @@ func TestLRUApplyUpdateSweep(t *testing.T) {
 	mk([]int{0, 2})
 	mk([]int{5})
 	mk([]int{3, 7})
-	uncompiled, _ := c.get(cacheKey([]int{9}), []int{9}, 1)
+	uncompiled, _ := c.get(wire.FaultKey([]int{9}), []int{9}, 1)
 	_ = uncompiled // stays uncompiled: must be evicted by the sweep
 
 	// Commit: edge 5 removed (indices above shift down), edge 2 relabeled.
@@ -111,19 +112,50 @@ func TestLRUApplyUpdateSweep(t *testing.T) {
 		Removed:     []int{5},
 		Remap:       remap,
 	}
-	evicted, rebased := c.applyUpdate(rep, 0, 0)
+	evicted, rebased := c.applyUpdate(rep)
 	if evicted != 3 || rebased != 1 {
 		t.Fatalf("evicted=%d rebased=%d, want 3/1", evicted, rebased)
 	}
 	// {3,7} survived as {3,6} at generation 2.
-	if _, hit := c.get(cacheKey([]int{3, 6}), []int{3, 6}, 2); !hit {
+	if _, hit := c.get(wire.FaultKey([]int{3, 6}), []int{3, 6}, 2); !hit {
 		t.Fatal("surviving entry not reachable under remapped indices at the new generation")
 	}
 	// The relabeled and removed events are gone.
-	if _, hit := c.get(cacheKey([]int{0, 2}), []int{0, 2}, 2); hit {
+	if _, hit := c.get(wire.FaultKey([]int{0, 2}), []int{0, 2}, 2); hit {
 		t.Fatal("entry containing a relabeled edge survived the sweep")
 	}
-	if _, hit := c.get(cacheKey([]int{5}), []int{5}, 2); hit {
+	if _, hit := c.get(wire.FaultKey([]int{5}), []int{5}, 2); hit {
 		t.Fatal("entry containing a removed edge survived the sweep")
+	}
+}
+
+// TestLRUApplyUpdateRehomesShiftedKeys: removing an edge below a run of
+// consecutive cached events moves each onto the slot its predecessor held
+// before the sweep. Swept front to back (most recent first), {5} → {4}
+// meets the old key of {4} before {4} has moved; every entry must still be
+// rebased, none evicted.
+func TestLRUApplyUpdateRehomesShiftedKeys(t *testing.T) {
+	c := newLRUCache(8)
+	for _, e := range []int{3, 4, 5} {
+		ent, _ := c.get(wire.FaultKey([]int{e}), []int{e}, 1)
+		ent.fs = &core.FaultSet{}
+		ent.compiled.Store(true)
+	}
+	rep := &core.CommitReport{
+		Gen:         2,
+		Incremental: true,
+		Removed:     []int{1},
+		Remap:       []int{0, -1, 1, 2, 3, 4},
+	}
+	if evicted, rebased := c.applyUpdate(rep); evicted != 0 || rebased != 3 {
+		t.Fatalf("evicted=%d rebased=%d, want 0/3", evicted, rebased)
+	}
+	for _, e := range []int{2, 3, 4} {
+		if _, hit := c.get(wire.FaultKey([]int{e}), []int{e}, 2); !hit {
+			t.Fatalf("event {%d} not warm at the new generation", e)
+		}
+	}
+	if _, _, _, _, _, size, _ := c.stats(); size != 3 {
+		t.Fatalf("size=%d after the sweep, want 3", size)
 	}
 }

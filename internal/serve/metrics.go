@@ -13,17 +13,16 @@ import (
 // client library dependency — the format is lines of `name{labels} value`
 // with # HELP / # TYPE preambles). This is the first piece of the
 // replicated-tier ops story: a fleet of ftcserve replicas becomes
-// scrapeable by any standard Prometheus/Grafana stack, and the per-shard
-// cache counters make occupancy skew after an /update storm visible
-// without shelling into the box.
+// scrapeable by any standard Prometheus/Grafana stack, and the cache
+// counters make a hit-rate collapse after an /update storm visible without
+// shelling into the box.
 
 // metricsNamespace prefixes every exported series.
 const metricsNamespace = "ftcserve"
 
 // handleMetrics renders the serving counters in Prometheus text format.
-// The exposition is rebuilt per scrape from the same atomics /stats reads
-// — scrapes never take the cache shard locks beyond the size reads /stats
-// already performs.
+// The exposition is rebuilt per scrape from the same counters /stats
+// reads, taking the cache lock once, as /stats does.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.Stats()
 	var b strings.Builder
@@ -66,6 +65,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("generation", "Current scheme generation.", float64(st.Generation))
 	gauge("bin_connections", "Open binary-protocol connections.", float64(st.BinConns))
 	gauge("bin_inflight_batches", "Binary-protocol frames currently being served.", float64(st.BinInflight))
+	counter("cache_hits_total", "Fault-set cache hits.", st.CacheHits)
+	counter("cache_misses_total", "Fault-set cache misses.", st.CacheMisses)
+	gauge("cache_entries", "Compiled fault sets held.", float64(st.CacheSize))
 	gauge("cache_capacity_entries", "Total fault-set cache capacity.", float64(st.CacheCapacity))
 	gauge("uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
 
@@ -86,24 +88,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("replica_records_applied_total", "Generation-log records replayed onto the serving scheme.", rs.RecordsApplied)
 		counter("replica_snapshot_loads_total", "Full snapshot (re)fetches from the primary.", rs.SnapshotLoads)
 	}
-
-	// Per-shard cache series: hit-rate collapse or occupancy skew across
-	// shards is the first thing to look at when latency regresses after an
-	// /update storm.
-	perShard := func(name, help, typ string, shards []ShardStats, get func(ShardStats) float64) {
-		fmt.Fprintf(&b, "# HELP %s_%s %s\n# TYPE %s_%s %s\n",
-			metricsNamespace, name, help, metricsNamespace, name, typ)
-		for i, sh := range shards {
-			fmt.Fprintf(&b, "%s_%s{shard=\"%d\"} %s\n",
-				metricsNamespace, name, i, strconv.FormatFloat(get(sh), 'g', -1, 64))
-		}
-	}
-	hits := func(sh ShardStats) float64 { return float64(sh.Hits) }
-	misses := func(sh ShardStats) float64 { return float64(sh.Misses) }
-	size := func(sh ShardStats) float64 { return float64(sh.Size) }
-	perShard("cache_hits_total", "Fault-set cache hits per shard.", "counter", st.CacheShards, hits)
-	perShard("cache_misses_total", "Fault-set cache misses per shard.", "counter", st.CacheShards, misses)
-	perShard("cache_entries", "Compiled fault sets held per shard.", "gauge", st.CacheShards, size)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

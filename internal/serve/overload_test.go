@@ -2,6 +2,8 @@ package serve_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -58,13 +60,21 @@ func TestHTTPAdmissionShed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, _ := postConnected(t, rig.ts.URL, overloadReq)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("slot-holding probe: status %d", resp.StatusCode)
+		if status, _ := postJSON[serve.ConnectedResponse](t, rig.ts.URL+"/connected", overloadReq); status != http.StatusOK {
+			t.Errorf("slot-holding probe: status %d", status)
 		}
 	}()
 	time.Sleep(30 * time.Millisecond) // the holder is inside the failpoint
-	resp, _ := postConnected(t, rig.ts.URL, overloadReq)
+	// The shed probe posts by hand: its Retry-After header is under test.
+	body, err := json.Marshal(overloadReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(rig.ts.URL+"/connected", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("overflow probe: status %d, want 503", resp.StatusCode)
 	}
@@ -77,9 +87,8 @@ func TestHTTPAdmissionShed(t *testing.T) {
 	}
 
 	faultinject.Disarm()
-	resp, _ = postConnected(t, rig.ts.URL, overloadReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-shed probe: status %d, want 200 (slot freed)", resp.StatusCode)
+	if status, _ := postJSON[serve.ConnectedResponse](t, rig.ts.URL+"/connected", overloadReq); status != http.StatusOK {
+		t.Fatalf("post-shed probe: status %d, want 200 (slot freed)", status)
 	}
 }
 

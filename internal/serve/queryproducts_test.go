@@ -1,8 +1,6 @@
 package serve_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -21,25 +19,6 @@ import (
 	"repro/internal/workload"
 )
 
-func postProduct(t *testing.T, url string, req, out any) *http.Response {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp
-}
-
 func TestHandlerRouteExact(t *testing.T) {
 	const n, f = 80, 3
 	sch := buildScheme(t, n, f, 11)
@@ -57,9 +36,9 @@ func TestHandlerRouteExact(t *testing.T) {
 			req.Pairs = append(req.Pairs, [2]int{rng.Intn(n), rng.Intn(n)})
 		}
 		req.Pairs = append(req.Pairs, [2]int{5, 5}) // s == t leg
-		var out serve.RouteResponse
-		if resp := postProduct(t, ts.URL+"/route", req, &out); resp.StatusCode != http.StatusOK {
-			t.Fatalf("trial %d: status %d", trial, resp.StatusCode)
+		status, out := postJSON[serve.RouteResponse](t, ts.URL+"/route", req)
+		if status != http.StatusOK {
+			t.Fatalf("trial %d: status %d", trial, status)
 		}
 		if out.Confidence != serve.ConfidenceExact || out.Generation != sch.Generation() {
 			t.Fatalf("trial %d: confidence %q gen %d", trial, out.Confidence, out.Generation)
@@ -82,8 +61,7 @@ func TestHandlerRouteExact(t *testing.T) {
 			}
 		}
 		// The same forbidden set planned again must hit the shared cache.
-		var warm serve.RouteResponse
-		if resp := postProduct(t, ts.URL+"/route", req, &warm); resp.StatusCode != http.StatusOK || !warm.CacheHit {
+		if status, warm := postJSON[serve.RouteResponse](t, ts.URL+"/route", req); status != http.StatusOK || !warm.CacheHit {
 			t.Fatalf("trial %d: warm route missed the cache", trial)
 		}
 	}
@@ -103,13 +81,13 @@ func TestRouteSharesConnectedCache(t *testing.T) {
 	defer ts.Close()
 
 	req := serve.ConnectedRequest{FaultEdges: []int{1, 4}, Pairs: [][2]int{{0, 9}}}
-	if resp, out := postConnected(t, ts.URL, req); resp.StatusCode != http.StatusOK || out.CacheHit {
-		t.Fatalf("cold probe: status %d hit %v", resp.StatusCode, out.CacheHit)
+	if status, out := postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", req); status != http.StatusOK || out.CacheHit {
+		t.Fatalf("cold probe: status %d hit %v", status, out.CacheHit)
 	}
-	var rout serve.RouteResponse
 	rreq := serve.RouteRequest{FaultEdges: []int{4, 1, 1}, Pairs: [][2]int{{0, 9}}}
-	if resp := postProduct(t, ts.URL+"/route", rreq, &rout); resp.StatusCode != http.StatusOK {
-		t.Fatalf("route status %d", resp.StatusCode)
+	status, rout := postJSON[serve.RouteResponse](t, ts.URL+"/route", rreq)
+	if status != http.StatusOK {
+		t.Fatalf("route status %d", status)
 	}
 	if !rout.CacheHit {
 		t.Fatal("route after probe of the same fault set missed the shared cache")
@@ -138,9 +116,9 @@ func TestHandlerRouteDegraded(t *testing.T) {
 		req.Pairs = append(req.Pairs, [2]int{rng.Intn(n), rng.Intn(n)})
 	}
 	req.Pairs = append(req.Pairs, [2]int{7, 7}, [2]int{3, 9}) // s == t, and a cut-off source
-	var out serve.RouteResponse
-	if resp := postProduct(t, ts.URL+"/route", req, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (an over-budget route is answered, not refused)", resp.StatusCode)
+	status, out := postJSON[serve.RouteResponse](t, ts.URL+"/route", req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (an over-budget route is answered, not refused)", status)
 	}
 	if out.Confidence != serve.ConfidenceExact || out.CacheHit || out.Faults != len(faults) {
 		t.Fatalf("over-budget response: confidence %q, cache hit %v, faults %d", out.Confidence, out.CacheHit, out.Faults)
@@ -204,9 +182,9 @@ func TestHandlerVConnectedExact(t *testing.T) {
 			w := graph.ConnectedWithoutVertices(g, dead, sv, tv)
 			want = append(want, w)
 		}
-		var out serve.VConnectedResponse
-		if resp := postProduct(t, ts.URL+"/vconnected", req, &out); resp.StatusCode != http.StatusOK {
-			t.Fatalf("trial %d: status %d", trial, resp.StatusCode)
+		status, out := postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", req)
+		if status != http.StatusOK {
+			t.Fatalf("trial %d: status %d", trial, status)
 		}
 		if out.Confidence != serve.ConfidenceExact || out.Faults != len(dead) || out.FaultEdges == 0 {
 			t.Fatalf("trial %d: %+v", trial, out)
@@ -217,8 +195,7 @@ func TestHandlerVConnectedExact(t *testing.T) {
 					trial, i, req.FaultVertices, out.Connected[i], want[i])
 			}
 		}
-		var warm serve.VConnectedResponse
-		if resp := postProduct(t, ts.URL+"/vconnected", req, &warm); resp.StatusCode != http.StatusOK || !warm.CacheHit {
+		if status, warm := postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", req); status != http.StatusOK || !warm.CacheHit {
 			t.Fatalf("trial %d: warm vprobe missed the vertex cache", trial)
 		}
 	}
@@ -247,9 +224,9 @@ func TestHandlerVConnectedDegraded(t *testing.T) {
 		FaultVertices: []int{hub},
 		Pairs:         [][2]int{{1, 2}, {1, 12}, {hub, 1}, {3, 3}},
 	}
-	var out serve.VConnectedResponse
-	if resp := postProduct(t, ts.URL+"/vconnected", req, &out); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (an over-budget vertex set is answered, not refused)", resp.StatusCode)
+	status, out := postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (an over-budget vertex set is answered, not refused)", status)
 	}
 	if out.Confidence != serve.ConfidenceExact || out.Faults != 1 || out.FaultEdges != g.Degree(hub) {
 		t.Fatalf("over-budget response: %+v", out)
@@ -265,9 +242,8 @@ func TestHandlerVConnectedDegraded(t *testing.T) {
 	}
 	// Nothing is compiled for an over-budget answer, so a warm repeat is
 	// no cache hit either.
-	var warm serve.VConnectedResponse
-	if resp := postProduct(t, ts.URL+"/vconnected", req, &warm); resp.StatusCode != http.StatusOK || warm.CacheHit {
-		t.Fatalf("warm over-budget vprobe: status %d, cache hit %v", resp.StatusCode, warm.CacheHit)
+	if status, warm := postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", req); status != http.StatusOK || warm.CacheHit {
+		t.Fatalf("warm over-budget vprobe: status %d, cache hit %v", status, warm.CacheHit)
 	}
 	if st := srv.Stats(); st.VCacheHits+st.VCacheMisses != 0 || st.ApproxAnswers != uint64(2*len(req.Pairs)) {
 		t.Fatalf("over-budget vprobes looked up the cache, or were not counted: %+v", st)
@@ -300,9 +276,9 @@ func TestBinQueryProductsMatchHTTP(t *testing.T) {
 			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
 		}
 
-		var hr serve.RouteResponse
-		if resp := postProduct(t, ts.URL+"/route", serve.RouteRequest{FaultEdges: faults, Pairs: pairs}, &hr); resp.StatusCode != http.StatusOK {
-			t.Fatalf("trial %d: route status %d", trial, resp.StatusCode)
+		status, hr := postJSON[serve.RouteResponse](t, ts.URL+"/route", serve.RouteRequest{FaultEdges: faults, Pairs: pairs})
+		if status != http.StatusOK {
+			t.Fatalf("trial %d: route status %d", trial, status)
 		}
 		if err := cl.Route(faults, pairs, &rresp, 0); err != nil {
 			t.Fatalf("trial %d: bin route: %v", trial, err)
@@ -325,9 +301,9 @@ func TestBinQueryProductsMatchHTTP(t *testing.T) {
 		}
 
 		verts := []int{rng.Intn(n), rng.Intn(n)}
-		var hv serve.VConnectedResponse
-		if resp := postProduct(t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs}, &hv); resp.StatusCode != http.StatusOK {
-			t.Fatalf("trial %d: vconnected status %d", trial, resp.StatusCode)
+		status, hv := postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs})
+		if status != http.StatusOK {
+			t.Fatalf("trial %d: vconnected status %d", trial, status)
 		}
 		out, _, approx, gen, err := cl.VProbeInto(verts, pairs, nil, 0)
 		if err != nil {
@@ -352,10 +328,8 @@ func TestMetricsQueryProducts(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var rout serve.RouteResponse
-	postProduct(t, ts.URL+"/route", serve.RouteRequest{Pairs: [][2]int{{0, 1}}}, &rout)
-	var vout serve.VConnectedResponse
-	postProduct(t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: nil, Pairs: [][2]int{{0, 1}}}, &vout)
+	postJSON[serve.RouteResponse](t, ts.URL+"/route", serve.RouteRequest{Pairs: [][2]int{{0, 1}}})
+	postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: nil, Pairs: [][2]int{{0, 1}}})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -428,12 +402,11 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 			var werr error
 			switch name {
 			case "probe":
-				var out serve.ConnectedResponse
-				status = postProduct(t, ts.URL+"/connected", serve.ConnectedRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
+				status, _ = postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", serve.ConnectedRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin})
 				_, _, _, werr = cl.ProbeInto(tc.edges, tc.pairs, nil, tc.pin)
 			case "route":
 				var out serve.RouteResponse
-				status = postProduct(t, ts.URL+"/route", serve.RouteRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
+				status, out = postJSON[serve.RouteResponse](t, ts.URL+"/route", serve.RouteRequest{FaultEdges: tc.edges, Pairs: tc.pairs, Generation: tc.pin})
 				for _, leg := range out.Routes {
 					httpAns = append(httpAns, leg.Reachable)
 				}
@@ -443,7 +416,7 @@ func TestQueryErrorCodesBothSurfaces(t *testing.T) {
 				wireAns, wireApprox = rresp.Reachable, rresp.Approx
 			case "vprobe":
 				var out serve.VConnectedResponse
-				status = postProduct(t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: tc.verts, Pairs: tc.pairs, Generation: tc.pin}, &out).StatusCode
+				status, out = postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: tc.verts, Pairs: tc.pairs, Generation: tc.pin})
 				httpAns, httpConf = out.Connected, out.Confidence
 				wireAns, _, wireApprox, _, werr = cl.VProbeInto(tc.verts, tc.pairs, nil, tc.pin)
 			}
@@ -535,10 +508,9 @@ func TestVConnectedAcrossCommits(t *testing.T) {
 		graphs := map[uint64]*graph.Graph{nw.Generation(): nw.Snapshot().Graph()}
 		pairs := newPairs()
 		for _, verts := range sets {
-			var hv serve.VConnectedResponse
-			req := serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs}
-			if resp := postProduct(t, ts.URL+"/vconnected", req, &hv); resp.StatusCode != http.StatusOK {
-				t.Fatalf("round %d %v: status %d", round, verts, resp.StatusCode)
+			status, hv := postJSON[serve.VConnectedResponse](t, ts.URL+"/vconnected", serve.VConnectedRequest{FaultVertices: verts, Pairs: pairs})
+			if status != http.StatusOK {
+				t.Fatalf("round %d %v: status %d", round, verts, status)
 			}
 			check(round, graphs, pairs, answer{"http", verts, hv.Generation, hv.Confidence == serve.ConfidenceApprox, hv.Connected})
 			w := answer{surface: "wire", verts: verts}

@@ -62,8 +62,7 @@ func (r replicaScheme) Save(w io.Writer) error {
 
 // ReplicatorOptions tunes a Replicator. The zero value is usable.
 type ReplicatorOptions struct {
-	// CacheSize sizes the replica's fault-set cache (default 256 entries,
-	// sharded automatically).
+	// CacheSize sizes the replica's fault-set cache (default 256 entries).
 	CacheSize int
 
 	// RedialBase / RedialMax bound the exponential backoff between tail

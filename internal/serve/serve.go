@@ -1,12 +1,10 @@
 // Package serve is the probe-serving layer behind cmd/ftcserve: an HTTP
 // handler that answers batched s–t connectivity probes against one scheme,
-// with a sharded LRU of compiled core.FaultSets so that repeated probes of
-// the same failure event hit the zero-alloc steady-state path instead of
+// with one LRU of compiled core.FaultSets so that repeated probes of the
+// same failure event hit the zero-alloc steady-state path instead of
 // re-compiling the fault labels per request (the "one failure event, many
-// probes" deployment pattern of §7), and so that concurrent probes of
-// different events scale with cores instead of funneling through one
-// global mutex (shardedCache). Both protocol surfaces and all three query
-// products share one executor (executor.go), which canonicalizes and
+// probes" deployment pattern of §7). Both protocol surfaces and all three
+// query products share one executor (executor.go), which canonicalizes and
 // hashes each request body at most once into pooled scratch and answers
 // the whole batch per cache stab.
 //
@@ -114,7 +112,7 @@ func (rs ReplicaStatus) LagGenerations() uint64 {
 type Server struct {
 	view  func() Scheme // consistent immutable snapshot per call
 	upd   Updatable     // nil for static schemes
-	cache *shardedCache
+	cache *lruCache
 	start time.Time
 
 	// Query products (DESIGN.md §3.15): products hands out the
@@ -176,9 +174,8 @@ type Server struct {
 	shedDeadline atomic.Uint64
 }
 
-// New returns a server over the static scheme sch with a sharded LRU
-// holding up to cacheSize compiled fault sets (minimum 1). The shard count
-// is picked from the capacity and GOMAXPROCS (defaultCacheShards).
+// New returns a server over the static scheme sch with an LRU holding up
+// to cacheSize compiled fault sets (minimum 1).
 func New(sch Scheme, cacheSize int) *Server {
 	return NewDynamic(func() Scheme { return sch }, nil, cacheSize)
 }
@@ -193,7 +190,7 @@ func NewDynamic(view func() Scheme, upd Updatable, cacheSize int) *Server {
 	return &Server{
 		view:     view,
 		upd:      upd,
-		cache:    newShardedCache(cacheSize, 0),
+		cache:    newLRUCache(cacheSize),
 		products: products.New(),
 		start:    time.Now(),
 	}
@@ -616,37 +613,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, h)
 }
 
-// Stats is the GET /stats payload. CacheShards breaks the aggregate cache
-// counters down per shard — occupancy skew across shards is the first
-// thing to look at when hit rates drop after an /update storm.
+// Stats is the GET /stats payload.
 type Stats struct {
-	Requests      uint64       `json:"requests"`
-	BinRequests   uint64       `json:"bin_requests"`
-	BinConns      int64        `json:"bin_connections"`
-	BinInflight   int64        `json:"bin_inflight_batches"`
-	FrameErrors   uint64       `json:"frame_decode_errors"`
-	Probes        uint64       `json:"probes"`
-	Updates       uint64       `json:"updates"`
-	Commits       uint64       `json:"update_commits"`
-	LogAppended   uint64       `json:"genlog_records_appended"`
-	LogRecords    int          `json:"genlog_records,omitempty"`
-	LogFileBytes  int64        `json:"genlog_file_bytes,omitempty"`
-	LogCompact    uint64       `json:"genlog_compactions,omitempty"`
-	LogReclaimed  uint64       `json:"genlog_bytes_reclaimed,omitempty"`
-	LogCkptGen    uint64       `json:"genlog_checkpoint_generation,omitempty"`
-	SnapFailures  uint64       `json:"snapshot_stream_failures"`
-	ShedHTTP      uint64       `json:"requests_shed_http"`
-	ShedBin       uint64       `json:"requests_shed_bin"`
-	ShedDeadline  uint64       `json:"requests_shed_deadline"`
-	Generation    uint64       `json:"generation"`
-	CacheHits     uint64       `json:"cache_hits"`
-	CacheMisses   uint64       `json:"cache_misses"`
-	CacheEvicted  uint64       `json:"cache_evicted_by_update"`
-	CacheRebased  uint64       `json:"cache_rebased_by_update"`
-	CacheCapEvict uint64       `json:"cache_evictions"`
-	CacheSize     int          `json:"cache_size"`
-	CacheCapacity int          `json:"cache_capacity"`
-	CacheShards   []ShardStats `json:"cache_shards"`
+	Requests      uint64 `json:"requests"`
+	BinRequests   uint64 `json:"bin_requests"`
+	BinConns      int64  `json:"bin_connections"`
+	BinInflight   int64  `json:"bin_inflight_batches"`
+	FrameErrors   uint64 `json:"frame_decode_errors"`
+	Probes        uint64 `json:"probes"`
+	Updates       uint64 `json:"updates"`
+	Commits       uint64 `json:"update_commits"`
+	LogAppended   uint64 `json:"genlog_records_appended"`
+	LogRecords    int    `json:"genlog_records,omitempty"`
+	LogFileBytes  int64  `json:"genlog_file_bytes,omitempty"`
+	LogCompact    uint64 `json:"genlog_compactions,omitempty"`
+	LogReclaimed  uint64 `json:"genlog_bytes_reclaimed,omitempty"`
+	LogCkptGen    uint64 `json:"genlog_checkpoint_generation,omitempty"`
+	SnapFailures  uint64 `json:"snapshot_stream_failures"`
+	ShedHTTP      uint64 `json:"requests_shed_http"`
+	ShedBin       uint64 `json:"requests_shed_bin"`
+	ShedDeadline  uint64 `json:"requests_shed_deadline"`
+	Generation    uint64 `json:"generation"`
+	CacheHits     uint64 `json:"cache_hits"`
+	CacheMisses   uint64 `json:"cache_misses"`
+	CacheEvicted  uint64 `json:"cache_evicted_by_update"`
+	CacheRebased  uint64 `json:"cache_rebased_by_update"`
+	CacheCapEvict uint64 `json:"cache_evictions"`
+	CacheSize     int    `json:"cache_size"`
+	CacheCapacity int    `json:"cache_capacity"`
 
 	// Query-product breakdown (§3.15): route legs and vertex-fault pairs
 	// answered, the route and vertex pairs among them answered over the f
@@ -670,7 +664,7 @@ type Stats struct {
 
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
-	hits, misses, evicted, rebased, capEvicted, size, capacity, per := s.cache.stats()
+	hits, misses, evicted, rebased, capEvicted, size, capacity := s.cache.stats()
 	st := Stats{
 		Requests:      s.requests.Load(),
 		BinRequests:   s.binRequests.Load(),
@@ -693,7 +687,6 @@ func (s *Server) Stats() Stats {
 		CacheCapEvict: capEvicted,
 		CacheSize:     size,
 		CacheCapacity: capacity,
-		CacheShards:   per,
 
 		RoutePlans:    s.answered[productRoute].Load(),
 		VProbes:       s.answered[productVProbe].Load(),

@@ -30,24 +30,26 @@ func buildScheme(t testing.TB, n int, f int, seed int64) *ftc.Scheme {
 	return s
 }
 
-func postConnected(t *testing.T, url string, req serve.ConnectedRequest) (*http.Response, serve.ConnectedResponse) {
+// postJSON posts body as JSON and decodes a 200 response into a T; on any
+// other status it returns the zero T.
+func postJSON[T any](t *testing.T, url string, body any) (int, T) {
 	t.Helper()
-	body, err := json.Marshal(req)
+	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/connected", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out serve.ConnectedResponse
+	var out T
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return resp, out
+	return resp.StatusCode, out
 }
 
 func TestHandlerConnected(t *testing.T) {
@@ -78,9 +80,9 @@ func TestHandlerConnected(t *testing.T) {
 			req.Pairs = append(req.Pairs, [2]int{sv, tv})
 			want = append(want, graph.ConnectedUnder(g, set, sv, tv))
 		}
-		resp, out := postConnected(t, ts.URL, req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("trial %d: status %d", trial, resp.StatusCode)
+		status, out := postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", req)
+		if status != http.StatusOK {
+			t.Fatalf("trial %d: status %d", trial, status)
 		}
 		if len(out.Connected) != len(want) {
 			t.Fatalf("trial %d: got %d answers, want %d", trial, len(out.Connected), len(want))
@@ -91,10 +93,10 @@ func TestHandlerConnected(t *testing.T) {
 			}
 		}
 		// The same failure event probed again must hit the cache.
-		resp2, out2 := postConnected(t, ts.URL, req)
-		if resp2.StatusCode != http.StatusOK || !out2.CacheHit {
+		status, out = postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", req)
+		if status != http.StatusOK || !out.CacheHit {
 			t.Fatalf("trial %d: repeat probe missed the cache (status %d, hit %v)",
-				trial, resp2.StatusCode, out2.CacheHit)
+				trial, status, out.CacheHit)
 		}
 	}
 
@@ -320,9 +322,9 @@ func TestServeLazilyLoadedSnapshot(t *testing.T) {
 	}
 	disconnected := 0
 	for _, faults := range events {
-		resp, out := postConnected(t, ts.URL, serve.ConnectedRequest{FaultEdges: faults, Pairs: pairs})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("faults %v: /connected status %d", faults, resp.StatusCode)
+		status, out := postJSON[serve.ConnectedResponse](t, ts.URL+"/connected", serve.ConnectedRequest{FaultEdges: faults, Pairs: pairs})
+		if status != http.StatusOK {
+			t.Fatalf("faults %v: /connected status %d", faults, status)
 		}
 		bin, err := cl.Probe(faults, pairs)
 		if err != nil {

@@ -358,3 +358,40 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 		}
 	}
 }
+
+var edgeLabelSink EdgeLabel
+
+// TestEdgeLabelByIndexAllocs: a lazily loaded scheme decodes a fresh label
+// per read, which is already the caller's, so a read allocates once; a
+// built scheme copies the payload it shares, also once, and that copy
+// stays independent of the scheme.
+func TestEdgeLabelByIndexAllocs(t *testing.T) {
+	s, err := New(12, persistTestEdges, WithMaxFaults(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Inner().EdgeLabelsShared() || !s.Inner().EdgeLabelsShared() {
+		t.Fatal("want a lazily loaded scheme and a built one")
+	}
+	for name, sch := range map[string]*Scheme{"built": s, "loaded": &loaded.Scheme} {
+		if allocs := testing.AllocsPerRun(100, func() { edgeLabelSink = sch.EdgeLabelByIndex(1) }); allocs != 1 {
+			t.Errorf("%s: EdgeLabelByIndex allocates %v times per read, want 1", name, allocs)
+		}
+	}
+	l := s.EdgeLabelByIndex(1)
+	want := MarshalEdgeLabel(l)
+	for i := range l.Out {
+		l.Out[i] = ^l.Out[i]
+	}
+	if !bytes.Equal(MarshalEdgeLabel(s.EdgeLabelByIndex(1)), want) {
+		t.Fatal("mutating a read label changed the built scheme's label")
+	}
+}
