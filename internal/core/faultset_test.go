@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -236,17 +237,21 @@ func TestFaultSetProbeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFaultSetRoutePlanAllocs pins the allocations of a warm
-// FaultSet.RoutePlan by plan length on a seeded corpus: once a component's
-// crossing structure is recorded, a plan allocates only its own step slice
-// plus, when it crosses at least one fault, the fragment walk's scratch.
-// An increase fails; a decrease should lower the pin.
+// TestFaultSetRoutePlanAllocs pins the allocations of a warm route plan by
+// plan length on a seeded corpus, once a component's crossing structure is
+// recorded. AppendRoutePlan into a reused plan and scratch allocates
+// nothing. The allocating RoutePlan wrapper allocates its growing step
+// slice, plus, when the plan crosses at least one fault, the fragment
+// walk's three scratch buffers. An increase fails; a decrease should lower
+// the pin.
 func TestFaultSetRoutePlanAllocs(t *testing.T) {
-	want := map[int]float64{1: 1, 2: 5, 3: 6} // plan steps → allocs/op
+	want := map[int]float64{1: 1, 2: 5, 3: 6} // plan steps → RoutePlan allocs/op
 	rng := rand.New(rand.NewSource(12))
 	g := workload.ErdosRenyi(60, 0.1, true, rng)
 	s := mustBuild(t, g, Params{MaxFaults: 3})
 	seen := map[int]int{}
+	var dst []RouteStep
+	var sc RouteScratch
 	for trial := 0; trial < 30; trial++ {
 		faults := workload.TreeEdgeFaults(g, s.Forest, 1+trial%3, rng)
 		fl := make([]EdgeLabel, len(faults))
@@ -263,17 +268,29 @@ func TestFaultSetRoutePlanAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pin, ok := want[len(plan)]
+			if !ok {
+				t.Fatalf("trial %d: %d-step plan has no pinned allocation count", trial, len(plan))
+			}
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, _, err := fs.RoutePlan(sv, tv); err != nil {
 					t.Fatal(err)
 				}
 			})
-			pin, ok := want[len(plan)]
-			if !ok {
-				t.Fatalf("trial %d: %d-step plan has no pinned allocation count", trial, len(plan))
-			}
 			if allocs != pin {
 				t.Fatalf("trial %d: warm %d-step RoutePlan allocates %.1f objects/op, pinned %.0f", trial, len(plan), allocs, pin)
+			}
+			dst, _, _ = fs.AppendRoutePlan(dst[:0], &sc, sv, tv) // sizes the scratch
+			if !slices.Equal(dst, plan) {
+				t.Fatalf("trial %d: AppendRoutePlan %v, RoutePlan %v", trial, dst, plan)
+			}
+			allocs = testing.AllocsPerRun(20, func() {
+				if dst, _, err = fs.AppendRoutePlan(dst[:0], &sc, sv, tv); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("trial %d: warm %d-step AppendRoutePlan into reused storage allocates %.1f objects/op, pinned 0", trial, len(plan), allocs)
 			}
 			seen[len(plan)]++
 		}

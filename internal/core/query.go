@@ -164,7 +164,7 @@ type heapItem struct {
 var qsPool = sync.Pool{New: func() any { return new(queryState) }}
 
 // grown returns s resized to n elements, reusing capacity when possible.
-func grown[T int32 | uint64 | uint8](s []T, n int) []T {
+func grown[T int32 | uint64 | uint8 | bool](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}

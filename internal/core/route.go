@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fragments"
 )
@@ -47,54 +48,59 @@ func newCrossGraph(frags *fragments.Set, recs []crossRec) crossGraph {
 	return crossGraph{frags: frags, recs: recs, adj: adj}
 }
 
-// plan finds a fragment path from fragS to fragT by BFS and walks it back
-// into route steps: one crossing per fragment boundary, then final. The
-// caller has established that the two fragments are connected, so a
-// missing path is an internal error.
-func (g crossGraph) plan(fragS, fragT int, final RouteStep) ([]RouteStep, error) {
+// RouteScratch is the reusable working memory of a route plan's fragment
+// BFS: per fragment the crossing that discovered it and a visited mark,
+// plus the queue. The zero value is ready; buffers grow to the largest
+// component planned and are reused after that. A scratch serves one plan
+// at a time.
+type RouteScratch struct {
+	prev  []int32
+	seen  []bool
+	queue []int32
+}
+
+// plan finds a fragment path from fragS to fragT by BFS in sc and walks it
+// back into route steps appended onto dst: one crossing per fragment
+// boundary, then final. The caller has established that the two fragments
+// are connected, so a missing path is an internal error.
+func (g crossGraph) plan(dst []RouteStep, sc *RouteScratch, fragS, fragT int, final RouteStep) ([]RouteStep, error) {
 	count := len(g.adj)
-	prev := make([]int, count) // record index that discovered the fragment
-	for i := range prev {
-		prev[i] = -1
-	}
-	visited := make([]bool, count)
-	visited[fragS] = true
-	queue := make([]int, 0, count)
-	queue = append(queue, fragS)
-	for len(queue) > 0 && !visited[fragT] {
-		c := queue[0]
-		queue = queue[1:]
+	sc.prev = grown(sc.prev, count)
+	sc.seen = grown(sc.seen, count)
+	clear(sc.seen)
+	sc.seen[fragS] = true
+	sc.queue = append(grown(sc.queue, count)[:0], int32(fragS))
+	for head := 0; head < len(sc.queue) && !sc.seen[fragT]; head++ {
+		c := int(sc.queue[head])
 		for _, ri := range g.adj[c] {
 			r := g.recs[ri]
 			next := r.c1 + r.c2 - c
-			if visited[next] {
+			if sc.seen[next] {
 				continue
 			}
-			visited[next] = true
-			prev[next] = int(ri)
-			queue = append(queue, next)
+			sc.seen[next] = true
+			sc.prev[next] = ri
+			sc.queue = append(sc.queue, int32(next))
 		}
 	}
-	if !visited[fragT] {
-		return nil, fmt.Errorf("core: internal: no fragment path between connected fragments")
+	if !sc.seen[fragT] {
+		return dst, fmt.Errorf("core: internal: no fragment path between connected fragments")
 	}
-	// Walk back from t's fragment, emitting crossings in reverse.
-	var rev []RouteStep
+	// Walk back from t's fragment, appending crossings in reverse, then
+	// reverse them in place.
+	start := len(dst)
 	for cur := fragT; cur != fragS; {
-		r := g.recs[prev[cur]]
+		r := g.recs[sc.prev[cur]]
 		from := r.c1 + r.c2 - cur
 		near, far := r.p1, r.p2
 		if g.frags.Stab(near) != from {
 			near, far = far, near
 		}
-		rev = append(rev, RouteStep{Near: near, Far: far})
+		dst = append(dst, RouteStep{Near: near, Far: far})
 		cur = from
 	}
-	plan := make([]RouteStep, 0, len(rev)+1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		plan = append(plan, rev[i])
-	}
-	return append(plan, final), nil
+	slices.Reverse(dst[start:])
+	return append(dst, final), nil
 }
 
 // RoutePlan computes a forbidden-set route plan from s to t avoiding the
@@ -131,7 +137,8 @@ func RoutePlan(s, t VertexLabel, faults []EdgeLabel) ([]RouteStep, bool, error) 
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	plan, err := newCrossGraph(q.comp.frags, q.records).plan(int(q.fragS), int(q.fragT), final)
+	var sc RouteScratch
+	plan, err := newCrossGraph(q.comp.frags, q.records).plan(nil, &sc, int(q.fragS), int(q.fragT), final)
 	if err != nil {
 		return nil, false, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -48,14 +49,16 @@ func TestRoutePlanDifferential(t *testing.T) {
 					faults[i] = rng.Intn(g.M())
 					set[faults[i]] = true
 				}
+				forbidden := make([]int, 0, len(set))
 				for e := range set {
 					labels = append(labels, sch.EdgeLabel(e))
+					forbidden = append(forbidden, e)
 				}
+				slices.Sort(forbidden)
 				fs, err := core.CompileFaults(labels)
 				if err != nil {
 					t.Fatalf("trial %d: compile: %v", trial, err)
 				}
-				forbidden := func(e int) bool { return set[e] }
 				for q := 0; q < queriesPerSet; q++ {
 					s, tv := rng.Intn(g.N()), rng.Intn(g.N())
 					plan, ok, err := fs.RoutePlan(sch.VertexLabel(s), sch.VertexLabel(tv))
@@ -70,7 +73,7 @@ func TestRoutePlanDifferential(t *testing.T) {
 					if !ok {
 						continue
 					}
-					path, reached, err := net.Execute(s, tv, plan, forbidden)
+					path, reached, err := net.Execute(nil, s, tv, plan, forbidden)
 					if err != nil || !reached {
 						t.Fatalf("trial %d: execute(%d,%d): reached=%v err=%v (plan %v)",
 							trial, s, tv, reached, err, plan)

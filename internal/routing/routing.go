@@ -14,8 +14,10 @@
 package routing
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/ancestry"
 	"repro/internal/core"
@@ -42,25 +44,53 @@ type coreSource struct{ s *core.Scheme }
 func (c coreSource) VertexLabel(v int) core.VertexLabel    { return c.s.VertexLabel(v) }
 func (c coreSource) EdgeLabelByIndex(e int) core.EdgeLabel { return c.s.EdgeLabel(e) }
 
-// portEntry is one local-table row: the edge's port (adjacency index), the
-// subtree interval it leads to (tree edges), or the virtual subdivision
-// vertex preorder identifying it (non-tree edges).
-type portEntry struct {
-	port int
-	// Tree port: interval of the child subtree in T′ (only meaningful
-	// when down is true; the parent port has down == false).
-	lo, hi uint32
-	down   bool
-	// Non-tree port: preorder of the edge's virtual vertex x_e.
-	virtual uint32
+// childEntry is one child row of a local table: the port (adjacency index)
+// of the tree edge to a child of T′ and the preorder interval of that
+// child's subtree. A virtual child is the subdivision vertex x_e of a
+// non-tree edge the node owns: a leaf whose port is the non-tree edge.
+type childEntry struct {
+	lo, hi  uint32
+	port    int
+	virtual bool
 }
 
-// nodeTable is one node's routing state.
+// virtualPort is the port of one incident non-tree edge, keyed by the
+// preorder of its virtual vertex x_e.
+type virtualPort struct {
+	pre  uint32
+	port int
+}
+
+// nodeTable is one node's routing state. Both slices are sorted by
+// preorder, so each forwarding decision is one binary search.
 type nodeTable struct {
 	self       ancestry.Label
 	parentPort int
-	tree       []portEntry
-	virtuals   map[uint32]int // x_e preorder → port
+	tree       []childEntry  // by lo; child intervals are disjoint
+	virtuals   []virtualPort // by pre
+}
+
+// child returns the index of the child entry whose interval holds pre, or
+// -1 when pre lies outside every child subtree.
+func (tab *nodeTable) child(pre uint32) int {
+	i, found := slices.BinarySearchFunc(tab.tree, pre, func(c childEntry, p uint32) int { return cmp.Compare(c.lo, p) })
+	if found {
+		return i
+	}
+	if i > 0 && pre <= tab.tree[i-1].hi {
+		return i - 1
+	}
+	return -1
+}
+
+// virtualPortOf returns the port of the non-tree edge whose virtual vertex
+// has preorder pre, or -1 when no incident edge has it.
+func (tab *nodeTable) virtualPortOf(pre uint32) int {
+	i, found := slices.BinarySearchFunc(tab.virtuals, pre, func(v virtualPort, p uint32) int { return cmp.Compare(v.pre, p) })
+	if !found {
+		return -1
+	}
+	return tab.virtuals[i].port
 }
 
 // Network is a compiled routing network over a graph.
@@ -87,24 +117,31 @@ func Build(g *graph.Graph, f int) (*Network, error) {
 // no scheme construction. src must label the same graph (same edge and
 // vertex indexing) or the tables are garbage. Each edge label is read once:
 // its two ancestry labels are all the tables need, and both endpoints'
-// entries are filled from them.
+// entries are filled from them. Every edge gives exactly one child row (at
+// the tree parent, or at the owner of x_e) and a non-tree edge one virtual
+// row at each endpoint, so all tables share two backing arrays sized up
+// front.
 func NewFromLabels(g *graph.Graph, src LabelSource) *Network {
 	net := &Network{g: g, src: src, tables: make([]nodeTable, g.N())}
 	for v := 0; v < g.N(); v++ {
-		net.tables[v] = nodeTable{
-			self:       src.VertexLabel(v).Anc,
-			parentPort: -1,
-			virtuals:   map[uint32]int{},
-		}
+		net.tables[v] = nodeTable{self: src.VertexLabel(v).Anc, parentPort: -1}
 	}
 	type ends struct{ parent, child ancestry.Label }
 	edges := make([]ends, g.M())
+	nonTree := 0
 	for e := range edges {
 		el := src.EdgeLabelByIndex(e)
 		edges[e] = ends{el.Parent, el.Child}
+		ge := g.Edges[e]
+		if c := el.Child; c != net.tables[ge.U].self && c != net.tables[ge.V].self {
+			nonTree++
+		}
 	}
+	children := make([]childEntry, 0, g.M())
+	virtuals := make([]virtualPort, 0, 2*nonTree)
 	for v := 0; v < g.N(); v++ {
 		tab := &net.tables[v]
+		c0, v0 := len(children), len(virtuals)
 		for port, half := range g.Adj(v) {
 			el := edges[half.Edge]
 			// Tree edge of T′ between two real vertices ⇔ the child
@@ -115,24 +152,23 @@ func NewFromLabels(g *graph.Graph, src LabelSource) *Network {
 			switch {
 			case el.child == uAnc:
 				// Edge descends from v to half.To.
-				tab.tree = append(tab.tree, portEntry{
-					port: port, lo: el.child.Pre, hi: el.child.Post, down: true,
-				})
+				children = append(children, childEntry{lo: el.child.Pre, hi: el.child.Post, port: port})
 			case el.child == vAnc:
 				tab.parentPort = port
 			default:
 				// Non-tree edge: the child is the virtual x_e.
-				tab.virtuals[el.child.Pre] = port
+				virtuals = append(virtuals, virtualPort{pre: el.child.Pre, port: port})
 				if el.parent == vAnc {
 					// v owns x_e as a virtual child: tree-routing
 					// toward x_e terminates here.
-					tab.tree = append(tab.tree, portEntry{
-						port: port, lo: el.child.Pre, hi: el.child.Post,
-						down: true, virtual: el.child.Pre,
-					})
+					children = append(children, childEntry{lo: el.child.Pre, hi: el.child.Post, port: port, virtual: true})
 				}
 			}
 		}
+		tab.tree = children[c0:len(children):len(children)]
+		tab.virtuals = virtuals[v0:len(virtuals):len(virtuals)]
+		slices.SortFunc(tab.tree, func(a, b childEntry) int { return cmp.Compare(a.lo, b.lo) })
+		slices.SortFunc(tab.virtuals, func(a, b virtualPort) int { return cmp.Compare(a.pre, b.pre) })
 	}
 	return net
 }
@@ -164,10 +200,8 @@ func (n *Network) TableBits() (total, maxLocal int) {
 // whether t is reachable; an error indicates a scheme malfunction.
 func (n *Network) Route(s, t int, faults []int) ([]int, bool, error) {
 	fl := make([]core.EdgeLabel, len(faults))
-	faultSet := make(map[int]bool, len(faults))
 	for i, e := range faults {
 		fl[i] = n.src.EdgeLabelByIndex(e)
-		faultSet[e] = true
 	}
 	plan, ok, err := core.RoutePlan(n.src.VertexLabel(s), n.src.VertexLabel(t), fl)
 	if err != nil {
@@ -176,23 +210,28 @@ func (n *Network) Route(s, t int, faults []int) ([]int, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	return n.Execute(s, t, plan, func(e int) bool { return faultSet[e] })
+	forbidden := slices.Clone(faults)
+	slices.Sort(forbidden)
+	return n.Execute(nil, s, t, plan, forbidden)
 }
 
 // Execute runs a precomputed route plan through the packet simulator:
 // hop-by-hop forwarding from s toward t, crossing the plan's non-tree
-// edges, with forbidden reporting which edge indices the packet must not
-// traverse. The plan must have been computed against the same labeling the
-// tables were compiled from (the serve layer guarantees this by
-// generation-stamping plans). Returns the vertex path traversed and
-// whether t was reached; an error indicates a scheme malfunction.
-func (n *Network) Execute(s, t int, plan []core.RouteStep, forbidden func(e int) bool) ([]int, bool, error) {
-	path := []int{s}
+// edges, never traversing an edge index in forbidden (sorted ascending).
+// The plan must have been computed against the same labeling the tables
+// were compiled from (the serve layer guarantees this by
+// generation-stamping plans). The vertex path traversed is appended onto
+// dst, and the result reports whether t was reached; an error indicates a
+// scheme malfunction. Each hop is one binary search of the current node's
+// table, so a caller that reuses dst forwards without allocating.
+func (n *Network) Execute(dst []int, s, t int, plan []core.RouteStep, forbidden []int) ([]int, bool, error) {
+	path := append(dst, s)
+	start := len(dst)
 	cur := s
 	hopLimit := 6*n.g.N() + 16*len(plan) + 64
 	for _, step := range plan {
 		for {
-			if len(path) > hopLimit {
+			if len(path)-start > hopLimit {
 				return path, false, fmt.Errorf("%w: hop limit exceeded (loop?)", ErrRouting)
 			}
 			tab := &n.tables[cur]
@@ -202,26 +241,29 @@ func (n *Network) Execute(s, t int, plan []core.RouteStep, forbidden func(e int)
 				if step.Far == 0 {
 					break // arrived at destination
 				}
-				port, okPort := tab.virtuals[step.Far]
-				if !okPort {
+				port := tab.virtualPortOf(step.Far)
+				if port < 0 {
 					return path, false, fmt.Errorf("%w: node %d has no port for virtual %d", ErrRouting, cur, step.Far)
 				}
-				cur = n.hop(cur, port, forbidden, &path)
-				if cur < 0 {
+				if cur = n.hop(cur, port, forbidden, &path); cur < 0 {
 					return path, false, fmt.Errorf("%w: crossing used a forbidden edge", ErrRouting)
 				}
 				break
 			}
-			// Crossing condition (a): we own the virtual child Near.
-			if port, okPort := tab.virtuals[step.Near]; okPort && n.ownsVirtual(cur, step.Near) {
-				cur = n.hop(cur, port, forbidden, &path)
-				if cur < 0 {
-					return path, false, fmt.Errorf("%w: crossing used a forbidden edge", ErrRouting)
+			port := tab.parentPort
+			if i := tab.child(step.Near); i >= 0 {
+				c := tab.tree[i]
+				// Crossing condition (a): we own the virtual child Near.
+				if c.virtual && c.lo == step.Near {
+					if cur = n.hop(cur, c.port, forbidden, &path); cur < 0 {
+						return path, false, fmt.Errorf("%w: crossing used a forbidden edge", ErrRouting)
+					}
+					break
 				}
-				break
+				port = c.port
 			}
-			// Otherwise forward along the tree toward Near.
-			port := n.treePort(cur, step.Near)
+			// Otherwise forward along the tree toward Near: down into the
+			// child subtree that holds it, else up.
 			if port < 0 {
 				return path, false, fmt.Errorf("%w: node %d cannot route toward %d", ErrRouting, cur, step.Near)
 			}
@@ -238,33 +280,10 @@ func (n *Network) Execute(s, t int, plan []core.RouteStep, forbidden func(e int)
 	return path, true, nil
 }
 
-// ownsVirtual reports whether node v is the T′ parent of virtual vertex with
-// preorder p (vs merely being the far endpoint of that non-tree edge).
-func (n *Network) ownsVirtual(v int, p uint32) bool {
-	for _, pe := range n.tables[v].tree {
-		if pe.down && pe.virtual == p {
-			return true
-		}
-	}
-	return false
-}
-
-// treePort picks the port toward preorder target: a child whose interval
-// contains it, else the parent.
-func (n *Network) treePort(v int, target uint32) int {
-	tab := &n.tables[v]
-	for _, pe := range tab.tree {
-		if pe.down && pe.lo <= target && target <= pe.hi {
-			return pe.port
-		}
-	}
-	return tab.parentPort
-}
-
 // hop moves the packet across the given port, rejecting forbidden edges.
-func (n *Network) hop(cur, port int, forbidden func(e int) bool, path *[]int) int {
+func (n *Network) hop(cur, port int, forbidden []int, path *[]int) int {
 	half := n.g.Adj(cur)[port]
-	if forbidden(half.Edge) {
+	if _, found := slices.BinarySearch(forbidden, half.Edge); found {
 		return -1
 	}
 	*path = append(*path, half.To)

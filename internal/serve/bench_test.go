@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
@@ -68,6 +69,53 @@ func BenchmarkHandleConnected(b *testing.B) {
 		r := proto.Clone(proto.Context())
 		r.Body = io.NopCloser(reader)
 		h.ServeHTTP(&w, r)
+	}
+}
+
+// BenchmarkHandleFrame measures one warm batch-16 frame through the
+// binary surface's HandleFrame in the benchmark's edge-hot shape: ER
+// n = 1024, f = 3, 256 recurring tree-edge events of 1–3 faults, every
+// event compiled before timing. The route frame plans and simulates 16
+// forbidden-set routes; both frames should report 0 allocs/op.
+func BenchmarkHandleFrame(b *testing.B) {
+	const n, f, events, batches = 1024, 3, 256, 64
+	sch := buildScheme(b, n, f, 1)
+	g := sch.Graph()
+	srv := serve.New(sch, 1024)
+	rng := rand.New(rand.NewSource(7))
+	evs := make([][]int, events)
+	for i := range evs {
+		evs[i] = wire.Canonicalize(workload.TreeEdgeFaults(g, sch.Inner().Forest, 1+rng.Intn(f), rng))
+	}
+	pairs := make([][][2]int, batches)
+	for i := range pairs {
+		for len(pairs[i]) < 16 {
+			if s, t := rng.Intn(n), rng.Intn(n); s != t {
+				pairs[i] = append(pairs[i], [2]int{s, t})
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		op   byte
+	}{{"probe", wire.OpProbe}, {"route", wire.OpRoute}} {
+		b.Run(bc.name, func(b *testing.B) {
+			payloads := make([][]byte, events)
+			var sc serve.FrameScratch
+			for i := range payloads {
+				payloads[i] = wire.AppendRequest(nil, bc.op, uint64(i), 0, 0, evs[i], pairs[i%batches])[5:]
+				if resp, fatal := srv.HandleFrame(&sc, bc.op, payloads[i]); fatal || resp[4] == wire.OpError {
+					b.Fatalf("warmup frame %d rejected", i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if resp, fatal := srv.HandleFrame(&sc, bc.op, payloads[i%events]); fatal || resp[4] == wire.OpError {
+					b.Fatalf("frame %d rejected", i)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -13,9 +14,13 @@ import (
 	"testing"
 	"time"
 
+	ftc "repro"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/serve/wire"
 	"repro/internal/serve/wireclient"
+	"repro/internal/workload"
 )
 
 // binListener starts the framed-protocol side of srv on an ephemeral port
@@ -400,14 +405,18 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestHandleFrameAllocs is the acceptance bar of the binary protocol: at
-// warm-cache steady state one pipelined batch-16 probe must cost at most 4
-// allocations end to end through the serving path (the JSON path costs 16;
-// see BenchmarkHandleConnected). In practice the frame path is
-// allocation-free once scratch is warm, for edge probes and for exact
-// vertex probes alike.
+// warm-cache steady state one pipelined batch-16 frame of every product
+// allocates nothing end to end through the serving path (the JSON path
+// costs 16; see BenchmarkHandleConnected). That covers edge probes, exact
+// and over-budget vertex probes, in-budget routes whose plans cross
+// non-tree edges, and over-budget routes answered from a forest of G − F.
+// Each measured frame must equal the warm (cache-hit) response, which is
+// decoded and checked once: DecodeRouteResp allocates a fresh path array
+// by design, so the decode stays outside the measured loop.
 func TestHandleFrameAllocs(t *testing.T) {
 	const n, f = 1024, 4
 	sch := buildScheme(t, n, f, 21)
+	g := sch.Graph()
 	srv := serve.New(sch, 64)
 
 	pairs := make([][2]int, 16)
@@ -419,37 +428,104 @@ func TestHandleFrameAllocs(t *testing.T) {
 	// labels; one of degree > f from a forest of G − F, which must be just
 	// as exact and reuse the frame scratch.
 	v, hub := 0, 0
-	for sch.Graph().Degree(v) == 0 || sch.Graph().Degree(v) > f {
+	for g.Degree(v) == 0 || g.Degree(v) > f {
 		v++
 	}
-	for sch.Graph().Degree(hub) <= f {
+	for g.Degree(hub) <= f {
 		hub++
 	}
+	cut, cutPairs := crossingRouteEvent(t, sch, 3, rng)
 	for _, tc := range []struct {
 		name   string
 		op     byte
 		faults []int
+		pairs  [][2]int
 	}{
-		{"probe", wire.OpProbe, []int{3, 99, 512}},
-		{"exact vprobe", wire.OpVProbe, []int{v}},
-		{"over-budget vprobe", wire.OpVProbe, []int{hub}},
+		{"probe", wire.OpProbe, []int{3, 99, 512}, pairs},
+		{"exact vprobe", wire.OpVProbe, []int{v}, pairs},
+		{"over-budget vprobe", wire.OpVProbe, []int{hub}, pairs},
+		{"crossing route", wire.OpRoute, cut, cutPairs},
+		{"over-budget route", wire.OpRoute, []int{3, 99, 512, 700, 900}, pairs},
 	} {
-		payload := wire.AppendRequest(nil, tc.op, 1, 0, 0, tc.faults, pairs)[5:]
+		payload := wire.AppendRequest(nil, tc.op, 1, 0, 0, tc.faults, tc.pairs)[5:]
 		var sc serve.FrameScratch
-		if resp, fatal := srv.HandleFrame(&sc, tc.op, payload); fatal || len(resp) < 5 || resp[4] == wire.OpError {
+		srv.HandleFrame(&sc, tc.op, payload) // compiles: a cache miss
+		warm, fatal := srv.HandleFrame(&sc, tc.op, payload)
+		if fatal || len(warm) < 5 {
 			t.Fatalf("%s: warmup frame failed (fatal=%v)", tc.name, fatal)
 		}
-		var resp wire.ProbeResp
-		allocs := testing.AllocsPerRun(500, func() {
-			out, fatal := srv.HandleFrame(&sc, tc.op, payload)
-			if fatal || wire.DecodeProbeResp(out[5:], resp.Connected, &resp) != nil || resp.Approx {
+		want := append([]byte(nil), warm...)
+		if tc.op == wire.OpRoute {
+			checkRouteFrame(t, tc.name, g, tc.faults, tc.pairs, want)
+		} else {
+			var resp wire.ProbeResp
+			if want[4] == wire.OpError || wire.DecodeProbeResp(want[5:], nil, &resp) != nil || resp.Approx || len(resp.Connected) != len(tc.pairs) {
 				t.Fatalf("%s: frame rejected or not exact", tc.name)
 			}
-		})
-		if allocs > 4 {
-			t.Fatalf("warm %s frame allocates %v/op, acceptance bar is 4", tc.name, allocs)
 		}
-		t.Logf("warm batch-16 %s frame: %v allocs/op", tc.name, allocs)
+		allocs := testing.AllocsPerRun(500, func() {
+			out, fatal := srv.HandleFrame(&sc, tc.op, payload)
+			if fatal || !bytes.Equal(out, want) {
+				t.Fatalf("%s: warm frame differs from the checked warm answer", tc.name)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s frame allocates %v/op, acceptance bar is 0", tc.name, allocs)
+		}
+	}
+}
+
+// crossingRouteEvent returns a canonical event of k tree-edge faults and
+// 16 pairs to route under it: each cut tree edge's two endpoints, filled
+// up with random pairs. At least one pair's plan crosses a non-tree edge,
+// so the route exercises the crossing logic, not only tree forwarding.
+func crossingRouteEvent(t *testing.T, sch *ftc.Scheme, k int, rng *rand.Rand) ([]int, [][2]int) {
+	t.Helper()
+	g, inner := sch.Graph(), sch.Inner()
+	faults := wire.Canonicalize(workload.TreeEdgeFaults(g, inner.Forest, k, rng))
+	var pairs [][2]int
+	for _, e := range faults {
+		pairs = append(pairs, [2]int{g.Edges[e].U, g.Edges[e].V})
+	}
+	for len(pairs) < 16 {
+		pairs = append(pairs, [2]int{rng.Intn(g.N()), rng.Intn(g.N())})
+	}
+	labels := make([]core.EdgeLabel, len(faults))
+	for i, e := range faults {
+		labels[i] = inner.EdgeLabel(e)
+	}
+	fs, err := core.CompileFaults(labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		if plan, ok, err := fs.RoutePlan(inner.VertexLabel(p[0]), inner.VertexLabel(p[1])); err == nil && ok && len(plan) > 1 {
+			return faults, pairs
+		}
+	}
+	t.Fatalf("no pair of %v crosses a non-tree edge under faults %v", pairs, faults)
+	return nil, nil
+}
+
+// checkRouteFrame decodes a route response frame and checks it answers
+// every pair with the BFS oracle's reachability and a walk of G that
+// avoids the faults.
+func checkRouteFrame(t *testing.T, name string, g *graph.Graph, faults []int, pairs [][2]int, frame []byte) {
+	t.Helper()
+	var resp wire.RouteResp
+	if frame[4] != wire.OpRouteResp || wire.DecodeRouteResp(frame[5:], &resp) != nil || resp.Approx || len(resp.Reachable) != len(pairs) {
+		t.Fatalf("%s: route frame rejected or not exact", name)
+	}
+	set := workload.FaultSet(faults)
+	for i, p := range pairs {
+		if want := graph.ConnectedUnder(g, set, p[0], p[1]); resp.Reachable[i] != want {
+			t.Fatalf("%s: pair %v reachable=%v, oracle %v", name, p, resp.Reachable[i], want)
+		}
+		if resp.Reachable[i] {
+			if err := graph.CheckPathUnder(g, set, resp.Paths[i], p[0], p[1]); err != nil {
+				t.Fatalf("%s: pair %v: %v", name, p, err)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -46,15 +45,17 @@ type query struct {
 }
 
 // execState is the per-request state of the executor, pooled by each
-// surface: the query, the canonicalization buffers, the forest of
-// over-budget answers and its route hops, and the answer the surface
-// encodes.
+// surface: the query, the canonicalization buffers, the route planner's
+// scratch, the forest of over-budget answers, the route hops, and the
+// answer the surface encodes.
 type execState struct {
 	q      query
 	canon  []int
 	edges  []int // a vertex query's canonical incident edges
+	plan   []core.RouteStep
+	rsc    core.RouteScratch
 	forest products.Forest
-	hops   []int // backing store of over-budget route paths
+	hops   []int // backing store of every route path of the batch
 
 	gen        uint64
 	hit        bool
@@ -154,21 +155,25 @@ func (s *Server) attempt(x *execState) (int, error) {
 	}
 	if q.product == productRoute {
 		// Plans execute through the generation's routing tables, so each
-		// returned path is the simulator's actual trajectory.
+		// returned path is the simulator's actual trajectory. The plan and
+		// the paths live in x's pooled scratch.
 		net := s.products.For(sch, x.gen).Net()
-		forbidden := forbiddenCanon(canon)
+		x.hops = x.hops[:0]
 		for i, p := range q.pairs {
-			plan, ok, err := fs.RoutePlan(sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
+			var ok bool
+			x.plan, ok, err = fs.AppendRoutePlan(x.plan[:0], &x.rsc, sch.VertexLabel(p[0]), sch.VertexLabel(p[1]))
 			if err != nil {
 				return statusOf(err, http.StatusInternalServerError), fmt.Errorf("pair %d: %w", i, err)
 			}
 			var path []int
 			if ok {
+				start := len(x.hops)
 				var reached bool
-				path, reached, err = net.Execute(p[0], p[1], plan, forbidden)
+				x.hops, reached, err = net.Execute(x.hops, p[0], p[1], x.plan, canon)
 				if err != nil || !reached {
 					return http.StatusInternalServerError, fmt.Errorf("pair %d: route execution failed: %v", i, err)
 				}
+				path = x.hops[start:len(x.hops):len(x.hops)]
 			}
 			x.out = append(x.out, ok)
 			x.paths = append(x.paths, path)
@@ -203,8 +208,8 @@ func (s *Server) overBudget(x *execState, g *graph.Graph, canon, edges []int) (i
 		x.faultEdges = len(edges)
 		x.out = x.forest.ConnectedVertices(canon, x.q.pairs, x.out)
 	} else {
-		// Paths share one pooled backing array; each is capped so no
-		// append through it can reach the next.
+		// Paths share x.hops, as in-budget routes do; each is capped so
+		// no append through it can reach the next.
 		x.hops = x.hops[:0]
 		for _, p := range x.q.pairs {
 			start := len(x.hops)
@@ -281,13 +286,4 @@ func statusOf(err error, def int) int {
 		return http.StatusInternalServerError
 	}
 	return def
-}
-
-// forbiddenCanon returns the Execute-forbidden predicate over a sorted
-// canonical edge slice: one binary search per hop, no map allocation.
-func forbiddenCanon(canon []int) func(e int) bool {
-	return func(e int) bool {
-		i := sort.SearchInts(canon, e)
-		return i < len(canon) && canon[i] == e
-	}
 }

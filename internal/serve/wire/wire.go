@@ -96,6 +96,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -495,7 +496,9 @@ func AppendRouteResp(b []byte, id uint64, hit, approx bool, gen uint64, faults i
 }
 
 // RouteResp is one decoded route response. Reachable and Paths are
-// parallel per-pair slices; an unreachable pair has a nil path.
+// parallel per-pair slices; an unreachable pair has a nil path. The paths
+// of one decode share a backing array of their own, each capped so an
+// append through one cannot reach the next.
 type RouteResp struct {
 	ID        uint64
 	CacheHit  bool
@@ -506,9 +509,11 @@ type RouteResp struct {
 	Paths     [][]int
 }
 
-// DecodeRouteResp decodes an OpRouteResp payload. Each pathLen is
-// validated against the remaining payload before its slice is allocated,
-// so a hostile frame cannot force a large allocation.
+// DecodeRouteResp decodes an OpRouteResp payload. The route count and
+// each pathLen are validated against the remaining payload before
+// anything is sized from them, so a hostile frame cannot force a large
+// allocation. All paths land in one fresh []int sized from the payload:
+// paths of an earlier decode into the same RouteResp stay valid.
 func DecodeRouteResp(payload []byte, resp *RouteResp) error {
 	if len(payload) < routeRespFixedLen {
 		return fmt.Errorf("%w: truncated route response", ErrFrame)
@@ -520,8 +525,15 @@ func DecodeRouteResp(payload []byte, resp *RouteResp) error {
 	resp.Faults = int(binary.LittleEndian.Uint32(payload[17:]))
 	nRoutes := int(binary.LittleEndian.Uint32(payload[21:]))
 	rest := payload[routeRespFixedLen:]
-	resp.Reachable = resp.Reachable[:0]
-	resp.Paths = resp.Paths[:0]
+	// Every route carries at least its 5-byte leg header.
+	if nRoutes > len(rest)/5 {
+		return fmt.Errorf("%w: route count disagrees with payload", ErrFrame)
+	}
+	resp.Reachable = slices.Grow(resp.Reachable[:0], nRoutes)
+	resp.Paths = slices.Grow(resp.Paths[:0], nRoutes)
+	// Every byte past the leg headers belongs to a path vertex, so this
+	// holds every path without growing.
+	hops := make([]int, 0, (len(rest)-5*nRoutes)/4)
 	for i := 0; i < nRoutes; i++ {
 		if len(rest) < 5 {
 			return fmt.Errorf("%w: truncated route leg", ErrFrame)
@@ -534,10 +546,11 @@ func DecodeRouteResp(payload []byte, resp *RouteResp) error {
 		}
 		var path []int
 		if ok {
-			path = make([]int, pathLen)
-			for j := range path {
-				path[j] = int(binary.LittleEndian.Uint32(rest[4*j:]))
+			start := len(hops)
+			for j := 0; j < pathLen; j++ {
+				hops = append(hops, int(binary.LittleEndian.Uint32(rest[4*j:])))
 			}
+			path = hops[start:len(hops):len(hops)]
 		}
 		rest = rest[4*pathLen:]
 		resp.Reachable = append(resp.Reachable, ok)

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -238,6 +239,45 @@ func TestDecodeRouteRespRejectsHostileLengths(t *testing.T) {
 	}
 }
 
+// TestDecodeRouteRespPathsIsolated: the decoded paths share one backing
+// array, so each must be capped — an append through Paths[0] must not
+// write into Paths[1] — and a second decode into the same RouteResp must
+// leave the first decode's paths intact.
+func TestDecodeRouteRespPathsIsolated(t *testing.T) {
+	frame := AppendRouteResp(nil, 1, false, false, 1, 0, []bool{true, true}, [][]int{{0, 1, 2}, {3, 4}})
+	var resp RouteResp
+	if err := DecodeRouteResp(frame[frameHeaderLen:], &resp); err != nil {
+		t.Fatal(err)
+	}
+	first := resp.Paths[1]
+	resp.Paths[0] = append(resp.Paths[0], 99, 98)
+	if !slices.Equal(resp.Paths[1], []int{3, 4}) {
+		t.Fatalf("append through Paths[0] reached Paths[1]: %v", resp.Paths[1])
+	}
+	other := AppendRouteResp(nil, 2, false, false, 1, 0, []bool{true, true}, [][]int{{7}, {8, 9}})
+	if err := DecodeRouteResp(other[frameHeaderLen:], &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first, []int{3, 4}) || !slices.Equal(resp.Paths[1], []int{8, 9}) {
+		t.Fatalf("redecode clobbered an earlier path: first %v, now %v", first, resp.Paths[1])
+	}
+}
+
+// TestDecodeRouteRespRejectsHostileRouteCount: a route count the payload
+// cannot hold is refused before Reachable or Paths is sized from it.
+func TestDecodeRouteRespRejectsHostileRouteCount(t *testing.T) {
+	frame := AppendRouteResp(nil, 1, false, false, 1, 0, []bool{true}, [][]int{{1, 2}})
+	payload := append([]byte(nil), frame[frameHeaderLen:]...)
+	binary.LittleEndian.PutUint32(payload[routeRespFixedLen-4:], 1<<31)
+	var resp RouteResp
+	if err := DecodeRouteResp(payload, &resp); !errors.Is(err, ErrFrame) {
+		t.Fatalf("hostile route count accepted: %v", err)
+	}
+	if cap(resp.Reachable) != 0 || cap(resp.Paths) != 0 {
+		t.Fatalf("hostile route count sized the response: cap %d/%d", cap(resp.Reachable), cap(resp.Paths))
+	}
+}
+
 func TestErrorRoundTrip(t *testing.T) {
 	frame := AppendError(nil, 4, CodeConflict, "stale")
 	id, code, msg, err := DecodeError(frame[frameHeaderLen:])
@@ -361,6 +401,9 @@ func FuzzWireFrame(f *testing.F) {
 	hostile := append([]byte(nil), routeResp...)
 	binary.LittleEndian.PutUint32(hostile[frameHeaderLen+routeRespFixedLen+1:], 1<<31)
 	f.Add(hostile)
+	manyRoutes := append([]byte(nil), routeResp...)
+	binary.LittleEndian.PutUint32(manyRoutes[frameHeaderLen+routeRespFixedLen-4:], 1<<20)
+	f.Add(manyRoutes)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bufio.NewReaderSize(bytes.NewReader(data), 512))
@@ -393,7 +436,16 @@ func FuzzWireFrame(f *testing.F) {
 			case OpProbeResp, OpVProbeResp:
 				_ = DecodeProbeResp(payload, resp.Connected, &resp)
 			case OpRouteResp:
-				_ = DecodeRouteResp(payload, &rresp)
+				if DecodeRouteResp(payload, &rresp) == nil {
+					if len(rresp.Paths) != len(rresp.Reachable) {
+						t.Fatalf("%d paths for %d routes", len(rresp.Paths), len(rresp.Reachable))
+					}
+					for i, p := range rresp.Paths {
+						if cap(p) != len(p) {
+							t.Fatalf("path %d: cap %d > len %d, an append could reach the next path", i, cap(p), len(p))
+						}
+					}
+				}
 			case OpError:
 				_, _, _, _ = DecodeError(payload)
 			}
