@@ -3,16 +3,16 @@ package main
 // E22 — the chaos harness: a full in-process serving tier (primary with a
 // generation log, two tailing replicas with HTTP + binary listeners, a
 // self-healing front) driven through a seeded fault schedule — injected
-// connection resets, snapshot-stream failures, fsync latency, and a
-// replica kill/restart — while every answer the front returns is checked
-// against a per-generation oracle. The invariant under test is the one
-// DESIGN.md §3.16 promises: faults may slow or shed requests, but a
-// served answer is always exactly correct for the generation the server
-// reports. Fault policies that would corrupt the live primary's log
-// (error/torn-write on genlog.append) are deliberately absent from the
-// schedule — a published generation whose record is missing wedges
-// replication permanently; crash-atomicity of the log itself is covered
-// by a separate torn-write sub-check on a scratch log.
+// connection resets, log-tail read failures, snapshot-stream failures,
+// fsync latency, and a replica kill/restart — while every answer the
+// front returns is checked against a per-generation oracle. The invariant
+// under test is the one DESIGN.md §3.16 promises: faults may slow or shed
+// requests, but a served answer is always exactly correct for the
+// generation the server reports. Fault policies that would corrupt the
+// live primary's log (error/torn-write on genlog.append) are deliberately
+// absent from the schedule — a published generation whose record is
+// missing wedges replication permanently; crash-atomicity of the log
+// itself is covered by a separate torn-write sub-check on a scratch log.
 
 import (
 	"bytes"
@@ -250,13 +250,6 @@ func chaosBench() {
 	if err := primary.AttachGenLog(glog); err != nil {
 		chaosFatalf("attach: %v", err)
 	}
-	binLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		chaosFatalf("listen: %v", err)
-	}
-	go primary.ServeBin(binLn)
-	defer binLn.Close()
-	primary.SetBinAddr(binLn.Addr().String())
 	ts := httptest.NewServer(primary.Handler())
 	defer ts.Close()
 
@@ -444,13 +437,14 @@ func chaosBench() {
 			reg, err := faultinject.Parse(
 				"wireclient.conn.read=error-rate:0.03;"+
 					"binserver.conn.write=error-rate:0.03;"+
+					"replica.tail=error-rate:0.03;"+
 					"snapshot.stream=error-rate:0.3;"+
 					"genlog.fsync=latency:2ms", chaosSeed)
 			if err != nil {
 				chaosFatalf("parse failpoints: %v", err)
 			}
 			faultinject.Arm(reg)
-			fmt.Printf("   round %d: armed conn resets (3%%), snapshot failures (30%%), fsync latency\n", step)
+			fmt.Printf("   round %d: armed conn resets and log-tail failures (3%%), snapshot failures (30%%), fsync latency\n", step)
 		case killRound:
 			r2.kill()
 			killAt = time.Now()

@@ -8,8 +8,8 @@
 //	ftcserve -graph g.txt -dynamic [-headroom 8]
 //	ftcserve -snapshot scheme.ftcsnap -pprof localhost:6060
 //	ftcserve -snapshot scheme.ftcsnap -listen-bin :8338
-//	ftcserve -graph g.txt -dynamic -genlog gen.log -listen-bin :8338   (primary)
-//	ftcserve -replica-of http://primary:8337 [-listen-bin :8339]       (replica)
+//	ftcserve -graph g.txt -dynamic -genlog gen.log                   (primary)
+//	ftcserve -replica-of http://primary:8337 [-listen-bin :8339]     (replica)
 //
 // Loading a current-format (v4) or v3 snapshot is O(1) in label bytes: the
 // label arena is mapped lazily, so a replica is serving within
@@ -29,6 +29,7 @@
 //	POST /update     {"add":[[0,9]], "remove":[[2,3]]}   (-dynamic only)
 //	                 → {"generation":2, "incremental":true, "relabeled":5, ...}
 //	GET  /snapshot   the current generation as a binary snapshot (what replicas bootstrap from)
+//	GET  /genlog?after=G  the log records after generation G, long-polled (what replicas tail; -genlog only)
 //	GET  /healthz    liveness, scheme shape, and generation
 //	GET  /stats      serving and cache counters (hits, misses, occupancy, sweep and LRU evictions)
 //	GET  /metrics    the same counters in Prometheus text exposition format
@@ -59,8 +60,10 @@
 //
 // Replication (DESIGN.md §3.13): a dynamic daemon started with -genlog
 // becomes a primary — every committed generation is appended to the log
-// file as a replayable delta and streamed to subscribers over the binary
-// listener (OpLogSub), so -genlog wants -listen-bin. The primary builds its
+// file as a replayable delta, which replicas long-poll over HTTP
+// (GET /genlog); a primary needs no -listen-bin to feed them. Both ends
+// must run a build with this transport: one that tailed over the binary
+// listener neither serves nor polls GET /genlog. The primary builds its
 // scheme at generation 1, so it exits rather than adopt a log (or
 // checkpoint) that ends at a later generation — a previous run's: move
 // both aside to restart. A daemon started with
@@ -75,7 +78,7 @@
 // checkpoint (its current snapshot, to <log>.ckpt) and truncates the log
 // down to the newest -genlog-retain-min records; /snapshot then serves the
 // checkpoint, and a replica that fell behind the retained window refetches
-// it (CodeGone) and tails from there.
+// it (GET /genlog answers 410) and tails from there.
 //
 // Overload protection (DESIGN.md §3.16): -max-inflight caps concurrently
 // served probes across both surfaces — excess HTTP probes get 503 with
@@ -132,7 +135,7 @@ func main() {
 	headroom := flag.Int("headroom", 0, "per-vertex incremental insertion headroom (with -dynamic; 0 = default)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 	listenBin := flag.String("listen-bin", "", "additionally serve the binary frame protocol on this address (e.g. :8338; empty = off)")
-	genlogPath := flag.String("genlog", "", "append committed generations to this log file and stream them to replicas (primary role; requires -dynamic and wants -listen-bin)")
+	genlogPath := flag.String("genlog", "", "append committed generations to this log file, which replicas tail over HTTP (primary role; requires -dynamic)")
 	retainRecords := flag.Int("genlog-retain-records", 0, "compact the generation log when it holds more than this many records (0 = unbounded; with -genlog)")
 	retainBytes := flag.Int64("genlog-retain-bytes", 0, "compact the generation log when the file exceeds this many bytes (0 = unbounded; with -genlog)")
 	retainAge := flag.Duration("genlog-retain-age", 0, "compact generation-log records older than this (e.g. 6h; 0 = unbounded; ages run from append, checked on the commit path; with -genlog)")
@@ -201,9 +204,6 @@ func main() {
 			if err := srv.AttachGenLog(l); err != nil {
 				log.Fatalf("ftcserve: genlog: %v", err)
 			}
-			if *listenBin == "" {
-				log.Printf("warning: -genlog without -listen-bin: replicas tail the log over the binary listener")
-			}
 			// A pre-existing log may already exceed the policy; compact it
 			// now rather than waiting for the first commit.
 			srv.MaybeCompactGenLog()
@@ -253,8 +253,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("ftcserve: bin listener: %v", err)
 		}
-		// Advertise the concrete listener address on /healthz so replicas
-		// pointed at the HTTP address can find the log-tail endpoint.
+		// Advertise the concrete listener address on /healthz so fronts and
+		// operators holding the HTTP address can find where to probe.
 		srv.SetBinAddr(binLn.Addr().String())
 		go func() {
 			log.Printf("binary protocol listening on %s", *listenBin)

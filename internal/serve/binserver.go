@@ -131,7 +131,7 @@ func (s *Server) ServeBin(ln net.Listener) error {
 func (s *Server) registerBinConn(conn net.Conn) bool {
 	s.binMu.Lock()
 	defer s.binMu.Unlock()
-	if s.binDraining {
+	if s.binDraining.Load() {
 		return false
 	}
 	if s.binOpen == nil {
@@ -147,12 +147,6 @@ func (s *Server) unregisterBinConn(conn net.Conn) {
 	s.binMu.Unlock()
 }
 
-func (s *Server) binIsDraining() bool {
-	s.binMu.Lock()
-	defer s.binMu.Unlock()
-	return s.binDraining
-}
-
 // ShutdownBin gracefully stops the framed-protocol side: new connections
 // are refused, existing connections finish the frames already in flight
 // (their read loops are woken via a read deadline, flush buffered
@@ -161,7 +155,7 @@ func (s *Server) binIsDraining() bool {
 // so ServeBin stops accepting.
 func (s *Server) ShutdownBin(ctx context.Context) {
 	s.binMu.Lock()
-	s.binDraining = true
+	s.binDraining.Store(true)
 	for conn := range s.binOpen {
 		// Wake blocked reads; the conn loop sees the draining flag, flushes,
 		// and closes cleanly.
@@ -186,74 +180,6 @@ func (s *Server) ShutdownBin(ctx context.Context) {
 			s.binMu.Unlock()
 			return
 		case <-tick.C:
-		}
-	}
-}
-
-// logSubPollInterval bounds how long a quiescent OpLogSub connection goes
-// between liveness/draining checks.
-const logSubPollInterval = 100 * time.Millisecond
-
-// streamLog serves one OpLogSub subscription: backlog records after the
-// subscriber's generation, then live records as commits append them. The
-// loop wakes on the append hub (coalesced — a wakeup means "re-scan the
-// log", so a slow subscriber batches however many records accumulated) and
-// polls for draining and subscriber hangup in between.
-func (s *Server) streamLog(conn net.Conn, bw *bufio.Writer, payload []byte) {
-	fail := func(code uint16, msg string) {
-		resp := wire.AppendError(nil, 0, code, msg)
-		_, _ = bw.Write(resp)
-		_ = bw.Flush()
-	}
-	afterGen, err := wire.DecodeLogSub(payload)
-	if err != nil {
-		s.frameErrors.Add(1)
-		fail(wire.CodeBadRequest, err.Error())
-		return
-	}
-	if s.genlog == nil {
-		fail(wire.CodeBadRequest, "no generation log attached (not a primary)")
-		return
-	}
-	ch, cancel := s.subscribeLog()
-	defer cancel()
-	cur := afterGen
-	var frame []byte
-	var peek [1]byte
-	for {
-		recs, ok := s.genlog.After(cur)
-		if !ok {
-			// The log no longer covers the subscriber's generation: it
-			// must bootstrap from a snapshot instead.
-			fail(wire.CodeGone, fmt.Sprintf("generation log starts after %d; refetch a snapshot", cur))
-			return
-		}
-		for _, rec := range recs {
-			frame = wire.AppendLogRecord(frame[:0], rec.Payload)
-			if _, err := bw.Write(frame); err != nil {
-				return
-			}
-			cur = rec.Gen
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		select {
-		case <-ch:
-		case <-time.After(logSubPollInterval):
-			// Idle: check the subscriber is still there. Replicas never
-			// send after OpLogSub, so a successful read is a protocol
-			// violation and any error other than a timeout is a hangup.
-			_ = conn.SetReadDeadline(time.Now().Add(time.Millisecond))
-			if _, err := conn.Read(peek[:]); err == nil {
-				return
-			} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-				return
-			}
-			_ = conn.SetReadDeadline(time.Time{})
-		}
-		if s.binIsDraining() {
-			return
 		}
 	}
 }
@@ -305,7 +231,7 @@ func (s *Server) serveBinConn(conn net.Conn) {
 	// buffer re-stamps lastIdle when the frame arrives.
 	lastIdle := time.Now()
 	for {
-		if s.binIsDraining() {
+		if s.binDraining.Load() {
 			_ = bw.Flush()
 			return
 		}
@@ -323,13 +249,6 @@ func (s *Server) serveBinConn(conn net.Conn) {
 				s.frameErrors.Add(1)
 			}
 			_ = bw.Flush()
-			return
-		}
-		if op == wire.OpLogSub {
-			// The connection switches to push mode: stream generation-log
-			// records until the subscriber hangs up or the server drains.
-			s.binRequests.Add(1)
-			s.streamLog(conn, bw, payload)
 			return
 		}
 		inflight := s.binInflight.Add(1)

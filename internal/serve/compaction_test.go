@@ -1,12 +1,10 @@
 package serve_test
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/serve/genlog"
-	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
@@ -129,7 +126,7 @@ func TestCompactionBoundsLogUnderChurn(t *testing.T) {
 // caught-up replica is stopped, the primary churns across multiple
 // compaction boundaries (so the replica's generation falls below the
 // retained window), and on restart the replica must converge to
-// byte-identical labels via checkpoint fetch + CodeGone-triggered snapshot
+// byte-identical labels via checkpoint fetch + 410-triggered snapshot
 // refetch + tail.
 func TestCompactionFellBehindReplicaConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
@@ -297,7 +294,7 @@ func TestReplicaShortSnapshotRejectedAndRetried(t *testing.T) {
 
 	var snapCalls atomic.Int32
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := http.Get(p.ts.URL + r.URL.Path)
+		resp, err := http.Get(p.ts.URL + r.URL.RequestURI())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -333,7 +330,6 @@ func TestReplicaShortSnapshotRejectedAndRetried(t *testing.T) {
 		RedialMax:       20 * time.Millisecond,
 		SnapRefetchBase: 2 * time.Millisecond,
 		SnapRefetchMax:  20 * time.Millisecond,
-		BinAddr:         p.binLn.Addr().String(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +369,8 @@ func TestReplicaShortSnapshotRejectedAndRetried(t *testing.T) {
 }
 
 // TestCompactionRefetchBackoff pins the anti-tight-loop behavior: against
-// a primary whose log never covers the replica (every tail attempt ends in
-// CodeGone), consecutive snapshot refetches must be paced by the refetch
+// a primary whose log never covers the replica (every GET /genlog answers
+// 410), consecutive snapshot refetches must be paced by the refetch
 // backoff, not the (fast-resetting) redial backoff.
 func TestCompactionRefetchBackoff(t *testing.T) {
 	// A real scheme for the snapshot endpoint.
@@ -389,39 +385,6 @@ func TestCompactionRefetchBackoff(t *testing.T) {
 	}
 	snap := nw.Snapshot()
 
-	// Fake binary listener: every OpLogSub is answered with CodeGone.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				hello := make([]byte, wire.ClientHelloLen)
-				if _, err := io.ReadFull(c, hello); err != nil {
-					return
-				}
-				if err := wire.ParseClientHello(hello); err != nil {
-					return
-				}
-				if _, err := c.Write(wire.AppendServerHello(nil, 99)); err != nil {
-					return
-				}
-				rd := wire.NewReader(bufio.NewReader(c))
-				if _, _, err := rd.Next(); err != nil {
-					return
-				}
-				c.Write(wire.AppendError(nil, 0, wire.CodeGone, "log starts after 99"))
-			}(conn)
-		}
-	}()
-
 	var snapCalls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -431,8 +394,8 @@ func TestCompactionRefetchBackoff(t *testing.T) {
 			if err := snap.Save(w); err != nil {
 				t.Errorf("snapshot save: %v", err)
 			}
-		case "/healthz":
-			fmt.Fprintf(w, `{"status":"ok","role":"primary","generation":1,"bin_addr":%q}`, ln.Addr().String())
+		case "/genlog":
+			http.Error(w, "log starts after 99", http.StatusGone)
 		default:
 			http.NotFound(w, r)
 		}
@@ -462,7 +425,7 @@ func TestCompactionRefetchBackoff(t *testing.T) {
 	// 600ms, ≤ 10 even at full jitter. The redial backoff alone (1-4ms)
 	// would make hundreds.
 	if got < 2 {
-		t.Fatalf("only %d snapshot refetches in 600ms — CodeGone loop not retrying", got)
+		t.Fatalf("only %d snapshot refetches in 600ms — 410 loop not retrying", got)
 	}
 	if got > 10 {
 		t.Fatalf("%d snapshot refetches in 600ms — refetch backoff not applied", got)

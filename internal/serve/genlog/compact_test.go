@@ -362,7 +362,7 @@ func TestCompactBoundsWindow(t *testing.T) {
 }
 
 // TestAfterCompactRace interleaves After backfills (reading record
-// payloads, as the wire streamLog loop does) with Append and Compact under
+// payloads, as the primary's GET /genlog does) with Append and Compact under
 // -race: the regression test for the use-after-truncate hazard — Compact
 // must never mutate a backing array an in-flight backfill still aliases.
 func TestAfterCompactRace(t *testing.T) {

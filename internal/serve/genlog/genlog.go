@@ -41,8 +41,9 @@
 // need no code here, because the label decoder and core.ApplyDelta
 // convert them (DESIGN.md §3.10).
 //
-// The payload is the unit shipped over the wire (OpLogRecord frames carry
-// it verbatim), so wire subscribers and file readers decode identically.
+// The payload is the unit shipped to replicas (the OpLogRecord frames of a
+// GET /genlog body carry it verbatim), so replicas and file readers decode
+// identically.
 // Any change to this layout must bump the version byte and the record
 // version constant — the golden-fixture test enforces it.
 //

@@ -2,14 +2,13 @@ package serve
 
 import (
 	"bufio"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
-	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,18 +22,19 @@ import (
 
 // The replica side of the replication tier: a Replicator boots a serving
 // scheme from the primary's GET /snapshot, then tails the primary's
-// generation log over the binary listener (OpLogSub) and replays each
-// delta record through core.ApplyDelta, publishing the resulting scheme
-// atomically and sweeping the local fault-set cache through the same
-// ApplyReplicatedCommit path a local commit would take. Replay is
-// byte-identical to the primary's labels (delta_test.go, replica_test.go),
-// so a replica answers probes indistinguishably from the primary at any
-// generation it has reached.
+// generation log by long-polling GET /genlog on the same base URL and
+// replays each delta record through core.ApplyDelta, publishing the
+// resulting scheme atomically and sweeping the local fault-set cache
+// through the same ApplyReplicatedCommit path a local commit would take.
+// Replay is byte-identical to the primary's labels (delta_test.go,
+// replica_test.go), so a replica answers probes indistinguishably from the
+// primary at any generation it has reached.
 //
 // A stopped replica keeps its scheme: Stop/Start cycles resume the tail at
 // the local generation and catch up from the log alone — SnapshotLoads
-// only moves when the log no longer covers the replica (CodeGone), the
-// primary ships a full-rebuild marker, or delta replay fails.
+// only moves when the log no longer covers the replica (a 410 from
+// GET /genlog), the primary ships a full-rebuild marker, or delta replay
+// fails.
 
 // replicaScheme adapts *core.Scheme to the serving surface. core.Scheme
 // names its edge accessor EdgeLabel; the serve interface (shared with the
@@ -65,24 +65,19 @@ type ReplicatorOptions struct {
 	// CacheSize sizes the replica's fault-set cache (default 256 entries).
 	CacheSize int
 
-	// RedialBase / RedialMax bound the exponential backoff between tail
-	// sessions after a connection failure (defaults 50ms / 2s).
+	// RedialBase / RedialMax bound the exponential backoff between polls
+	// after a failed one (defaults 50ms / 2s).
 	RedialBase time.Duration
 	RedialMax  time.Duration
 
 	// SnapRefetchBase / SnapRefetchMax bound a separate exponential
 	// backoff applied to consecutive snapshot refetches (defaults 250ms /
-	// 5s). The redial backoff resets whenever a session applies a record,
+	// 5s). The redial backoff resets whenever a poll applies a record,
 	// which a compacting primary keeps satisfying — without this second
 	// clock a replica that repeatedly lands below the retained window
-	// (CodeGone) would tight-loop full snapshot downloads.
+	// (a 410) would tight-loop full snapshot downloads.
 	SnapRefetchBase time.Duration
 	SnapRefetchMax  time.Duration
-
-	// BinAddr overrides the binary-listener address advertised by the
-	// primary's /healthz. Needed when the primary's advertised address is
-	// not reachable from the replica (NAT, test harnesses).
-	BinAddr string
 }
 
 func (o *ReplicatorOptions) fill() {
@@ -118,18 +113,17 @@ type Replicator struct {
 	primary string // primary's HTTP base URL, e.g. http://127.0.0.1:8080
 	opts    ReplicatorOptions
 	srv     *Server
-	// client fetches /snapshot and /healthz from the primary. Its 30 s
-	// timeout bounds each whole exchange, the /snapshot body included.
+	// client fetches /snapshot and /genlog from the primary. Its 30 s
+	// timeout bounds each whole exchange, the response body included.
 	client *http.Client
 
 	cur atomic.Pointer[core.Scheme] // the serving scheme; never nil after New
 
-	// needSnapshot forces the next tail session to refetch /snapshot
-	// before subscribing (set on full-rebuild markers, log gaps, CodeGone,
-	// and replay failures).
+	// needSnapshot forces the next poll to refetch /snapshot first (set on
+	// full-rebuild markers, log gaps, a 410, and replay failures).
 	needSnapshot atomic.Bool
 
-	// caughtUp latches true the first time a live tail session observes
+	// caughtUp latches true the first time a live poll observes
 	// zero generation lag after a bootstrap (or refetch). Until then the
 	// replica's /healthz answers 503 with catching_up set: a freshly
 	// loaded snapshot may be a stale checkpoint, so loading it is not yet
@@ -143,11 +137,9 @@ type Replicator struct {
 	recordsApplied atomic.Uint64
 	snapshotLoads  atomic.Uint64
 
-	mu      sync.Mutex
-	running bool
-	stopCh  chan struct{}
-	conn    net.Conn // the live tail connection, closed by Stop
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	cancel context.CancelFunc // ends the running poll loop; nil when stopped
+	wg     sync.WaitGroup
 }
 
 // NewReplicator fetches the primary's current snapshot, loads it, and
@@ -161,7 +153,7 @@ func NewReplicator(primaryURL string, opts ReplicatorOptions) (*Replicator, erro
 		return replicaScheme{r.cur.Load()}
 	}, nil, opts.CacheSize)
 	r.srv.SetReplicaStatusFn(r.Status)
-	if err := r.bootstrap(); err != nil {
+	if err := r.bootstrap(context.TODO()); err != nil {
 		return nil, fmt.Errorf("replica bootstrap: %w", err)
 	}
 	return r, nil
@@ -206,94 +198,56 @@ func (r *Replicator) observeSource(gen uint64) {
 	}
 }
 
-// Start launches the tail loop. It returns an error if already running.
+// Start launches the poll loop. It returns an error if already running.
 func (r *Replicator) Start() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.running {
+	if r.cancel != nil {
 		return errors.New("replicator already running")
 	}
-	r.running = true
-	r.stopCh = make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	r.cancel = cancel
 	r.wg.Add(1)
-	go r.run(r.stopCh)
+	go r.run(ctx)
 	return nil
 }
 
-// Stop halts the tail loop and waits for it to exit. The scheme and cache
-// are kept; probes keep being answered at the last applied generation.
+// Stop halts the poll loop, cancelling the poll in flight, and waits for it
+// to exit. The scheme and cache are kept; probes keep being answered at the
+// last applied generation.
 func (r *Replicator) Stop() {
 	r.mu.Lock()
-	if !r.running {
+	if r.cancel == nil {
 		r.mu.Unlock()
 		return
 	}
-	r.running = false
-	close(r.stopCh)
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-	}
+	r.cancel()
+	r.cancel = nil
 	r.mu.Unlock()
 	r.wg.Wait()
 	r.setState("disconnected")
 }
 
-// setConn publishes the live tail connection so Stop can sever a blocked
-// read. Returns false (and closes the conn) when Stop already won.
-func (r *Replicator) setConn(stop chan struct{}, c net.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	select {
-	case <-stop:
-		c.Close()
-		return false
-	default:
-	}
-	r.conn = c
-	return true
-}
-
-func (r *Replicator) clearConn(c net.Conn) {
-	r.mu.Lock()
-	if r.conn == c {
-		r.conn = nil
-	}
-	r.mu.Unlock()
-	c.Close()
-}
-
-func stopped(stop chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// run is the tail loop: one session per connection, exponential backoff
-// with ±50% jitter between failed sessions, reset after a session that
-// applied at least one record. Sessions that end needing a snapshot
-// refetch (CodeGone, full-rebuild marker, failed bootstrap) run a second,
-// slower backoff clock: applying records resets the redial backoff, so
-// under retention pressure it alone would let a slow replica hammer
-// /snapshot in a tight fetch→fall-behind→CodeGone loop.
-func (r *Replicator) run(stop chan struct{}) {
+// run is the tail loop. A poll that answered is followed by the next one at
+// once. After a failed poll it sleeps an exponential backoff with ±50%
+// jitter, reset by a poll that applied at least one record. Polls that end
+// needing a snapshot refetch (a 410, full-rebuild marker, failed bootstrap)
+// run a second, slower backoff clock: applying records resets the redial
+// backoff, so under retention pressure it alone would let a slow replica
+// hammer /snapshot in a tight fetch→fall-behind→410 loop.
+func (r *Replicator) run(ctx context.Context) {
 	defer r.wg.Done()
 	backoff := r.opts.RedialBase
-	var snapBackoff time.Duration // 0 = previous session needed no refetch
-	for !stopped(stop) {
-		applied, err := r.tailOnce(stop)
-		if stopped(stop) {
-			return
-		}
-		if err != nil {
-			r.setState("disconnected")
-		}
+	var snapBackoff time.Duration // 0 = the last failed poll needed no refetch
+	for ctx.Err() == nil {
+		applied, err := r.poll(ctx)
 		if applied > 0 {
 			backoff = r.opts.RedialBase
 		}
+		if err == nil || ctx.Err() != nil {
+			continue
+		}
+		r.setState("disconnected")
 		sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
 		if errors.Is(err, errSnapshotNeeded) {
 			if snapBackoff == 0 {
@@ -309,7 +263,7 @@ func (r *Replicator) run(stop chan struct{}) {
 			snapBackoff = 0
 		}
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return
 		case <-time.After(sleep):
 		}
@@ -320,103 +274,90 @@ func (r *Replicator) run(stop chan struct{}) {
 }
 
 // errSnapshotNeeded signals that the log cannot carry the replica forward
-// and the next session must refetch a snapshot.
+// and the next poll must refetch a snapshot.
 var errSnapshotNeeded = errors.New("snapshot refetch needed")
 
-// tailOnce runs one tail session: (re)bootstrap if flagged, resolve the
-// primary's binary address, subscribe after the local generation, and
-// apply records until the connection drops or Stop closes it. Returns how
-// many records were applied.
-func (r *Replicator) tailOnce(stop chan struct{}) (applied int, err error) {
+// get sends GET path to the primary through r.client, bound to ctx, and
+// turns any status but 200 into an error. A 410 — the primary's log no
+// longer covers the requested generation — also flags a snapshot refetch.
+func (r *Replicator) get(ctx context.Context, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.primary+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := r.client.Do(req)
+	if err != nil || resp.StatusCode == http.StatusOK {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	err = fmt.Errorf("GET %s: %s: %s", path, resp.Status, body)
+	if resp.StatusCode == http.StatusGone {
+		r.needSnapshot.Store(true)
+		err = fmt.Errorf("%w: %v", errSnapshotNeeded, err)
+	}
+	return nil, err
+}
+
+// poll runs one long-poll of the primary's GET /genlog after the local
+// generation — (re)bootstrapping first if flagged — and applies the
+// records it answers with. Returns how many records were applied.
+func (r *Replicator) poll(ctx context.Context) (applied int, err error) {
 	if r.needSnapshot.Load() {
-		if err := r.bootstrap(); err != nil {
+		if err := r.bootstrap(ctx); err != nil {
 			// needSnapshot stays set; mark the error so run() applies the
 			// refetch backoff to the retry (a short/rejected snapshot body
 			// lands here and must not tight-loop downloads either).
 			return 0, fmt.Errorf("%w: %v", errSnapshotNeeded, err)
 		}
 	}
-	addr, err := r.resolveBinAddrRetry(stop)
+	resp, err := r.get(ctx, fmt.Sprintf("/genlog?after=%d", r.cur.Load().Generation()))
 	if err != nil {
 		return 0, err
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	defer resp.Body.Close()
+	head, err := strconv.ParseUint(resp.Header.Get("X-Ftc-Generation"), 10, 64)
 	if err != nil {
-		return 0, err
-	}
-	if !r.setConn(stop, conn) {
-		return 0, nil
-	}
-	defer r.clearConn(conn)
-
-	if _, err := conn.Write(wire.AppendClientHello(nil)); err != nil {
-		return 0, fmt.Errorf("log-tail hello: %w", err)
-	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	var hello [wire.ServerHelloLen]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return 0, fmt.Errorf("log-tail hello: %w", err)
-	}
-	head, err := wire.ParseServerHello(hello[:])
-	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("GET /genlog: X-Ftc-Generation: %w", err)
 	}
 	r.observeSource(head)
-
-	local := r.cur.Load().Generation()
-	if _, err := conn.Write(wire.AppendLogSub(nil, local)); err != nil {
-		return 0, err
-	}
-	r.setState("syncing")
 	r.refreshState(true)
 
-	rd := wire.NewReader(br)
+	// Failpoint "replica.tail": the receive side of the log tail — a
+	// mid-body failure ends the poll; the records applied before it stay.
+	rd := wire.NewReader(bufio.NewReaderSize(faultinject.WrapReader("replica.tail", resp.Body), 64<<10))
 	// Log records can exceed probe frames; accept anything the log itself
 	// could hold plus framing slack.
 	rd.SetMaxFrame(genlog.MaxRecordBytes + 64)
 	for {
 		op, payload, err := rd.Next()
+		if err == io.EOF {
+			return applied, nil
+		}
 		if err != nil {
-			if stopped(stop) {
-				return applied, nil
+			return applied, fmt.Errorf("GET /genlog body: %w", err)
+		}
+		if op != wire.OpLogRecord {
+			return applied, fmt.Errorf("GET /genlog: unexpected opcode 0x%02x", op)
+		}
+		r.bytesReceived.Add(uint64(len(payload)))
+		if err := r.applyRecord(payload); err != nil {
+			if errors.Is(err, errSnapshotNeeded) {
+				r.needSnapshot.Store(true)
 			}
 			return applied, err
 		}
-		switch op {
-		case wire.OpLogRecord:
-			r.bytesReceived.Add(uint64(len(payload)))
-			if err := r.applyRecord(payload); err != nil {
-				if errors.Is(err, errSnapshotNeeded) {
-					r.needSnapshot.Store(true)
-				}
-				return applied, err
-			}
-			applied++
-			r.bytesApplied.Add(uint64(len(payload)))
-			r.recordsApplied.Add(1)
-			r.refreshState(true)
-		case wire.OpError:
-			_, code, msg, derr := wire.DecodeError(payload)
-			if derr != nil {
-				return applied, derr
-			}
-			if code == wire.CodeGone {
-				// The primary's log starts after our generation: only a
-				// fresh snapshot can carry us forward.
-				r.needSnapshot.Store(true)
-				return applied, fmt.Errorf("%w: %s", errSnapshotNeeded, msg)
-			}
-			return applied, fmt.Errorf("log-tail error %d: %s", code, msg)
-		default:
-			return applied, fmt.Errorf("log-tail: unexpected opcode 0x%02x", op)
-		}
+		applied++
+		r.bytesApplied.Add(uint64(len(payload)))
+		r.recordsApplied.Add(1)
+		r.refreshState(true)
 	}
 }
 
 // applyRecord decodes one log record and replays it onto the serving
-// scheme. Records at or below the local generation (possible when the
-// subscription raced a concurrent append) are skipped; anything the delta
-// path cannot replay escalates to a snapshot refetch.
+// scheme. Records at or below the local generation are skipped; anything
+// the delta path cannot replay — a full-rebuild marker included —
+// escalates to a snapshot refetch.
 func (r *Replicator) applyRecord(payload []byte) error {
 	d, err := genlog.DecodeDelta(payload)
 	if err != nil {
@@ -427,14 +368,11 @@ func (r *Replicator) applyRecord(payload []byte) error {
 	if d.Gen <= cur.Generation() {
 		return nil
 	}
-	if d.Full {
-		return fmt.Errorf("%w: full-rebuild marker at generation %d (%s)",
-			errSnapshotNeeded, d.Gen, d.Reason)
-	}
 	rep, next, err := core.ApplyDelta(cur, d)
 	if err != nil {
-		// ErrDeltaGap, ErrDeltaMismatch, or any replay failure: the log
-		// cannot carry this replica forward from its current generation.
+		// ErrFullRebuild, ErrDeltaGap, ErrDeltaMismatch, or any replay
+		// failure: the log cannot carry this replica forward from its
+		// current generation.
 		return fmt.Errorf("%w: applying delta %d->%d: %v",
 			errSnapshotNeeded, d.PrevGen, d.Gen, err)
 	}
@@ -448,7 +386,7 @@ func (r *Replicator) applyRecord(payload []byte) error {
 
 // refreshState flips the health state to "ok" once the local generation
 // has reached every generation observed from the primary. fromTail marks
-// a live tail session: only then does zero lag latch caughtUp (clearing
+// a live poll: only then does zero lag latch caughtUp (clearing
 // /healthz's catching_up 503) — bootstrap alone proves a snapshot loaded,
 // not that the replica has served the primary's head.
 func (r *Replicator) refreshState(fromTail bool) {
@@ -466,16 +404,12 @@ func (r *Replicator) refreshState(fromTail bool) {
 // as the serving scheme, and drops the entire fault-set cache (a snapshot
 // reload is a full-rebuild commit as far as cached fault sets are
 // concerned).
-func (r *Replicator) bootstrap() error {
-	resp, err := r.client.Get(r.primary + "/snapshot")
+func (r *Replicator) bootstrap(ctx context.Context) error {
+	resp, err := r.get(ctx, "/snapshot")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET /snapshot: %s: %s", resp.Status, body)
-	}
 	// Failpoint "replica.snapshot": the receive side of the bootstrap
 	// stream — a mid-body failure here must reject the snapshot, never
 	// load a truncated one.
@@ -501,68 +435,4 @@ func (r *Replicator) bootstrap() error {
 	r.caughtUp.Store(false)
 	r.refreshState(false)
 	return nil
-}
-
-// resolveBinAddrRetry wraps resolveBinAddr with a few jittered retries on
-// the snapshot-refetch backoff clock: at replica start the primary's
-// /healthz can be briefly down (process restarting, listener racing the
-// HTTP server), and failing the whole tail session for that would double
-// the outer redial clock for a hiccup that clears in milliseconds.
-func (r *Replicator) resolveBinAddrRetry(stop chan struct{}) (string, error) {
-	backoff := r.opts.SnapRefetchBase
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
-			select {
-			case <-stop:
-				return "", lastErr
-			case <-time.After(sleep):
-			}
-			if backoff *= 2; backoff > r.opts.SnapRefetchMax {
-				backoff = r.opts.SnapRefetchMax
-			}
-		}
-		addr, err := r.resolveBinAddr()
-		if err == nil {
-			return addr, nil
-		}
-		lastErr = err
-	}
-	return "", lastErr
-}
-
-// resolveBinAddr asks the primary's /healthz for its binary-listener
-// address (unless pinned by options), substituting the primary's host when
-// the listener advertises a wildcard address.
-func (r *Replicator) resolveBinAddr() (string, error) {
-	if r.opts.BinAddr != "" {
-		return r.opts.BinAddr, nil
-	}
-	resp, err := r.client.Get(r.primary + "/healthz")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	var h Healthz
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return "", fmt.Errorf("GET /healthz: %w", err)
-	}
-	if h.Generation > 0 {
-		r.observeSource(h.Generation)
-	}
-	if h.BinAddr == "" {
-		return "", errors.New("primary /healthz advertises no binary listener (bin_addr)")
-	}
-	host, port, err := net.SplitHostPort(h.BinAddr)
-	if err != nil {
-		return "", fmt.Errorf("primary bin_addr %q: %w", h.BinAddr, err)
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		// Hostname drops userinfo and port and unescapes an IPv6 zone.
-		if u, uerr := url.Parse(r.primary); uerr == nil && u.Hostname() != "" {
-			host = u.Hostname()
-		}
-	}
-	return net.JoinHostPort(host, port), nil
 }

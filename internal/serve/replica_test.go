@@ -1,13 +1,14 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,17 +19,18 @@ import (
 	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/serve/genlog"
+	"repro/internal/serve/wire"
 	"repro/internal/workload"
 )
 
 // primaryRig is a replication primary under test: a dynamic network served
-// over both protocols with a generation log attached.
+// over HTTP with a generation log attached. It has no binary listener;
+// replicas need none.
 type primaryRig struct {
-	nw    *ftc.Network
-	srv   *serve.Server
-	ts    *httptest.Server
-	binLn net.Listener
-	log   *genlog.Log
+	nw  *ftc.Network
+	srv *serve.Server
+	ts  *httptest.Server
+	log *genlog.Log
 }
 
 func startPrimary(t *testing.T, g *graph.Graph, f int) *primaryRig {
@@ -49,19 +51,12 @@ func startPrimary(t *testing.T, g *graph.Graph, f int) *primaryRig {
 	if err := srv.AttachGenLog(l); err != nil {
 		t.Fatalf("attach genlog: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.ServeBin(ln)
-	srv.SetBinAddr(ln.Addr().String())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		ln.Close()
 		l.Close()
 	})
-	return &primaryRig{nw: nw, srv: srv, ts: ts, binLn: ln, log: l}
+	return &primaryRig{nw: nw, srv: srv, ts: ts, log: l}
 }
 
 // commit posts one /update batch through the primary's HTTP surface — the
@@ -130,6 +125,111 @@ func TestAttachGenLogRefusesAnotherRunsLog(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "generation 4") || !strings.Contains(msg, "generation 1") {
 		t.Fatalf("refusal %q does not name both generations", msg)
+	}
+}
+
+// TestGenlogLongPoll pins GET /genlog, the replica tail, case by case: its
+// refusals (404 without a log, 400 on a malformed after, 410 below the
+// window a compaction left), a caller behind the head getting every record
+// after its generation at once, and the long-poll at the head — the
+// headers go out at once, an idle poll ends empty after about
+// genlogPollWait (1 s), and an /update ends it early with its record.
+func TestGenlogLongPoll(t *testing.T) {
+	const pollWait = time.Second // serve's genlogPollWait
+	rng := rand.New(rand.NewSource(71))
+	p := startPrimary(t, workload.ErdosRenyi(50, 0.15, true, rng), 2)
+	p.drift(t, rand.New(rand.NewSource(72)), 3)
+	head := p.nw.Generation()
+	var behind []uint64
+	for g := uint64(2); g <= head; g++ {
+		behind = append(behind, g)
+	}
+
+	compacted := startPrimary(t, workload.ErdosRenyi(50, 0.15, true, rng), 2)
+	compacted.log.SetRetention(genlog.Retention{MaxRecords: 4, MinRetain: 2})
+	crng := rand.New(rand.NewSource(73))
+	for i := 0; i < 50 && compacted.log.Stats().FirstGen < 3; i++ {
+		compacted.drift(t, crng, 1)
+	}
+	if st := compacted.log.Stats(); st.FirstGen < 3 {
+		t.Fatalf("compaction left the window at generations %d..%d", st.FirstGen, st.LastGen)
+	}
+
+	sch, err := ftc.NewFromGraph(workload.Petersen(), ftc.WithMaxFaults(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := httptest.NewServer(serve.New(sch, 8).Handler())
+	defer static.Close()
+
+	atHead := fmt.Sprintf("%s/genlog?after=%d", p.ts.URL, head)
+	for _, tc := range []struct {
+		name   string
+		url    string
+		commit bool // commit one /update once the headers are in
+		status int
+		gens   []uint64 // generations of the records in the body
+		// bounds on the time from the headers to the end of the body
+		minBody, maxBody time.Duration
+	}{
+		{"static server", static.URL + "/genlog?after=0", false, http.StatusNotFound, nil, 0, pollWait / 2},
+		{"malformed after", p.ts.URL + "/genlog?after=x", false, http.StatusBadRequest, nil, 0, pollWait / 2},
+		{"below the compacted window", compacted.ts.URL + "/genlog?after=1", false, http.StatusGone, nil, 0, pollWait / 2},
+		{"behind the head", p.ts.URL + "/genlog?after=1", false, http.StatusOK, behind, 0, pollWait / 2},
+		{"idle at the head", atHead, false, http.StatusOK, nil, pollWait * 9 / 10, 5 * pollWait},
+		{"woken by an update", atHead, true, http.StatusOK, []uint64{head + 1}, 0, pollWait * 3 / 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			resp, err := http.Get(tc.url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			headers := time.Now()
+			if d := headers.Sub(start); d > pollWait/2 {
+				t.Fatalf("headers took %v, want them at once", d)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
+			}
+			if tc.commit && p.drift(t, rand.New(rand.NewSource(74)), 1) != 1 {
+				t.Fatal("no commit made")
+			}
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(headers); d < tc.minBody || d > tc.maxBody {
+				t.Fatalf("body ended %v after the headers, want within [%v, %v]", d, tc.minBody, tc.maxBody)
+			}
+			if tc.status != http.StatusOK {
+				return
+			}
+			if got := resp.Header.Get("X-Ftc-Generation"); got != fmt.Sprint(head) {
+				t.Fatalf("X-Ftc-Generation %q, want %d", got, head)
+			}
+			rd := wire.NewReader(bufio.NewReader(bytes.NewReader(body)))
+			rd.SetMaxFrame(genlog.MaxRecordBytes + 64)
+			var gens []uint64
+			for {
+				op, payload, err := rd.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil || op != wire.OpLogRecord {
+					t.Fatalf("frame %d: op 0x%02x, err %v", len(gens), op, err)
+				}
+				d, err := genlog.DecodeDelta(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gens = append(gens, d.Gen)
+			}
+			if fmt.Sprint(gens) != fmt.Sprint(tc.gens) {
+				t.Fatalf("record generations %v, want %v", gens, tc.gens)
+			}
+		})
 	}
 }
 
@@ -345,24 +445,22 @@ func TestReplicaTailByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplicaWildcardBinAddrUserinfoURL: a primary whose binary listener
-// advertises a wildcard address (what a listener on ":PORT" reports) is
-// tailed at the host of the replica's primary URL — the bare host, even
-// when the URL carries userinfo.
-func TestReplicaWildcardBinAddrUserinfoURL(t *testing.T) {
+// TestReplicaTailsWithoutBinaryListener pins the single transport: a
+// primary that never serves the binary protocol (no ServeBin, no
+// SetBinAddr, so /healthz advertises no bin_addr) still feeds a replica,
+// which leaves catching_up, converges byte-identically from the log alone,
+// and never touches the primary's binary surface.
+func TestReplicaTailsWithoutBinaryListener(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := startPrimary(t, workload.ErdosRenyi(40, 0.15, true, rng), 2)
-	_, port, err := net.SplitHostPort(p.binLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	var h serve.Healthz
+	getJSON(t, p.ts.URL+"/healthz", &h)
+	if h.BinAddr != "" {
+		t.Fatalf("primary advertises bin_addr %q, want none", h.BinAddr)
 	}
-	p.srv.SetBinAddr(net.JoinHostPort("0.0.0.0", port))
-	u, err := url.Parse(p.ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.User = url.UserPassword("user", "pw")
-	rep := replicaOf(t, u.String())
+	rep := replicaFor(t, p)
+	rts := httptest.NewServer(rep.Server().Handler())
+	defer rts.Close()
 	if err := rep.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +468,36 @@ func TestReplicaWildcardBinAddrUserinfoURL(t *testing.T) {
 		t.Fatal("no drift commits made")
 	}
 	waitCaughtUp(t, p, rep)
-	if st := rep.Status(); st.RecordsApplied == 0 {
-		t.Fatalf("replica applied no log records: %+v", st)
+	assertSchemesByteIdentical(t, p.nw.Snapshot().Inner(), rep.Scheme())
+	waitHealthzStatus(t, rts.URL, "ok")
+	if st := rep.Status(); st.RecordsApplied == 0 || st.SnapshotLoads != 1 || st.CatchingUp {
+		t.Fatalf("replica status %+v, want records applied from one snapshot and catching_up cleared", st)
+	}
+	if st := p.srv.Stats(); st.BinRequests != 0 || st.BinConns != 0 {
+		t.Fatalf("primary's binary surface saw %d requests on %d connections", st.BinRequests, st.BinConns)
+	}
+}
+
+// TestReplicaStopDuringIdlePoll stops a caught-up replica while its poll
+// waits at the primary's log head: Stop cancels the poll in flight and
+// returns well within genlogPollWait (1 s) instead of waiting it out.
+func TestReplicaStopDuringIdlePoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := startPrimary(t, workload.ErdosRenyi(40, 0.15, true, rng), 2)
+	rep := replicaFor(t, p)
+	if err := rep.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p.drift(t, rand.New(rand.NewSource(9)), 2)
+	waitCaughtUp(t, p, rep)
+	time.Sleep(100 * time.Millisecond) // the next poll is now idle at the head
+	start := time.Now()
+	rep.Stop()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("Stop during an idle poll took %v", d)
+	}
+	if st := rep.Status(); st.State != "disconnected" {
+		t.Fatalf("stopped replica state %q, want disconnected", st.State)
 	}
 }
 

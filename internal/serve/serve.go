@@ -32,6 +32,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,16 +138,17 @@ type Server struct {
 	overBudgetPairs atomic.Uint64
 
 	// Replication surface: the generation log this (primary) server
-	// appends to and streams from, the subscriber hub waking OpLogSub
-	// connections on append, and the status callback a tailing replica
-	// installs. commits counts committed generations from any source —
-	// local /update commits and replayed replica records alike.
+	// appends to and serves GET /genlog from, the channel the next append
+	// closes to wake the polls waiting at the log's head, and the status
+	// callback a tailing replica installs. commits counts committed
+	// generations from any source — local /update commits and replayed
+	// replica records alike.
 	genlog        *genlog.Log
 	commits       atomic.Uint64
 	logAppended   atomic.Uint64
 	snapFailures  atomic.Uint64
 	logMu         sync.Mutex
-	logSubs       map[chan struct{}]struct{}
+	logWake       chan struct{}
 	binAddr       atomic.Pointer[string]
 	replicaStatus atomic.Pointer[func() ReplicaStatus]
 
@@ -158,7 +160,7 @@ type Server struct {
 	binConns    atomic.Int64
 	binMu       sync.Mutex
 	binOpen     map[net.Conn]struct{}
-	binDraining bool
+	binDraining atomic.Bool // written under binMu; the frame loop reads it lock-free
 
 	// Overload protection (DESIGN.md §3.16): when admitMax > 0 the probe
 	// surfaces admit at most that many concurrent batches across HTTP and
@@ -197,8 +199,8 @@ func NewDynamic(view func() Scheme, upd Updatable, cacheSize int) *Server {
 }
 
 // AttachGenLog makes the server a replication primary: every /update
-// commit is exported as a generation delta, appended to l, and pushed to
-// OpLogSub subscribers on the binary listener; attach before serving. A
+// commit is exported as a generation delta and appended to l, which
+// replicas tail through GET /genlog; attach before serving. A
 // log that already ends at another generation than the server's — a
 // previous run's log, reopened by a primary that rebuilt from scratch — is
 // refused: replicas would replay a history this server never had, and its
@@ -285,42 +287,33 @@ func (s *Server) admitHTTP(w http.ResponseWriter) bool {
 
 func (s *Server) releaseHTTP() { s.httpInflight.Add(-1) }
 
-// SetBinAddr advertises the binary listener's address in /healthz, so a
-// replica pointed at the HTTP address alone can discover where to tail the
-// log, and a front can discover where to probe.
+// SetBinAddr advertises the binary listener's address in /healthz
+// (bin_addr), so fronts and operators holding only the HTTP address can
+// find where to probe.
 func (s *Server) SetBinAddr(addr string) { s.binAddr.Store(&addr) }
 
 // SetReplicaStatusFn installs the telemetry callback a tailing replica
 // feeds /healthz and /metrics from.
 func (s *Server) SetReplicaStatusFn(fn func() ReplicaStatus) { s.replicaStatus.Store(&fn) }
 
-// subscribeLog registers an OpLogSub connection for append wakeups. The
-// channel has capacity 1 and is signalled with a non-blocking send, so an
-// arbitrarily slow subscriber coalesces notifications instead of blocking
-// the update path.
-func (s *Server) subscribeLog() (ch chan struct{}, cancel func()) {
-	ch = make(chan struct{}, 1)
+// nextAppend returns the channel the next append closes. A poll takes it
+// before it reads the log, so an append in between still wakes it.
+func (s *Server) nextAppend() <-chan struct{} {
 	s.logMu.Lock()
-	if s.logSubs == nil {
-		s.logSubs = make(map[chan struct{}]struct{})
+	defer s.logMu.Unlock()
+	if s.logWake == nil {
+		s.logWake = make(chan struct{})
 	}
-	s.logSubs[ch] = struct{}{}
-	s.logMu.Unlock()
-	return ch, func() {
-		s.logMu.Lock()
-		delete(s.logSubs, ch)
-		s.logMu.Unlock()
-	}
+	return s.logWake
 }
 
-// notifyLogSubs wakes every OpLogSub connection after an append.
+// notifyLogSubs wakes every GET /genlog waiting at the log's head after an
+// append: it closes the channel they hold and clears it for the next one.
 func (s *Server) notifyLogSubs() {
 	s.logMu.Lock()
-	for ch := range s.logSubs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+	if s.logWake != nil {
+		close(s.logWake)
+		s.logWake = nil
 	}
 	s.logMu.Unlock()
 }
@@ -411,6 +404,8 @@ const maxRequestBytes = 1 << 20
 //	GET  /healthz    — liveness plus scheme shape
 //	GET  /stats      — serving and cache counters
 //	GET  /metrics    — the same counters in Prometheus text format
+//	GET  /snapshot   — the binary snapshot replicas bootstrap from
+//	GET  /genlog     — long-poll of the generation-log records after ?after=G (primaries only)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /connected", s.handleQuery(productProbe))
@@ -423,6 +418,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /snapshot", s.handleSnapshot)
+	mux.HandleFunc("GET /genlog", s.handleGenlog)
 	return mux
 }
 
@@ -432,7 +428,7 @@ func (s *Server) Handler() http.Handler {
 // generation is covered by the log's retained window — the two are updated
 // atomically under the log's lock — so a replica bootstrapping from it can
 // always tail; if a later compaction outruns a slow bootstrap the tail gets
-// CodeGone and the replica refetches, converging on a newer checkpoint.
+// a 410 and the replica refetches, converging on a newer checkpoint.
 // Otherwise (no checkpoint, or a full-rebuild marker newer than it) the
 // current generation's live snapshot is streamed from the immutable view:
 // consistent under concurrent commits, and at or past every logged
@@ -463,6 +459,57 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("X-Ftc-Generation", fmt.Sprint(sch.Generation()))
 	if err := sv.Save(faultinject.WrapWriter("snapshot.stream", w)); err != nil {
 		s.abortSnapshotStream(w, sch.Generation(), err)
+	}
+}
+
+// genlogPollWait bounds how long GET /genlog holds a poll at the log's head
+// before it answers with an empty body, so every poll ends well inside an
+// HTTP write timeout and a graceful shutdown.
+const genlogPollWait = time.Second
+
+// handleGenlog serves GET /genlog?after=G, the replica tail: 200 with
+// X-Ftc-Generation set to the serving generation, then every log record
+// after G, each framed by wire.AppendLogRecord. At the log's head the
+// headers go out at once and the body waits for the next append, the
+// request's end, or genlogPollWait, whichever comes first. 410 means the log
+// no longer covers G: the caller must refetch /snapshot. A compaction
+// during the wait leaves the body empty, and the next poll gets the 410.
+func (s *Server) handleGenlog(w http.ResponseWriter, r *http.Request) {
+	if s.genlog == nil {
+		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no generation log attached (not a primary)"})
+		return
+	}
+	after, err := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad after: " + err.Error()})
+		return
+	}
+	wake := s.nextAppend()
+	recs, ok := s.genlog.After(after)
+	if !ok {
+		writeJSON(w, http.StatusGone, errorResponse{Error: fmt.Sprintf("generation log starts after %d; refetch a snapshot", after)})
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Ftc-Generation", fmt.Sprint(s.view().Generation()))
+	w.WriteHeader(http.StatusOK)
+	if len(recs) == 0 {
+		_ = http.NewResponseController(w).Flush()
+		t := time.NewTimer(genlogPollWait)
+		defer t.Stop()
+		select {
+		case <-wake:
+		case <-r.Context().Done():
+		case <-t.C:
+		}
+		recs, _ = s.genlog.After(after)
+	}
+	var frame []byte
+	for _, rec := range recs {
+		frame = wire.AppendLogRecord(frame[:0], rec.Payload)
+		if _, err := w.Write(frame); err != nil {
+			return
+		}
 	}
 }
 

@@ -55,12 +55,11 @@
 //	OpError payload:
 //	  u64 id | u16 code (HTTP-aligned) | message bytes
 //
-//	OpLogSub payload (replication tailing, client → server):
-//	  u64 afterGen — stream generation-log records with gen > afterGen
-//
-//	OpLogRecord payload (server → client):
+//	OpLogRecord payload:
 //	  one genlog record payload, verbatim (self-describing; see the
-//	  genlog package for its layout and versioning)
+//	  genlog package for its layout and versioning). Not a frame of the
+//	  connection protocol: it frames the records in the body of the
+//	  primary's GET /genlog, which replicas long-poll over HTTP.
 //
 //	OpRoute payload (query product, DESIGN.md §3.15):
 //	  identical layout to OpProbe — the forbidden set is fault EDGE
@@ -79,10 +78,8 @@
 //	  identical layout to OpProbeResp, plus bit1 of the flags byte, the
 //	  approx flag (never set by current servers; every answer is exact).
 //
-// A connection that sends OpLogSub switches to push mode: the server
-// streams OpLogRecord frames (backlog, then live appends) and accepts no
-// further requests on that connection. Log records may exceed the normal
-// frame cap; a tailing client raises its Reader cap via SetMaxFrame.
+// Log records may exceed the normal frame cap; a GET /genlog reader raises
+// its Reader cap via SetMaxFrame.
 //
 // Any layout change must bump Version; a mismatched hello fails the
 // handshake instead of misparsing frames. New opcodes are additive: a
@@ -114,8 +111,7 @@ const (
 	OpProbe      byte = 0x01 // client → server batch probe
 	OpProbeResp  byte = 0x02 // server → client batch answer
 	OpError      byte = 0x03 // server → client failure report
-	OpLogSub     byte = 0x04 // client → server genlog subscription
-	OpLogRecord  byte = 0x05 // server → client genlog record push
+	OpLogRecord  byte = 0x05 // one genlog record in a GET /genlog body (0x04 stays unassigned: older replicas send it)
 	OpRoute      byte = 0x06 // client → server batch route-plan request
 	OpRouteResp  byte = 0x07 // server → client route plans
 	OpVProbe     byte = 0x08 // client → server batch vertex-fault probe
@@ -127,7 +123,6 @@ const (
 const (
 	CodeBadRequest    uint16 = 400
 	CodeConflict      uint16 = 409 // generation pin mismatch / stale label
-	CodeGone          uint16 = 410 // genlog no longer covers the requested gen
 	CodeUnprocessable uint16 = 422 // invalid fault set (budget, range)
 	CodeInternal      uint16 = 500
 	CodeUnavailable   uint16 = 503 // overload shed / deadline budget exhausted
@@ -586,22 +581,6 @@ func DecodeError(payload []byte) (id uint64, code uint16, msg string, err error)
 		string(payload[10:]), nil
 }
 
-// AppendLogSub appends a framed OpLogSub subscription request: stream
-// genlog records with gen > afterGen.
-func AppendLogSub(b []byte, afterGen uint64) []byte {
-	b = binary.LittleEndian.AppendUint32(b, 8)
-	b = append(b, OpLogSub)
-	return binary.LittleEndian.AppendUint64(b, afterGen)
-}
-
-// DecodeLogSub decodes an OpLogSub payload.
-func DecodeLogSub(payload []byte) (afterGen uint64, err error) {
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("%w: log-sub payload %d bytes, want 8", ErrFrame, len(payload))
-	}
-	return binary.LittleEndian.Uint64(payload), nil
-}
-
 // AppendLogRecord appends a framed OpLogRecord carrying one genlog record
 // payload verbatim. The payload is self-describing; no inner envelope.
 func AppendLogRecord(b []byte, record []byte) []byte {
@@ -628,8 +607,8 @@ func NewReader(br *bufio.Reader) *Reader {
 }
 
 // SetMaxFrame raises (or lowers) the per-frame payload cap from the
-// default MaxFrameBytes. Genlog-tailing connections raise it to the log's
-// record bound; request/response connections keep the default.
+// default MaxFrameBytes. A GET /genlog reader raises it to the log's record
+// bound; request/response connections keep the default.
 func (r *Reader) SetMaxFrame(n int) { r.maxFrame = n }
 
 // Buffered reports how many bytes are ready without blocking — the frame

@@ -453,22 +453,6 @@ func FuzzWireFrame(f *testing.F) {
 	})
 }
 
-func TestLogSubRoundTrip(t *testing.T) {
-	frame := AppendLogSub(nil, 0xdeadbeefcafe)
-	r := NewReader(bufio.NewReader(bytes.NewReader(frame)))
-	op, payload, err := r.Next()
-	if err != nil || op != OpLogSub {
-		t.Fatalf("Next = (%#x, %v)", op, err)
-	}
-	after, err := DecodeLogSub(payload)
-	if err != nil || after != 0xdeadbeefcafe {
-		t.Fatalf("DecodeLogSub = (%#x, %v)", after, err)
-	}
-	if _, err := DecodeLogSub(payload[:4]); err == nil {
-		t.Fatal("short log-sub payload accepted")
-	}
-}
-
 func TestLogRecordFrameAndMaxFrame(t *testing.T) {
 	// A record above the default cap must be rejected at the default cap
 	// and accepted once the tailing client raises it.
