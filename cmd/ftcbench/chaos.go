@@ -230,6 +230,12 @@ func chaosBench() {
 	tornRecs := chaosTornWrite(dir)
 	fmt.Printf("   torn-write: scratch log recovered to %d records after a torn append (crash-atomic)\n", tornRecs)
 
+	// WrapConn wraps a connection only while a registry is armed, and the
+	// cluster opens its connections before the schedule starts: arm the
+	// schedule's registry now, empty, and fill it at armRound.
+	reg := faultinject.New(chaosSeed)
+	faultinject.Arm(reg)
+
 	// --- cluster ---
 	rng := rand.New(rand.NewSource(chaosSeed))
 	g := workload.ErdosRenyi(n, 8.0/n, true, rng)
@@ -413,6 +419,15 @@ func chaosBench() {
 	}
 
 	// --- the schedule ---
+	// genlog.append error policies are forbidden on a live primary (see
+	// the package comment); fsync gets latency only.
+	schedule := [][2]string{
+		{"wireclient.conn.read", "error-rate:0.03"},
+		{"binserver.conn.write", "error-rate:0.03"},
+		{"replica.tail", "error-rate:0.03"},
+		{"snapshot.stream", "error-rate:0.3"},
+		{"genlog.fsync", "latency:2ms"},
+	}
 	armRound, killRound, healRound := rounds/4, rounds/3, 2*rounds/3
 	var killAt, restartAt time.Time
 	var timeToEject, timeToReadmit time.Duration
@@ -431,19 +446,11 @@ func chaosBench() {
 	for step := 0; step < rounds; step++ {
 		switch step {
 		case armRound:
-			// Fault schedule. genlog.append error policies are forbidden on
-			// a live primary (see the package comment); fsync gets latency
-			// only.
-			reg, err := faultinject.Parse(
-				"wireclient.conn.read=error-rate:0.03;"+
-					"binserver.conn.write=error-rate:0.03;"+
-					"replica.tail=error-rate:0.03;"+
-					"snapshot.stream=error-rate:0.3;"+
-					"genlog.fsync=latency:2ms", chaosSeed)
-			if err != nil {
-				chaosFatalf("parse failpoints: %v", err)
+			for _, pt := range schedule {
+				if err := reg.Set(pt[0], pt[1]); err != nil {
+					chaosFatalf("failpoint %s: %v", pt[0], err)
+				}
 			}
-			faultinject.Arm(reg)
 			fmt.Printf("   round %d: armed conn resets and log-tail failures (3%%), snapshot failures (30%%), fsync latency\n", step)
 		case killRound:
 			r2.kill()
@@ -452,10 +459,15 @@ func chaosBench() {
 			fmt.Printf("   round %d: killed replica 2 — ejected after %s\n", step, round(timeToEject))
 		case healRound:
 			faultinject.Disarm()
+			fmt.Printf("   round %d: disarmed faults; fired", step)
+			for _, pt := range schedule {
+				fmt.Printf(" %s %d", pt[0], reg.Fired(pt[0]))
+			}
+			fmt.Println()
 			r2.restart()
 			restartAt = time.Now()
 			timeToReadmit = waitBackend(1, "healthy", 10*time.Second)
-			fmt.Printf("   round %d: disarmed faults, restarted replica 2 — readmitted after %s\n", step, round(timeToReadmit))
+			fmt.Printf("   round %d: restarted replica 2 — readmitted after %s\n", step, round(timeToReadmit))
 		}
 		if rng.Intn(2) == 0 {
 			commitOne()

@@ -1,14 +1,16 @@
 // Command ftclabel turns the labeling scheme into a standalone tool: build a
-// label database for a graph file, inspect it, and answer connectivity
-// queries — the decoder side touches only the label database, never the
-// graph, mirroring the scheme's information model.
+// scheme snapshot for a graph file (the file ftcserve -save writes and
+// -snapshot serves), inspect it, and answer connectivity queries from the
+// labels of s, t and the faults alone. The snapshot's edge list serves the
+// load's token check; it reveals nothing new, as each edge label already
+// carries both endpoints' ancestry labels.
 //
-//	ftclabel build  -graph g.txt -out labels.db [-f 3] [-scheme det|greedy|rand|agm] [-seed 1]
-//	ftclabel stats  -labels labels.db
-//	ftclabel query  -labels labels.db -s 0 -t 5 -faults 3,7,12
+//	ftclabel build  -graph g.txt -out scheme.ftcsnap [-f 3] [-scheme det|greedy|rand|agm] [-seed 1]
+//	ftclabel stats  -labels scheme.ftcsnap
+//	ftclabel query  -labels scheme.ftcsnap -s 0 -t 5 -faults 3,7,12
 //
 // Fault arguments are edge indices (the insertion order of the graph file's
-// `e` lines).
+// `e` lines). The seed applies to the rand and agm schemes only.
 package main
 
 import (
@@ -51,7 +53,7 @@ func fatalf(format string, args ...interface{}) {
 func buildCmd(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "input graph file (text format)")
-	outPath := fs.String("out", "", "output label database")
+	outPath := fs.String("out", "", "output scheme snapshot")
 	f := fs.Int("f", 2, "fault budget")
 	scheme := fs.String("scheme", "det", "det|greedy|rand|agm")
 	seed := fs.Int64("seed", 1, "seed for randomized schemes")
@@ -70,16 +72,16 @@ func buildCmd(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	params := core.Params{MaxFaults: *f, Seed: *seed}
+	params := core.Params{MaxFaults: *f}
 	switch *scheme {
 	case "det":
 		params.Kind = core.KindDetNetFind
 	case "greedy":
 		params.Kind = core.KindDetGreedy
 	case "rand":
-		params.Kind = core.KindRandRS
+		params.Kind, params.Seed = core.KindRandRS, *seed
 	case "agm":
-		params.Kind = core.KindAGM
+		params.Kind, params.Seed = core.KindAGM, *seed
 	default:
 		fatalf("unknown scheme %q", *scheme)
 	}
@@ -87,70 +89,56 @@ func buildCmd(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	out, err := os.Create(*outPath)
+	data, err := s.MarshalBinary()
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := graphio.WriteLabels(out, s, g); err != nil {
-		fatalf("writing labels: %v", err)
-	}
-	if err := out.Close(); err != nil {
-		fatalf("closing output: %v", err)
+	if err := os.WriteFile(*outPath, data, 0o644); err != nil {
+		fatalf("writing snapshot: %v", err)
 	}
 	fmt.Printf("labeled n=%d m=%d f=%d scheme=%s: max edge label %d bits\n",
 		g.N(), g.M(), *f, *scheme, s.MaxEdgeLabelBits())
 }
 
-func loadDB(path string) *graphio.LabelDB {
-	in, err := os.Open(path)
+func load(path string) *core.Scheme {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer in.Close()
-	db, err := graphio.ReadLabels(in)
+	s, err := core.UnmarshalScheme(data)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	return db
+	return s
 }
 
 func statsCmd(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	labelPath := fs.String("labels", "", "label database")
+	labelPath := fs.String("labels", "", "scheme snapshot")
 	if err := fs.Parse(args); err != nil {
 		fatalf("%v", err)
 	}
 	if *labelPath == "" {
 		fatalf("stats requires -labels")
 	}
-	db := loadDB(*labelPath)
-	maxBits, totalBits := 0, 0
-	for i := range db.Edges {
-		b := core.EdgeLabelBits(db.Edges[i])
-		totalBits += b
-		if b > maxBits {
-			maxBits = b
-		}
+	s := load(*labelPath)
+	n, m := s.N(), s.Graph().M()
+	vertexBits := 0
+	if n > 0 {
+		vertexBits = core.VertexLabelBits
 	}
-	fmt.Printf("vertices: %d (label %d bits each)\n", len(db.Vertices), vertexBits(db))
-	fmt.Printf("edges:    %d (max label %d bits, total %d bits)\n", len(db.Edges), maxBits, totalBits)
-	if len(db.Edges) > 0 {
-		spec := db.Edges[0].Spec
-		fmt.Printf("scheme:   %s f=%d k=%d levels=%d\n",
-			spec.Kind, db.Edges[0].MaxFaults, spec.K, spec.Levels)
+	maxBits := s.MaxEdgeLabelBits() // every edge label has this size
+	fmt.Printf("vertices: %d (label %d bits each)\n", n, vertexBits)
+	fmt.Printf("edges:    %d (max label %d bits, total %d bits)\n", m, maxBits, m*maxBits)
+	if m > 0 {
+		spec := s.Spec()
+		fmt.Printf("scheme:   %s f=%d k=%d levels=%d\n", spec.Kind, s.MaxFaults(), spec.K, spec.Levels)
 	}
-}
-
-func vertexBits(db *graphio.LabelDB) int {
-	if len(db.Vertices) == 0 {
-		return 0
-	}
-	return core.VertexLabelBits
 }
 
 func queryCmd(args []string) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	labelPath := fs.String("labels", "", "label database")
+	labelPath := fs.String("labels", "", "scheme snapshot")
 	s := fs.Int("s", -1, "source vertex")
 	t := fs.Int("t", -1, "target vertex")
 	faultsArg := fs.String("faults", "", "comma-separated faulty edge indices")
@@ -160,21 +148,21 @@ func queryCmd(args []string) {
 	if *labelPath == "" || *s < 0 || *t < 0 {
 		fatalf("query requires -labels, -s, -t")
 	}
-	db := loadDB(*labelPath)
-	if *s >= len(db.Vertices) || *t >= len(db.Vertices) {
-		fatalf("vertex out of range (n=%d)", len(db.Vertices))
+	sch := load(*labelPath)
+	if *s >= sch.N() || *t >= sch.N() {
+		fatalf("vertex out of range (n=%d)", sch.N())
 	}
 	var faults []core.EdgeLabel
 	if *faultsArg != "" {
 		for _, part := range strings.Split(*faultsArg, ",") {
 			idx, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || idx < 0 || idx >= len(db.Edges) {
+			if err != nil || idx < 0 || idx >= sch.Graph().M() {
 				fatalf("bad fault index %q", part)
 			}
-			faults = append(faults, db.Edges[idx])
+			faults = append(faults, sch.EdgeLabel(idx))
 		}
 	}
-	ok, err := core.Connected(db.Vertices[*s], db.Vertices[*t], faults)
+	ok, err := core.Connected(sch.VertexLabel(*s), sch.VertexLabel(*t), faults)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -16,7 +16,8 @@
 // milliseconds even when the labels run to hundreds of megabytes. A vertex
 // label is decoded on its first probe and kept; an edge label is decoded
 // each time a fault-set compile or the once-per-generation route-table
-// build reads it, and is not kept. Legacy v1/v2 snapshots load eagerly.
+// build reads it, and is not kept. v1/v2 snapshots load lazily too, after
+// one copy of their label bytes; `ftclabel build` writes this format.
 //
 // Endpoints:
 //

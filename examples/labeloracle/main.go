@@ -1,6 +1,6 @@
-// Labeloracle: labels as a persistent artifact. Build a label database for a
-// mid-size network, write it to disk, reload it in a fresh "query site" that
-// never sees the graph, and serve a burst of reachability probes for one
+// Labeloracle: labels as a persistent artifact. Build a scheme snapshot for
+// a mid-size network, reload it in a fresh "query site" that decides
+// reachability from labels alone, and serve a burst of probes for one
 // failure event through a Session (fragment discovery runs once; each probe
 // is then a lookup).
 //
@@ -8,14 +8,12 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/graphio"
 	"repro/internal/workload"
 )
 
@@ -24,20 +22,20 @@ func main() {
 	g := workload.RandomRegular(64, 4, rng)
 	const f = 3
 
-	// ---- build side: has the graph, produces the label database.
+	// ---- build side: has the graph, produces the scheme snapshot.
 	scheme, err := core.Build(g, core.Params{MaxFaults: f})
 	if err != nil {
 		log.Fatal(err)
 	}
-	var db bytes.Buffer
-	if err := graphio.WriteLabels(&db, scheme, g); err != nil {
+	snap, err := scheme.MarshalBinary()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("built label database: %d vertices, %d edges, %d KiB\n",
-		g.N(), g.M(), db.Len()/1024)
+	fmt.Printf("built scheme snapshot: %d vertices, %d edges, %d KiB\n",
+		g.N(), g.M(), len(snap)/1024)
 
-	// ---- query side: only the database.
-	loaded, err := graphio.ReadLabels(bytes.NewReader(db.Bytes()))
+	// ---- query side: only the snapshot's labels.
+	loaded, err := core.UnmarshalScheme(snap)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +44,7 @@ func main() {
 	down := workload.RandomFaults(g, f, rng)
 	advisory := make([]core.EdgeLabel, len(down))
 	for i, e := range down {
-		advisory[i] = loaded.Edges[e]
+		advisory[i] = loaded.EdgeLabel(e)
 	}
 	fmt.Printf("failure event:")
 	for _, e := range down {
@@ -70,7 +68,7 @@ func main() {
 	mismatches := 0
 	for probe := 0; probe < 2000; probe++ {
 		s, t := rng.Intn(g.N()), rng.Intn(g.N())
-		ok, err := sess.Connected(loaded.Vertices[s], loaded.Vertices[t])
+		ok, err := sess.Connected(loaded.VertexLabel(s), loaded.VertexLabel(t))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,11 +4,12 @@ import (
 	"sync/atomic"
 )
 
-// labelArena is the lazy backing store of a version-3 or -4 snapshot: the
-// two structure-of-arrays label sections — an offsets table plus one
-// contiguous byte arena per label kind — aliased zero-copy from the
-// snapshot bytes. Loading such a snapshot touches no label bytes; a label
-// is decoded when something asks for it.
+// labelArena is the lazy backing store of a loaded snapshot: the two
+// structure-of-arrays label sections — an offsets table plus one
+// contiguous byte arena per label kind. A version-3 or -4 snapshot stores
+// them in this form and the arena aliases its bytes zero-copy; the
+// length-prefixed sections of versions 1 and 2 are copied into it. Loading
+// decodes no label; a label is decoded when something asks for it.
 //
 // Only vertex labels are cached. Every probed pair reads two of them, so a
 // vertex label is decoded once, kept, and every later access is one atomic
@@ -20,31 +21,30 @@ import (
 // once-per-generation routing-table build, and a cache would pin every
 // payload for the life of the process.
 //
-// Lazy decode preserves the token/generation safety story of eager loading,
-// just shifted to the touch: the snapshot header's token was already
-// re-verified against the graph and parameters at load time, and each
-// label's own stored token (plus fault budget and spec for edge labels) is
-// checked against that header whenever the label is decoded. A label
-// whose bytes are corrupt — or whose header disagrees — decodes to a
-// poisoned label whose token matches neither the scheme token nor any other
-// poisoned label, so every query that touches it fails fast with
-// ErrLabelMismatch instead of answering from garbage. The generation stamp,
-// which the wire encoding omits, is restored on decode exactly as the eager
-// path restores it, so ErrStaleLabel classification across generations is
-// unchanged.
+// The token/generation safety checks happen at the touch: the snapshot
+// header's token was already re-verified against the graph and parameters
+// at load time, and each label's own stored token (plus fault budget and
+// spec for edge labels) is checked against that header whenever the label
+// is decoded. A label whose bytes are corrupt — or whose header disagrees
+// — decodes to a poisoned label whose token matches neither the scheme
+// token nor any other poisoned label, so every query that touches it fails
+// fast with ErrLabelMismatch instead of answering from garbage. The
+// generation stamp, which the wire encoding omits, is restored on decode
+// from the snapshot header, so mixing labels across generations is
+// classified as ErrStaleLabel.
 type labelArena struct {
 	token     uint64
 	gen       uint64
 	maxFaults int
 	spec      OutSpec
-	// legacy marks a version-3 arena: its edge labels carry 2k power
-	// sums per level and decode converted, so their extents are not the
-	// labels' wire sizes and the arena cannot be copied into a v4
-	// snapshot.
+	// legacy marks an arena loaded from a version 1–3 snapshot: its edge
+	// labels carry 2k power sums per level and decode converted, so their
+	// extents are not the labels' wire sizes and the arena cannot be
+	// copied into a v4 snapshot.
 	legacy bool
 
 	// vertOff/edgeOff have n+1 and m+1 entries; label i's wire form is
-	// bytes[off[i]:off[i+1]]. Both arenas alias the snapshot input.
+	// bytes[off[i]:off[i+1]]. v3/v4 arenas alias the snapshot input.
 	vertOff   []uint64
 	vertBytes []byte
 	edgeOff   []uint64

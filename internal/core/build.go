@@ -54,10 +54,10 @@ type Scheme struct {
 	vertexLabels []VertexLabel
 	edgeLabels   []EdgeLabel
 
-	// lazy is non-nil only for schemes loaded from a v3 or v4 snapshot:
-	// labels live in the zero-copy arena and are decoded on touch (vertex
-	// labels once, edge labels on every read). Built (and v1/v2-loaded)
-	// schemes keep the materialized slices above.
+	// lazy is non-nil exactly for schemes loaded from a snapshot, of any
+	// version: labels live in the arena and are decoded on touch (vertex
+	// labels once, edge labels on every read). Built and committed schemes
+	// keep the materialized slices above.
 	lazy *labelArena
 
 	// Construction artifacts retained for experiments and white-box
@@ -574,11 +574,11 @@ func (s *Scheme) VertexLabel(v int) VertexLabel {
 	return s.vertexLabels[v]
 }
 
-// EdgeLabel returns edge e's label. For a built or eagerly loaded scheme
-// the Out slice is shared with the scheme's storage and must be treated as
+// EdgeLabel returns edge e's label. For a built or committed scheme the
+// Out slice is shared with the scheme's storage and must be treated as
 // immutable; MarshalEdgeLabel / the public facade produce independent
-// copies. A lazily loaded scheme decodes the label on every call and keeps
-// none of it.
+// copies. A loaded scheme decodes the label on every call and keeps none
+// of it.
 func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 	if s.lazy != nil {
 		return s.lazy.edge(e)
@@ -587,12 +587,12 @@ func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 }
 
 // EdgeLabelsShared reports, in O(1), whether EdgeLabel's payloads share the
-// scheme's storage (built and eagerly loaded schemes) rather than being
-// decoded afresh for each caller (lazily loaded ones).
+// scheme's storage (built and committed schemes) rather than being decoded
+// afresh for each caller (loaded ones).
 func (s *Scheme) EdgeLabelsShared() bool { return s.lazy == nil }
 
-// LazyLabels reports whether the scheme's labels live in a v3/v4 snapshot
-// arena and, if so, how many vertex labels it holds decoded — the
+// LazyLabels reports whether the scheme's labels live in a snapshot's
+// label arena and, if so, how many vertex labels it holds decoded — the
 // observability hook behind the lazy-load tests. Edge labels are never
 // retained, so there is no edge count to report.
 func (s *Scheme) LazyLabels() (lazy bool, verts int) {

@@ -136,10 +136,10 @@ func TestLegacyLabelEvenSumChecked(t *testing.T) {
 }
 
 // TestMarshalBinarySizedExactly: the snapshot writer sizes its output
-// before writing, for every source of labels — a build, a lazy v4 load
-// (arenas copied), a lazy v3 load (labels re-encoded) and an eager v1
-// load — its label slots hold exactly the standalone label encodings, and
-// a legacy load saves as v4 with the labels a v4 load decodes to.
+// before writing, for every source of labels — a build, a v4 load (arenas
+// copied), and a v3 and a v1 load (labels re-encoded) — its label slots
+// hold exactly the standalone label encodings, and a legacy load saves as
+// v4 with the labels a v4 load decodes to.
 func TestMarshalBinarySizedExactly(t *testing.T) {
 	built, err := Build(workload.Petersen(), Params{MaxFaults: 2})
 	if err != nil {
@@ -169,12 +169,12 @@ func TestMarshalBinarySizedExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager1, err := UnmarshalScheme(v1)
+	lazy1, err := UnmarshalScheme(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lazy3 := legacyV3(t, "det-netfind-2level")
-	for name, s := range map[string]*Scheme{"built": built, "lazy v4": lazy4, "lazy v3": lazy3, "eager v1": eager1} {
+	for name, s := range map[string]*Scheme{"built": built, "lazy v4": lazy4, "lazy v3": lazy3, "lazy v1": lazy1} {
 		data, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

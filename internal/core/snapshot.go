@@ -42,18 +42,18 @@ import (
 // len bytes), then m of the same) with the flat structure-of-arrays label
 // arena above, so that loading is O(1) in label bytes: the reader
 // validates the offsets tables, aliases the two arenas zero-copy, and
-// decodes each label lazily when it is touched (see labelArena); v3 and v4
-// both load that way. Version 1 is version 2 without the
-// generation/auxSlack fields; both are still read, eagerly, via the
-// original path. Whatever the version, a loaded label equals the label
-// this build constructs for the same edge, so its marshaling is
-// byte-identical to a fresh build's. Loading re-derives the spanning
-// forest (deterministic from the graph) and re-verifies the token
+// decodes each label lazily when it is touched (see labelArena). Version 1
+// is version 2 without the generation/auxSlack fields. Every version loads
+// into the same lazy arena: v1/v2 label bytes are copied into it from
+// between their length prefixes. Whatever the version, a loaded label
+// equals the label this build constructs for the same edge, so its
+// marshaling is byte-identical to a fresh build's. Loading re-derives the
+// spanning forest (deterministic from the graph) and re-verifies the token
 // fingerprint against the graph, parameters, and generation, which
-// rejects snapshots whose sections were corrupted independently; v3/v4
-// label bytes are verified against that token on touch instead of at load
-// time. Any future layout change must bump SnapshotVersion; old
-// readers then fail with ErrSnapshotVersion instead of misparsing.
+// rejects snapshots whose sections were corrupted independently; label
+// bytes are verified against that token on touch instead of at load time.
+// Any future layout change must bump SnapshotVersion; old readers then
+// fail with ErrSnapshotVersion instead of misparsing.
 
 // snapshotMagic begins every scheme snapshot.
 var snapshotMagic = [6]byte{'F', 'T', 'C', 'S', 'N', 'P'}
@@ -82,9 +82,9 @@ const snapLimit = 1 << 24
 // current wire version (encoding.BinaryMarshaler). The output is sized
 // exactly before anything is written, without decoding a label, and every
 // label is appended in place, so the snapshot is one allocation. A scheme
-// loaded lazily from a v4 snapshot copies its arenas verbatim — no label
-// is decoded, and a v4 load→save round trip is byte-identical by
-// construction; every other scheme, a v3-loaded one included, encodes
+// loaded from a v4 snapshot copies its arenas verbatim — no label is
+// decoded, and a v4 load→save round trip is byte-identical by
+// construction; every other scheme, a v1–v3-loaded one included, encodes
 // each label, and the label codecs are deterministic, so both paths
 // produce the same bytes for the same labels.
 func (s *Scheme) MarshalBinary() ([]byte, error) {
@@ -107,7 +107,7 @@ func (s *Scheme) MarshalBinary() ([]byte, error) {
 	case verbatim:
 		size += len(s.lazy.vertBytes) + len(s.lazy.edgeBytes)
 	case s.lazy != nil:
-		// A v3 arena. A label that decodes has the one wire size of the
+		// A v1–v3 arena. A label that decodes has the one wire size of the
 		// spec (see MaxEdgeLabelBits); one that does not encodes as a
 		// bare header. The spec is trusted only as far as each label's
 		// own extent, so a hostile one cannot size a huge buffer.
@@ -241,12 +241,13 @@ func (r *snapReader) count(perItem int, what string) (int, error) {
 	return int(c), nil
 }
 
-// UnmarshalScheme decodes a snapshot produced by MarshalBinary. The loaded
-// scheme answers every query the original did — VertexLabel, EdgeLabel,
-// CompileFaults — without re-running construction, and its per-label
-// marshalings are byte-identical to the original's. The spanning forest is
-// re-derived (deterministically) from the graph; the token fingerprint is
-// recomputed and must match the stored one.
+// UnmarshalScheme decodes a snapshot produced by MarshalBinary, of any
+// version. The loaded scheme answers every query the original did —
+// VertexLabel, EdgeLabel, CompileFaults — without re-running construction,
+// and its per-label marshalings are byte-identical to the original's. Its
+// labels stay in a lazy arena and are decoded on touch. The spanning
+// forest is re-derived (deterministically) from the graph; the token
+// fingerprint is recomputed and must match the stored one.
 func UnmarshalScheme(data []byte) (*Scheme, error) {
 	r := &snapReader{b: data}
 	magic, err := r.bytes(len(snapshotMagic), "magic")
@@ -417,87 +418,54 @@ func UnmarshalScheme(data []byte) (*Scheme, error) {
 		Hierarchy: h,
 	}
 
-	if version >= 3 {
-		arena := &labelArena{
-			token:     token,
-			gen:       gen,
-			maxFaults: int(maxFaults),
-			spec:      spec,
-			legacy:    version == 3,
-		}
-		if arena.vertOff, arena.vertBytes, err = r.soaSection(n, "vertex"); err != nil {
-			return nil, err
-		}
-		if arena.edgeOff, arena.edgeBytes, err = r.soaSection(m, "edge"); err != nil {
-			return nil, err
-		}
-		if len(r.b) != 0 {
-			return nil, r.fail("trailing bytes")
-		}
-		if s.computeToken(g) != token {
-			return nil, r.fail("token fingerprint mismatch (graph and parameters disagree)")
-		}
-		arena.verts = make([]atomic.Pointer[VertexLabel], n)
-		s.lazy = arena
-		return s, nil
+	arena := &labelArena{
+		token:     token,
+		gen:       gen,
+		maxFaults: int(maxFaults),
+		spec:      spec,
+		legacy:    version < 4,
 	}
-
-	vertexLabels := make([]VertexLabel, n)
-	for v := 0; v < n; v++ {
-		c, err := r.count(1, "vertex label length")
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.bytes(c, "vertex label")
-		if err != nil {
-			return nil, err
-		}
-		vl, err := UnmarshalVertexLabel(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadSnapshot, v, err)
-		}
-		if vl.Token != token {
-			return nil, r.fail("vertex label token disagrees with header")
-		}
-		vertexLabels[v] = vl
+	section := r.soaSection
+	if version < 3 {
+		section = r.prefixedSection
 	}
-	edgeLabels := make([]EdgeLabel, m)
-	for e := 0; e < m; e++ {
-		c, err := r.count(1, "edge label length")
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.bytes(c, "edge label")
-		if err != nil {
-			return nil, err
-		}
-		el, err := UnmarshalEdgeLabel(raw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrBadSnapshot, e, err)
-		}
-		if el.Token != token || el.MaxFaults != int(maxFaults) || el.Spec != spec {
-			return nil, r.fail("edge label header disagrees with snapshot header")
-		}
-		edgeLabels[e] = el
+	if arena.vertOff, arena.vertBytes, err = section(n, "vertex"); err != nil {
+		return nil, err
+	}
+	if arena.edgeOff, arena.edgeBytes, err = section(m, "edge"); err != nil {
+		return nil, err
 	}
 	if len(r.b) != 0 {
 		return nil, r.fail("trailing bytes")
 	}
-	// The wire encoding omits the in-memory generation stamp; restore it so
-	// that mixing a loaded scheme's labels with a different live generation
-	// is classified as ErrStaleLabel rather than a bare mismatch.
-	for v := range vertexLabels {
-		vertexLabels[v].Gen = gen
-	}
-	for e := range edgeLabels {
-		edgeLabels[e].Gen = gen
-	}
-	s.vertexLabels = vertexLabels
-	s.edgeLabels = edgeLabels
 	if s.computeToken(g) != token {
-		return nil, r.fail("token fingerprint mismatch (graph and labels disagree)")
+		return nil, r.fail("token fingerprint mismatch (graph and parameters disagree)")
 	}
+	arena.verts = make([]atomic.Pointer[VertexLabel], n)
+	s.lazy = arena
 	return s, nil
+}
+
+// prefixedSection reads one v1/v2 label section, count × (u32 length,
+// bytes), into soaSection's offsets-plus-arena form, copying each label
+// out from between the length prefixes (the arena does not alias the
+// input). The header bounded count by the input.
+func (r *snapReader) prefixedSection(count int, what string) ([]uint64, []byte, error) {
+	off := make([]uint64, count+1)
+	var arena []byte
+	for i := 0; i < count; i++ {
+		c, err := r.count(1, what+" label length")
+		if err != nil {
+			return nil, nil, err
+		}
+		raw, err := r.bytes(c, what+" label")
+		if err != nil {
+			return nil, nil, err
+		}
+		arena = append(arena, raw...)
+		off[i+1] = uint64(len(arena))
+	}
+	return off, arena, nil
 }
 
 // soaSection reads one v3/v4 structure-of-arrays label section: count+1 u64

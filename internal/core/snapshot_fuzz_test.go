@@ -9,18 +9,20 @@ import (
 
 // FuzzUnmarshalScheme feeds arbitrary bytes to the snapshot decoder:
 // corrupted input must produce an error — never a panic or a huge
-// allocation — and any accepted input must be canonical (re-marshaling the
-// loaded scheme reproduces the input bytes exactly). For version-3/4 input
-// the offsets tables and arena bounds are validated at load; label bytes
-// are only reached lazily, so the harness additionally touches every label
-// of an accepted scheme: a corrupt arena slot must decode to a poisoned
-// label (which every query rejects), never panic or over-allocate. The
-// seeds are small, so that the fuzzer's time goes to mutating them rather
-// than to gathering their baseline coverage: Petersen schemes with f = 1 of every kind at v1–v3 (written by the
-// test-only legacy writer) and at the current version, plus a dynamic one
-// at v2, v3 and the current version, each whole and cut in half. The
-// large fixtures under testdata/legacy stay with TestSnapshotVersionMatrix
-// and TestLegacyWriterReproducesFixtures, which load every one of them.
+// allocation — and any accepted current-version input must be canonical
+// (re-marshaling the loaded scheme reproduces the input bytes exactly).
+// Every version loads into the lazy label arena: the label sections'
+// bounds are validated at load, but label bytes are only reached on touch,
+// so the harness additionally touches every label of an accepted scheme:
+// a corrupt slot must decode to a poisoned label (which every query
+// rejects), never panic or over-allocate. The seeds are small, so that the
+// fuzzer's time goes to mutating them rather than to gathering their
+// baseline coverage: Petersen schemes with f = 1 of every kind at v1–v3
+// (written by the test-only legacy writer) and at the current version,
+// plus a dynamic one at v2, v3 and the current version, each whole and cut
+// in half. The large fixtures under testdata/legacy stay with
+// TestSnapshotVersionMatrix and TestLegacyWriterReproducesFixtures, which
+// load every one of them.
 func FuzzUnmarshalScheme(f *testing.F) {
 	add := func(s *Scheme, versions ...byte) {
 		data, err := s.MarshalBinary()

@@ -171,9 +171,41 @@ func TestLazyArenaCorruptLabelFailsClosed(t *testing.T) {
 	}
 }
 
+// TestLegacySnapshotCorruptLabelFailsClosed: v1 and v2 snapshots load
+// through the same lazy arena as v3 and v4, so a label with a corrupt
+// token does not fail the load. It decodes to a poisoned label, every
+// query that touches it fails with ErrLabelMismatch, and the clean labels
+// of the same snapshot keep answering.
+func TestLegacySnapshotCorruptLabelFailsClosed(t *testing.T) {
+	s, err := Build(workload.Petersen(), Params{MaxFaults: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vertex0 := MarshalVertexLabel(s.VertexLabel(0))
+	for _, version := range []byte{1, 2} {
+		data := marshalLegacy(s, version)
+		i := bytes.Index(data, vertex0)
+		if i < 0 {
+			t.Fatalf("v%d: vertex 0's label not found in the snapshot", version)
+		}
+		data[i+1] ^= 0xFF // the first byte of vertex 0's stored token
+		loaded, err := UnmarshalScheme(data)
+		if err != nil {
+			t.Fatalf("v%d: load with one corrupt label: %v", version, err)
+		}
+		if _, err := Connected(loaded.VertexLabel(0), loaded.VertexLabel(3), nil); !errors.Is(err, ErrLabelMismatch) {
+			t.Fatalf("v%d: probe of the corrupt vertex: got %v, want ErrLabelMismatch", version, err)
+		}
+		ok, err := Connected(loaded.VertexLabel(1), loaded.VertexLabel(3), []EdgeLabel{loaded.EdgeLabel(0)})
+		if err != nil || !ok {
+			t.Fatalf("v%d: probe of two clean vertices: connected=%v, err=%v", version, ok, err)
+		}
+	}
+}
+
 // TestLazyArenaConcurrentFirstTouch races many goroutines into the same
 // cold arena (run under -race in CI): every decode must agree with the
-// eager load of the same snapshot.
+// built scheme's label.
 func TestLazyArenaConcurrentFirstTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := workload.ErdosRenyi(120, 0.06, true, rng)

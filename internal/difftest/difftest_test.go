@@ -37,6 +37,17 @@ var families = []family{
 	{"power-law", func(n int, rng *rand.Rand) *graph.Graph {
 		return workload.PowerLawCluster(n, 3, 0.5, rng)
 	}},
+	// The largest fat-tree within budget: arity k has 5k²/4 switches.
+	{"fat-tree", func(n int, rng *rand.Rand) *graph.Graph {
+		k := 2
+		for 5*(k+2)*(k+2)/4 <= n {
+			k += 2
+		}
+		return workload.FatTree(k)
+	}},
+	{"as-graph", func(n int, rng *rand.Rand) *graph.Graph {
+		return workload.ASGraph(n, 2, 0.1, rng)
+	}},
 }
 
 // kindCase is one scheme kind under differential test. maxN bounds the
@@ -68,7 +79,7 @@ var kinds = []kindCase{
 
 // TestDifferentialAllKindsAllFamilies sweeps kind × family; each cell runs
 // faultSetsPerCell seeded fault sets × queriesPerSet queries, so the whole
-// sweep checks 4×3×40×25 = 12000 triples against the BFS oracle.
+// sweep checks 4×5×40×25 = 20000 triples against the BFS oracle.
 func TestDifferentialAllKindsAllFamilies(t *testing.T) {
 	const (
 		f                = 3

@@ -57,7 +57,7 @@ func stripStamp(l ftc.EdgeLabel) ftc.EdgeLabel {
 func TestMutateThenVerify(t *testing.T) {
 	const (
 		f             = 3
-		commits       = 6
+		commits       = 8
 		faultsPerGen  = 12
 		queriesPerSet = 10
 	)

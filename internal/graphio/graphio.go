@@ -1,27 +1,20 @@
-// Package graphio reads and writes graphs and label databases in simple
-// text/binary formats, so the labeling schemes can be used as standalone
-// artifacts: build labels once, ship the per-vertex/per-edge files, answer
-// queries anywhere.
+// Package graphio reads and writes graphs in a simple text format. Labels
+// are persisted as scheme snapshots (core.UnmarshalScheme), not here.
 //
 // Graph text format (comments with '#', blank lines ignored):
 //
 //	n <vertexCount>
 //	e <u> <v> [weight]
-//
-// Label database binary format: a small header, then length-prefixed
-// marshaled labels (vertices first, then edges, in index order).
 package graphio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -108,105 +101,4 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-const dbMagic = "FTCLABEL1"
-
-// WriteLabels serializes a scheme's complete label database.
-func WriteLabels(w io.Writer, s *core.Scheme, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(dbMagic); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(g.N()))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.M()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	writeBlob := func(b []byte) error {
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(b)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(b)
-		return err
-	}
-	for v := 0; v < g.N(); v++ {
-		if err := writeBlob(core.MarshalVertexLabel(s.VertexLabel(v))); err != nil {
-			return err
-		}
-	}
-	for e := 0; e < g.M(); e++ {
-		if err := writeBlob(core.MarshalEdgeLabel(s.EdgeLabel(e))); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// LabelDB is a loaded label database — everything a query site needs.
-type LabelDB struct {
-	Vertices []core.VertexLabel
-	Edges    []core.EdgeLabel
-}
-
-// ReadLabels loads a label database written by WriteLabels.
-func ReadLabels(r io.Reader) (*LabelDB, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(dbMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: missing magic: %v", ErrFormat, err)
-	}
-	if string(magic) != dbMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, magic)
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrFormat, err)
-	}
-	n := int(binary.LittleEndian.Uint64(hdr[0:]))
-	m := int(binary.LittleEndian.Uint64(hdr[8:]))
-	if n < 0 || m < 0 || n > 1<<30 || m > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible sizes n=%d m=%d", ErrFormat, n, m)
-	}
-	readBlob := func() ([]byte, error) {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, err
-		}
-		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size > 1<<28 {
-			return nil, fmt.Errorf("%w: blob of %d bytes", ErrFormat, size)
-		}
-		b := make([]byte, size)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	db := &LabelDB{
-		Vertices: make([]core.VertexLabel, n),
-		Edges:    make([]core.EdgeLabel, m),
-	}
-	for v := 0; v < n; v++ {
-		blob, err := readBlob()
-		if err != nil {
-			return nil, fmt.Errorf("%w: vertex %d: %v", ErrFormat, v, err)
-		}
-		if db.Vertices[v], err = core.UnmarshalVertexLabel(blob); err != nil {
-			return nil, fmt.Errorf("vertex %d: %w", v, err)
-		}
-	}
-	for e := 0; e < m; e++ {
-		blob, err := readBlob()
-		if err != nil {
-			return nil, fmt.Errorf("%w: edge %d: %v", ErrFormat, e, err)
-		}
-		if db.Edges[e], err = core.UnmarshalEdgeLabel(blob); err != nil {
-			return nil, fmt.Errorf("edge %d: %w", e, err)
-		}
-	}
-	return db, nil
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -70,65 +69,5 @@ func TestGraphRoundTrip(t *testing.T) {
 		if back.Edges[e] != g.Edges[e] || back.Weight(e) != g.Weight(e) {
 			t.Fatalf("edge %d changed", e)
 		}
-	}
-}
-
-func TestLabelDBRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := workload.ErdosRenyi(25, 0.2, true, rng)
-	s, err := core.Build(g, core.Params{MaxFaults: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteLabels(&buf, s, g); err != nil {
-		t.Fatal(err)
-	}
-	db, err := ReadLabels(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(db.Vertices) != g.N() || len(db.Edges) != g.M() {
-		t.Fatalf("db shape %d/%d", len(db.Vertices), len(db.Edges))
-	}
-	// Queries through the loaded database match direct queries.
-	for q := 0; q < 50; q++ {
-		faults := workload.RandomFaults(g, rng.Intn(3), rng)
-		sv, tv := rng.Intn(g.N()), rng.Intn(g.N())
-		fl := make([]core.EdgeLabel, len(faults))
-		fl2 := make([]core.EdgeLabel, len(faults))
-		for i, e := range faults {
-			fl[i] = s.EdgeLabel(e)
-			fl2[i] = db.Edges[e]
-		}
-		want, err1 := core.Connected(s.VertexLabel(sv), s.VertexLabel(tv), fl)
-		got, err2 := core.Connected(db.Vertices[sv], db.Vertices[tv], fl2)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error mismatch: %v vs %v", err1, err2)
-		}
-		if err1 == nil && got != want {
-			t.Fatalf("loaded labels disagree")
-		}
-	}
-}
-
-func TestReadLabelsRejectsGarbage(t *testing.T) {
-	if _, err := ReadLabels(strings.NewReader("nope")); !errors.Is(err, ErrFormat) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	// Truncated database.
-	rng := rand.New(rand.NewSource(3))
-	g := workload.ErdosRenyi(10, 0.3, true, rng)
-	s, err := core.Build(g, core.Params{MaxFaults: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteLabels(&buf, s, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := ReadLabels(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Fatal("truncated database accepted")
 	}
 }

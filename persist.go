@@ -40,13 +40,13 @@ func (s *Scheme) Save(w io.Writer) error {
 // labels for NewFaultSet — and its per-label marshalings are byte-identical
 // to those of the scheme that was saved.
 //
-// A scheme loaded from a current-format (v4) or v3 snapshot is lazy: the
-// label sections are aliased zero-copy, so loading is O(1) in label bytes
-// and a serving replica only ever pays for the labels its traffic actually
-// probes. A vertex label is decoded the first time it is touched and
-// retained; an edge label is decoded on every read and not retained.
-// Laziness is invisible to the API — labels, queries, and marshalings are
-// identical to an eager load — and concurrent touches are safe.
+// A loaded scheme is lazy, whatever its snapshot's version: a vertex label
+// is decoded the first time it is touched and retained, and an edge label
+// is decoded on every read and not retained, so a serving replica only
+// pays for the labels its traffic probes. A v3 or v4 snapshot's label
+// sections are aliased zero-copy, which makes loading O(1) in label bytes;
+// a v1 or v2 snapshot's are copied once. Laziness is invisible to the API,
+// and concurrent touches are safe.
 type LoadedScheme struct {
 	Scheme
 }
@@ -71,7 +71,8 @@ func Load(r io.Reader) (*LoadedScheme, error) {
 // v3 or v4 snapshot the returned scheme's label arena aliases data, so the
 // caller must not modify data for the lifetime of the scheme; this is what
 // makes loading O(1) in label bytes (cmd/ftcserve reads the snapshot file
-// with os.ReadFile and hands it straight here).
+// with os.ReadFile and hands it straight here). A v1 or v2 snapshot's
+// label bytes are copied into the arena instead.
 func LoadBytes(data []byte) (*LoadedScheme, error) {
 	inner, err := core.UnmarshalScheme(data)
 	if err != nil {

@@ -196,10 +196,11 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 // TestGoldenLegacySnapshotsStillLoad pins the backward-compatibility
 // promise for every historical wire version: the v1 fixture (written
 // before the dynamic-network extension; generation and aux slack default
-// to zero), the v2 fixture (eager length-prefixed label sections) and the
-// v3 fixture (lazy label arena), all with labels that carried 2k power
-// sums per Reed–Solomon level, keep loading and decode to exactly what a
-// fresh static build produces today, with the same Stats.
+// to zero), the v2 fixture (length-prefixed label sections, copied into a
+// label arena on load) and the v3 fixture (the arena layout itself), all
+// with labels that carried 2k power sums per Reed–Solomon level, keep
+// loading and decode to exactly what a fresh static build produces today,
+// with the same Stats.
 func TestGoldenLegacySnapshotsStillLoad(t *testing.T) {
 	s := goldenScheme(t)
 	for version, path := range goldenLegacyPaths {
@@ -277,13 +278,13 @@ func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[strin
 
 // TestSnapshotVersionMatrix is the cross-version equivalence gate: each
 // legacy fixture, and the fresh build's own current-version snapshot, must
-// load — eagerly for v1/v2, lazily for v3/v4 — to byte-identical per-label
-// marshalings, identical generation and Stats, and saving any of them must
-// write exactly the fresh build's snapshot (a loaded v3 arena is
-// re-encoded, never copied). It also pins the laziness itself: loading a
-// v3/v4 snapshot decodes no labels until one is touched, Stats touches
-// none, and the arena keeps the vertex labels it decoded (edge labels are
-// never kept).
+// load lazily to byte-identical per-label marshalings, identical
+// generation and Stats, and saving any of them must write exactly the
+// fresh build's snapshot (a loaded legacy arena is re-encoded, never
+// copied). It also pins the laziness itself: loading a snapshot of any
+// version decodes no labels until one is touched, Stats touches none, and
+// the arena keeps the vertex labels it decoded (edge labels are never
+// kept).
 func TestSnapshotVersionMatrix(t *testing.T) {
 	schemes, versions := matrixSchemes(t)
 	for name, s := range schemes {
@@ -310,11 +311,7 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 			t.Fatalf("%s: load current version: %v", name, err)
 		}
 		for version, loaded := range loads {
-			lazy, verts := loaded.Inner().LazyLabels()
-			if version <= 2 && lazy {
-				t.Fatalf("%s: v%d load is lazy, want eager", name, version)
-			}
-			if version >= 3 && (!lazy || verts != 0) {
+			if lazy, verts := loaded.Inner().LazyLabels(); !lazy || verts != 0 {
 				t.Fatalf("%s: v%d load not lazy-and-untouched (lazy=%v verts=%d)",
 					name, version, lazy, verts)
 			}
@@ -345,7 +342,7 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 			}
 		}
 		for version, loaded := range loads {
-			if lazy, verts := loaded.Inner().LazyLabels(); lazy && verts != s.N() {
+			if _, verts := loaded.Inner().LazyLabels(); verts != s.N() {
 				t.Fatalf("%s: v%d arena did not materialize its vertex labels on touch (verts=%d)", name, version, verts)
 			}
 			var saved bytes.Buffer
