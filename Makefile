@@ -38,9 +38,10 @@ chaos:
 	$(GO) run ./cmd/ftcbench chaos -smoke -json -seed=2
 
 # Short fuzz runs of the label and snapshot codecs, of the replica's
-# record decoder, checkpoint header and delta replay, and of the syndrome
-# decoder against its reference (the CI smoke; drop the -fuzztime to
-# explore for real).
+# record decoder, checkpoint header and delta replay, of the syndrome
+# decoder against its reference, and of the field kernels against the
+# pure-Go arithmetic (the CI smoke; drop the -fuzztime to explore for
+# real).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalVertexLabel' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalEdgeLabel' -fuzztime 10s ./internal/core
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseCheckpoint' -fuzztime 10s ./internal/serve/genlog
 	$(GO) test -run '^$$' -fuzz 'FuzzWireFrame' -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz 'FuzzSketchDecode' -fuzztime 10s ./internal/rs
+	$(GO) test -run '^$$' -fuzz 'FuzzKernels' -fuzztime 10s ./internal/gf
 
 # Non-test lines per package of the root module (`wc -l` of the package's
 # non-test .go files, subpackages counted on their own rows), then the

@@ -822,8 +822,9 @@ type baselineRecord struct {
 }
 
 // buildBaselines are the BenchmarkBuild figures measured on the seed
-// construction pipeline (per-call gf.Mul window tables, per-level power
-// recomputation, map-based slot lookup, dense sequential folding)
+// construction pipeline (a window table rebuilt for every field product,
+// per-level power recomputation, map-based slot lookup, dense sequential
+// folding)
 // immediately before the hot-path overhaul landed. An interleaved A/B run
 // on the same machine put det-netfind n=1024 f=3 at ~166ms pre-overhaul vs
 // ~41ms post-overhaul (≈4×).

@@ -319,7 +319,7 @@ var buildWorkers int
 //
 // The Reed–Solomon kinds run the construction hot path described in
 // DESIGN.md §3.7: each non-tree edge's k odd powers are computed exactly
-// once (gf.Table-cached Horner chain) into a shared read-only arena, and the
+// once (one rs.PowerSums chain) into a shared read-only arena, and the
 // per-level accumulate-and-fold passes — which write to disjoint
 // Out[lvl*stride:] segments — run on a bounded worker pool with reusable
 // per-worker scratch.

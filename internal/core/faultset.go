@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,19 +57,14 @@ type faultComponent struct {
 	initCutSize []int32
 
 	// Lazily computed full closure: closure[c] is the union-find root of
-	// fragment c after every super-fragment has been grown to completion.
-	// Guarded by closeOnce; read-only afterwards, so concurrent probes
-	// need no further synchronization.
+	// fragment c after every super-fragment has been grown to completion,
+	// and route is the crossing structure that run decoded, which route
+	// plans walk (routeset.go). Guarded by closeOnce; read-only afterwards,
+	// so concurrent probes and plans need no further synchronization.
 	closeOnce sync.Once
 	closure   []int32
-	closeErr  error
-
-	// Lazily recorded crossing structure for route planning: the decoded
-	// crossings of one full-closure run (routeset.go). Guarded by
-	// routeOnce; read-only afterwards.
-	routeOnce sync.Once
 	route     crossGraph
-	routeErr  error
+	closeErr  error
 }
 
 // CompileFaults builds a FaultSet from fault-edge labels. It validates token
@@ -173,13 +169,25 @@ func (fs *FaultSet) compForRoot(root uint32) *faultComponent {
 }
 
 // ensureClosed runs the fragment growth of §7.6 to completion once and
-// caches the connectivity partition. Decode failures (possible for the AGM
-// whp baseline, impossible for the deterministic kinds with sound
-// thresholds) are cached too and returned by every probe of the component.
+// caches the connectivity partition, together with the crossing structure
+// that route plans walk: the run records every crossing it decodes, so a
+// component that is probed and routed decodes once, whichever product
+// comes first. Decode failures (possible for the AGM whp baseline,
+// impossible for the deterministic kinds with sound thresholds) are cached
+// too and returned by every probe and plan of the component.
+//
+// The run is deterministic (fixed heap order, fragS = fragT = -1), so it
+// records the same crossings whichever product triggers it. Every
+// union-find merge during closure is triggered by a decoded crossing, and
+// each decoded crossing is recorded before the both-inside skip, so the
+// recorded set contains a spanning structure of each closure class: BFS
+// over it finds a fragment path between any two fragments that are
+// connected in G − F.
 func (c *faultComponent) ensureClosed() error {
 	c.closeOnce.Do(func() {
 		q := c.acquire()
 		defer releaseQueryState(q)
+		q.recording = true
 		if _, err := q.runFast(); err != nil {
 			c.closeErr = err
 			return
@@ -189,6 +197,8 @@ func (c *faultComponent) ensureClosed() error {
 			closure[i] = q.find(int32(i))
 		}
 		c.closure = closure
+		// Copy the records: q's buffer goes back to the pool.
+		c.route = newCrossGraph(c.frags, slices.Clone(q.records))
 	})
 	return c.closeErr
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -301,6 +302,77 @@ func TestFaultSetRoutePlanAllocs(t *testing.T) {
 		}
 	}
 	t.Logf("plans by step count: %v", seen)
+}
+
+// TestFaultSetRouteAfterProbeDecodesNothing: the closure a probe runs
+// records the component's crossings, so the first plan on a probed set
+// decodes nothing and, into reused storage, allocates nothing (a decode
+// allocates, and so does indexing its crossings). Its plans equal those of
+// a fresh set that is routed first.
+func TestFaultSetRouteAfterProbeDecodesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := workload.ErdosRenyi(60, 0.1, true, rng)
+	s := mustBuild(t, g, Params{MaxFaults: 3})
+	compile := func(faults []int) *FaultSet {
+		fl := make([]EdgeLabel, len(faults))
+		for i, e := range faults {
+			fl[i] = s.EdgeLabel(e)
+		}
+		fs, err := CompileFaults(fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	var dst []RouteStep
+	var sc RouteScratch
+	crossing := 0
+	for trial := 0; trial < 30; trial++ {
+		faults := workload.TreeEdgeFaults(g, s.Forest, 1+trial%3, rng)
+		probed, routed := compile(faults), compile(faults)
+		for q := 0; q < 8; q++ {
+			u := rng.Intn(g.N())
+			v := (u + 1 + rng.Intn(g.N()-1)) % g.N()
+			sv, tv := s.VertexLabel(u), s.VertexLabel(v)
+			want, _, err := routed.RoutePlan(sv, tv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Size the plan and the scratch on the routed-first set.
+			dst, _, _ = routed.AppendRoutePlan(dst[:0], &sc, sv, tv)
+			if q == 0 {
+				if _, err := probed.Connected(sv, tv); err != nil {
+					t.Fatal(err)
+				}
+				if probed.compForRoot(sv.Anc.Root).route.adj == nil {
+					t.Fatalf("trial %d: the probe's closure recorded no crossing graph", trial)
+				}
+			}
+			// One P while counting, as testing.AllocsPerRun does, so that
+			// no other goroutine's allocations land in the window.
+			procs := runtime.GOMAXPROCS(1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dst, _, err = probed.AppendRoutePlan(dst[:0], &sc, sv, tv)
+			runtime.ReadMemStats(&after)
+			runtime.GOMAXPROCS(procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("trial %d pair %d: a plan on a probed set allocated %d objects", trial, q, n)
+			}
+			if !slices.Equal(dst, want) {
+				t.Fatalf("trial %d pair %d: plan after a probe %v, routed first %v", trial, q, dst, want)
+			}
+			if len(want) > 1 {
+				crossing++
+			}
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("corpus produced no plan that crosses a non-tree edge")
+	}
 }
 
 // twoComponentFixture builds a graph whose spanning forest has two trees: a

@@ -151,8 +151,9 @@ type queryState struct {
 	flags   []uint8
 	heap    []heapItem
 
-	// recording, when set (RoutePlan), retains every decoded crossing
-	// with its endpoint fragments for route extraction.
+	// recording, when set (closure runs and the one-shot RoutePlan),
+	// retains every decoded crossing with its endpoint fragments for route
+	// extraction.
 	recording bool
 	records   []crossRec
 }

@@ -8,6 +8,10 @@
 // syndrome sketches in internal/rs (paper §4.2, §7.4): the edge-ID domain of
 // the outdetect labeling scheme is embedded into the nonzero elements of
 // this field.
+//
+// Products run on carry-less multiplication (PCLMULQDQ) where an amd64 CPU
+// has it, and on window tables in pure Go everywhere else and in builds
+// tagged purego; both give the same bits (kernels.go).
 package gf
 
 // reduction is the low part of the irreducible modulus
@@ -19,15 +23,23 @@ const reduction uint64 = 0x1B
 // has characteristic two.
 func Add(a, b uint64) uint64 { return a ^ b }
 
-// Mul returns the product a·b in GF(2^64).
-//
-// The implementation is a 4-bit windowed carry-less multiplication followed
-// by modular reduction; it is branch-light and constant-bounded (16 window
-// steps plus reduction) so that decoding costs measured in field
-// multiplications are stable across inputs. The window table of a is built
-// per call; when one multiplicand is fixed across many products, build a
-// gf.Table once instead.
+// Mul returns the product a·b in GF(2^64): one PCLMULQDQ and two folds of
+// the high half where the CPU has the instruction (clmul_amd64.s), and
+// mulGeneric everywhere else.
 func Mul(a, b uint64) uint64 {
+	if useCLMUL {
+		return mulCLMUL(a, b)
+	}
+	return mulGeneric(a, b)
+}
+
+// mulGeneric is Mul on the pure-Go path: a 4-bit windowed carry-less
+// multiplication followed by modular reduction. It is branch-light and
+// constant-bounded (16 window steps plus reduction) so that decoding costs
+// measured in field multiplications are stable across inputs. The window
+// table of a is built per call; where one multiplicand is fixed across many
+// products, the pure-Go kernels build a table once instead.
+func mulGeneric(a, b uint64) uint64 {
 	if a == 0 || b == 0 {
 		return 0
 	}

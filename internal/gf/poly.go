@@ -51,13 +51,8 @@ func PolyMul(a, b Poly) Poly {
 	}
 	out := make(Poly, len(a)+len(b)-1)
 	for i, ca := range a {
-		if ca == 0 {
-			continue
-		}
-		for j, cb := range b {
-			if cb != 0 {
-				out[i+j] ^= Mul(ca, cb)
-			}
+		if ca != 0 {
+			addMul(out[i:], b, ca)
 		}
 	}
 	return PolyTrim(out)
@@ -76,12 +71,7 @@ func PolyMod(a, m Poly) Poly {
 	for len(r)-1 >= dm && len(r) > 0 {
 		dr := len(r) - 1
 		q := scaleQuotient(r[dr], inv)
-		shift := dr - dm
-		for i, c := range m {
-			if c != 0 {
-				r[i+shift] ^= Mul(q, c)
-			}
-		}
+		addMul(r[dr-dm:], m, q)
 		r = PolyTrim(r)
 	}
 	return r
@@ -104,13 +94,8 @@ func PolyDivExact(a, m Poly) Poly {
 	for len(r) > 0 && len(r)-1 >= dm {
 		dr := len(r) - 1
 		q := scaleQuotient(r[dr], inv)
-		shift := dr - dm
-		quo[shift] = q
-		for i, c := range m {
-			if c != 0 {
-				r[i+shift] ^= Mul(q, c)
-			}
-		}
+		quo[dr-dm] = q
+		addMul(r[dr-dm:], m, q)
 		r = PolyTrim(r)
 	}
 	return PolyTrim(quo)
@@ -154,11 +139,8 @@ func PolyMonic(p Poly) Poly {
 	if lead == 1 {
 		return p
 	}
-	inv := Inv(lead)
 	out := make(Poly, len(p))
-	for i, c := range p {
-		out[i] = Mul(c, inv)
-	}
+	addMul(out, p, Inv(lead))
 	return out
 }
 

@@ -1,24 +1,23 @@
 package gf
 
-// Table is a precomputed multiplier: the 8-bit window table of a fixed field
-// element α, built once and reused across many products α·b. Mul uses a
-// 4-bit window rebuilt on every call, which is the right trade-off for a
-// single product but wasteful wherever one multiplicand is fixed — above all
-// the Horner chains that evaluate power sums (α, α³, …, α^(2k−1), stepping
-// by a table of α²) in internal/rs, where a single Table amortizes the
-// (larger, 256-entry) window setup over the whole chain and halves the
-// per-product window steps.
+// table is a precomputed multiplier for the pure-Go path: the 8-bit window
+// table of a fixed field element α, built once and reused across many
+// products α·b. mulGeneric uses a 4-bit window rebuilt on every call, which
+// is the right trade-off for a single product but wasteful wherever one
+// multiplicand is fixed — the odd-power chains of AddOddPowers (one table of
+// α²) and the rows of a Row (one table per element). The carry-less path
+// needs no tables.
 //
 // The zero value is the table of α = 0 (every product is 0).
-type Table struct {
+type table struct {
 	lo [256]uint64
 	hi [256]uint64
 }
 
-// NewTable returns the precomputed multiplier for alpha. The break-even
-// point against Mul is a handful of products; below that, call Mul.
-func NewTable(alpha uint64) Table {
-	var t Table
+// newTable returns the precomputed multiplier for alpha. The break-even
+// point against mulGeneric is a handful of products.
+func newTable(alpha uint64) table {
+	var t table
 	t.lo[1] = alpha
 	for w := 2; w < 256; w += 2 {
 		t.lo[w] = t.lo[w/2] << 1
@@ -29,9 +28,9 @@ func NewTable(alpha uint64) Table {
 	return t
 }
 
-// Mul returns α·b in GF(2^64), where α is the element the table was built
+// mul returns α·b in GF(2^64), where α is the element the table was built
 // for. Identical in result to Mul(α, b).
-func (t *Table) Mul(b uint64) uint64 {
+func (t *table) mul(b uint64) uint64 {
 	var lo, hi uint64
 	for i := 56; i >= 0; i -= 8 {
 		if i != 56 {

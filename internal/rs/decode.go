@@ -67,20 +67,10 @@ func (s Sketch) AddEdge(alpha uint64) {
 // PowerSums XORs the odd powers α, α³, …, α^(2·len(dst)−1) — the stored
 // half of the Reed–Solomon parity-check row of α — into dst; over zeroed
 // memory it writes the row, which is how core.Build fills its power
-// arena. Consecutive odd powers differ by a factor α², whose window table
-// (gf.Table) is built once and reused across the whole chain, instead of
-// once per gf.Mul. A zero alpha is a no-op, matching the AddEdge contract
-// that IDs are nonzero.
+// arena. The chain is gf.AddOddPowers. A zero alpha is a no-op, matching
+// the AddEdge contract that IDs are nonzero.
 func PowerSums(dst []uint64, alpha uint64) {
-	if alpha == 0 {
-		return
-	}
-	tab := gf.NewTable(gf.Sqr(alpha))
-	pow := alpha
-	for j := range dst {
-		dst[j] ^= pow
-		pow = tab.Mul(pow) // α^(2j+3) = α^(2j+1)·α²
-	}
+	gf.AddOddPowers(dst, alpha)
 }
 
 // OddSums converts one level of the legacy layout, which stored every sum
@@ -341,11 +331,11 @@ func findRoots(p gf.Poly) ([]uint64, bool) {
 }
 
 // rootFinder is findRoots' pooled scratch for one monic factor q of
-// degree t ≥ 2: a gf.Table per low coefficient of q (4 KB each), which
-// reduces a square modulo q without rebuilding a multiplier per product,
-// and the buffers its squarings fill.
+// degree t ≥ 2: q's low coefficients loaded as a gf.Row, which folds each
+// high coefficient of a square down modulo q, and the buffers its
+// squarings fill.
 type rootFinder struct {
-	tabs      []gf.Table
+	low       gf.Row
 	sq        []uint64 // a square before reduction, 2t−1 coefficients
 	term, acc []uint64 // t coefficients each
 }
@@ -353,13 +343,10 @@ type rootFinder struct {
 var rootPool = sync.Pool{New: func() any { return new(rootFinder) }}
 
 // load prepares rf for the monic factor q, once per factor: its split test
-// and every basis direction tried on it reuse the same multipliers.
+// and every basis direction tried on it reuse the same row.
 func (rf *rootFinder) load(q gf.Poly) *rootFinder {
 	t := len(q) - 1
-	rf.tabs = slices.Grow(rf.tabs[:0], t)[:t]
-	for j := range rf.tabs {
-		rf.tabs[j] = gf.NewTable(q[j])
-	}
+	rf.low.Load(q[:t])
 	rf.sq = slices.Grow(rf.sq[:0], 2*t-1)[:2*t-1]
 	rf.term = slices.Grow(rf.term[:0], t)[:t]
 	rf.acc = slices.Grow(rf.acc[:0], t)[:t]
@@ -379,13 +366,8 @@ func (rf *rootFinder) sqrMod(v []uint64) {
 		}
 	}
 	for i := 2*t - 2; i >= t; i-- {
-		c := sq[i]
-		if c == 0 {
-			continue
-		}
-		low := sq[i-t : i]
-		for j := range low {
-			low[j] ^= rf.tabs[j].Mul(c)
+		if c := sq[i]; c != 0 {
+			rf.low.AddScaled(sq[i-t:i], c)
 		}
 	}
 	copy(v, sq[:t])

@@ -542,11 +542,10 @@ func (s refSketch) AddEdge(alpha uint64) {
 	if alpha == 0 {
 		return
 	}
-	tab := gf.NewTable(alpha)
 	pow := alpha
 	for j := range s {
 		s[j] ^= pow
-		pow = tab.Mul(pow)
+		pow = gf.Mul(pow, alpha)
 	}
 }
 

@@ -23,9 +23,18 @@ func ErdosRenyi(n int, p float64, connect bool, rng *rand.Rand) *graph.Graph {
 			mustAdd(g, u, v)
 		}
 	}
+	// mark[v] == u+1 while row u is drawn and (u, v) is already an edge.
+	// Only the spanning tree above and row u's own draws can hold an edge
+	// (u, v) with v > u, and the row adds its edges in increasing v, so
+	// marking u's neighbours at the start of the row stands in for a map
+	// lookup per pair: the draws, and the graph, are the same.
+	mark := make([]int, n)
 	for u := 0; u < n; u++ {
+		for _, h := range g.Adj(u) {
+			mark[h.To] = u + 1
+		}
 		for v := u + 1; v < n; v++ {
-			if g.HasEdge(u, v) {
+			if mark[v] == u+1 {
 				continue
 			}
 			if rng.Float64() < p {

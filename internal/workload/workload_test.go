@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -162,6 +163,52 @@ func TestDeterministicGeneration(t *testing.T) {
 	for i := range g1.Edges {
 		if g1.Edges[i] != g2.Edges[i] {
 			t.Fatalf("edge %d differs", i)
+		}
+	}
+}
+
+// erdosRenyiPairScan is ErdosRenyi's pair scan as it was before the row
+// marks: one HasEdge lookup per pair. It is the reference the marks must
+// reproduce edge for edge.
+func erdosRenyiPairScan(n int, p float64, connect bool, rng *rand.Rand) *graph.Graph {
+	g := graph.New(n)
+	if connect && n > 1 {
+		perm := rng.Perm(n)
+		for i := 1; i < n; i++ {
+			u, v := perm[i], perm[rng.Intn(i)]
+			mustAdd(g, u, v)
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if g.HasEdge(u, v) {
+				continue
+			}
+			if rng.Float64() < p {
+				mustAdd(g, u, v)
+			}
+		}
+	}
+	return g
+}
+
+func TestErdosRenyiMatchesPairScan(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 17, 192, 1024} {
+		for _, p := range []float64{0, 8 / float64(n), 0.5, 1} {
+			for _, connect := range []bool{false, true} {
+				seeds := []int64{1, 2, 3}
+				if n == 1024 && p >= 0.5 {
+					seeds = seeds[:1] // half a million edges each
+				}
+				for _, seed := range seeds {
+					got := ErdosRenyi(n, p, connect, rand.New(rand.NewSource(seed)))
+					want := erdosRenyiPairScan(n, p, connect, rand.New(rand.NewSource(seed)))
+					if !slices.Equal(got.Edges, want.Edges) {
+						t.Fatalf("n=%d p=%g connect=%v seed=%d: %d edges, pair scan %d, or a different order",
+							n, p, connect, seed, got.M(), want.M())
+					}
+				}
+			}
 		}
 	}
 }
