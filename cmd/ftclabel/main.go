@@ -10,7 +10,9 @@
 //	ftclabel query  -labels scheme.ftcsnap -s 0 -t 5 -faults 3,7,12
 //
 // Fault arguments are edge indices (the insertion order of the graph file's
-// `e` lines). The seed applies to the rand and agm schemes only.
+// `e` lines). The seed applies to the rand and agm schemes only. stats
+// prints the snapshot's size and how many edge labels it stores short, as
+// the preorder of their leaf, and how many in full.
 package main
 
 import (
@@ -100,7 +102,8 @@ func buildCmd(args []string) {
 		g.N(), g.M(), *f, *scheme, s.MaxEdgeLabelBits())
 }
 
-func load(path string) *core.Scheme {
+// load reads and loads a snapshot, returning its bytes too.
+func load(path string) (*core.Scheme, []byte) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -109,7 +112,7 @@ func load(path string) *core.Scheme {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	return s
+	return s, data
 }
 
 func statsCmd(args []string) {
@@ -121,7 +124,7 @@ func statsCmd(args []string) {
 	if *labelPath == "" {
 		fatalf("stats requires -labels")
 	}
-	s := load(*labelPath)
+	s, data := load(*labelPath)
 	n, m := s.N(), s.Graph().M()
 	vertexBits := 0
 	if n > 0 {
@@ -130,6 +133,10 @@ func statsCmd(args []string) {
 	maxBits := s.MaxEdgeLabelBits() // every edge label has this size
 	fmt.Printf("vertices: %d (label %d bits each)\n", n, vertexBits)
 	fmt.Printf("edges:    %d (max label %d bits, total %d bits)\n", m, maxBits, m*maxBits)
+	// data[6] is the version byte, after the 6-byte magic.
+	fmt.Printf("snapshot: %d bytes, version %d\n", len(data), data[6])
+	short := s.ShortEdgeLabels()
+	fmt.Printf("stored:   %d short, %d full edge labels\n", short, m-short)
 	if m > 0 {
 		spec := s.Spec()
 		fmt.Printf("scheme:   %s f=%d k=%d levels=%d\n", spec.Kind, s.MaxFaults(), spec.K, spec.Levels)
@@ -148,7 +155,7 @@ func queryCmd(args []string) {
 	if *labelPath == "" || *s < 0 || *t < 0 {
 		fatalf("query requires -labels, -s, -t")
 	}
-	sch := load(*labelPath)
+	sch, _ := load(*labelPath)
 	if *s >= sch.N() || *t >= sch.N() {
 		fatalf("vertex out of range (n=%d)", sch.N())
 	}

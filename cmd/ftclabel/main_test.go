@@ -78,6 +78,17 @@ func TestBuildStatsQuery(t *testing.T) {
 		if !strings.Contains(stats, "vertices: 8 ") || !strings.Contains(stats, "edges:    8 ") {
 			t.Fatalf("%s: stats does not report 8 vertices and 8 edges:\n%s", tc.kind, stats)
 		}
+		// The cycle's one non-tree edge is stored short, at least.
+		var size, version, short, full int
+		i := strings.Index(stats, "snapshot: ")
+		if i < 0 {
+			t.Fatalf("%s: stats prints no snapshot line:\n%s", tc.kind, stats)
+		}
+		if _, err := fmt.Sscanf(stats[i:], "snapshot: %d bytes, version %d\nstored:   %d short, %d full edge labels",
+			&size, &version, &short, &full); err != nil || size != len(got) || version != 5 || short < 1 || short+full != 8 {
+			t.Fatalf("%s: stats reads size %d, version %d, %d short and %d full (err %v), want %d bytes, version 5, a short label, 8 in all:\n%s",
+				tc.kind, size, version, short, full, err, len(got), stats)
+		}
 		for _, q := range []struct{ args, want string }{
 			{"-s 2 -t 5 -faults 0,3", "= false"},
 			{"-s 0 -t 4 -faults 0,7", "= false"},

@@ -11,13 +11,14 @@
 //	ftcserve -graph g.txt -dynamic -genlog gen.log                   (primary)
 //	ftcserve -replica-of http://primary:8337 [-listen-bin :8339]     (replica)
 //
-// Loading a current-format (v4) or v3 snapshot is O(1) in label bytes: the
-// label arena is mapped lazily, so a replica is serving within
+// Loading a current-format (v5) or a v3 or v4 snapshot is O(1) in label
+// bytes: the label arena is mapped lazily, so a replica is serving within
 // milliseconds even when the labels run to hundreds of megabytes. A vertex
-// label is decoded on its first probe and kept; an edge label is decoded
-// each time a fault-set compile or the once-per-generation route-table
-// build reads it, and is not kept. v1/v2 snapshots load lazily too, after
-// one copy of their label bytes; `ftclabel build` writes this format.
+// label is decoded on its first probe and kept; an edge label is decoded,
+// or rebuilt from a short v5 slot, each time a fault-set compile reads it,
+// and is not kept; the once-per-generation route-table build reads only
+// its ancestry labels. v1/v2 snapshots load lazily too, after one copy of
+// their label bytes; `ftclabel build` writes this format.
 //
 // Endpoints:
 //
@@ -347,7 +348,7 @@ func openServer(snapshot, graphPath string, f int, kind string, seed int64, save
 	case dynamic && graphPath == "":
 		return nil, fmt.Errorf("-dynamic requires -graph (a snapshot is a frozen generation)")
 	case snapshot != "":
-		// One pre-sized read, then a zero-copy load: a v3/v4 snapshot's label
+		// One pre-sized read, then a zero-copy load: a v3–v5 snapshot's label
 		// arena aliases this buffer and decodes lazily per probe, so the
 		// daemon is serving as soon as the graph section is parsed.
 		data, err := os.ReadFile(snapshot)

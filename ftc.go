@@ -54,6 +54,7 @@ package ftc
 import (
 	"fmt"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
@@ -241,6 +242,12 @@ func (s *Scheme) EdgeLabelByIndex(i int) EdgeLabel {
 	}
 	return l
 }
+
+// EdgeEnds returns the two ancestry labels of the i-th inserted edge's
+// label, its Parent and Child, without its payload: a loaded scheme reads
+// them from the label's header, or rebuilds them from a short label, and
+// decodes nothing else. The routing tables are compiled from them.
+func (s *Scheme) EdgeEnds(i int) (parent, child ancestry.Label) { return s.inner.EdgeEnds(i) }
 
 // FaultSet is a compiled, immutable fault set: the fault labels are parsed,
 // validated, and deduplicated once (per spanning-forest component), after

@@ -1,25 +1,34 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 )
 
 // labelArena is the lazy backing store of a loaded snapshot: the two
 // structure-of-arrays label sections — an offsets table plus one
-// contiguous byte arena per label kind. A version-3 or -4 snapshot stores
-// them in this form and the arena aliases its bytes zero-copy; the
+// contiguous byte arena per label kind. A version-3, -4 or -5 snapshot
+// stores them in this form and the arena aliases its bytes zero-copy; the
 // length-prefixed sections of versions 1 and 2 are copied into it. Loading
 // decodes no label; a label is decoded when something asks for it.
+//
+// A version-5 edge slot is either a label in full, in its wire form, or a
+// short label: the shortEdgeLen-byte preorder of the subdivision leaf x_e,
+// from which Scheme.leafLabel rebuilds the whole label (the endpoints'
+// vertex labels, the hierarchy levels that list the edge, the snapshot
+// header). The slot's extent tells the two apart: a label in full is at
+// least edgeHeaderLen bytes.
 //
 // Only vertex labels are cached. Every probed pair reads two of them, so a
 // vertex label is decoded once, kept, and every later access is one atomic
 // load; concurrent first touches may decode the same label twice, both
 // decodes produce identical values and the CAS keeps exactly one, so the
 // arena is safe from concurrent readers without locks. Edge labels are
-// decoded afresh on every call and kept by no one but the caller: serving
-// reads them only in a cache-miss compile (at most f labels) and in the
-// once-per-generation routing-table build, and a cache would pin every
-// payload for the life of the process.
+// decoded (or rebuilt) afresh on every call and kept by no one but the
+// caller: serving reads them only in a cache-miss compile (at most f
+// labels), and a cache would pin every payload for the life of the
+// process. The routing-table build reads only the edges' ancestry labels,
+// through Scheme.EdgeEnds, which stops at the header.
 //
 // The token/generation safety checks happen at the touch: the snapshot
 // header's token was already re-verified against the graph and parameters
@@ -28,7 +37,8 @@ import (
 // is decoded. A label whose bytes are corrupt — or whose header disagrees
 // — decodes to a poisoned label whose token matches neither the scheme
 // token nor any other poisoned label, so every query that touches it fails
-// fast with ErrLabelMismatch instead of answering from garbage. The
+// fast with ErrLabelMismatch instead of answering from garbage; a short
+// label is poisoned when either endpoint's vertex label is. The
 // generation stamp, which the wire encoding omits, is restored on decode
 // from the snapshot header, so mixing labels across generations is
 // classified as ErrStaleLabel.
@@ -37,14 +47,12 @@ type labelArena struct {
 	gen       uint64
 	maxFaults int
 	spec      OutSpec
-	// legacy marks an arena loaded from a version 1–3 snapshot: its edge
-	// labels carry 2k power sums per level and decode converted, so their
-	// extents are not the labels' wire sizes and the arena cannot be
-	// copied into a v4 snapshot.
-	legacy bool
+	// version is the snapshot's: only version 5 holds short slots, and
+	// only a version-5 arena is copied verbatim into a snapshot.
+	version byte
 
 	// vertOff/edgeOff have n+1 and m+1 entries; label i's wire form is
-	// bytes[off[i]:off[i+1]]. v3/v4 arenas alias the snapshot input.
+	// bytes[off[i]:off[i+1]]. v3–v5 arenas alias the snapshot input.
 	vertOff   []uint64
 	vertBytes []byte
 	edgeOff   []uint64
@@ -52,6 +60,16 @@ type labelArena struct {
 
 	verts []atomic.Pointer[VertexLabel]
 }
+
+// shortEdgeLen is the extent of a short edge slot: x_e's u32 preorder.
+const shortEdgeLen = 4
+
+// maxShortWords caps the payload a short edge label may expand to, 8 MiB:
+// a scheme with larger payloads stores every edge label in full, and a
+// snapshot with a short slot and a larger spec is malformed. Without it, a
+// hostile header could make each touch of a 4-byte slot allocate up to
+// snapLimit² words; a label in full cannot, as its payload is in the input.
+const maxShortWords = 1 << 20
 
 // poisonToken derives the token of a failed lazy decode: distinct from the
 // scheme token (top bit of the index space is untouched by real tokens only
@@ -79,14 +97,38 @@ func (a *labelArena) vertex(v int) VertexLabel {
 	return *a.verts[v].Load()
 }
 
-// edge decodes edge e's label; the result, Out included, is the caller's.
-func (a *labelArena) edge(e int) EdgeLabel {
-	l, err := UnmarshalEdgeLabel(a.edgeBytes[a.edgeOff[e]:a.edgeOff[e+1]])
+// short reports whether edge slot e is a short label and, if so, the
+// preorder it stores.
+func (a *labelArena) short(e int) (uint32, bool) {
+	if a.version < 5 || a.edgeOff[e+1]-a.edgeOff[e] != shortEdgeLen {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(a.edgeBytes[a.edgeOff[e]:]), true
+}
+
+// edge decodes edge slot e, which holds a label in full; the result, Out
+// included, is the caller's. With payload false it decodes the header
+// only and the label has no Out, unless the slot is a legacy 'E' label
+// (versions 1–3), whose validity depends on its payload.
+func (a *labelArena) edge(e int, payload bool) EdgeLabel {
+	b := a.edgeBytes[a.edgeOff[e]:a.edgeOff[e+1]]
+	var l EdgeLabel
+	var err error
+	if payload || (len(b) > 0 && b[0] == legacyEdgeMagic) {
+		l, err = UnmarshalEdgeLabel(b)
+	} else {
+		l, _, err = unmarshalEdgeHeader(b)
+	}
 	if err != nil || l.Token != a.token || l.MaxFaults != a.maxFaults || l.Spec != a.spec {
-		l = EdgeLabel{Token: a.poisonToken(e, true)}
+		return a.poisoned(e)
 	}
 	l.Gen = a.gen
 	return l
+}
+
+// poisoned is the label a failed decode of edge slot e yields.
+func (a *labelArena) poisoned(e int) EdgeLabel {
+	return EdgeLabel{Token: a.poisonToken(e, true), Gen: a.gen}
 }
 
 // resident reports how many vertex labels have been decoded so far — an
@@ -98,4 +140,15 @@ func (a *labelArena) resident() (verts int) {
 		}
 	}
 	return verts
+}
+
+// shortEdges counts the edge slots stored short.
+func (a *labelArena) shortEdges() int {
+	count := 0
+	for e := 0; e+1 < len(a.edgeOff); e++ {
+		if _, ok := a.short(e); ok {
+			count++
+		}
+	}
+	return count
 }

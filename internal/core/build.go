@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,7 +62,9 @@ type Scheme struct {
 	lazy *labelArena
 
 	// Construction artifacts retained for experiments and white-box
-	// tests; the decoder never touches them.
+	// tests, read-only. The decoder never touches them, but a loaded
+	// scheme rebuilds its short edge labels from the hierarchy's level
+	// lists (leafLabel).
 	Forest    *graph.Forest
 	Hierarchy *hierarchy.Hierarchy
 }
@@ -165,6 +168,60 @@ func (a *aux) points() []euler.Point {
 // of x_e and the far endpoint in T′.
 func (a *aux) idOf(j int) uint64 {
 	return edgeID(a.anc.Of(a.xVertex[j]).Pre, a.anc.Of(a.farEnd[j]).Pre)
+}
+
+// leafEdge is the one way to make the label of an edge e = (u, v) whose
+// σ(e) child is a subdivision leaf x_e of T′ at preorder pre: every
+// non-tree edge's, and an inserted edge's. Parent is u's ancestry label,
+// Child the leaf, and the payload is the outdetect aggregate of x_e's
+// subtree, which is x_e alone: the Reed–Solomon row of the edge's ID
+// (edgeID(pre, farPre), farPre being v's preorder) on each hierarchy level
+// that lists the edge, listed(lvl), and zero on the others; for AGM the
+// sketch unit block of the ID. hdr supplies the label's Token, Gen,
+// MaxFaults and Spec. The payload is written into out, which must hold
+// spec.Words() words; with out nil the label has the header only.
+func leafEdge(hdr EdgeLabel, parent ancestry.Label, pre, farPre uint32, listed func(lvl int) bool, out []uint64) EdgeLabel {
+	l := hdr
+	l.Parent = parent
+	l.Child = ancestry.Label{Pre: pre, Post: pre, Root: parent.Root}
+	l.Out = out
+	if out == nil {
+		return l
+	}
+	clear(out)
+	id := edgeID(pre, farPre)
+	spec := hdr.Spec
+	if spec.Kind == KindAGM {
+		sketch.Spec{Reps: spec.Reps, Buckets: spec.Buckets, Seed: spec.Seed}.AddEdge(out, id)
+		return l
+	}
+	stride := spec.LevelWords()
+	for lvl := 0; lvl < spec.Levels; lvl++ {
+		if listed(lvl) {
+			rs.PowerSums(out[lvl*stride:(lvl+1)*stride], id)
+		}
+	}
+	return l
+}
+
+// leafLabel is leafEdge for edge e of s, built from the scheme's own data
+// and the stored preorder pre: the header is the scheme's, Parent the
+// vertex label of e's U endpoint, the far preorder V's, and the levels
+// those of s.Hierarchy that list e. It reports false, and no label, when
+// pre is 0 or an endpoint's vertex label does not carry the scheme token
+// (a corrupt slot of a loaded scheme).
+func (s *Scheme) leafLabel(e int, pre uint32, out []uint64) (EdgeLabel, bool) {
+	ge := s.g.Edges[e]
+	u, v := s.VertexLabel(ge.U), s.VertexLabel(ge.V)
+	if pre == 0 || u.Token != s.token || v.Token != s.token {
+		return EdgeLabel{}, false
+	}
+	hdr := EdgeLabel{Token: s.token, Gen: s.gen, MaxFaults: s.params.MaxFaults, Spec: s.spec}
+	listed := func(lvl int) bool {
+		_, found := slices.BinarySearch(s.Hierarchy.Levels[lvl], e)
+		return found
+	}
+	return leafEdge(hdr, u.Anc, pre, v.Anc.Pre, listed, out), true
 }
 
 // Build constructs an f-FTC labeling scheme for g (Theorem 1 / Theorem 2).
@@ -577,19 +634,63 @@ func (s *Scheme) VertexLabel(v int) VertexLabel {
 // EdgeLabel returns edge e's label. For a built or committed scheme the
 // Out slice is shared with the scheme's storage and must be treated as
 // immutable; MarshalEdgeLabel / the public facade produce independent
-// copies. A loaded scheme decodes the label on every call and keeps none
-// of it.
+// copies. A loaded scheme decodes the label on every call, or rebuilds it
+// from a short slot, and keeps none of it.
 func (s *Scheme) EdgeLabel(e int) EdgeLabel {
 	if s.lazy != nil {
-		return s.lazy.edge(e)
+		return s.lazyEdge(e, true)
 	}
 	return s.edgeLabels[e]
+}
+
+// EdgeEnds returns the two ancestry labels of edge e's label, σ(e)'s
+// Parent and Child: EdgeLabel(e)'s, zero for a poisoned one. A loaded
+// scheme reads them from the label's header or rebuilds them from a short
+// slot, and decodes no payload; the routing tables are compiled from
+// them.
+func (s *Scheme) EdgeEnds(e int) (parent, child ancestry.Label) {
+	if s.lazy == nil {
+		l := &s.edgeLabels[e]
+		return l.Parent, l.Child
+	}
+	l := s.lazyEdge(e, false)
+	return l.Parent, l.Child
+}
+
+// lazyEdge reads edge e of a loaded scheme: its slot decoded, or its label
+// rebuilt when the slot is short. With payload false the label has the
+// header only.
+func (s *Scheme) lazyEdge(e int, payload bool) EdgeLabel {
+	a := s.lazy
+	pre, short := a.short(e)
+	if !short {
+		return a.edge(e, payload)
+	}
+	var out []uint64
+	if payload {
+		out = make([]uint64, s.spec.Words())
+	}
+	l, ok := s.leafLabel(e, pre, out)
+	if !ok {
+		return a.poisoned(e)
+	}
+	return l
 }
 
 // EdgeLabelsShared reports, in O(1), whether EdgeLabel's payloads share the
 // scheme's storage (built and committed schemes) rather than being decoded
 // afresh for each caller (loaded ones).
 func (s *Scheme) EdgeLabelsShared() bool { return s.lazy == nil }
+
+// ShortEdgeLabels reports how many edge labels the snapshot a scheme was
+// loaded from stores short (SnapshotVersion 5): 0 for a built or committed
+// scheme and for a scheme loaded from an earlier version.
+func (s *Scheme) ShortEdgeLabels() int {
+	if s.lazy == nil {
+		return 0
+	}
+	return s.lazy.shortEdges()
+}
 
 // LazyLabels reports whether the scheme's labels live in a snapshot's
 // label arena and, if so, how many vertex labels it holds decoded — the

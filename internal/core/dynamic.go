@@ -5,11 +5,8 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/ancestry"
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
-	"repro/internal/rs"
-	"repro/internal/sketch"
 )
 
 // Dynamic is the construction-side engine behind the mutable network API:
@@ -323,46 +320,34 @@ func (d *Dynamic) rebuild(batch []Update, reason string) (*CommitReport, *GenDel
 // label assembly ApplyDelta runs.
 func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *GenDelta, *Scheme, error) {
 	old := d.cur
-	spec := old.spec
-	words := spec.Words()
-	stride := spec.LevelWords()
-	agm := sketch.Spec{Reps: spec.Reps, Buckets: spec.Buckets, Seed: spec.Seed}
-	// rowFor computes the outdetect contribution of one edge id: the
-	// Reed–Solomon power row (one hierarchy-level segment) or the AGM
-	// sketch unit block (the full payload).
-	rowFor := func(id uint64) []uint64 {
-		if spec.Kind == KindAGM {
-			blk := make([]uint64, words)
-			agm.AddEdge(blk, id)
-			return blk
-		}
-		row := make([]uint64, stride)
-		rs.PowerSums(row, id)
-		return row
-	}
+	words := old.spec.Words()
+	// An inserted edge joins hierarchy level 0 only (replayOps).
+	level0 := func(lvl int) bool { return lvl == 0 }
 
 	// masks accumulates each dirtied tree edge's XOR mask under its child
 	// vertex: incremental commits never move the tree, so the child names
 	// the same edge before and after the commit's index shifts.
 	masks := map[int][]uint64{}
-	// xorPath folds row into the segment at off of the mask of every tree
-	// edge on the w → LCA(w, other) path.
-	xorPath := func(w, other int, row []uint64, off int) {
+	// xorPath folds a non-tree edge's label payload, the aggregate of its
+	// leaf x_e, into the mask of every tree edge on the w → LCA(w, other)
+	// path.
+	xorPath := func(w, other int, payload []uint64) {
 		for !old.VertexLabel(w).Anc.IsAncestorOf(old.VertexLabel(other).Anc) {
 			mask := masks[w]
 			if mask == nil {
 				mask = make([]uint64, words)
 				masks[w] = mask
 			}
-			xorInto(mask[off:off+len(row)], row)
+			xorInto(mask, payload)
 			w = old.Forest.Parent[w]
 		}
 	}
 	// xorPaths covers both endpoint-to-LCA paths: the tree edges whose
-	// child subtree contains exactly one of u and v.
-	xorPaths := func(u, v int, row []uint64, off int) {
-		xorPath(u, v, row, off)
-		xorPath(v, u, row, off)
+	// child subtree contains exactly one of u and v, so whose aggregate
+	// holds the edge's payload once.
+	xorPaths := func(u, v int, payload []uint64) {
+		xorPath(u, v, payload)
+		xorPath(v, u, payload)
 	}
 
 	type insert struct {
@@ -377,47 +362,29 @@ func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *GenDelta, *Scheme, 
 			u, v = v, u
 		}
 		e := graph.Edge{U: u, V: v}
-		ancU, preV := old.VertexLabel(u).Anc, old.VertexLabel(v).Anc.Pre
 		if op.Add {
-			slot := p.slots[i]
-			row := rowFor(edgeID(slot, preV))
-			out := make([]uint64, words)
-			copy(out, row) // the new leaf's subtree aggregate is its own row
-			inserts = append(inserts, insert{e, EdgeLabel{
-				MaxFaults: d.params.MaxFaults,
-				Spec:      spec,
-				Parent:    ancU,
-				Child:     ancestryLeaf(slot, ancU.Root),
-				Out:       out,
-			}})
-			xorPaths(u, v, row, 0)
+			// The token and generation are stamped once the new
+			// scheme's token is known.
+			hdr := EdgeLabel{MaxFaults: d.params.MaxFaults, Spec: old.spec}
+			l := leafEdge(hdr, old.VertexLabel(u).Anc, p.slots[i], old.VertexLabel(v).Anc.Pre, level0, make([]uint64, words))
+			inserts = append(inserts, insert{e, l})
+			xorPaths(u, v, l.Out)
 			continue
 		}
 		j := 0
 		for j < len(inserts) && inserts[j].e != e {
 			j++
 		}
-		var slot uint32
+		var l EdgeLabel
 		if j < len(inserts) {
-			// Inserted earlier in this batch: a level-0 edge.
-			slot = inserts[j].l.Child.Pre
+			// Inserted earlier in this batch.
+			l = inserts[j].l
 			inserts = append(inserts[:j], inserts[j+1:]...)
-			xorPaths(u, v, rowFor(edgeID(slot, preV)), 0)
 		} else {
-			idx := old.g.EdgeIndex(u, v)
-			slot = old.EdgeLabel(idx).Child.Pre
-			row := rowFor(edgeID(slot, preV))
-			if spec.Kind == KindAGM {
-				xorPaths(u, v, row, 0)
-			} else {
-				for lvl, level := range old.Hierarchy.Levels {
-					if pos := sort.SearchInts(level, idx); pos < len(level) && level[pos] == idx {
-						xorPaths(u, v, row, lvl*stride)
-					}
-				}
-			}
+			l = old.EdgeLabel(old.g.EdgeIndex(u, v))
 		}
-		freed[u] = append(freed[u], slot)
+		xorPaths(u, v, l.Out)
+		freed[u] = append(freed[u], l.Child.Pre)
 	}
 
 	delta := &GenDelta{PrevGen: d.gen, Gen: d.gen + 1, Ops: append([]Update(nil), p.ops...)}
@@ -467,12 +434,6 @@ func (d *Dynamic) applyIncremental(p *plan) (*CommitReport, *GenDelta, *Scheme, 
 	d.cur = s
 	d.churn += len(p.ops)
 	return rep, delta, s, nil
-}
-
-// ancestryLeaf is the ancestry label of a fresh subdivision leaf occupying
-// a single reserved preorder slot.
-func ancestryLeaf(slot, root uint32) ancestry.Label {
-	return ancestry.Label{Pre: slot, Post: slot, Root: root}
 }
 
 // spliceShift removes idx from the sorted index slice (if present) and

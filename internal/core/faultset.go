@@ -39,8 +39,8 @@ type FaultSet struct {
 }
 
 // faultComponent is the compiled per-spanning-tree slice of a FaultSet: the
-// fragment decomposition induced by the component's faults plus the
-// immutable initial super-fragment state every probe starts from.
+// fragment decomposition induced by the component's faults, the initial
+// super-fragment state its closure run starts from, and the closure.
 type faultComponent struct {
 	root      uint32
 	spec      OutSpec
@@ -50,8 +50,10 @@ type faultComponent struct {
 	words     int // payload words per super-fragment
 	cutWords  int // boundary-bitset words per super-fragment
 
-	// Immutable initial state, flattened per fragment: probes copy these
-	// into pooled scratch instead of re-aggregating label payloads.
+	// Initial super-fragment state, flattened per fragment: the closure
+	// run (and the one-shot path's run) copies it into pooled scratch
+	// instead of re-aggregating label payloads. Only acquire reads it, so
+	// ensureClosed drops it once its run is done.
 	initSum     []uint64
 	initCut     []uint64
 	initCutSize []int32
@@ -187,6 +189,9 @@ func (c *faultComponent) ensureClosed() error {
 	c.closeOnce.Do(func() {
 		q := c.acquire()
 		defer releaseQueryState(q)
+		// Nothing acquires this component again: probes and plans read
+		// the closure and the crossing graph only.
+		c.initSum, c.initCut, c.initCutSize = nil, nil, nil
 		q.recording = true
 		if _, err := q.runFast(); err != nil {
 			c.closeErr = err

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -522,5 +523,118 @@ func TestCompileFaultsErrors(t *testing.T) {
 	ok, err = empty.Connected(s.VertexLabel(0), s.VertexLabel(5))
 	if err != nil || ok {
 		t.Fatalf("empty fault set cross component: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestClosedComponentDropsInitialState: a compiled component holds its
+// initial super-fragment state until its closure has run and none after,
+// since only acquire reads it. Probes still match the BFS oracle, plans
+// equal those of a set compiled from the same labels and closed by a plan
+// instead of a probe, and a set rebased onto the next generation, which
+// shares the closed components, answers and plans the same way.
+func TestClosedComponentDropsInitialState(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	g := workload.ErdosRenyi(60, 0.1, true, rng)
+	d, err := NewDynamic(g.Clone(), Params{MaxFaults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.Scheme()
+	type trial struct {
+		faults      []int
+		fs, routed  *FaultSet
+		plans       map[[2]int][]RouteStep
+		pairs       [][2]int
+		faultLabels []EdgeLabel
+	}
+	var trials []*trial
+	for i := 0; i < 20; i++ {
+		tr := &trial{faults: workload.TreeEdgeFaults(g, s.Forest, 1+i%3, rng), plans: map[[2]int][]RouteStep{}}
+		for _, e := range tr.faults {
+			tr.faultLabels = append(tr.faultLabels, s.EdgeLabel(e))
+		}
+		if tr.fs, err = CompileFaults(tr.faultLabels); err != nil {
+			t.Fatal(err)
+		}
+		if tr.routed, err = CompileFaults(tr.faultLabels); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tr.fs.comps {
+			if c.initSum == nil || c.initCut == nil || c.initCutSize == nil {
+				t.Fatalf("trial %d: a compiled component has no initial state before its closure", i)
+			}
+		}
+		for q := 0; q < 10; q++ {
+			tr.pairs = append(tr.pairs, [2]int{rng.Intn(g.N()), rng.Intn(g.N())})
+		}
+		// routed closes on its first plan, fs on its first probe.
+		for _, p := range tr.pairs {
+			plan, _, err := tr.routed.RoutePlan(s.VertexLabel(p[0]), s.VertexLabel(p[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.plans[p] = plan
+		}
+		if _, err := tr.fs.Session(); err != nil {
+			t.Fatal(err)
+		}
+		for _, fs := range []*FaultSet{tr.fs, tr.routed} {
+			for _, c := range fs.comps {
+				if c.initSum != nil || c.initCut != nil || c.initCutSize != nil {
+					t.Fatalf("trial %d: a closed component still holds its initial state", i)
+				}
+			}
+		}
+		trials = append(trials, tr)
+	}
+	check := func(sch *Scheme, tr *trial, fs *FaultSet, what string) {
+		t.Helper()
+		gg := sch.Graph()
+		set := workload.FaultSet(tr.faults)
+		for _, p := range tr.pairs {
+			sv, tv := sch.VertexLabel(p[0]), sch.VertexLabel(p[1])
+			got, err := fs.Connected(sv, tv)
+			if err != nil {
+				t.Fatalf("%s: probe %v: %v", what, p, err)
+			}
+			if want := graph.ConnectedUnder(gg, set, p[0], p[1]); got != want {
+				t.Fatalf("%s: probe %v under %v = %v, oracle %v", what, p, tr.faults, got, want)
+			}
+			plan, _, err := fs.RoutePlan(sv, tv)
+			if err != nil {
+				t.Fatalf("%s: plan %v: %v", what, p, err)
+			}
+			if !slices.Equal(plan, tr.plans[p]) {
+				t.Fatalf("%s: plan %v = %v, closed by a plan %v", what, p, plan, tr.plans[p])
+			}
+		}
+	}
+	for _, tr := range trials {
+		check(s, tr, tr.fs, "closed set")
+	}
+
+	// Commit one insertion, which appends an edge and shifts no index, and
+	// rebase each trial's closed set whose faults it did not relabel.
+	u, v, ok := pickAddable(s.Graph(), s.Forest, rng)
+	if !ok {
+		t.Fatal("no addable edge")
+	}
+	rep, _, next, err := d.Commit([]Update{{Add: true, U: u, V: v}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Incremental {
+		t.Fatalf("insertion (%d,%d) rebuilt: %s", u, v, rep.Reason)
+	}
+	rebased := 0
+	for i, tr := range trials {
+		if slices.ContainsFunc(tr.faults, func(e int) bool { return slices.Contains(rep.Relabeled, e) }) {
+			continue
+		}
+		check(next, tr, tr.fs.Rebase(next.Token(), next.Generation()), "rebased set "+strconv.Itoa(i))
+		rebased++
+	}
+	if rebased == 0 {
+		t.Fatal("no trial survived the commit unrelabeled")
 	}
 }

@@ -136,33 +136,43 @@ func TestLegacyLabelEvenSumChecked(t *testing.T) {
 }
 
 // TestMarshalBinarySizedExactly: the snapshot writer sizes its output
-// before writing, for every source of labels — a build, a v4 load (arenas
-// copied), and a v3 and a v1 load (labels re-encoded) — its label slots
-// hold exactly the standalone label encodings, and a legacy load saves as
-// v4 with the labels a v4 load decodes to.
+// before writing, for every source of labels — a build, a v5 load (arenas
+// copied), and a v4, a v3 and a v1 load (labels re-encoded) — its vertex
+// slots hold exactly the standalone label encodings, its edge slots the
+// standalone encoding or, for exactly the non-tree edges of a Petersen
+// graph, the short form, and a legacy load saves as v5 with the labels a
+// v5 load decodes to.
 func TestMarshalBinarySizedExactly(t *testing.T) {
 	built, err := Build(workload.Petersen(), Params{MaxFaults: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4, err := built.MarshalBinary()
+	v5, err := built.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy4, err := UnmarshalScheme(v4)
+	lazy5, err := UnmarshalScheme(v5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Appending in place writes exactly the standalone encodings.
-	a := lazy4.lazy
+	// Appending in place writes exactly the standalone encodings. In the
+	// Petersen graph every leaf of the spanning tree has two non-tree
+	// edges, so no tree edge's payload is zero and every tree label is in
+	// full.
+	a := lazy5.lazy
 	for v := 0; v < built.N(); v++ {
 		if !bytes.Equal(a.vertBytes[a.vertOff[v]:a.vertOff[v+1]], MarshalVertexLabel(built.VertexLabel(v))) {
 			t.Fatalf("vertex %d: snapshot slot differs from MarshalVertexLabel", v)
 		}
 	}
 	for e := 0; e < built.Graph().M(); e++ {
-		if !bytes.Equal(a.edgeBytes[a.edgeOff[e]:a.edgeOff[e+1]], MarshalEdgeLabel(built.EdgeLabel(e))) {
-			t.Fatalf("edge %d: snapshot slot differs from MarshalEdgeLabel", e)
+		slot, l := a.edgeBytes[a.edgeOff[e]:a.edgeOff[e+1]], built.EdgeLabel(e)
+		want := MarshalEdgeLabel(l)
+		if !built.Forest.IsTreeEdge[e] {
+			want = binary.LittleEndian.AppendUint32(nil, l.Child.Pre)
+		}
+		if !bytes.Equal(slot, want) {
+			t.Fatalf("edge %d (tree edge %v): snapshot slot of %d bytes, want %d", e, built.Forest.IsTreeEdge[e], len(slot), len(want))
 		}
 	}
 	v1, err := os.ReadFile("../../testdata/legacy/rand-rs_v1.ftcsnap")
@@ -173,8 +183,16 @@ func TestMarshalBinarySizedExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	v4, err := os.ReadFile("../../testdata/legacy/agm_v4.ftcsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy4, err := UnmarshalScheme(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lazy3 := legacyV3(t, "det-netfind-2level")
-	for name, s := range map[string]*Scheme{"built": built, "lazy v4": lazy4, "lazy v3": lazy3, "lazy v1": lazy1} {
+	for name, s := range map[string]*Scheme{"built": built, "lazy v5": lazy5, "lazy v4": lazy4, "lazy v3": lazy3, "lazy v1": lazy1} {
 		data, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

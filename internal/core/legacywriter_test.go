@@ -10,13 +10,14 @@ import (
 	"repro/internal/gf"
 )
 
-// marshalLegacy writes s as a version-1, -2 or -3 snapshot, the way the
-// writers of earlier builds did: v1 and v2 store each label length-prefixed
-// (v1 without the generation and aux-slack fields), v3 stores the
-// structure-of-arrays arena, and every edge label is a legacy 'E' label
-// whose Reed–Solomon levels carry all 2k power sums (S_2j = S_j²). It is
-// the reader's test counterpart: the fixtures under testdata/legacy are
-// its output, byte for byte.
+// marshalLegacy writes s as a version-1 to -4 snapshot, the way the writers
+// of earlier builds did: v1 and v2 store each label length-prefixed (v1
+// without the generation and aux-slack fields), v3 and v4 store the
+// structure-of-arrays arena. Up to v3 every edge label is a legacy 'E'
+// label whose Reed–Solomon levels carry all 2k power sums (S_2j = S_j²);
+// v4 stores every edge label in full in the current encoding. It is the
+// reader's test counterpart: the fixtures under testdata/legacy are its
+// output, byte for byte.
 func marshalLegacy(s *Scheme, version byte) []byte {
 	g := s.g
 	b := append(snapshotMagic[:len(snapshotMagic):len(snapshotMagic)], version)
@@ -70,7 +71,11 @@ func marshalLegacy(s *Scheme, version byte) []byte {
 	}
 	edges := make([][]byte, g.M())
 	for e := range edges {
-		edges[e] = legacyEdgeLabel(s.EdgeLabel(e))
+		if version == 4 {
+			edges[e] = MarshalEdgeLabel(s.EdgeLabel(e))
+		} else {
+			edges[e] = legacyEdgeLabel(s.EdgeLabel(e))
+		}
 	}
 	return section(section(b, verts), edges)
 }
@@ -101,12 +106,13 @@ func legacyEdgeLabel(l EdgeLabel) []byte {
 	return b
 }
 
-// legacySnapshots are the repository's v1–v3 fixtures, written by the
-// legacy snapshot writer (2k power sums per Reed–Solomon level) for every
-// scheme kind, a two-level hierarchy and a dynamic scheme.
+// legacySnapshots are the repository's v1–v4 fixtures, written by the
+// legacy snapshot writer (2k power sums per Reed–Solomon level up to v3,
+// every edge label in full at v4) for every scheme kind, a two-level
+// hierarchy and a dynamic scheme.
 const legacySnapshots = "../../testdata/legacy/*.ftcsnap"
 
-// TestLegacyWriterReproducesFixtures rewrites every v1–v3 fixture under
+// TestLegacyWriterReproducesFixtures rewrites every v1–v4 fixture under
 // testdata/legacy at its own version from its own load: the writer must
 // reproduce the file byte for byte, so the snapshots it makes for the
 // fuzzer's seeds are what earlier builds wrote.
@@ -121,7 +127,7 @@ func TestLegacyWriterReproducesFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		version := data[len(snapshotMagic)]
-		if version < 1 || version > 3 {
+		if version < 1 || version >= SnapshotVersion {
 			t.Fatalf("%s: version %d is not a legacy version", path, version)
 		}
 		s, err := UnmarshalScheme(bytes.Clone(data))

@@ -124,9 +124,33 @@ func MarshalEdgeLabel(l EdgeLabel) []byte {
 // (rs.OddSums); the result equals the label this build writes for the same
 // edge, field for field. A label failing that check is ErrBadLabel.
 func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
+	l, payload, err := unmarshalEdgeHeader(b)
+	if err != nil {
+		return l, err
+	}
+	l.Out = make([]uint64, len(payload)/8)
+	for i := range l.Out {
+		l.Out[i] = binary.LittleEndian.Uint64(payload[8*i:])
+	}
+	if len(l.Out) != l.Spec.Words() {
+		var ok bool
+		if l.Out, ok = l.Spec.fromLegacy(l.Out); !ok {
+			return l, fmt.Errorf("%w: legacy payload has an even power sum that is not a square (S_2j ≠ S_j²)", ErrBadLabel)
+		}
+	}
+	return l, nil
+}
+
+// unmarshalEdgeHeader decodes everything of an edge label but its payload:
+// the header fields, and the payload's length checked against the spec
+// (twice Words() for a legacy Reed–Solomon label) and against the bytes
+// that follow, which it returns. A label it accepts fails to decode in
+// UnmarshalEdgeLabel only by being a legacy label with an even power sum
+// that is not a square.
+func unmarshalEdgeHeader(b []byte) (EdgeLabel, []byte, error) {
 	var l EdgeLabel
 	if len(b) < 1 || (b[0] != edgeMagic && b[0] != legacyEdgeMagic) {
-		return l, fmt.Errorf("%w: missing edge magic", ErrBadLabel)
+		return l, nil, fmt.Errorf("%w: missing edge magic", ErrBadLabel)
 	}
 	legacy := b[0] == legacyEdgeMagic
 	b = b[1:]
@@ -137,7 +161,7 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 		return nil
 	}
 	if err := need(8 + 4 + 1 + 4 + 4 + 4 + 4 + 8); err != nil {
-		return l, err
+		return l, nil, err
 	}
 	l.Token = binary.LittleEndian.Uint64(b)
 	b = b[8:]
@@ -151,7 +175,7 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 		// Bounded like a snapshot's spec, so that Words() — a product of
 		// these fields — cannot overflow into a small count.
 		if v > snapLimit {
-			return l, fmt.Errorf("%w: spec field %d implausibly large", ErrBadLabel, v)
+			return l, nil, fmt.Errorf("%w: spec field %d implausibly large", ErrBadLabel, v)
 		}
 		*fld = int(v)
 	}
@@ -160,14 +184,14 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 	var err error
 	l.Parent, b, err = getAnc(b)
 	if err != nil {
-		return l, err
+		return l, nil, err
 	}
 	l.Child, b, err = getAnc(b)
 	if err != nil {
-		return l, err
+		return l, nil, err
 	}
 	if err := need(4); err != nil {
-		return l, err
+		return l, nil, err
 	}
 	count := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
@@ -176,26 +200,15 @@ func UnmarshalEdgeLabel(b []byte) (EdgeLabel, error) {
 		words *= 2
 	}
 	if count != words {
-		return l, fmt.Errorf("%w: payload length %d does not match spec %d", ErrBadLabel, count, words)
+		return l, nil, fmt.Errorf("%w: payload length %d does not match spec %d", ErrBadLabel, count, words)
 	}
 	if err := need(8 * count); err != nil {
-		return l, err
+		return l, nil, err
 	}
-	l.Out = make([]uint64, count)
-	for i := range l.Out {
-		l.Out[i] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
+	if len(b) != 8*count {
+		return l, nil, fmt.Errorf("%w: trailing bytes", ErrBadLabel)
 	}
-	if len(b) != 0 {
-		return l, fmt.Errorf("%w: trailing bytes", ErrBadLabel)
-	}
-	if words != l.Spec.Words() {
-		var ok bool
-		if l.Out, ok = l.Spec.fromLegacy(l.Out); !ok {
-			return l, fmt.Errorf("%w: legacy payload has an even power sum that is not a square (S_2j ≠ S_j²)", ErrBadLabel)
-		}
-	}
-	return l, nil
+	return l, b, nil
 }
 
 // VertexLabelBits returns the wire size of a vertex label in bits.

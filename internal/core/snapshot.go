@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -16,10 +17,10 @@ import (
 // built once be loaded by a fleet of servers ("one build, many decoders")
 // without re-running construction.
 //
-// Wire format, version 4 (all integers little-endian):
+// Wire format, version 5 (all integers little-endian):
 //
 //	[6]byte  magic "FTCSNP"
-//	u8       version (currently 4)
+//	u8       version (currently 5)
 //	u32 n, u32 m
 //	m × (u32 u, u32 v)          graph edges, insertion order, u < v
 //	u64      token              scheme fingerprint (recomputed on load)
@@ -32,38 +33,53 @@ import (
 //	(n+1) × u64                 vertex label offsets (first 0, non-decreasing)
 //	bytes                       vertex label arena, MarshalVertexLabel forms
 //	(m+1) × u64                 edge label offsets (first 0, non-decreasing)
-//	bytes                       edge label arena, MarshalEdgeLabel forms
+//	bytes                       edge label arena: per edge a short label,
+//	                            u32 x_e preorder (a 4-byte slot), or the
+//	                            MarshalEdgeLabel form
 //
-// Version 4 is version 3 with edge labels in the current label encoding
-// (magic 'e'), whose Reed–Solomon levels carry k stored power sums each;
-// versions 1–3 hold legacy 'E' labels with all 2k sums per level, which
-// the label decoder converts (DESIGN.md §3.9). Version 3 replaced the
-// per-label length-prefixed sections of versions 1 and 2 (n × (u32 len,
-// len bytes), then m of the same) with the flat structure-of-arrays label
-// arena above, so that loading is O(1) in label bytes: the reader
-// validates the offsets tables, aliases the two arenas zero-copy, and
-// decodes each label lazily when it is touched (see labelArena). Version 1
-// is version 2 without the generation/auxSlack fields. Every version loads
-// into the same lazy arena: v1/v2 label bytes are copied into it from
-// between their length prefixes. Whatever the version, a loaded label
-// equals the label this build constructs for the same edge, so its
-// marshaling is byte-identical to a fresh build's. Loading re-derives the
-// spanning forest (deterministic from the graph) and re-verifies the token
-// fingerprint against the graph, parameters, and generation, which
-// rejects snapshots whose sections were corrupted independently; label
-// bytes are verified against that token on touch instead of at load time.
-// Any future layout change must bump SnapshotVersion; old readers then
-// fail with ErrSnapshotVersion instead of misparsing.
+// Version 5 is version 4 with short edge labels. A label is written short
+// exactly when the label leafLabel rebuilds from the snapshot's own data —
+// the vertex label of the edge's U endpoint, the preorder of its V
+// endpoint, the hierarchy levels that list the edge, the header — and the
+// stored preorder marshals to that label's bytes; every other label is
+// written in full, so no answer depends on which labels the rule catches.
+// In the paper's construction it catches every non-tree edge: its payload
+// is the aggregate of the T′ subtree below σ(e), which is the leaf x_e
+// alone, so the payload is the parity-check row of the edge's own ID on
+// each level that lists it (DESIGN.md §3.9). Version 4 stored those rows,
+// three quarters of a snapshot's bytes. Version 4 is version 3 with edge
+// labels in the current label encoding (magic 'e'), whose Reed–Solomon
+// levels carry k stored power sums each; versions 1–3 hold legacy 'E'
+// labels with all 2k sums per level, which the label decoder converts.
+// Version 3 replaced the per-label length-prefixed sections of versions 1
+// and 2 (n × (u32 len, len bytes), then m of the same) with the flat
+// structure-of-arrays label arena above, so that loading is O(1) in label
+// bytes: the reader validates the offsets tables, aliases the two arenas
+// zero-copy, and decodes or rebuilds each label lazily when it is touched
+// (see labelArena). Version 1 is version 2 without the generation/auxSlack
+// fields. Every version loads into the same lazy arena: v1/v2 label bytes
+// are copied into it from between their length prefixes. Whatever the
+// version, a loaded label equals the label this build constructs for the
+// same edge, so its marshaling is byte-identical to a fresh build's.
+// Loading re-derives the spanning forest (deterministic from the graph)
+// and re-verifies the token fingerprint against the graph, parameters,
+// and generation, which rejects snapshots whose sections were corrupted
+// independently; label bytes are verified against that token on touch
+// instead of at load time. Any future layout change must bump
+// SnapshotVersion; old readers then fail with ErrSnapshotVersion instead
+// of misparsing.
 
 // snapshotMagic begins every scheme snapshot.
 var snapshotMagic = [6]byte{'F', 'T', 'C', 'S', 'N', 'P'}
 
 // SnapshotVersion is the wire-format version written by MarshalBinary.
-// Version 4 stores k power sums per Reed–Solomon level in every edge
-// label; version 3 introduced the lazy structure-of-arrays label arena;
-// version 2 added the generation and auxSlack fields of the dynamic
-// network extension. Versions 1–3 remain loadable.
-const SnapshotVersion = 4
+// Version 5 stores an edge label short, as its leaf's preorder, whenever
+// the snapshot's own data rebuilds it exactly; version 4 stores k power
+// sums per Reed–Solomon level in every edge label; version 3 introduced
+// the lazy structure-of-arrays label arena; version 2 added the generation
+// and auxSlack fields of the dynamic network extension. Versions 1–4
+// remain loadable.
+const SnapshotVersion = 5
 
 var (
 	// ErrBadSnapshot is returned by UnmarshalScheme for malformed bytes.
@@ -80,20 +96,22 @@ const snapLimit = 1 << 24
 
 // MarshalBinary encodes the scheme as a self-contained snapshot at the
 // current wire version (encoding.BinaryMarshaler). The output is sized
-// exactly before anything is written, without decoding a label, and every
-// label is appended in place, so the snapshot is one allocation. A scheme
-// loaded from a v4 snapshot copies its arenas verbatim — no label is
-// decoded, and a v4 load→save round trip is byte-identical by
-// construction; every other scheme, a v1–v3-loaded one included, encodes
-// each label, and the label codecs are deterministic, so both paths
-// produce the same bytes for the same labels.
+// exactly before anything is written, and every label is appended in
+// place, so the snapshot is one allocation. A scheme loaded from a v5
+// snapshot copies its arenas verbatim — no label is decoded, and a v5
+// load→save round trip is byte-identical by construction. Every other
+// scheme, a v1–v4-loaded one included, takes each edge label and writes
+// it short when shortPre finds that leafLabel rebuilds it exactly, and in
+// full otherwise; the sizing pass records those decisions, and the label
+// codecs and the rebuild are deterministic, so both paths produce the same
+// bytes for the same labels.
 func (s *Scheme) MarshalBinary() ([]byte, error) {
 	if s.g == nil {
 		return nil, fmt.Errorf("core: scheme retains no graph; cannot snapshot")
 	}
 	g := s.g
 	n, m := g.N(), g.M()
-	verbatim := s.lazy != nil && !s.lazy.legacy
+	verbatim := s.lazy != nil && s.lazy.version == SnapshotVersion
 
 	size := len(snapshotMagic) + 1 + 4 + 4 + 8*m + // magic, version, n, m, edges
 		8 + 4 + (1 + 4*4 + 8) + 8 + 4 + // token, fault budget, spec, generation, slack
@@ -103,23 +121,21 @@ func (s *Scheme) MarshalBinary() ([]byte, error) {
 			size += 4 + 4*len(level)
 		}
 	}
-	switch {
-	case verbatim:
+	// pres[e] is the preorder a short edge e stores, 0 for a label in full.
+	var pres []uint32
+	if verbatim {
 		size += len(s.lazy.vertBytes) + len(s.lazy.edgeBytes)
-	case s.lazy != nil:
-		// A v1–v3 arena. A label that decodes has the one wire size of the
-		// spec (see MaxEdgeLabelBits); one that does not encodes as a
-		// bare header. The spec is trusted only as far as each label's
-		// own extent, so a hostile one cannot size a huge buffer.
+	} else {
 		size += n * vertexLabelLen
-		per := edgeHeaderLen + 8*s.spec.Words()
-		for e := 0; e < m; e++ {
-			size += min(per, edgeHeaderLen+int(s.lazy.edgeOff[e+1]-s.lazy.edgeOff[e]))
-		}
-	default:
-		size += n * vertexLabelLen
-		for _, l := range s.edgeLabels {
-			size += edgeLabelLen(l)
+		pres = make([]uint32, m)
+		var scratch []uint64
+		for e := range pres {
+			l := s.EdgeLabel(e)
+			if pres[e] = s.shortPre(e, l, &scratch); pres[e] != 0 {
+				size += shortEdgeLen
+			} else {
+				size += edgeLabelLen(l)
+			}
 		}
 	}
 
@@ -178,8 +194,34 @@ func (s *Scheme) MarshalBinary() ([]byte, error) {
 		return b
 	}
 	b = appendSoA(b, n, func(b []byte, v int) []byte { return appendVertexLabel(b, s.VertexLabel(v)) })
-	b = appendSoA(b, m, func(b []byte, e int) []byte { return AppendEdgeLabel(b, s.EdgeLabel(e)) })
+	b = appendSoA(b, m, func(b []byte, e int) []byte {
+		if pres[e] != 0 {
+			return binary.LittleEndian.AppendUint32(b, pres[e])
+		}
+		return AppendEdgeLabel(b, s.EdgeLabel(e))
+	})
 	return b, nil
+}
+
+// shortPre returns the preorder of edge e's leaf when l, e's label, is
+// exactly the label leafLabel rebuilds from that preorder — the condition
+// for writing l short — and 0 otherwise. The header and ancestry checks
+// come first, so most labels in full are told apart without a rebuild;
+// scratch holds the rebuilt payload across calls.
+func (s *Scheme) shortPre(e int, l EdgeLabel, scratch *[]uint64) uint32 {
+	words := s.spec.Words()
+	if words > maxShortWords || l.Token != s.token || l.MaxFaults != s.params.MaxFaults || l.Spec != s.spec ||
+		l.Child.Post != l.Child.Pre || len(l.Out) != words {
+		return 0
+	}
+	if cap(*scratch) < words {
+		*scratch = make([]uint64, words)
+	}
+	want, ok := s.leafLabel(e, l.Child.Pre, (*scratch)[:words])
+	if !ok || want.Parent != l.Parent || want.Child != l.Child || !slices.Equal(want.Out, l.Out) {
+		return 0
+	}
+	return l.Child.Pre
 }
 
 // snapReader is a bounds-checked little-endian cursor over snapshot bytes.
@@ -423,7 +465,7 @@ func UnmarshalScheme(data []byte) (*Scheme, error) {
 		gen:       gen,
 		maxFaults: int(maxFaults),
 		spec:      spec,
-		legacy:    version < 4,
+		version:   version,
 	}
 	section := r.soaSection
 	if version < 3 {
@@ -437,6 +479,9 @@ func UnmarshalScheme(data []byte) (*Scheme, error) {
 	}
 	if len(r.b) != 0 {
 		return nil, r.fail("trailing bytes")
+	}
+	if spec.Words() > maxShortWords && arena.shortEdges() > 0 {
+		return nil, r.fail("short edge label under a spec too large to rebuild")
 	}
 	if s.computeToken(g) != token {
 		return nil, r.fail("token fingerprint mismatch (graph and parameters disagree)")
@@ -468,7 +513,7 @@ func (r *snapReader) prefixedSection(count int, what string) ([]uint64, []byte, 
 	return off, arena, nil
 }
 
-// soaSection reads one v3/v4 structure-of-arrays label section: count+1 u64
+// soaSection reads one v3–v5 structure-of-arrays label section: count+1 u64
 // offsets (first 0, non-decreasing) followed by an arena of exactly the
 // final offset's bytes, returned as a zero-copy alias of the input. Every
 // validation happens before the offsets allocation is sized, so a hostile

@@ -17,12 +17,12 @@ import (
 // a corrupt slot must decode to a poisoned label (which every query
 // rejects), never panic or over-allocate. The seeds are small, so that the
 // fuzzer's time goes to mutating them rather than to gathering their
-// baseline coverage: Petersen schemes with f = 1 of every kind at v1–v3
+// baseline coverage: Petersen schemes with f = 1 of every kind at v1–v4
 // (written by the test-only legacy writer) and at the current version,
-// plus a dynamic one at v2, v3 and the current version, each whole and cut
-// in half. The large fixtures under testdata/legacy stay with
-// TestSnapshotVersionMatrix and TestLegacyWriterReproducesFixtures, which
-// load every one of them.
+// whose non-tree edge labels are short, plus a dynamic one at v2–v4 and
+// the current version, each whole and cut in half. The large fixtures
+// under testdata/legacy stay with TestSnapshotVersionMatrix and
+// TestLegacyWriterReproducesFixtures, which load every one of them.
 func FuzzUnmarshalScheme(f *testing.F) {
 	add := func(s *Scheme, versions ...byte) {
 		data, err := s.MarshalBinary()
@@ -47,7 +47,7 @@ func FuzzUnmarshalScheme(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		add(s, 1, 2, 3)
+		add(s, 1, 2, 3, 4)
 	}
 	d, err := NewDynamic(workload.Petersen(), Params{MaxFaults: 1})
 	if err != nil {
@@ -56,13 +56,14 @@ func FuzzUnmarshalScheme(f *testing.F) {
 	if _, _, _, err := d.Commit([]Update{{Add: true, U: 0, V: 2}, {U: 5, V: 7}}); err != nil {
 		f.Fatal(err)
 	}
-	add(d.Scheme(), 2, 3)
+	add(d.Scheme(), 2, 3, 4)
 	f.Add([]byte{})
 	f.Add([]byte("FTCSNP"))
 	f.Add([]byte("FTCSNP\x01"))
 	f.Add([]byte("FTCSNP\x02"))
 	f.Add([]byte("FTCSNP\x03"))
 	f.Add([]byte("FTCSNP\x04"))
+	f.Add([]byte("FTCSNP\x05"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := UnmarshalScheme(data)
 		if err != nil {

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/ancestry"
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -319,5 +323,246 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	bad[tokenOff] ^= 1
 	if _, err := UnmarshalScheme(bad); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("token flip: got %v, want ErrBadSnapshot", err)
+	}
+}
+
+// shortSchemes is one build per scheme kind, a det-netfind build whose
+// hierarchy has two levels, and a dynamic scheme after incremental
+// insertions and deletions: the schemes whose snapshots the short-label
+// tests write.
+func shortSchemes(t *testing.T) map[string]*Scheme {
+	t.Helper()
+	g := workload.ErdosRenyi(60, 0.08, true, rand.New(rand.NewSource(3)))
+	out := snapshotKinds(t, g, 3)
+	twoLevel, err := Build(workload.ErdosRenyi(32, 0.15, true, rand.New(rand.NewSource(1))),
+		Params{MaxFaults: 2, Threshold: func(f, m int) int { return 4 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twoLevel.Spec().Levels != 2 {
+		t.Fatalf("two-level scheme has %d levels", twoLevel.Spec().Levels)
+	}
+	out["det-netfind-2level"] = twoLevel
+	rng := rand.New(rand.NewSource(4))
+	d, err := NewDynamic(g.Clone(), Params{MaxFaults: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		cur := d.Scheme()
+		var batch []Update
+		if u, v, ok := pickAddable(cur.Graph(), cur.Forest, rng); ok {
+			batch = append(batch, Update{Add: true, U: u, V: v})
+		}
+		if i%2 == 1 {
+			if u, v, ok := pickRemovable(cur.Graph(), cur.Forest, rng); ok {
+				batch = append(batch, Update{U: u, V: v})
+			}
+		}
+		rep, _, _, err := d.Commit(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Incremental {
+			t.Fatalf("commit %d rebuilt: %s", i, rep.Reason)
+		}
+	}
+	out["dynamic"] = d.Scheme()
+	return out
+}
+
+// TestShortLabelsAreNonTreeEdges: a snapshot stores every non-tree edge's
+// label short, since its payload is its own row on each level that lists
+// it, which the writer rebuilds exactly — for every kind, a two-level
+// hierarchy, and a dynamic scheme with inserted edges — and stores short
+// only labels whose child is a leaf. A loaded label and its EdgeEnds equal
+// the built scheme's, whichever form its slot has.
+func TestShortLabelsAreNonTreeEdges(t *testing.T) {
+	for name, s := range shortSchemes(t) {
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := UnmarshalScheme(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		short := 0
+		for e := 0; e < s.Graph().M(); e++ {
+			l := s.EdgeLabel(e)
+			pre, ok := loaded.lazy.short(e)
+			if !s.Forest.IsTreeEdge[e] && !ok {
+				t.Fatalf("%s: non-tree edge %d stored in full", name, e)
+			}
+			if ok {
+				short++
+				if pre != l.Child.Pre || l.Child.Post != l.Child.Pre {
+					t.Fatalf("%s: edge %d stored short with preorder %d, child %+v", name, e, pre, l.Child)
+				}
+			}
+			if !bytes.Equal(MarshalEdgeLabel(loaded.EdgeLabel(e)), MarshalEdgeLabel(l)) {
+				t.Fatalf("%s: edge %d (short %v) differs after load", name, e, ok)
+			}
+			for _, sch := range []*Scheme{s, loaded} {
+				if p, c := sch.EdgeEnds(e); p != l.Parent || c != l.Child {
+					t.Fatalf("%s: edge %d EdgeEnds (%+v, %+v), label (%+v, %+v)", name, e, p, c, l.Parent, l.Child)
+				}
+			}
+		}
+		if short == 0 || loaded.lazy.shortEdges() != short {
+			t.Fatalf("%s: %d short labels, arena counts %d", name, short, loaded.lazy.shortEdges())
+		}
+	}
+}
+
+// TestPerturbedNonTreePayloadStoredInFull flips one payload bit of a
+// non-tree edge's label: the label no longer equals its rebuild, so the
+// writer stores it in full, and it loads and re-saves unchanged while
+// every other label is stored as it was.
+func TestPerturbedNonTreePayloadStoredInFull(t *testing.T) {
+	load := func(s *Scheme) ([]byte, *Scheme) {
+		t.Helper()
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := UnmarshalScheme(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, loaded
+	}
+	for name, s := range shortSchemes(t) {
+		e := slices.Index(s.Forest.IsTreeEdge, false)
+		out := slices.Clone(s.EdgeLabel(e).Out)
+		out[len(out)/2] ^= 1 << 7
+		perturbed := *s
+		perturbed.edgeLabels = slices.Clone(s.edgeLabels)
+		perturbed.edgeLabels[e].Out = out
+		_, clean := load(s)
+		data, loaded := load(&perturbed)
+		for f := 0; f < s.Graph().M(); f++ {
+			_, was := clean.lazy.short(f)
+			if _, ok := loaded.lazy.short(f); ok != (was && f != e) {
+				t.Fatalf("%s: edge %d stored short %v, unperturbed %v (perturbed edge %d)", name, f, ok, was, e)
+			}
+		}
+		if want := MarshalEdgeLabel(perturbed.EdgeLabel(e)); !bytes.Equal(MarshalEdgeLabel(loaded.EdgeLabel(e)), want) {
+			t.Fatalf("%s: perturbed edge %d did not round-trip", name, e)
+		}
+		again, err := loaded.MarshalBinary()
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-saving the loaded scheme differs (err %v)", name, err)
+		}
+	}
+}
+
+// TestShortLabelCorruptionFailsClosed: a short label whose preorder is 0,
+// or whose U or V endpoint's vertex label is corrupt, decodes poisoned, as
+// does a label in full with a corrupt token; EdgeEnds reports zero
+// ancestry labels for every one, as it does for a legacy label whose even
+// power sum is not a square. Queries over a poisoned label fail with
+// ErrLabelMismatch, and the other labels keep decoding.
+func TestShortLabelCorruptionFailsClosed(t *testing.T) {
+	s, err := Build(workload.Petersen(), Params{MaxFaults: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var short []int
+	full := -1
+	probe, err := UnmarshalScheme(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < s.Graph().M(); e++ {
+		if _, ok := probe.lazy.short(e); ok {
+			short = append(short, e)
+		} else if full < 0 {
+			full = e
+		}
+	}
+	if len(short) < 3 || full < 0 {
+		t.Fatalf("want three short labels and one in full, got %v and %d", short, full)
+	}
+	type corruption struct {
+		name string
+		edge int
+		mess func(a *labelArena)
+	}
+	for _, c := range []corruption{
+		{"short preorder 0", short[0], func(a *labelArena) {
+			clear(a.edgeBytes[a.edgeOff[short[0]]:a.edgeOff[short[0]+1]])
+		}},
+		{"U endpoint's token", short[1], func(a *labelArena) {
+			a.vertBytes[a.vertOff[s.Graph().Edges[short[1]].U]+1] ^= 0xFF
+		}},
+		{"V endpoint's token", short[2], func(a *labelArena) {
+			a.vertBytes[a.vertOff[s.Graph().Edges[short[2]].V]+1] ^= 0xFF
+		}},
+		{"full label's token", full, func(a *labelArena) {
+			a.edgeBytes[a.edgeOff[full]+1] ^= 0xFF
+		}},
+	} {
+		loaded, err := UnmarshalScheme(bytes.Clone(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mess(loaded.lazy)
+		l := loaded.EdgeLabel(c.edge)
+		if l.Token == loaded.Token() || l.Out != nil {
+			t.Fatalf("%s: edge %d decoded with the scheme token", c.name, c.edge)
+		}
+		if p, ch := loaded.EdgeEnds(c.edge); p != (ancestry.Label{}) || ch != (ancestry.Label{}) {
+			t.Fatalf("%s: EdgeEnds of a poisoned label = (%+v, %+v)", c.name, p, ch)
+		}
+		if _, err := Connected(loaded.VertexLabel(8), loaded.VertexLabel(9), []EdgeLabel{l}); !errors.Is(err, ErrLabelMismatch) {
+			t.Fatalf("%s: query over the poisoned label: got %v, want ErrLabelMismatch", c.name, err)
+		}
+		for e := 0; e < s.Graph().M(); e++ {
+			ends := s.Graph().Edges[e]
+			if e == c.edge || loaded.VertexLabel(ends.U).Token != loaded.Token() || loaded.VertexLabel(ends.V).Token != loaded.Token() {
+				continue
+			}
+			if !bytes.Equal(MarshalEdgeLabel(loaded.EdgeLabel(e)), MarshalEdgeLabel(s.EdgeLabel(e))) {
+				t.Fatalf("%s: clean edge %d differs", c.name, e)
+			}
+		}
+	}
+
+	legacy := legacyV3(t, "det-netfind-2level")
+	a := legacy.lazy
+	k := legacy.Spec().K
+	a.edgeBytes[int(a.edgeOff[twoLevelEdge])+edgeHeaderLen+8*(2*k+1)] ^= 0x10
+	if p, ch := legacy.EdgeEnds(twoLevelEdge); p != (ancestry.Label{}) || ch != (ancestry.Label{}) {
+		t.Fatalf("legacy label with a flipped even sum: EdgeEnds = (%+v, %+v)", p, ch)
+	}
+}
+
+// TestSnapshotRejectsShortLabelUnderHugeSpec: a snapshot whose header
+// claims a spec with more than maxShortWords payload words, with a forged
+// token (the token is no secret), must not load while it holds a short
+// label: each touch would allocate the claimed payload.
+func TestSnapshotRejectsShortLabelUnderHugeSpec(t *testing.T) {
+	s, err := Build(workload.Petersen(), Params{MaxFaults: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := *s
+	hostile.spec.K = maxShortWords/s.spec.Levels + 1
+	hostile.token = hostile.computeToken(s.g)
+	tokenOff := len(snapshotMagic) + 1 + 4 + 4 + 8*s.g.M()
+	binary.LittleEndian.PutUint64(data[tokenOff:], hostile.token)
+	binary.LittleEndian.PutUint32(data[tokenOff+8+4+1:], uint32(hostile.spec.K))
+	_, err = UnmarshalScheme(data)
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "short edge label") {
+		t.Fatalf("short labels under a %d-word spec: got %v, want ErrBadSnapshot for the short labels", hostile.spec.Words(), err)
 	}
 }

@@ -1,10 +1,17 @@
-// Package faultinject is the deterministic failpoint registry of the
-// serving tier (DESIGN.md §3.16): named points threaded through the
-// tier's IO seams — genlog append/fsync/compaction, /snapshot streaming
-// on both ends, wire connection read/write in binserver and wireclient —
-// each carrying one policy (error, error-once, error-rate, latency,
-// partial-write, torn-write) driven by a per-point PRNG derived from one
-// global seed, so a chaos run replays identically from its seed alone.
+// Package faultinject is the failpoint registry of the serving tier
+// (DESIGN.md §3.16): named points threaded through the tier's IO seams —
+// genlog append/fsync/compaction, /snapshot streaming on both ends, wire
+// connection read/write in binserver and wireclient — each carrying one
+// policy (error, error-once, error-rate, latency, partial-write,
+// torn-write) driven by a per-point PRNG derived from one global seed.
+//
+// The seed fixes the schedule a chaos harness derives from it and each
+// point's PRNG stream, the values its firing decisions and torn-write
+// lengths draw in turn. Goroutine scheduling decides the rest: which
+// connection, request or write evaluates a point, and so draws its next
+// value, and how many evaluations happen before the harness disarms it. A
+// chaos run from one seed therefore does not replay identically: its
+// failures may fire a different number of times, on different requests.
 //
 // The package is built to cost nothing when disarmed: every hook starts
 // with one atomic pointer load and a nil check, and the connection/writer

@@ -9,7 +9,8 @@ import (
 )
 
 // The differential tests below hold every kernel to the pure-Go code: Mul
-// to mulGeneric and the bit-serial mulSlow, AddOddPowers to its
+// to mulGeneric and the bit-serial mulSlow, Sqr to sqrGeneric, Inv to the
+// squaring chain it replaced and to Pow, AddOddPowers to its
 // window-table chain, a Row's AddScaled to its per-element tables, and the
 // polynomial inner loop addMul to mulGeneric. Where the CPU has PCLMULQDQ
 // (and the build has no purego tag) the public entry points run the
@@ -51,6 +52,82 @@ func TestMulMatchesGeneric(t *testing.T) {
 		a, b := rng.Uint64(), rng.Uint64()
 		check(a, b)
 		check(a|0xF<<60, b|0xF<<60) // high half at bits 60–62
+	}
+}
+
+func TestSqrMatchesGeneric(t *testing.T) {
+	check := func(a uint64) {
+		t.Helper()
+		got := Sqr(a)
+		if want := sqrGeneric(a); got != want {
+			t.Fatalf("Sqr(%#x) = %#x, sqrGeneric %#x", a, got, want)
+		}
+		if slow := mulSlow(a, a); got != slow {
+			t.Fatalf("Sqr(%#x) = %#x, mulSlow %#x", a, got, slow)
+		}
+	}
+	for _, a := range kernelEdgeValues {
+		check(a)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 5000; i++ {
+		a := rng.Uint64()
+		check(a)
+		check(a | 0xF<<60)
+	}
+}
+
+// invChain is Inv as it was before the squaring runs became linear maps:
+// the same Itoh–Tsujii chain, squaring b_k k times one squaring at a time.
+func invChain(a uint64) uint64 {
+	if a == 0 {
+		return 0
+	}
+	b := a
+	for k := 1; k < 63; k = 2*k + 1 {
+		t := b
+		for i := 0; i < k; i++ {
+			t = sqrGeneric(t)
+		}
+		b = mulSlow(sqrGeneric(mulSlow(t, b)), a)
+	}
+	return sqrGeneric(b)
+}
+
+func TestInvMatchesChain(t *testing.T) {
+	check := func(a uint64) {
+		t.Helper()
+		got := Inv(a)
+		if want := invChain(a); got != want {
+			t.Fatalf("Inv(%#x) = %#x, squaring chain %#x", a, got, want)
+		}
+		if a != 0 {
+			if want := Pow(a, ^uint64(0)-1); got != want {
+				t.Fatalf("Inv(%#x) = %#x, a^(2^64−2) = %#x", a, got, want)
+			}
+		}
+	}
+	for _, a := range kernelEdgeValues {
+		check(a)
+	}
+	rng := rand.New(rand.NewSource(48))
+	for i := 0; i < 2000; i++ {
+		a := rng.Uint64()
+		check(a)
+		check(a | 0xF<<60)
+	}
+	// Each map is x ↦ x^(2^k) on every basis element.
+	for i := range frobenius {
+		for bit := 0; bit < 64; bit++ {
+			x := uint64(1) << bit
+			want := x
+			for j := 0; j < 1<<(i+1)-1; j++ {
+				want = sqrGeneric(want)
+			}
+			if got := frobenius[i].apply(x); got != want {
+				t.Fatalf("frobenius[%d](z^%d) = %#x, want %#x", i, bit, got, want)
+			}
+		}
 	}
 }
 
@@ -150,8 +227,8 @@ func TestAddMulMatchesGeneric(t *testing.T) {
 }
 
 // FuzzKernels runs the differential checks on arbitrary operands: a and b
-// as a product, alpha's odd powers over n words, and the row decoded from
-// data scaled by b.
+// as a product, a's square and inverse, alpha's odd powers over n words,
+// and the row decoded from data scaled by b.
 func FuzzKernels(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint8(0), []byte{})
 	f.Add(uint64(1)<<63, ^uint64(0), uint8(73), []byte{1, 0, 0, 0, 0, 0, 0, 0})
@@ -160,6 +237,12 @@ func FuzzKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b uint64, n uint8, data []byte) {
 		if got, want := Mul(a, b), mulSlow(a, b); got != want || got != mulGeneric(a, b) {
 			t.Fatalf("Mul(%#x, %#x) = %#x, mulSlow %#x, mulGeneric %#x", a, b, got, want, mulGeneric(a, b))
+		}
+		if got, want := Sqr(a), mulSlow(a, a); got != want || got != sqrGeneric(a) {
+			t.Fatalf("Sqr(%#x) = %#x, mulSlow %#x, sqrGeneric %#x", a, got, want, sqrGeneric(a))
+		}
+		if got, want := Inv(a), invChain(a); got != want {
+			t.Fatalf("Inv(%#x) = %#x, squaring chain %#x", a, got, want)
 		}
 		got, want := make([]uint64, int(n)%80), make([]uint64, int(n)%80)
 		AddOddPowers(got, a)
@@ -203,6 +286,32 @@ func BenchmarkAddScaled(b *testing.B) {
 			sink = dst[0]
 		})
 	}
+}
+
+// BenchmarkSqr times a dependent squaring chain and eight independent
+// squarings per iteration.
+func BenchmarkSqr(b *testing.B) {
+	rng := rand.New(rand.NewSource(49))
+	b.Run("dependent", func(b *testing.B) {
+		x := rng.Uint64()
+		for i := 0; i < b.N; i++ {
+			x = Sqr(x)
+		}
+		sink = x
+	})
+	b.Run("independent8", func(b *testing.B) {
+		var xs [8]uint64
+		for i := range xs {
+			xs[i] = rng.Uint64()
+		}
+		var acc uint64
+		for i := 0; i < b.N; i++ {
+			for j := range xs {
+				acc ^= Sqr(xs[j] ^ uint64(i))
+			}
+		}
+		sink = acc
+	})
 }
 
 func BenchmarkAddOddPowers(b *testing.B) {

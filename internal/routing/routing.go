@@ -32,10 +32,12 @@ var ErrRouting = errors.New("routing: forwarding failed")
 // LabelSource supplies the labels the routing tables are compiled from.
 // *core.Scheme (via Build) and the serve layer's scheme both satisfy it,
 // which is how the daemon reuses its existing labels instead of rebuilding
-// the scheme just to route.
+// the scheme just to route. The tables need only each edge's two ancestry
+// labels, EdgeEnds; Route reads whole fault labels, EdgeLabelByIndex.
 type LabelSource interface {
 	VertexLabel(v int) core.VertexLabel
 	EdgeLabelByIndex(e int) core.EdgeLabel
+	EdgeEnds(e int) (parent, child ancestry.Label)
 }
 
 // coreSource adapts *core.Scheme to LabelSource.
@@ -43,6 +45,9 @@ type coreSource struct{ s *core.Scheme }
 
 func (c coreSource) VertexLabel(v int) core.VertexLabel    { return c.s.VertexLabel(v) }
 func (c coreSource) EdgeLabelByIndex(e int) core.EdgeLabel { return c.s.EdgeLabel(e) }
+func (c coreSource) EdgeEnds(e int) (parent, child ancestry.Label) {
+	return c.s.EdgeEnds(e)
+}
 
 // childEntry is one child row of a local table: the port (adjacency index)
 // of the tree edge to a child of T′ and the preorder interval of that
@@ -115,9 +120,9 @@ func Build(g *graph.Graph, f int) (*Network, error) {
 
 // NewFromLabels compiles routing tables for g from an existing labeling —
 // no scheme construction. src must label the same graph (same edge and
-// vertex indexing) or the tables are garbage. Each edge label is read once:
-// its two ancestry labels are all the tables need, and both endpoints'
-// entries are filled from them. Every edge gives exactly one child row (at
+// vertex indexing) or the tables are garbage. Each edge's two ancestry
+// labels are read once, through EdgeEnds, and no payload: they are all the
+// tables need, and both endpoints' entries are filled from them. Every edge gives exactly one child row (at
 // the tree parent, or at the owner of x_e) and a non-tree edge one virtual
 // row at each endpoint, so all tables share two backing arrays sized up
 // front.
@@ -130,10 +135,10 @@ func NewFromLabels(g *graph.Graph, src LabelSource) *Network {
 	edges := make([]ends, g.M())
 	nonTree := 0
 	for e := range edges {
-		el := src.EdgeLabelByIndex(e)
-		edges[e] = ends{el.Parent, el.Child}
+		parent, child := src.EdgeEnds(e)
+		edges[e] = ends{parent, child}
 		ge := g.Edges[e]
-		if c := el.Child; c != net.tables[ge.U].self && c != net.tables[ge.V].self {
+		if child != net.tables[ge.U].self && child != net.tables[ge.V].self {
 			nonTree++
 		}
 	}

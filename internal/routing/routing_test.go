@@ -1,9 +1,12 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/workload"
@@ -174,19 +177,19 @@ func TestTableBits(t *testing.T) {
 	}
 }
 
-// countingSource counts the edge-label reads of a table build.
+// countingSource counts the edge reads of a table build.
 type countingSource struct {
 	coreSource
 	edgeReads int
 }
 
-func (c *countingSource) EdgeLabelByIndex(e int) core.EdgeLabel {
+func (c *countingSource) EdgeEnds(e int) (parent, child ancestry.Label) {
 	c.edgeReads++
-	return c.coreSource.EdgeLabelByIndex(e)
+	return c.coreSource.EdgeEnds(e)
 }
 
 // TestNewFromLabelsReadsEachEdgeOnce pins that compiling the routing tables
-// reads every edge label exactly once, not once per half-edge.
+// reads every edge's ancestry labels exactly once, not once per half-edge.
 func TestNewFromLabelsReadsEachEdgeOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := workload.ErdosRenyi(60, 0.1, true, rng)
@@ -197,6 +200,38 @@ func TestNewFromLabelsReadsEachEdgeOnce(t *testing.T) {
 	src := &countingSource{coreSource: coreSource{built.Scheme()}}
 	NewFromLabels(g, src)
 	if src.edgeReads != g.M() {
-		t.Fatalf("NewFromLabels made %d edge-label reads, want m = %d", src.edgeReads, g.M())
+		t.Fatalf("NewFromLabels made %d edge reads, want m = %d", src.edgeReads, g.M())
+	}
+}
+
+// endsOnlySource is a label source whose whole-label reads panic.
+type endsOnlySource struct{ coreSource }
+
+func (endsOnlySource) EdgeLabelByIndex(e int) core.EdgeLabel {
+	panic(fmt.Sprintf("routing tables read edge %d's whole label", e))
+}
+
+// TestNewFromLabelsReadsNoPayload compiles the tables of a snapshot-loaded
+// scheme from a source whose EdgeLabelByIndex panics: the build reads only
+// the edges' ancestry labels, short ones included, and its tables equal
+// those compiled from the built scheme's labels.
+func TestNewFromLabelsReadsNoPayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := workload.ErdosRenyi(60, 0.1, true, rng)
+	built, err := Build(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := built.Scheme().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.UnmarshalScheme(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewFromLabels(g, endsOnlySource{coreSource{loaded}})
+	if !reflect.DeepEqual(net.tables, built.tables) {
+		t.Fatal("tables compiled from EdgeEnds of the loaded scheme differ from the built scheme's")
 	}
 }

@@ -17,15 +17,21 @@ import (
 
 // Checkpoint/compaction fixtures: the sidecar format and the truncated log
 // layout are both pinned. Any change to either alters these bytes and must
-// ship regenerated fixtures under a bumped version. legacyCompactedPath
-// (with its sidecar) is the same compaction written by builds whose labels
-// carried 2k power sums per Reed–Solomon level — its checkpoint is a v3
-// snapshot — and is never regenerated.
+// ship regenerated fixtures under a bumped version. The current fixture's
+// checkpoint is a v5 snapshot, with short edge labels. legacyCompacted
+// lists the same compaction (each log with its sidecar) as written by
+// earlier builds, by the snapshot version of its checkpoint: v4, every
+// edge label in full, and v3, whose labels carried 2k power sums per
+// Reed–Solomon level. They are never regenerated.
 const (
-	goldenCkptPath      = "testdata/golden_genlog_compacted_v1_odd.ckpt"
-	goldenCompactedPath = "testdata/golden_genlog_compacted_v1_odd"
-	legacyCompactedPath = "testdata/golden_genlog_compacted_v1"
+	goldenCkptPath      = "testdata/golden_genlog_compacted_v1_short.ckpt"
+	goldenCompactedPath = "testdata/golden_genlog_compacted_v1_short"
 )
+
+var legacyCompacted = map[string]byte{
+	"testdata/golden_genlog_compacted_v1_odd": 4,
+	"testdata/golden_genlog_compacted_v1":     3,
+}
 
 // synthDeltas fabricates n contiguous full-marker deltas starting at
 // generation start+1 — cheap fuel for policy and race tests that never
@@ -115,9 +121,10 @@ func TestCompactErrors(t *testing.T) {
 // with a gen-5 checkpoint must reproduce the committed fixture bytes, the
 // fixture sidecar must parse and its payload decode to the gen-5 scheme,
 // and the compacted fixture must reopen with its checkpoint attached — the
-// open-after-compaction compatibility contract. The legacy compacted
-// fixture must reopen the same way, and both its checkpoint and its
-// retained record must yield the primary's gen-5 labels.
+// open-after-compaction compatibility contract. Each legacy compacted
+// fixture must reopen the same way, its checkpoint must re-save as the
+// current checkpoint's snapshot, and both its checkpoint and its retained
+// record must yield the primary's gen-5 labels.
 func TestGoldenCheckpointCompatibility(t *testing.T) {
 	d, deltas, schemes := buildGoldenRun(t)
 	path := filepath.Join(t.TempDir(), "gen.log")
@@ -222,44 +229,46 @@ func TestGoldenCheckpointCompatibility(t *testing.T) {
 		t.Fatalf("OpenCheckpoint streamed %d bytes (err %v), want the %d-byte snapshot", len(payload), err, len(snap))
 	}
 
-	legacy, err := Open(legacyCompactedPath)
-	if err != nil {
-		t.Fatalf("Open(legacy compacted fixture): %v", err)
+	for path, version := range legacyCompacted {
+		legacy, err := Open(path)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", path, err)
+		}
+		defer legacy.Close()
+		if first, last := legacy.Bounds(); first != 4 || last != 5 {
+			t.Fatalf("%s: bounds = (%d, %d), want (4, 5)", path, first, last)
+		}
+		r, _, err = legacy.OpenCheckpoint()
+		if err != nil {
+			t.Fatalf("%s: OpenCheckpoint: %v", path, err)
+		}
+		payload, err = io.ReadAll(r)
+		r.Close()
+		if err != nil || len(payload) < 7 || payload[6] != version {
+			t.Fatalf("%s: checkpoint of %d bytes (err %v), want a v%d snapshot", path, len(payload), err, version)
+		}
+		sc, err = core.UnmarshalScheme(payload)
+		if err != nil {
+			t.Fatalf("%s: checkpoint payload decode: %v", path, err)
+		}
+		assertSameLabels(t, sc, s)
+		if resaved, err := sc.MarshalBinary(); err != nil || !bytes.Equal(resaved, snap) {
+			t.Fatalf("%s: saving the checkpoint's scheme: %d bytes (err %v), want the fresh %d-byte snapshot", path, len(resaved), err, len(snap))
+		}
+		recs, ok := legacy.After(4)
+		if !ok || len(recs) != 1 {
+			t.Fatalf("%s: After(4) = (%d, %v), want the gen-5 record", path, len(recs), ok)
+		}
+		delta, err := DecodeDelta(recs[0].Payload)
+		if err != nil {
+			t.Fatalf("%s: gen-5 record: %v", path, err)
+		}
+		_, next, err := core.ApplyDelta(schemes[4], delta)
+		if err != nil {
+			t.Fatalf("%s: gen-5 replay: %v", path, err)
+		}
+		assertSameLabels(t, next, s)
 	}
-	defer legacy.Close()
-	if first, last := legacy.Bounds(); first != 4 || last != 5 {
-		t.Fatalf("legacy compacted bounds = (%d, %d), want (4, 5)", first, last)
-	}
-	r, _, err = legacy.OpenCheckpoint()
-	if err != nil {
-		t.Fatalf("legacy OpenCheckpoint: %v", err)
-	}
-	payload, err = io.ReadAll(r)
-	r.Close()
-	if err != nil || payload[6] != 3 {
-		t.Fatalf("legacy checkpoint: %d bytes (err %v), want a v3 snapshot", len(payload), err)
-	}
-	sc, err = core.UnmarshalScheme(payload)
-	if err != nil {
-		t.Fatalf("legacy checkpoint payload decode: %v", err)
-	}
-	assertSameLabels(t, sc, s)
-	if resaved, err := sc.MarshalBinary(); err != nil || !bytes.Equal(resaved, snap) {
-		t.Fatalf("saving the legacy checkpoint's scheme: %d bytes (err %v), want the fresh %d-byte snapshot", len(resaved), err, len(snap))
-	}
-	recs, ok := legacy.After(4)
-	if !ok || len(recs) != 1 {
-		t.Fatalf("legacy After(4) = (%d, %v), want the gen-5 record", len(recs), ok)
-	}
-	delta, err := DecodeDelta(recs[0].Payload)
-	if err != nil {
-		t.Fatalf("legacy gen-5 record: %v", err)
-	}
-	_, next, err := core.ApplyDelta(schemes[4], delta)
-	if err != nil {
-		t.Fatalf("legacy gen-5 replay: %v", err)
-	}
-	assertSameLabels(t, next, s)
 }
 
 // TestCheckpointBehindFullMarker: a checkpoint older than the log's newest

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/routing"
@@ -39,6 +40,7 @@ type Scheme interface {
 	Generation() uint64
 	VertexLabel(v int) core.VertexLabel
 	EdgeLabelByIndex(e int) core.EdgeLabel
+	EdgeEnds(e int) (parent, child ancestry.Label)
 }
 
 // Products hands out the per-generation View, swapping to a fresh one when

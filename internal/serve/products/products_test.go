@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/serve/products"
@@ -24,6 +25,9 @@ func (s graphScheme) MaxFaults() int                      { return s.f }
 func (s graphScheme) Generation() uint64                  { return 1 }
 func (s graphScheme) VertexLabel(int) core.VertexLabel    { return core.VertexLabel{} }
 func (s graphScheme) EdgeLabelByIndex(int) core.EdgeLabel { return core.EdgeLabel{} }
+func (s graphScheme) EdgeEnds(int) (parent, child ancestry.Label) {
+	return ancestry.Label{}, ancestry.Label{}
+}
 
 // faultSets is one trial's over-budget sets: failed vertices (dead), edge
 // faults, and the pairs to answer under each.

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -49,6 +50,9 @@ func (r replicaScheme) Generation() uint64                 { return r.s.Generati
 func (r replicaScheme) VertexLabel(v int) core.VertexLabel { return r.s.VertexLabel(v) }
 func (r replicaScheme) EdgeLabelByIndex(e int) core.EdgeLabel {
 	return r.s.EdgeLabel(e)
+}
+func (r replicaScheme) EdgeEnds(e int) (parent, child ancestry.Label) {
+	return r.s.EdgeEnds(e)
 }
 
 func (r replicaScheme) Save(w io.Writer) error {

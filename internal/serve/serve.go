@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -54,6 +55,7 @@ type Scheme interface {
 	Generation() uint64
 	VertexLabel(v int) core.VertexLabel
 	EdgeLabelByIndex(e int) core.EdgeLabel
+	EdgeEnds(e int) (parent, child ancestry.Label)
 }
 
 // Updatable is the construction-side surface of a dynamic network:

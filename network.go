@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ancestry"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -234,6 +235,9 @@ func (nw *Network) EdgeLabel(u, v int) (EdgeLabel, error) { return nw.Snapshot()
 // EdgeLabelByIndex returns an independent copy of the current label of the
 // i-th edge.
 func (nw *Network) EdgeLabelByIndex(i int) EdgeLabel { return nw.Snapshot().EdgeLabelByIndex(i) }
+
+// EdgeEnds returns the current ancestry labels of the i-th edge's label.
+func (nw *Network) EdgeEnds(i int) (parent, child ancestry.Label) { return nw.Snapshot().EdgeEnds(i) }
 
 // Stats returns the size accounting of the current generation.
 func (nw *Network) Stats() Stats { return nw.Snapshot().Stats() }

@@ -11,7 +11,9 @@ import (
 // any number of decoder processes ("one build, many decoders" — the fleet
 // pattern cmd/ftcserve serves). The wire format is the versioned binary
 // layout of internal/core (DESIGN.md §3.9); per-label encodings inside the
-// snapshot are exactly MarshalVertexLabel / MarshalEdgeLabel.
+// snapshot are exactly MarshalVertexLabel / MarshalEdgeLabel, except that
+// an edge label the snapshot's own data rebuilds exactly, every non-tree
+// edge's, is stored as the preorder of its subdivision leaf.
 
 // Re-exported snapshot sentinel errors; test with errors.Is.
 var (
@@ -42,8 +44,9 @@ func (s *Scheme) Save(w io.Writer) error {
 //
 // A loaded scheme is lazy, whatever its snapshot's version: a vertex label
 // is decoded the first time it is touched and retained, and an edge label
-// is decoded on every read and not retained, so a serving replica only
-// pays for the labels its traffic probes. A v3 or v4 snapshot's label
+// is decoded (or rebuilt from a short v5 slot) on every read and not
+// retained, so a serving replica only pays for the labels its traffic
+// probes. A v3–v5 snapshot's label
 // sections are aliased zero-copy, which makes loading O(1) in label bytes;
 // a v1 or v2 snapshot's are copied once. Laziness is invisible to the API,
 // and concurrent touches are safe.
@@ -68,7 +71,7 @@ func Load(r io.Reader) (*LoadedScheme, error) {
 }
 
 // LoadBytes is Load over an in-memory snapshot, without copying it. For a
-// v3 or v4 snapshot the returned scheme's label arena aliases data, so the
+// v3–v5 snapshot the returned scheme's label arena aliases data, so the
 // caller must not modify data for the lifetime of the scheme; this is what
 // makes loading O(1) in label bytes (cmd/ftcserve reads the snapshot file
 // with os.ReadFile and hands it straight here). A v1 or v2 snapshot's

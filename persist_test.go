@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -128,12 +129,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // it can never silently re-interpret old bytes. goldenLegacyPaths are the
 // fixtures of earlier versions, kept to prove old snapshots still load;
 // they are never regenerated.
-const goldenPath = "testdata/golden_v4.ftcsnap"
+const goldenPath = "testdata/golden_v5.ftcsnap"
 
 var goldenLegacyPaths = map[byte]string{
 	1: "testdata/golden_v1.ftcsnap",
 	2: "testdata/golden_v2.ftcsnap",
 	3: "testdata/golden_v3.ftcsnap",
+	4: "testdata/golden_v4.ftcsnap",
 }
 
 func goldenScheme(t *testing.T) *Scheme {
@@ -198,9 +200,9 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 // before the dynamic-network extension; generation and aux slack default
 // to zero), the v2 fixture (length-prefixed label sections, copied into a
 // label arena on load) and the v3 fixture (the arena layout itself), all
-// with labels that carried 2k power sums per Reed–Solomon level, keep
-// loading and decode to exactly what a fresh static build produces today,
-// with the same Stats.
+// with labels that carried 2k power sums per Reed–Solomon level, and the
+// v4 fixture (every edge label in full), keep loading and decode to
+// exactly what a fresh static build produces today, with the same Stats.
 func TestGoldenLegacySnapshotsStillLoad(t *testing.T) {
 	s := goldenScheme(t)
 	for version, path := range goldenLegacyPaths {
@@ -235,17 +237,18 @@ func TestGoldenLegacySnapshotsStillLoad(t *testing.T) {
 }
 
 // matrixSchemes rebuilds the schemes whose legacy snapshots live under
-// testdata/legacy, written by the writer of earlier builds (labels with
-// 2k power sums per Reed–Solomon level): every persistSchemes kind at
-// f = 1, a det-netfind scheme whose hierarchy has two levels (ER n = 32,
-// threshold 4), and a dynamic scheme at generation 2 with aux slack.
-// versions lists the fixtures of each; v1 cannot carry a dynamic scheme.
+// testdata/legacy, written by the writers of earlier builds (labels with
+// 2k power sums per Reed–Solomon level up to v3, every edge label in full
+// at v4): every persistSchemes kind at f = 1, a det-netfind scheme whose
+// hierarchy has two levels (ER n = 32, threshold 4), and a dynamic scheme
+// at generation 2 with aux slack. versions lists the fixtures of each; v1
+// cannot carry a dynamic scheme.
 func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[string][]byte) {
 	t.Helper()
 	schemes = persistSchemes(t, 1)
 	versions = map[string][]byte{}
 	for name := range schemes {
-		versions[name] = []byte{1, 2, 3}
+		versions[name] = []byte{1, 2, 3, 4}
 	}
 
 	g := workload.ErdosRenyi(32, 0.15, true, rand.New(rand.NewSource(1)))
@@ -262,7 +265,7 @@ func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[strin
 		t.Fatalf("two-level scheme has %d levels", depth)
 	}
 	schemes["det-netfind-2level"] = twoLevel
-	versions["det-netfind-2level"] = []byte{1, 2, 3}
+	versions["det-netfind-2level"] = []byte{1, 2, 3, 4}
 
 	nw, err := Open(12, persistTestEdges, WithMaxFaults(3), WithDeterministic())
 	if err != nil {
@@ -272,7 +275,7 @@ func matrixSchemes(t *testing.T) (schemes map[string]*Scheme, versions map[strin
 		t.Fatalf("dynamic commit: %+v, %v", rep, err)
 	}
 	schemes["dynamic"] = nw.Snapshot()
-	versions["dynamic"] = []byte{2, 3}
+	versions["dynamic"] = []byte{2, 3, 4}
 	return schemes, versions
 }
 
@@ -359,9 +362,9 @@ func TestSnapshotVersionMatrix(t *testing.T) {
 var edgeLabelSink EdgeLabel
 
 // TestEdgeLabelByIndexAllocs: a lazily loaded scheme decodes a fresh label
-// per read, which is already the caller's, so a read allocates once; a
-// built scheme copies the payload it shares, also once, and that copy
-// stays independent of the scheme.
+// per read, or rebuilds one from a short slot, which is already the
+// caller's, so a read allocates once; a built scheme copies the payload it
+// shares, also once, and that copy stays independent of the scheme.
 func TestEdgeLabelByIndexAllocs(t *testing.T) {
 	s, err := New(12, persistTestEdges, WithMaxFaults(2))
 	if err != nil {
@@ -378,9 +381,17 @@ func TestEdgeLabelByIndexAllocs(t *testing.T) {
 	if loaded.Inner().EdgeLabelsShared() || !s.Inner().EdgeLabelsShared() {
 		t.Fatal("want a lazily loaded scheme and a built one")
 	}
+	// Edge 1 is a tree edge, stored in full; the first non-tree edge is
+	// stored short.
+	nonTree := slices.Index(s.Inner().Forest.IsTreeEdge, false)
+	if !s.Inner().Forest.IsTreeEdge[1] || nonTree < 0 {
+		t.Fatal("want edge 1 in the spanning tree and a non-tree edge")
+	}
 	for name, sch := range map[string]*Scheme{"built": s, "loaded": &loaded.Scheme} {
-		if allocs := testing.AllocsPerRun(100, func() { edgeLabelSink = sch.EdgeLabelByIndex(1) }); allocs != 1 {
-			t.Errorf("%s: EdgeLabelByIndex allocates %v times per read, want 1", name, allocs)
+		for _, e := range []int{1, nonTree} {
+			if allocs := testing.AllocsPerRun(100, func() { edgeLabelSink = sch.EdgeLabelByIndex(e) }); allocs != 1 {
+				t.Errorf("%s: EdgeLabelByIndex(%d) allocates %v times per read, want 1", name, e, allocs)
+			}
 		}
 	}
 	l := s.EdgeLabelByIndex(1)
